@@ -9,14 +9,17 @@
 //    isolates per-node-round overhead: coroutine frame resume + scheduler
 //    heap traffic vs one virtual Step() into a flat program. The ISSUE's
 //    >=5x target is measured here.
-//  * MST end-to-end — Randomized-MST and Deterministic-MST lowered to
-//    their flat drivers (src/smst/mst/*_mst.cpp), so the curve also shows
-//    what the lowering buys on the paper's real sleeping-model workload,
-//    where most node-rounds are spent asleep.
+//  * MST end-to-end — Randomized-MST and Deterministic-MST, whose only
+//    implementation is a flat program (src/smst/mst/*_mst.cpp): axis 0
+//    steps it on the Scheduler (through FlatRuntime), axis 1 on the
+//    FlatEngine, so the curve shows what the batched round loop buys on
+//    the paper's real sleeping-model workload, where most node-rounds
+//    are spent asleep.
 //
-// Engine axis (arg 1): 0 = coroutine serial, 1 = flat serial,
-// 2 = flat + 2 shards. Results are bit-identical across all three
-// (pinned by tests/flat_engine_test.cpp); this bench records the cost.
+// Engine axis (arg 1): 0 = coroutine serial (EngineMode::kCoroutine),
+// 1 = flat serial, 2 = flat + 2 shards. Results are bit-identical across
+// all three (pinned by tests/mst_golden_test.cpp); this bench records the
+// cost.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -10,8 +10,8 @@
 #include "smst/mst/randomized_mst.h"
 #include "smst/runtime/flat/program.h"
 #include "smst/runtime/simulator.h"
+#include "smst/sleeping/flat_procedures.h"
 #include "smst/sleeping/forest_builder.h"
-#include "smst/sleeping/procedures.h"
 
 namespace {
 
@@ -172,19 +172,18 @@ PathForest MakePathForest(std::size_t n) {
   return {std::move(g), std::move(states)};
 }
 
-Task<void> BroadcastNode(NodeContext& ctx, const std::vector<LdtState>* states) {
-  co_await FragmentBroadcast(ctx, (*states)[ctx.Index()], 1,
-                             Message{1, 7, 0, 0});
-}
-
 void BM_FragmentBroadcast(benchmark::State& state) {
   auto pf = MakePathForest(static_cast<std::size_t>(state.range(0)));
   std::uint64_t rounds = 0;
   for (auto _ : state) {
+    ProcedureProgram<FlatBroadcast> program(
+        pf.g, [&pf](const FlatNodeRef& node, FlatBroadcast& proc,
+                    SendBatch& sends) {
+          return proc.Begin(node, pf.states[node.v], 1, Message{1, 7, 0, 0},
+                            sends);
+        });
     Simulator sim(pf.g);
-    sim.Run([&pf](NodeContext& ctx) {
-      return BroadcastNode(ctx, &pf.states);
-    });
+    sim.Run(program);
     rounds = sim.Stats().rounds;
     benchmark::DoNotOptimize(rounds);
   }
@@ -193,19 +192,18 @@ void BM_FragmentBroadcast(benchmark::State& state) {
 }
 BENCHMARK(BM_FragmentBroadcast)->Arg(256)->Arg(2048);
 
-Task<void> UpcastNode(NodeContext& ctx, const std::vector<LdtState>* states) {
-  co_await UpcastMin(ctx, (*states)[ctx.Index()], 1,
-                     UpcastItem{ctx.Id(), 0, 0});
-}
-
 void BM_UpcastMin(benchmark::State& state) {
   auto pf = MakePathForest(static_cast<std::size_t>(state.range(0)));
   std::uint64_t rounds = 0;
   for (auto _ : state) {
+    ProcedureProgram<FlatUpcastMin> program(
+        pf.g, [&pf](const FlatNodeRef& node, FlatUpcastMin& proc,
+                    SendBatch& sends) {
+          return proc.Begin(node, pf.states[node.v], 1,
+                            UpcastItem{node.Id(), 0, 0}, sends);
+        });
     Simulator sim(pf.g);
-    sim.Run([&pf](NodeContext& ctx) {
-      return UpcastNode(ctx, &pf.states);
-    });
+    sim.Run(program);
     rounds = sim.Stats().rounds;
     benchmark::DoNotOptimize(rounds);
   }

@@ -3,6 +3,7 @@
 // awake rounds. We run each procedure in isolation on path-shaped LDTs
 // of growing n (the deepest trees, i.e. the worst case for the
 // schedule), and print the measured constants.
+#include <functional>
 #include <iostream>
 #include <vector>
 
@@ -10,33 +11,68 @@
 #include "smst/mst/deterministic_mst.h"
 #include "smst/mst/randomized_mst.h"
 #include "smst/runtime/simulator.h"
+#include "smst/sleeping/flat_procedures.h"
 #include "smst/sleeping/forest_builder.h"
-#include "smst/sleeping/merging.h"
-#include "smst/sleeping/procedures.h"
 #include "smst/util/table.h"
 
 namespace {
 
 using namespace smst;
 
+using States = std::vector<LdtState>;
+
 struct ProcedureProbe {
   const char* name;
-  // Returns a per-node program; receives the node's LDT state.
-  std::function<Task<void>(NodeContext&, const LdtState&)> run;
+  // Runs the procedure once on every node of the LDT; returns the stats.
+  std::function<RunStats(const WeightedGraph&, const States&)> run;
 };
 
-Task<void> RunBroadcast(NodeContext& ctx, const LdtState& ldt) {
-  co_await FragmentBroadcast(ctx, ldt, 1, Message{1, 99, 0, 0});
+template <typename Proc>
+RunStats RunProcedure(const WeightedGraph& g,
+                      typename ProcedureProgram<Proc>::BeginFn begin) {
+  ProcedureProgram<Proc> program(g, std::move(begin));
+  Simulator sim(g);
+  sim.Run(program);
+  return sim.Stats();
 }
-Task<void> RunUpcast(NodeContext& ctx, const LdtState& ldt) {
-  co_await UpcastMin(ctx, ldt, 1, UpcastItem{ctx.Id(), 0, 0});
+
+// Transmit-Adjacent: the block's Side round, nothing after it.
+struct SideRound {
+  Round Resume(const FlatNodeRef&, const InboxBatch&, SendBatch&) {
+    return kFlatDone;
+  }
+};
+
+RunStats RunBroadcast(const WeightedGraph& g, const States& states) {
+  return RunProcedure<FlatBroadcast>(
+      g, [&](const FlatNodeRef& node, FlatBroadcast& proc, SendBatch& sends) {
+        return proc.Begin(node, states[node.v], 1, Message{1, 99, 0, 0},
+                          sends);
+      });
 }
-Task<void> RunUpcastSum(NodeContext& ctx, const LdtState& ldt) {
-  co_await UpcastSum(ctx, ldt, 1, 1);
+RunStats RunUpcast(const WeightedGraph& g, const States& states) {
+  return RunProcedure<FlatUpcastMin>(
+      g, [&](const FlatNodeRef& node, FlatUpcastMin& proc, SendBatch& sends) {
+        return proc.Begin(node, states[node.v], 1,
+                          UpcastItem{node.Id(), 0, 0}, sends);
+      });
 }
-Task<void> RunSide(NodeContext& ctx, const LdtState& ldt) {
-  co_await TransmitAdjacent(ctx, ldt, 1,
-                            ToAllPorts(ctx, Message{2, ctx.Id(), 0, 0}));
+RunStats RunUpcastSum(const WeightedGraph& g, const States& states) {
+  return RunProcedure<FlatUpcastSum>(
+      g, [&](const FlatNodeRef& node, FlatUpcastSum& proc, SendBatch& sends) {
+        return proc.Begin(node, states[node.v], 1, 1, sends);
+      });
+}
+RunStats RunSide(const WeightedGraph& g, const States& states) {
+  return RunProcedure<SideRound>(
+      g, [&](const FlatNodeRef& node, SideRound&, SendBatch& sends) {
+        for (std::uint32_t p = 0; p < node.Degree(); ++p) {
+          sends.push_back({p, Message{2, node.Id(), 0, 0}});
+        }
+        return TransmissionSchedule(1, states[node.v].level,
+                                    node.NumNodesKnown())
+            .side;
+      });
 }
 
 }  // namespace
@@ -64,11 +100,7 @@ int main() {
         std::vector<EdgeIndex> tree;
         for (EdgeIndex e = 0; e < g.NumEdges(); ++e) tree.push_back(e);
         auto states = BuildForest(g, tree, {0});
-        Simulator sim(g);
-        sim.Run([&](NodeContext& ctx) {
-          return probe.run(ctx, states[ctx.Index()]);
-        });
-        auto s = sim.Stats();
+        const RunStats s = probe.run(g, states);
         t.AddRow({probe.name, Table::Num(static_cast<std::uint64_t>(n)),
                   Table::Num(s.max_awake), Table::Num(s.rounds),
                   Table::Num(double(s.rounds) / double(2 * n + 1), 2)});

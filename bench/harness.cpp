@@ -60,18 +60,6 @@ SweepOutput Harness::Sweep(MstAlgorithm algo,
   SweepOutput out;
   out.cells.resize(sizes.size() * seeds);
 
-  // Algorithms without a flat lowering run their cells on the coroutine
-  // engine (results are bit-identical anyway; only wall-clock differs).
-  // Announce the downgrade so `--engine flat` over a multi-algorithm
-  // bench is honest instead of aborting the suite mid-sweep.
-  EngineMode engine = engine_;
-  if (engine == EngineMode::kFlat && !SupportsFlatEngine(algo, base)) {
-    std::cerr << "note: " << MstAlgorithmName(algo)
-              << " has no flat-engine lowering; sweeping it on the "
-                 "coroutine engine\n";
-    engine = EngineMode::kCoroutine;
-  }
-
   // Workers fill disjoint cells; graphs are built inside the cell so
   // generation parallelizes too. Everything a cell computes depends only
   // on (n, seed), so the result set is independent of thread count.
@@ -86,7 +74,7 @@ SweepOutput Harness::Sweep(MstAlgorithm algo,
     // pure function of (n, seed) either way.
     options.shards = shards_;
     options.shard_policy = shard_policy_;
-    options.engine = engine;
+    options.engine = engine_;
     // Each cell runs wholly on this worker thread, so the thread-local
     // counter difference is exactly this run's allocations. Graph
     // generation (above) and verification (below) are excluded: the

@@ -11,9 +11,9 @@
 //      --shards K    run every cell on the K-shard simulator backend
 //                    (0 = serial; results are bit-identical either way)
 //      --shard-policy block|rr   node-to-shard partition policy
-//      --engine coroutine|flat   execution engine for every cell
-//                    (results are bit-identical; flat is the batched
-//                    state-machine lowering, DESIGN.md §13)
+//      --engine coroutine|flat   round loop for every cell: the
+//                    Scheduler, or the batched FlatEngine when nothing
+//                    observes the run (bit-identical; DESIGN.md §13)
 //  * parallel execution of the cells via smst::ParallelRunner, with
 //    results identical to the serial loops the benches used to run
 //    (each cell's graph and randomness derive only from (n, seed));

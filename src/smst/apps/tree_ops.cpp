@@ -2,8 +2,9 @@
 
 #include <stdexcept>
 
+#include "smst/runtime/flat/driver.h"
 #include "smst/runtime/simulator.h"
-#include "smst/sleeping/procedures.h"
+#include "smst/sleeping/flat_procedures.h"
 
 namespace smst {
 
@@ -11,43 +12,80 @@ namespace {
 
 constexpr std::uint16_t kTagAppBroadcast = 150;
 
-struct Shared {
-  const std::vector<LdtState>* forest = nullptr;
-  const std::vector<TreeOpRequest>* requests = nullptr;
-  std::vector<TreeOpOutcome>* outcomes = nullptr;
+struct TreeOpsNode {
+  int pc = 0;
+  BlockCursor cursor{1, 1};
+  std::size_t i = 0;  // the request being served
+  FlatBroadcast bcast;
+  FlatUpcastMin umin;
+  FlatUpcastSum usum;
 };
 
-Task<void> NodeMain(NodeContext& ctx, Shared* sh) {
-  const LdtState& ldt = (*sh->forest)[ctx.Index()];
-  BlockCursor cursor(1, ctx.NumNodesKnown());
-  for (std::size_t i = 0; i < sh->requests->size(); ++i) {
-    const TreeOpRequest& req = (*sh->requests)[i];
-    TreeOpOutcome& out = (*sh->outcomes)[i];
-    switch (req.kind) {
-      case TreeOpRequest::Kind::kBroadcast: {
-        const Message got = co_await FragmentBroadcast(
-            ctx, ldt, cursor.TakeBlock(),
-            Message{kTagAppBroadcast, req.broadcast_value, 0, 0});
-        out.per_node[ctx.Index()] = got.a;
-        if (ldt.IsRoot()) out.root_value = got.a;
-        break;
+// Serves the requests back to back, one schedule block each, over the
+// finished forest.
+class TreeOpsProgram final : public FlatProgram {
+ public:
+  TreeOpsProgram(const WeightedGraph& g, const std::vector<LdtState>& forest,
+                 const std::vector<TreeOpRequest>& requests,
+                 std::vector<TreeOpOutcome>& outcomes)
+      : g_(&g),
+        forest_(&forest),
+        requests_(&requests),
+        outcomes_(&outcomes),
+        nodes_(g.NumNodes()) {
+    for (TreeOpsNode& st : nodes_) st.cursor = BlockCursor(1, g.NumNodes());
+  }
+
+  Round Start(NodeIndex v, FlatEnv& /*env*/, SendBatch& sends) override {
+    const InboxBatch empty;
+    return Advance(v, empty, sends);
+  }
+  Round Step(NodeIndex v, Round /*now*/, FlatEnv& /*env*/,
+             const InboxBatch& inbox, SendBatch& sends) override {
+    return Advance(v, inbox, sends);
+  }
+
+ private:
+  Round Advance(NodeIndex v, const InboxBatch& inbox, SendBatch& sends);
+
+  // Records node v's answer to request i.
+  void Answer(std::size_t i, NodeIndex v, std::uint64_t value) {
+    TreeOpOutcome& out = (*outcomes_)[i];
+    out.per_node[v] = value;
+    if ((*forest_)[v].IsRoot()) out.root_value = value;
+  }
+
+  const WeightedGraph* g_;
+  const std::vector<LdtState>* forest_;
+  const std::vector<TreeOpRequest>* requests_;
+  std::vector<TreeOpOutcome>* outcomes_;
+  std::vector<TreeOpsNode> nodes_;
+};
+
+Round TreeOpsProgram::Advance(NodeIndex v, const InboxBatch& inbox,
+                              SendBatch& sends) {
+  TreeOpsNode& st = nodes_[v];
+  const FlatNodeRef node{g_, v};
+  const LdtState& ldt = (*forest_)[v];
+  const std::vector<TreeOpRequest>& reqs = *requests_;
+
+  switch (st.pc) {
+    default:
+      throw std::logic_error("flat program: corrupt pc");
+    case 0:
+      for (st.i = 0; st.i < reqs.size(); ++st.i) {
+        if (reqs[st.i].kind == TreeOpRequest::Kind::kBroadcast) {
+          SMST_FLAT_SUB(st, st.bcast, st.bcast.Begin(node, ldt, st.cursor.TakeBlock(), Message{kTagAppBroadcast, reqs[st.i].broadcast_value, 0, 0}, sends));
+          Answer(st.i, v, st.bcast.msg.a);
+        } else if (reqs[st.i].kind == TreeOpRequest::Kind::kAggregateMin) {
+          SMST_FLAT_SUB(st, st.umin, st.umin.Begin(node, ldt, st.cursor.TakeBlock(), UpcastItem{reqs[st.i].inputs[v], 0, 0}, sends));
+          Answer(st.i, v, st.umin.best.key);
+        } else {
+          SMST_FLAT_SUB(st, st.usum, st.usum.Begin(node, ldt, st.cursor.TakeBlock(), reqs[st.i].inputs[v], sends));
+          Answer(st.i, v, st.usum.result.subtree_total);
+        }
       }
-      case TreeOpRequest::Kind::kAggregateMin: {
-        const UpcastItem got =
-            co_await UpcastMin(ctx, ldt, cursor.TakeBlock(),
-                               UpcastItem{req.inputs[ctx.Index()], 0, 0});
-        out.per_node[ctx.Index()] = got.key;
-        if (ldt.IsRoot()) out.root_value = got.key;
-        break;
-      }
-      case TreeOpRequest::Kind::kAggregateSum: {
-        const UpcastSumResult got = co_await UpcastSum(
-            ctx, ldt, cursor.TakeBlock(), req.inputs[ctx.Index()]);
-        out.per_node[ctx.Index()] = got.subtree_total;
-        if (ldt.IsRoot()) out.root_value = got.subtree_total;
-        break;
-      }
-    }
+      return kFlatDone;
   }
 }
 
@@ -77,11 +115,12 @@ TreeOpsReport RunTreeOps(const WeightedGraph& g, const MstRunResult& result,
   for (auto& out : report.outcomes) {
     out.per_node.assign(g.NumNodes(), 0);
   }
-  Shared sh{&result.final_ldt, &requests, &report.outcomes};
+  TreeOpsProgram program(g, result.final_ldt, requests, report.outcomes);
   SimulatorOptions opt;
   opt.seed = seed;
+  opt.engine = EngineMode::kFlat;
   Simulator sim(g, opt);
-  sim.Run([&sh](NodeContext& ctx) { return NodeMain(ctx, &sh); });
+  sim.Run(program);
   report.stats = sim.Stats();
   return report;
 }

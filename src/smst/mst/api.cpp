@@ -40,15 +40,4 @@ MstRunResult ComputeMst(const WeightedGraph& g, MstAlgorithm algorithm,
   throw std::invalid_argument("unknown algorithm");
 }
 
-bool SupportsFlatEngine(MstAlgorithm algorithm, const MstOptions& options) {
-  switch (algorithm) {
-    case MstAlgorithm::kRandomized:
-      return true;
-    case MstAlgorithm::kDeterministic:
-      return options.coloring == ColoringVariant::kFastAwake;
-    default:
-      return false;
-  }
-}
-
 }  // namespace smst

@@ -16,12 +16,4 @@ namespace smst {
 MstRunResult ComputeMst(const WeightedGraph& g, MstAlgorithm algorithm,
                         const MstOptions& options = {});
 
-// True when the algorithm has a flat-engine lowering for these options
-// (MstOptions::engine == EngineMode::kFlat, DESIGN.md §13): the two
-// paper algorithms, the deterministic one only with the fast-awake
-// coloring. Running an unsupported combination throws (log*-coloring)
-// or would silently fall back to coroutines (GHS, BM spanning tree) —
-// callers offering an engine switch should check here first and be loud.
-bool SupportsFlatEngine(MstAlgorithm algorithm, const MstOptions& options);
-
 }  // namespace smst

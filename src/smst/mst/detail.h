@@ -9,7 +9,7 @@
 #include "smst/graph/graph.h"
 #include "smst/mst/options.h"
 #include "smst/mst/result.h"
-#include "smst/runtime/node.h"
+#include "smst/runtime/flat/program.h"
 #include "smst/sleeping/ldt.h"
 #include "smst/sleeping/procedures.h"
 
@@ -27,16 +27,14 @@ MstRunResult RunGhsStyle(const WeightedGraph& g, const MstOptions& options,
 
 // This node's best outgoing-edge candidate under `rule` (absent if every
 // neighbor is in the same fragment). The item's `b` field always carries
-// the edge weight, which identifies the edge globally. Templated over the
-// node view so the coroutine (NodeContext) and flat (FlatNodeRef) engines
-// share one definition.
-template <typename Ctx>
-UpcastItem LocalMoe(const Ctx& ctx, const LdtState& ldt,
-                    const std::vector<NodeId>& nbr_frag, SelectionRule rule) {
+// the edge weight, which identifies the edge globally.
+inline UpcastItem LocalMoe(const FlatNodeRef& node, const LdtState& ldt,
+                           const std::vector<NodeId>& nbr_frag,
+                           SelectionRule rule) {
   UpcastItem best;  // absent
-  for (std::uint32_t p = 0; p < ctx.Degree(); ++p) {
+  for (std::uint32_t p = 0; p < node.Degree(); ++p) {
     if (nbr_frag[p] == ldt.fragment_id) continue;
-    const Weight w = ctx.WeightAtPort(p);
+    const Weight w = node.WeightAtPort(p);
     UpcastItem candidate;
     switch (rule) {
       case SelectionRule::kMinWeight:
@@ -53,12 +51,12 @@ UpcastItem LocalMoe(const Ctx& ctx, const LdtState& ldt,
 
 // The port of this node's outgoing edge with the given weight, or kNoPort
 // if the fragment's chosen edge is not incident here.
-template <typename Ctx>
-std::uint32_t PortOfOutgoingWeight(const Ctx& ctx, const LdtState& ldt,
-                                   const std::vector<NodeId>& nbr_frag,
-                                   Weight weight) {
-  for (std::uint32_t p = 0; p < ctx.Degree(); ++p) {
-    if (nbr_frag[p] != ldt.fragment_id && ctx.WeightAtPort(p) == weight) {
+inline std::uint32_t PortOfOutgoingWeight(const FlatNodeRef& node,
+                                          const LdtState& ldt,
+                                          const std::vector<NodeId>& nbr_frag,
+                                          Weight weight) {
+  for (std::uint32_t p = 0; p < node.Degree(); ++p) {
+    if (nbr_frag[p] != ldt.fragment_id && node.WeightAtPort(p) == weight) {
       return p;
     }
   }

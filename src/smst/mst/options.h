@@ -70,10 +70,10 @@ struct MstOptions {
   // programs on K worker threads with bit-identical results (DESIGN §12).
   std::uint32_t shards = 0;
   ShardPolicy shard_policy = ShardPolicy::kContiguousBlocks;
-  // Execution engine: the coroutine runtime (one frame per node) or the
-  // flat batched state machines (DESIGN §13). Bit-identical results; the
-  // flat engine only trades wall-clock time. The deterministic algorithm
-  // supports flat only with the kFastAwake coloring.
+  // Round loop for the algorithm's flat program (DESIGN §13): kCoroutine
+  // steps it on the Scheduler, kFlat on the batched FlatEngine whenever
+  // nothing observes the run. Bit-identical results; only wall-clock
+  // time differs.
   EngineMode engine = EngineMode::kCoroutine;
 };
 

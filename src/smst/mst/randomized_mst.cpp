@@ -6,11 +6,9 @@
 #include <string>
 
 #include "smst/mst/detail.h"
-#include "smst/mst/flat_driver.h"
+#include "smst/runtime/flat/driver.h"
 #include "smst/runtime/simulator.h"
 #include "smst/sleeping/flat_procedures.h"
-#include "smst/sleeping/merging.h"
-#include "smst/sleeping/procedures.h"
 #include "smst/util/prng.h"
 
 namespace smst {
@@ -50,14 +48,10 @@ struct Shared {
   }
 };
 
-Task<void> NodeMain(NodeContext& ctx, Shared* sh);
-
 // ---------------------------------------------------------------------
-// Flat-engine lowering of NodeMain (DESIGN §13): the same script with
-// every co_await turned into a (return round, case label) pair via the
-// flat_driver.h macros. Identical message tags, schedule arithmetic,
-// PRNG splits, probes, and error strings — the differential tests pin
-// bit-identical results against the coroutine form.
+// Randomized-MST as a flat state machine (DESIGN §13): one resumable
+// script per node, each awake round and toolbox call a (return round,
+// case label) pair via the runtime/flat/driver.h macros.
 
 struct FlatGhsNode {
   int pc = 0;
@@ -86,8 +80,8 @@ class FlatGhsProgram final : public FlatProgram {
  public:
   FlatGhsProgram(const WeightedGraph& g, Shared* sh, std::uint64_t seed)
       : g_(&g), sh_(sh), nodes_(g.NumNodes()) {
-    // The same per-node PRNG split Simulator hands coroutine contexts,
-    // so the roots' coin sequences match the coroutine run exactly.
+    // The same per-node PRNG split Simulator hands coroutine contexts
+    // (NodeContext::Rng), so every node has its own seeded coin stream.
     Xoshiro256 root(seed);
     for (NodeIndex v = 0; v < g.NumNodes(); ++v) {
       FlatGhsNode& st = nodes_[v];
@@ -131,6 +125,9 @@ Round FlatGhsProgram::Advance(NodeIndex v, FlatEnv& env,
       throw std::logic_error("flat program: corrupt pc");
     case 0:
       for (st.phase = 1; st.phase <= sh_->phase_cap; ++st.phase) {
+        // Adaptive blocks: depth_bound bounds every fragment's depth at
+        // the start of the phase (see MstOptions::adaptive_blocks). All
+        // nodes advance it identically, so block boundaries stay agreed.
         st.span = sh_->adaptive_blocks
                       ? static_cast<std::size_t>(
                             std::min<std::uint64_t>(st.depth_bound + 1, n))
@@ -155,18 +152,18 @@ Round FlatGhsProgram::Advance(NodeIndex v, FlatEnv& env,
         }
 
         // B2: fragment MOE converges at the root.
-        SMST_FLAT_SUB(st, umin, st.umin.Begin(node, st.ldt, st.cursor.TakeBlock(), detail::LocalMoe(node, st.ldt, st.nbr_frag, sh_->rule), sends, st.span));
+        SMST_FLAT_SUB(st, st.umin, st.umin.Begin(node, st.ldt, st.cursor.TakeBlock(), detail::LocalMoe(node, st.ldt, st.nbr_frag, sh_->rule), sends, st.span));
 
         // B3: root announces (MOE edge weight, DONE, coin).
         st.ctl = Message{};
         if (st.ldt.IsRoot()) {
-          const bool done = st.umin.best.Absent();
+          const bool done = st.umin.best.Absent();  // no outgoing edge
           const bool tails = st.rng.NextCoin();
           st.ctl = Message{kTagPhaseCtl, st.umin.best.b,
                            done ? std::uint64_t{1} : 0,
                            tails ? std::uint64_t{1} : 0};
         }
-        SMST_FLAT_SUB(st, bcast, st.bcast.Begin(node, st.ldt, st.cursor.TakeBlock(), st.ctl, sends, st.span));
+        SMST_FLAT_SUB(st, st.bcast, st.bcast.Begin(node, st.ldt, st.cursor.TakeBlock(), st.ctl, sends, st.span));
         st.moe_weight = st.bcast.msg.a;
         st.tails = st.bcast.msg.c != 0;
         if (st.bcast.msg.b != 0) {  // done
@@ -187,7 +184,9 @@ Round FlatGhsProgram::Advance(NodeIndex v, FlatEnv& env,
           if (m.msg.type == kTagMoeCoin) st.nbr_tails[m.port] = m.msg.b != 0;
         }
 
-        // Validity: decided by the (unique) MOE endpoint.
+        // Validity: the MOE is valid iff we flipped tails and the
+        // fragment on its far side flipped heads. Decided by the (unique)
+        // MOE endpoint; the verdict stays absent everywhere else.
         st.moe_port =
             detail::PortOfOutgoingWeight(node, st.ldt, st.nbr_frag, st.moe_weight);
         st.verdict = UpcastItem{};
@@ -197,8 +196,8 @@ Round FlatGhsProgram::Advance(NodeIndex v, FlatEnv& env,
         }
 
         // B5 + B6: verdict to root, then fragment-wide.
-        SMST_FLAT_SUB(st, umin, st.umin.Begin(node, st.ldt, st.cursor.TakeBlock(), st.verdict, sends, st.span));
-        SMST_FLAT_SUB(st, bcast, st.bcast.Begin(node, st.ldt, st.cursor.TakeBlock(), Message{kTagValidity, st.umin.best.key, 0, 0}, sends, st.span));
+        SMST_FLAT_SUB(st, st.umin, st.umin.Begin(node, st.ldt, st.cursor.TakeBlock(), st.verdict, sends, st.span));
+        SMST_FLAT_SUB(st, st.bcast, st.bcast.Begin(node, st.ldt, st.cursor.TakeBlock(), Message{kTagValidity, st.umin.best.key, 0, 0}, sends, st.span));
 
         // B7-B9: merge tails fragments into their heads fragments.
         st.role = MergeRole{};
@@ -209,7 +208,7 @@ Round FlatGhsProgram::Advance(NodeIndex v, FlatEnv& env,
         if (st.role.is_tails && st.ldt.IsRoot()) {
           metrics.Probe(kProbeMergesAtPhase, st.phase);
         }
-        SMST_FLAT_SUB(st, merge, st.merge.Begin(node, st.ldt, st.cursor, st.role, mark, sends));
+        SMST_FLAT_SUB(st, st.merge, st.merge.Begin(node, st.ldt, st.cursor, st.role, mark, sends));
         sh_->Snapshot(st.phase, v, st.ldt);
       }
 
@@ -259,14 +258,8 @@ MstRunResult RunEngine(const WeightedGraph& g, const MstOptions& options,
   const bool faulted =
       options.fault_plan != nullptr && !options.fault_plan->Empty();
   Simulator sim(g, sim_options);
-  RunOutcome outcome;
-  if (options.engine == EngineMode::kFlat) {
-    FlatGhsProgram program(g, &sh, options.seed);
-    outcome = DriveProgram(sim, program, faulted);
-  } else {
-    outcome = DriveProgram(
-        sim, [&sh](NodeContext& ctx) { return NodeMain(ctx, &sh); }, faulted);
-  }
+  FlatGhsProgram program(g, &sh, options.seed);
+  RunOutcome outcome = DriveProgram(sim, program, faulted);
 
   std::uint64_t phases = 0;
   for (auto p : sh.phases_done) phases = std::max(phases, p);
@@ -277,127 +270,6 @@ MstRunResult RunEngine(const WeightedGraph& g, const MstOptions& options,
   result.outcome = std::move(outcome);
   if (faulted) RefineOutcome(result, g.NumNodes());
   return result;
-}
-
-Task<void> NodeMain(NodeContext& ctx, Shared* sh) {
-  const std::size_t n = ctx.NumNodesKnown();
-  LdtState ldt = LdtState::Singleton(ctx.Id());
-  std::vector<bool>& mark = sh->port_marks[ctx.Index()];
-  std::vector<NodeId> nbr_frag(ctx.Degree(), 0);
-  // Reused across phases (assign keeps the capacity) so the per-phase
-  // steady state stays allocation-free.
-  std::vector<bool> nbr_tails(ctx.Degree(), false);
-  BlockCursor cursor(1, n);
-
-  bool finished = false;
-  std::uint64_t last_active_phase = 0;
-  // Adaptive blocks: B_p bounds every fragment's depth at the start of
-  // phase p (see MstOptions::adaptive_blocks). All nodes advance this
-  // bound identically, so block boundaries stay globally agreed.
-  std::uint64_t depth_bound = 0;
-  for (std::uint64_t phase = 1; phase <= sh->phase_cap; ++phase) {
-    const std::size_t span =
-        sh->adaptive_blocks
-            ? static_cast<std::size_t>(
-                  std::min<std::uint64_t>(depth_bound + 1, n))
-            : n;
-    cursor.SetSpan(span);
-    depth_bound = std::min<std::uint64_t>(3 * depth_bound + 1, n - 1);
-    if (finished) {  // paper mode: remaining phases are no-ops, asleep
-      cursor.SkipBlocks(kRandomizedBlocksPerPhase);
-      continue;
-    }
-    last_active_phase = phase;
-    if (ldt.IsRoot()) ctx.Probe(kProbeFragmentsAtPhase, phase);
-
-    // B1: learn adjacent fragment IDs.
-    {
-      auto inbox = co_await TransmitAdjacent(
-          ctx, ldt, cursor.TakeBlock(),
-          ToAllPorts(ctx, Message{kTagFragId, ldt.fragment_id, 0, 0}), span);
-      for (const InMessage& m : inbox) {
-        if (m.msg.type == kTagFragId) nbr_frag[m.port] = m.msg.a;
-      }
-    }
-
-    // Local MOE candidate among ports leading outside the fragment.
-    const UpcastItem local_moe =
-        detail::LocalMoe(ctx, ldt, nbr_frag, sh->rule);
-
-    // B2: fragment MOE converges at the root.
-    const UpcastItem frag_moe =
-        co_await UpcastMin(ctx, ldt, cursor.TakeBlock(), local_moe, span);
-
-    // B3: root announces (MOE edge weight, DONE, coin).
-    Message ctl_msg{};
-    if (ldt.IsRoot()) {
-      const bool done = frag_moe.Absent();  // no outgoing edge: we span G
-      const bool tails = ctx.Rng().NextCoin();
-      ctl_msg = Message{kTagPhaseCtl, frag_moe.b,
-                        done ? std::uint64_t{1} : 0,
-                        tails ? std::uint64_t{1} : 0};
-    }
-    const Message ctl = co_await FragmentBroadcast(ctx, ldt,
-                                                   cursor.TakeBlock(),
-                                                   ctl_msg, span);
-    const Weight moe_weight = ctl.a;
-    const bool done = ctl.b != 0;
-    const bool tails = ctl.c != 0;
-    if (done) {
-      finished = true;
-      sh->Snapshot(phase, ctx.Index(), ldt);
-      if (sh->termination == TerminationMode::kEarlyDetect) break;
-      cursor.SkipBlocks(kRandomizedBlocksPerPhase - 3);
-      continue;
-    }
-
-    // B4: exchange (MOE weight, coin) with adjacent fragments.
-    nbr_tails.assign(ctx.Degree(), false);
-    {
-      auto inbox = co_await TransmitAdjacent(
-          ctx, ldt, cursor.TakeBlock(),
-          ToAllPorts(ctx, Message{kTagMoeCoin, moe_weight, tails ? 1u : 0u, 0}),
-          span);
-      for (const InMessage& m : inbox) {
-        if (m.msg.type == kTagMoeCoin) nbr_tails[m.port] = m.msg.b != 0;
-      }
-    }
-
-    // Validity: the MOE is valid iff we flipped tails and the fragment on
-    // its far side flipped heads. Decided by the (unique) MOE endpoint.
-    const std::uint32_t moe_port =
-        detail::PortOfOutgoingWeight(ctx, ldt, nbr_frag, moe_weight);
-    UpcastItem verdict;  // absent unless we are the endpoint
-    if (moe_port != kNoPort) {
-      const bool valid = tails && !nbr_tails[moe_port];
-      verdict = UpcastItem{valid ? 0u : 1u, 0, 0};
-    }
-
-    // B5 + B6: verdict to root, then fragment-wide.
-    const UpcastItem up =
-        co_await UpcastMin(ctx, ldt, cursor.TakeBlock(), verdict, span);
-    const Message valid_msg = co_await FragmentBroadcast(
-        ctx, ldt, cursor.TakeBlock(), Message{kTagValidity, up.key, 0, 0},
-        span);
-    const bool merges = tails && valid_msg.a == 0;
-
-    // B7-B9: merge tails fragments into their heads fragments.
-    MergeRole role;
-    role.is_tails = merges;
-    if (merges && moe_port != kNoPort) role.attach_port = moe_port;
-    if (merges && ldt.IsRoot()) ctx.Probe(kProbeMergesAtPhase, phase);
-    co_await MergingFragments(ctx, ldt, cursor, role, mark);
-    sh->Snapshot(phase, ctx.Index(), ldt);
-  }
-
-  if (!finished && sh->termination == TerminationMode::kEarlyDetect) {
-    throw NonTerminationError("Randomized-MST: phase cap " +
-                             std::to_string(sh->phase_cap) +
-                             " exceeded without termination");
-  }
-  ctx.ReportTermination(cursor.NextRound() - 1);
-  sh->final_ldt[ctx.Index()] = ldt;
-  sh->phases_done[ctx.Index()] = last_active_phase;
 }
 
 }  // namespace

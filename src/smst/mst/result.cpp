@@ -53,29 +53,13 @@ MstRunResult AssembleResult(const WeightedGraph& g,
   return r;
 }
 
-RunOutcome DriveProgram(Simulator& sim, const NodeProgram& program,
-                        bool faulted) {
+RunOutcome DriveProgram(Simulator& sim, FlatProgram& program, bool faulted) {
   if (!faulted) {
     sim.Run(program);
     // Run() already threw if the audit was not clean; surface the
     // auditor's meters so callers can cross-check them like in faulted
     // runs (all-zero when no auditor ran). Audit() covers both engines
     // (serial auditor, or summed shard auditors).
-    RunOutcome out;
-    const Simulator::AuditSummary a = sim.Audit();
-    if (a.audited) {
-      out.audited_awake_node_rounds = a.awake_node_rounds;
-      out.audited_model_drops = a.model_drops;
-      out.audit_violations = a.violations;
-    }
-    return out;
-  }
-  return sim.RunToOutcome(program);
-}
-
-RunOutcome DriveProgram(Simulator& sim, FlatProgram& program, bool faulted) {
-  if (!faulted) {
-    sim.Run(program);
     RunOutcome out;
     const Simulator::AuditSummary a = sim.Audit();
     if (a.audited) {

@@ -62,9 +62,6 @@ MstRunResult AssembleResult(const WeightedGraph& g,
 // Shared by the algorithm harnesses: runs `program` under the dual
 // contract — the throwing Simulator::Run when `faulted` is false, the
 // classifying RunToOutcome when true.
-RunOutcome DriveProgram(Simulator& sim, const NodeProgram& program,
-                        bool faulted);
-// Flat-engine twin of the above (SimulatorOptions::engine == kFlat).
 RunOutcome DriveProgram(Simulator& sim, FlatProgram& program, bool faulted);
 
 // Refines a faulted run's kCompleted outcome against the assembled

@@ -1,0 +1,60 @@
+// Duff's-device helpers for writing FlatProgram drivers and the toolbox
+// sub-machines they call.
+//
+// A flat state machine keeps one per-node state struct with an integer
+// `pc` and runs the whole algorithm script inside `switch (st.pc)`. The
+// two macros below turn an awake round or a nested sub-machine into a
+// (return, case-label) pair, so the script reads top to bottom like
+// straight-line code:
+//
+//   switch (st.pc) {
+//     default: throw std::logic_error("flat program: corrupt pc");
+//     case 0:
+//       ...
+//       // one awake round (sends pushed just before):
+//       SMST_FLAT_AWAKE(st, r);
+//       ... use `inbox` ...
+//       // a toolbox procedure run to completion:
+//       SMST_FLAT_SUB(st, st.umin, st.umin.Begin(node, ..., sends));
+//       ... use st.umin.best ...
+//       return kFlatDone;
+//   }
+//
+// Rules the call site must follow (C++ jump-into-scope rules):
+//  - each macro invocation sits on its own source line (`__LINE__` is the
+//    case key), inside the driver's `switch (st.pc)`, and `pc` is an int;
+//  - `node` (FlatNodeRef), `inbox` (const InboxBatch&) and `sends`
+//    (SendBatch&) are in scope at every invocation — SMST_FLAT_SUB
+//    resumes the sub-machine with exactly those names;
+//  - no local variable with an initializer may be in scope at a macro
+//    invocation (jumping to its case label would skip the
+//    initialization); persistent values live in the per-node struct,
+//    scratch values in `{ ... }` blocks that contain no macro.
+#pragma once
+
+#include "smst/runtime/flat/program.h"
+
+// One awake round: push the round's sends first, then suspend until
+// `round_expr` comes due; the next Step re-enters just after.
+#define SMST_FLAT_AWAKE(st, round_expr) \
+  (st).pc = __LINE__;                   \
+  return (round_expr);                  \
+  case __LINE__:;
+
+// Run the sub-machine `sub` (an lvalue; sleeping/flat_procedures.h) to
+// completion, forwarding each of its awake rounds as our own.
+// `begin_call` is evaluated once; resumes go through `(sub).Resume(node,
+// inbox, sends)`. `r_` is deliberately uninitialized: the case label
+// jumps over its declaration, which is only legal for vacuous
+// initialization.
+#define SMST_FLAT_SUB(st, sub, begin_call)     \
+  {                                            \
+    ::smst::Round r_;                          \
+    r_ = (begin_call);                         \
+    while (r_ != ::smst::kFlatDone) {          \
+      (st).pc = __LINE__;                      \
+      return r_;                               \
+      case __LINE__:                           \
+        r_ = (sub).Resume(node, inbox, sends); \
+    }                                          \
+  }

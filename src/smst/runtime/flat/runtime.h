@@ -38,7 +38,7 @@ class FlatRuntime : public FlatStepper {
   void Step(PendingWake& wake) override;
 
   // Mirrors TaskRunner queries, indexed by position in `nodes`. A failed
-  // node counts as done (its coroutine twin ran to completion via
+  // node counts as done (as a coroutine runs to completion via
   // unhandled_exception); a node whose wake was crash-suppressed stays
   // not-done forever.
   bool DoneAt(std::size_t local) const {

@@ -1,9 +1,11 @@
 // NodeContext: the complete world as one node sees it.
 //
-// This is the only interface algorithm code may touch. It exposes exactly
-// the paper's initial knowledge — own ID, n, N, degree, incident edge
-// weights (by port), the round clock, and a private randomness source —
-// plus the single model primitive:
+// This is the only interface a coroutine node program may touch (flat
+// programs see the same knowledge through FlatNodeRef and their Step
+// arguments; runtime/flat/program.h). It exposes exactly the paper's
+// initial knowledge — own ID, n, N, degree, incident edge weights (by
+// port), the round clock, and a private randomness source — plus the
+// single model primitive:
 //
 //   InboxBatch received =
 //       co_await ctx.Awake(round, {{port, msg}, ...});

@@ -62,13 +62,18 @@ EngineMode ParseEngineMode(const std::string& name) {
 Simulator::Simulator(const WeightedGraph& graph, SimulatorOptions options)
     : graph_(graph), options_(std::move(options)), metrics_(graph.NumNodes()) {
   if (options_.record_wake_times) metrics_.EnableWakeTimes();
-  if (options_.engine == EngineMode::kFlat && options_.trace) {
-    // TraceEvent is defined per coroutine resume (per-wake send/inbox
-    // counts at suspension points); a flat node has no such points, so
-    // reject the combination loudly rather than emit a stream with
-    // different meaning.
-    throw std::invalid_argument(
-        "tracing requires the coroutine engine (--engine coroutine)");
+  if (options_.fault_plan != nullptr) {
+    // A @NODE filter naming no node of this graph would match nothing and
+    // silently run the rule as a no-op.
+    for (const FaultRule& rule : options_.fault_plan->rules) {
+      if (rule.node != kInvalidNode && rule.node >= graph.NumNodes()) {
+        throw std::invalid_argument(
+            "fault rule '" + FaultPlan{0, {rule}}.ToString() +
+            "' targets node " + std::to_string(rule.node) +
+            ", but the graph has n = " + std::to_string(graph.NumNodes()) +
+            " nodes");
+      }
+    }
   }
   if (options_.shards > 0) {
     if (options_.trace) {
@@ -108,8 +113,8 @@ void Simulator::Execute(const NodeProgram& program) {
   ran_ = true;
   if (options_.engine != EngineMode::kCoroutine) {
     throw std::logic_error(
-        "SimulatorOptions::engine is flat; drive the run with the "
-        "FlatProgram overload");
+        "SimulatorOptions::engine is flat, which steps FlatPrograms "
+        "only; run coroutine NodePrograms with EngineMode::kCoroutine");
   }
 
   if (sharded_) {
@@ -157,11 +162,6 @@ void Simulator::Execute(const NodeProgram& program) {
 void Simulator::ExecuteFlat(FlatProgram& program) {
   if (ran_) throw std::logic_error("Simulator may run only once");
   ran_ = true;
-  if (options_.engine != EngineMode::kFlat) {
-    throw std::logic_error(
-        "SimulatorOptions::engine is coroutine; drive the run with the "
-        "NodeProgram overload");
-  }
 
   if (sharded_) {
     try {
@@ -177,10 +177,11 @@ void Simulator::ExecuteFlat(FlatProgram& program) {
 
   const bool faulted =
       options_.fault_plan != nullptr && !options_.fault_plan->Empty();
-  if (!auditor_ && !faulted) {
+  if (options_.engine == EngineMode::kFlat && !auditor_ && !faulted &&
+      !options_.trace) {
     // Nothing observes the event stream (no auditor, no adversary, no
-    // trace — rejected in the constructor), so the run can use the
-    // batched fast engine instead of the scheduler (DESIGN.md §13).
+    // trace), so the run can use the batched fast engine instead of the
+    // scheduler (DESIGN.md §13).
     flat_engine_ = std::make_unique<FlatEngine>(graph_, metrics_, *scheduler_,
                                                 options_.max_rounds);
     flat_engine_->Run(program);

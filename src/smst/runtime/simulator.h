@@ -25,11 +25,13 @@ class ShardedEngine;
 class FlatEngine;
 class FlatRuntime;
 
-// Which execution engine runs the node programs. kCoroutine drives one
-// coroutine per node (the NodeProgram overloads); kFlat drives a batched
-// FlatProgram state machine (the FlatProgram overloads) with
-// bit-identical results (DESIGN.md §13). The option must match the
-// overload used — the mismatch is a logic_error.
+// Which round loop runs the node programs (DESIGN.md §13). kCoroutine is
+// the Scheduler: it resumes coroutine NodePrograms and steps FlatPrograms
+// (through FlatRuntime), and serves every observer — auditor, fault plan,
+// trace. kFlat steps a FlatProgram on the batched FlatEngine when nothing
+// observes the run, and on the Scheduler otherwise; a coroutine
+// NodeProgram on kFlat is a logic_error. Results are bit-identical on
+// every loop; only wall-clock time differs.
 enum class EngineMode : std::uint8_t { kCoroutine, kFlat };
 
 const char* EngineModeName(EngineMode mode);
@@ -52,7 +54,9 @@ struct SimulatorOptions {
   // Optional per-(node, awake round) event sink; see runtime/trace.h.
   TraceSink trace;
   // Borrowed fault plan (null or empty = fault-free run); consulted by
-  // the scheduler at delivery and wake-registration time.
+  // the scheduler at delivery and wake-registration time. A rule whose
+  // @NODE filter names no node of the graph is rejected by the
+  // constructor (std::invalid_argument).
   const FaultPlan* fault_plan = nullptr;
   AuditMode audit = AuditMode::kDefault;
   // Sharded multi-worker backend: 0 = serial engine (default); K >= 1
@@ -62,10 +66,8 @@ struct SimulatorOptions {
   // engine for every K (DESIGN.md §12). `trace` is serial-only.
   std::uint32_t shards = 0;
   ShardPolicy shard_policy = ShardPolicy::kContiguousBlocks;
-  // Execution engine; kFlat requires driving the run with the
-  // FlatProgram overloads of Run/RunToOutcome. `trace` is
-  // coroutine-only (events are defined per coroutine resume), rejected
-  // loudly in the constructor like trace+shards.
+  // Round loop (see EngineMode). A trace, like the auditor and a fault
+  // plan, is an observer: it keeps a kFlat run on the Scheduler.
   EngineMode engine = EngineMode::kCoroutine;
 };
 
@@ -92,10 +94,8 @@ class Simulator {
   // once per Simulator, instead of Run.
   RunOutcome RunToOutcome(const NodeProgram& program);
 
-  // Flat-engine twins of Run/RunToOutcome (SimulatorOptions::engine must
-  // be kFlat). The caller owns `program` (one instance holds every
-  // node's state); results are bit-identical to running the coroutine
-  // form of the same algorithm.
+  // The same for a flat state-machine program, on either engine mode.
+  // The caller owns `program` (one instance holds every node's state).
   void Run(FlatProgram& program);
   RunOutcome RunToOutcome(FlatProgram& program);
 
@@ -122,10 +122,10 @@ class Simulator {
   // Shared body of Run/RunToOutcome: spawn, start, run until idle,
   // rethrow the first failed node program.
   void Execute(const NodeProgram& program);
-  // Flat twin of Execute: picks the fault-free fast engine
-  // (runtime/flat/engine.h) when nothing observes the event stream, the
-  // scheduler-backed FlatRuntime otherwise, or hands the program to the
-  // sharded engine.
+  // Execute for a FlatProgram: picks the fast engine
+  // (runtime/flat/engine.h) on kFlat when nothing observes the event
+  // stream, the scheduler-backed FlatRuntime otherwise, or hands the
+  // program to the sharded engine.
   void ExecuteFlat(FlatProgram& program);
   // Post-Execute tail shared by the coroutine and flat overloads.
   void FinishRun();

@@ -7,7 +7,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "smst/sleeping/procedures.h"
+#include "smst/faults/run_outcome.h"
+#include "smst/runtime/flat/driver.h"
+#include "smst/sleeping/flat_procedures.h"
 
 namespace smst {
 
@@ -42,78 +44,6 @@ const char* FragColorName(FragColor c) {
   return "?";
 }
 
-Task<ColoringResult> FastAwakeColoring(NodeContext& ctx, const LdtState& ldt,
-                                       BlockCursor& cursor,
-                                       const std::vector<NbrEntry>& nbr,
-                                       const std::vector<HPort>& h_ports) {
-  const std::size_t n = ctx.NumNodesKnown();
-  const NodeId max_id = ctx.MaxIdKnown();
-  const Round block_len = ScheduleBlockLength(n);
-  const Round base = cursor.NextRound();
-  // Claim all N stages' blocks up front; the stages this node sleeps
-  // through cost nothing but this local arithmetic.
-  cursor.SkipBlocks(kColoringBlocksPerStage * max_id);
-
-  // The (at most 5) stages this node participates in, in stage order.
-  std::vector<NodeId> stages{ldt.fragment_id};
-  for (const NbrEntry& e : nbr) stages.push_back(e.frag_id);
-  std::sort(stages.begin(), stages.end());
-  stages.erase(std::unique(stages.begin(), stages.end()), stages.end());
-
-  ColoringResult result;
-  for (NodeId stage : stages) {
-    const Round s0 = base + (stage - 1) * kColoringBlocksPerStage * block_len;
-    const Round b1 = s0;                  // Upcast-Min (choice)
-    const Round b2 = s0 + block_len;      // Fragment-Broadcast (choice)
-    const Round b3 = s0 + 2 * block_len;  // Transmit-Adjacent (announce)
-    const Round b4 = s0 + 3 * block_len;  // Upcast-Min (received color)
-    const Round b5 = s0 + 4 * block_len;  // Fragment-Broadcast (received)
-
-    if (stage == ldt.fragment_id) {
-      // Our turn. All earlier-colored neighbors are in neighbor_colors,
-      // so every node of the fragment computes the same greedy choice.
-      const FragColor choice = ColoringGreedyChoice(result.neighbor_colors);
-      UpcastItem offer{static_cast<std::uint64_t>(choice), 0, 0};
-      UpcastItem agg = co_await UpcastMin(ctx, ldt, b1, offer);
-      Message announced = co_await FragmentBroadcast(
-          ctx, ldt, b2, Message{kTagColorChoice, agg.key, 0, 0});
-      result.my_color = ColoringCheckedColor(announced.a);
-      // Announce to neighbor fragments over the valid-MOE edges.
-      if (!h_ports.empty()) {
-        SendBatch sends;
-        sends.reserve(h_ports.size());
-        for (const HPort& hp : h_ports) {
-          sends.push_back(
-              {hp.port,
-               Message{kTagColorAnnounce,
-                       static_cast<std::uint64_t>(result.my_color),
-                       ldt.fragment_id, 0}});
-        }
-        co_await TransmitAdjacent(ctx, ldt, b3, std::move(sends));
-      }
-      // b4 / b5 belong to the listening side; we sleep.
-    } else {
-      // A neighbor's turn: learn its color fragment-wide.
-      UpcastItem heard;  // absent unless we border fragment `stage`
-      bool borders_stage = false;
-      for (const HPort& hp : h_ports) borders_stage |= hp.neighbor_frag == stage;
-      if (borders_stage) {
-        auto inbox = co_await TransmitAdjacent(ctx, ldt, b3, {});
-        for (const InMessage& m : inbox) {
-          if (m.msg.type == kTagColorAnnounce && m.msg.b == stage) {
-            heard = UpcastItem{m.msg.a, stage, 0};
-          }
-        }
-      }
-      UpcastItem agg = co_await UpcastMin(ctx, ldt, b4, heard);
-      Message learned = co_await FragmentBroadcast(
-          ctx, ldt, b5, Message{kTagColorNbr, agg.key, stage, 0});
-      result.neighbor_colors[stage] = ColoringCheckedColor(learned.a);
-    }
-  }
-  co_return result;
-}
-
 // ======================================================================
 // Corollary 1: log* coloring (see header for the pipeline overview).
 // ======================================================================
@@ -131,63 +61,19 @@ constexpr std::uint64_t kExchangeBlocks = 9;
 // Retire combined colors 80..5 one class per step.
 constexpr std::uint32_t kReductionSteps = 81 - 5;
 
-// Announces `own_value` over the valid-MOE edges and returns every
-// H-neighbor's announced value, known fragment-wide. Neighbors that did
-// not announce (e.g. already-retired fragments in a reduction step) are
-// simply absent from the result.
-// When `announce` is false this fragment only listens (used by the
-// reduction steps, where a listener's other neighbors may be asleep and
-// sending to them would violate the drop-free protocol property).
-Task<std::map<NodeId, std::uint64_t>> ExchangeValues(
-    NodeContext& ctx, const LdtState& ldt, BlockCursor& cursor,
-    const std::vector<NodeId>& sorted_nbr_ids,
-    const std::vector<HPort>& h_ports, std::uint64_t own_value,
-    bool announce = true) {
-  // Side: announce on the boundary edges.
-  SendBatch sends;
-  if (announce) {
-    sends.reserve(h_ports.size());
-    for (const HPort& hp : h_ports) {
-      sends.push_back({hp.port, Message{kTagXchg, own_value, 0, 0}});
-    }
+// The first entry of `heard` (in key order) not yet gathered, as an
+// Upcast-Min offer; absent when every entry is done.
+template <typename Key, typename Value>
+UpcastItem FirstUndone(const std::map<Key, Value>& heard,
+                       const std::set<Key>& done) {
+  for (const auto& [key, value] : heard) {
+    if (!done.count(key)) return UpcastItem{key, value, 0};
   }
-  auto inbox =
-      co_await TransmitAdjacent(ctx, ldt, cursor.TakeBlock(), std::move(sends));
-  // This node's locally heard (neighbor index -> value).
-  std::map<std::uint64_t, std::uint64_t> heard;
-  for (const InMessage& m : inbox) {
-    if (m.msg.type != kTagXchg) continue;
-    for (const HPort& hp : h_ports) {
-      if (hp.port == m.port) {
-        const auto it = std::lower_bound(sorted_nbr_ids.begin(),
-                                         sorted_nbr_ids.end(),
-                                         hp.neighbor_frag);
-        heard[static_cast<std::uint64_t>(it - sorted_nbr_ids.begin())] =
-            m.msg.a;
-      }
-    }
-  }
-  // Four gather rounds make all heard values fragment-wide.
-  std::map<NodeId, std::uint64_t> result;
-  std::set<std::uint64_t> done_indices;
-  for (int k = 0; k < 4; ++k) {
-    UpcastItem offer;
-    for (const auto& [index, value] : heard) {
-      if (done_indices.count(index)) continue;
-      UpcastItem candidate{index, value, 0};
-      if (candidate < offer) offer = candidate;
-      break;  // map is index-sorted: first undone is the minimum
-    }
-    const UpcastItem got =
-        co_await UpcastMin(ctx, ldt, cursor.TakeBlock(), offer);
-    const Message msg = co_await FragmentBroadcast(
-        ctx, ldt, cursor.TakeBlock(), Message{kTagXchgUp, got.key, got.b, 0});
-    if (msg.a != kPlusInfinity) {
-      done_indices.insert(msg.a);
-      result[sorted_nbr_ids[msg.a]] = msg.b;
-    }
-  }
-  co_return result;
+  return UpcastItem{};
+}
+
+std::uint32_t CombineColors(const std::array<std::uint64_t, 4>& c) {
+  return static_cast<std::uint32_t>(c[0] + 3 * c[1] + 9 * c[2] + 27 * c[3]);
 }
 
 std::uint64_t CvStep(std::uint64_t own, std::uint64_t parent) {
@@ -234,190 +120,266 @@ std::uint64_t LogStarColoringBlocks(std::size_t /*n*/, NodeId max_id) {
          (1ull + LogStarCvIterations(max_id) + 6 + kReductionSteps);
 }
 
-Task<LogStarResult> LogStarColoring(NodeContext& ctx, const LdtState& ldt,
-                                    BlockCursor& cursor,
-                                    const std::vector<NbrEntry>& nbr,
-                                    const std::vector<HPort>& h_ports) {
-  if (nbr.empty()) {
-    throw std::logic_error("LogStarColoring: isolated fragments skip coloring");
-  }
-  if (ctx.MaxIdKnown() >= (NodeId{1} << 48)) {
-    throw std::invalid_argument("LogStarColoring: needs N < 2^48");
-  }
-  const NodeId own_frag = ldt.fragment_id;
+// --- ExchangeValues ------------------------------------------------------
 
-  // Fragment-wide consistent views derived from nbr (identical at every
-  // node of the fragment).
-  std::vector<NodeId> sorted_nbr_ids;
-  for (const NbrEntry& e : nbr) sorted_nbr_ids.push_back(e.frag_id);
-  std::sort(sorted_nbr_ids.begin(), sorted_nbr_ids.end());
-  sorted_nbr_ids.erase(
-      std::unique(sorted_nbr_ids.begin(), sorted_nbr_ids.end()),
-      sorted_nbr_ids.end());
+Round FlatExchange::Begin(const FlatNodeRef& node, const LdtState& l,
+                          BlockCursor& c,
+                          const std::vector<NodeId>& sorted_ids,
+                          const std::vector<HPort>& h_ports_in,
+                          std::uint64_t value, bool announce_in,
+                          SendBatch& sends) {
+  ldt = &l;
+  cursor = &c;
+  sorted_nbr_ids = &sorted_ids;
+  h_ports = &h_ports_in;
+  own_value = value;
+  announce = announce_in;
+  pc = 0;
+  const InboxBatch empty;
+  return Resume(node, empty, sends);
+}
 
-  // Out-edges (toward larger fragment IDs), sorted: index = forest 0..3.
-  std::vector<NbrEntry> out_edges;
-  for (const NbrEntry& e : nbr) {
-    if (e.frag_id > own_frag) out_edges.push_back(e);
-  }
-  std::sort(out_edges.begin(), out_edges.end(),
-            [](const NbrEntry& a, const NbrEntry& b) {
-              return a.frag_id != b.frag_id ? a.frag_id < b.frag_id
-                                            : a.weight < b.weight;
-            });
-
-  // --- orientation exchange: tell each in-neighbor which forest we put
-  // the shared edge in; learn the same for our in-edges. --------------
-  std::map<Weight, std::uint32_t> in_forest;  // in-edge weight -> forest
-  {
-    SendBatch sends;
-    for (const HPort& hp : h_ports) {
-      for (std::uint32_t k = 0; k < out_edges.size(); ++k) {
-        if (out_edges[k].frag_id == hp.neighbor_frag &&
-            ctx.WeightAtPort(hp.port) == out_edges[k].weight) {
-          sends.push_back({hp.port, Message{kTagForest,
-                                            out_edges[k].weight, k, 0}});
+Round FlatExchange::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
+                           SendBatch& sends) {
+  switch (pc) {
+    default:
+      throw std::logic_error("flat program: corrupt pc");
+    case 0:
+      // Side: announce on the boundary edges.
+      if (announce) {
+        for (const HPort& hp : *h_ports) {
+          sends.push_back({hp.port, Message{kTagXchg, own_value, 0, 0}});
         }
       }
-    }
-    auto inbox = co_await TransmitAdjacent(ctx, ldt, cursor.TakeBlock(),
-                                           std::move(sends));
-    std::map<Weight, std::uint32_t> heard;
-    for (const InMessage& m : inbox) {
-      if (m.msg.type == kTagForest) {
-        heard[m.msg.a] = static_cast<std::uint32_t>(m.msg.b);
-      }
-    }
-    std::set<Weight> done;
-    for (int k = 0; k < 4; ++k) {
-      UpcastItem offer;
-      for (const auto& [w, forest] : heard) {
-        if (done.count(w)) continue;
-        offer = UpcastItem{w, forest, 0};
-        break;
-      }
-      const UpcastItem got =
-          co_await UpcastMin(ctx, ldt, cursor.TakeBlock(), offer);
-      const Message msg = co_await FragmentBroadcast(
-          ctx, ldt, cursor.TakeBlock(),
-          Message{kTagForest, got.key, got.b, 0});
-      if (msg.a != kPlusInfinity) {
-        done.insert(msg.a);
-        in_forest[msg.a] = static_cast<std::uint32_t>(msg.b);
-      }
-    }
-  }
-  // Children per forest: the in-edges' source fragments, by the forest
-  // index the *source* assigned.
-  std::array<std::vector<NodeId>, 4> forest_children;
-  for (const NbrEntry& e : nbr) {
-    if (e.frag_id >= own_frag) continue;
-    if (auto it = in_forest.find(e.weight); it != in_forest.end()) {
-      forest_children[it->second % 4].push_back(e.frag_id);
-    }
-  }
-
-  // --- Cole-Vishkin on all four forests in parallel ------------------
-  std::array<std::uint64_t, 4> coord;
-  coord.fill(own_frag);
-  std::map<NodeId, std::array<std::uint64_t, 4>> nbr_coord;
-  for (NodeId id : sorted_nbr_ids) nbr_coord[id].fill(id);
-
-  const std::uint32_t cv_iters = LogStarCvIterations(ctx.MaxIdKnown());
-  for (std::uint32_t t = 0; t < cv_iters; ++t) {
-    for (std::uint32_t k = 0; k < 4; ++k) {
-      if (k < out_edges.size()) {
-        coord[k] = CvStep(coord[k], nbr_coord[out_edges[k].frag_id][k]);
-      } else {
-        coord[k] = coord[k] & 1;  // forest root: keep bit 0
-      }
-    }
-    auto got = co_await ExchangeValues(ctx, ldt, cursor, sorted_nbr_ids,
-                                       h_ports, Pack4(coord));
-    for (const auto& [id, packed] : got) nbr_coord[id] = Unpack4(packed);
-  }
-
-  // --- Goldberg-Plotkin-Shannon: 6 colors -> 3 per forest ------------
-  for (std::uint64_t retire : {5u, 4u, 3u}) {
-    // Shift-down: adopt the parent's color; roots flip to stay proper.
-    std::array<std::uint64_t, 4> next = coord;
-    for (std::uint32_t k = 0; k < 4; ++k) {
-      if (k < out_edges.size()) {
-        next[k] = nbr_coord[out_edges[k].frag_id][k];
-      } else {
-        next[k] = coord[k] == 0 ? 1 : 0;
-      }
-    }
-    coord = next;
-    auto got = co_await ExchangeValues(ctx, ldt, cursor, sorted_nbr_ids,
-                                       h_ports, Pack4(coord));
-    for (const auto& [id, packed] : got) nbr_coord[id] = Unpack4(packed);
-
-    // Recolor the retiring class into {0,1,2}: forbidden are the parent's
-    // color and the children's (uniform after shift-down) color.
-    for (std::uint32_t k = 0; k < 4; ++k) {
-      if (coord[k] != retire) continue;
-      std::set<std::uint64_t> forbidden;
-      if (k < out_edges.size()) {
-        forbidden.insert(nbr_coord[out_edges[k].frag_id][k]);
-      }
-      for (NodeId child : forest_children[k]) {
-        forbidden.insert(nbr_coord[child][k]);
-      }
-      for (std::uint64_t c = 0; c <= 2; ++c) {
-        if (!forbidden.count(c)) {
-          coord[k] = c;
-          break;
+      SMST_FLAT_AWAKE(*this, TransmissionSchedule(cursor->TakeBlock(), ldt->level, node.NumNodesKnown()).side);
+      heard.clear();
+      for (const InMessage& m : inbox) {
+        if (m.msg.type != kTagXchg) continue;
+        for (const HPort& hp : *h_ports) {
+          if (hp.port == m.port) {
+            const auto it = std::lower_bound(sorted_nbr_ids->begin(),
+                                             sorted_nbr_ids->end(),
+                                             hp.neighbor_frag);
+            heard[static_cast<std::uint64_t>(it - sorted_nbr_ids->begin())] =
+                m.msg.a;
+          }
         }
       }
-    }
-    got = co_await ExchangeValues(ctx, ldt, cursor, sorted_nbr_ids, h_ports,
-                                  Pack4(coord));
-    for (const auto& [id, packed] : got) nbr_coord[id] = Unpack4(packed);
-  }
-
-  // --- combine to 3^4 = 81 colors, then retire classes 80..5 ---------
-  auto combine = [](const std::array<std::uint64_t, 4>& c) {
-    return static_cast<std::uint32_t>(c[0] + 3 * c[1] + 9 * c[2] +
-                                      27 * c[3]);
-  };
-  std::uint32_t my_color = combine(coord);
-  std::map<NodeId, std::uint32_t> nbr_color;
-  for (const auto& [id, c] : nbr_coord) nbr_color[id] = combine(c);
-
-  for (std::uint32_t step = 0; step < kReductionSteps; ++step) {
-    const std::uint32_t retiring = 80 - step;
-    const bool announcer = my_color == retiring;
-    bool listener = false;
-    for (const auto& [id, c] : nbr_color) listener |= c == retiring;
-    if (!announcer && !listener) {
-      cursor.SkipBlocks(kExchangeBlocks);
-      continue;
-    }
-    if (announcer) {
-      std::set<std::uint32_t> used;
-      for (const auto& [id, c] : nbr_color) used.insert(c);
-      for (std::uint32_t c = 0; c <= 4; ++c) {
-        if (!used.count(c)) {
-          my_color = c;
-          break;
+      // Four gather rounds make all heard values fragment-wide.
+      result.clear();
+      done_indices.clear();
+      for (k = 0; k < 4; ++k) {
+        SMST_FLAT_SUB(*this, umin, umin.Begin(node, *ldt, cursor->TakeBlock(), FirstUndone(heard, done_indices), sends));
+        SMST_FLAT_SUB(*this, bcast, bcast.Begin(node, *ldt, cursor->TakeBlock(), Message{kTagXchgUp, umin.best.key, umin.best.b, 0}, sends));
+        if (bcast.msg.a != kPlusInfinity) {
+          if (bcast.msg.a >= sorted_nbr_ids->size()) {
+            // Only a foreign message (a fault effect) carries an index
+            // past the fragment's neighbor list.
+            throw ProtocolStallError(
+                "ExchangeValues: node " + std::to_string(node.Id()) +
+                " gathered neighbor index " + std::to_string(bcast.msg.a) +
+                " of " + std::to_string(sorted_nbr_ids->size()));
+          }
+          done_indices.insert(bcast.msg.a);
+          result[(*sorted_nbr_ids)[bcast.msg.a]] = bcast.msg.b;
         }
       }
-    }
-    // Only the retiring class announces; every neighbor of an announcer
-    // is a listener (it tracked the announcer's color), so nothing is
-    // ever sent to a sleeping fragment.
-    auto got = co_await ExchangeValues(ctx, ldt, cursor, sorted_nbr_ids,
-                                       h_ports, my_color, announcer);
-    for (const auto& [id, value] : got) {
-      nbr_color[id] = static_cast<std::uint32_t>(value);
-    }
+      return kFlatDone;
   }
+}
 
-  LogStarResult result;
-  result.my_color = my_color;
-  result.neighbor_colors = std::move(nbr_color);
-  co_return result;
+// --- LogStarColoring -----------------------------------------------------
+
+Round FlatLogStarColoring::Begin(const FlatNodeRef& node, const LdtState& l,
+                                 BlockCursor& c,
+                                 const std::vector<NbrEntry>& nbr_in,
+                                 const std::vector<HPort>& h_ports_in,
+                                 std::uint32_t iters, SendBatch& sends) {
+  ldt = &l;
+  cursor = &c;
+  nbr = &nbr_in;
+  h_ports = &h_ports_in;
+  cv_iters = iters;
+  pc = 0;
+  const InboxBatch empty;
+  return Resume(node, empty, sends);
+}
+
+Round FlatLogStarColoring::Resume(const FlatNodeRef& node,
+                                  const InboxBatch& inbox, SendBatch& sends) {
+  switch (pc) {
+    default:
+      throw std::logic_error("flat program: corrupt pc");
+    case 0:
+      if (nbr->empty()) {
+        throw std::logic_error(
+            "LogStarColoring: isolated fragments skip coloring");
+      }
+      if (node.MaxIdKnown() >= (NodeId{1} << 48)) {
+        throw std::invalid_argument("LogStarColoring: needs N < 2^48");
+      }
+      own_frag = ldt->fragment_id;
+
+      // Fragment-wide consistent views derived from nbr (identical at
+      // every node of the fragment).
+      sorted_nbr_ids.clear();
+      for (const NbrEntry& e : *nbr) sorted_nbr_ids.push_back(e.frag_id);
+      std::sort(sorted_nbr_ids.begin(), sorted_nbr_ids.end());
+      sorted_nbr_ids.erase(
+          std::unique(sorted_nbr_ids.begin(), sorted_nbr_ids.end()),
+          sorted_nbr_ids.end());
+
+      // Out-edges (toward larger fragment IDs), sorted: index = forest.
+      out_edges.clear();
+      for (const NbrEntry& e : *nbr) {
+        if (e.frag_id > own_frag) out_edges.push_back(e);
+      }
+      std::sort(out_edges.begin(), out_edges.end(),
+                [](const NbrEntry& a, const NbrEntry& b) {
+                  return a.frag_id != b.frag_id ? a.frag_id < b.frag_id
+                                                : a.weight < b.weight;
+                });
+
+      // --- orientation exchange: tell each in-neighbor which forest we
+      // put the shared edge in; learn the same for our in-edges. -------
+      for (const HPort& hp : *h_ports) {
+        for (std::uint32_t f = 0; f < out_edges.size(); ++f) {
+          if (out_edges[f].frag_id == hp.neighbor_frag &&
+              node.WeightAtPort(hp.port) == out_edges[f].weight) {
+            sends.push_back(
+                {hp.port, Message{kTagForest, out_edges[f].weight, f, 0}});
+          }
+        }
+      }
+      SMST_FLAT_AWAKE(*this, TransmissionSchedule(cursor->TakeBlock(), ldt->level, node.NumNodesKnown()).side);
+      heard_forest.clear();
+      for (const InMessage& m : inbox) {
+        if (m.msg.type == kTagForest) {
+          heard_forest[m.msg.a] = static_cast<std::uint32_t>(m.msg.b);
+        }
+      }
+      done_forest.clear();
+      in_forest.clear();
+      for (k = 0; k < 4; ++k) {
+        SMST_FLAT_SUB(*this, umin, umin.Begin(node, *ldt, cursor->TakeBlock(), FirstUndone(heard_forest, done_forest), sends));
+        SMST_FLAT_SUB(*this, bcast, bcast.Begin(node, *ldt, cursor->TakeBlock(), Message{kTagForest, umin.best.key, umin.best.b, 0}, sends));
+        if (bcast.msg.a != kPlusInfinity) {
+          done_forest.insert(bcast.msg.a);
+          in_forest[bcast.msg.a] = static_cast<std::uint32_t>(bcast.msg.b);
+        }
+      }
+      // Children per forest: the in-edges' source fragments, by the
+      // forest index the *source* assigned.
+      for (std::vector<NodeId>& children : forest_children) children.clear();
+      for (const NbrEntry& e : *nbr) {
+        if (e.frag_id >= own_frag) continue;
+        if (auto it = in_forest.find(e.weight); it != in_forest.end()) {
+          forest_children[it->second % 4].push_back(e.frag_id);
+        }
+      }
+
+      // --- Cole-Vishkin on all four forests in parallel ----------------
+      coord.fill(own_frag);
+      nbr_coord.clear();
+      for (NodeId id : sorted_nbr_ids) nbr_coord[id].fill(id);
+      for (t = 0; t < cv_iters; ++t) {
+        for (std::uint32_t f = 0; f < 4; ++f) {
+          if (f < out_edges.size()) {
+            coord[f] = CvStep(coord[f], nbr_coord[out_edges[f].frag_id][f]);
+          } else {
+            coord[f] = coord[f] & 1;  // forest root: keep bit 0
+          }
+        }
+        SMST_FLAT_SUB(*this, xchg, xchg.Begin(node, *ldt, *cursor, sorted_nbr_ids, *h_ports, Pack4(coord), true, sends));
+        for (const auto& [id, packed] : xchg.result) {
+          nbr_coord[id] = Unpack4(packed);
+        }
+      }
+
+      // --- Goldberg-Plotkin-Shannon: 6 colors -> 3 per forest ----------
+      for (retire = 5; retire >= 3; --retire) {
+        {
+          // Shift-down: adopt the parent's color; roots flip to stay
+          // proper.
+          std::array<std::uint64_t, 4> next = coord;
+          for (std::uint32_t f = 0; f < 4; ++f) {
+            if (f < out_edges.size()) {
+              next[f] = nbr_coord[out_edges[f].frag_id][f];
+            } else {
+              next[f] = coord[f] == 0 ? 1 : 0;
+            }
+          }
+          coord = next;
+        }
+        SMST_FLAT_SUB(*this, xchg, xchg.Begin(node, *ldt, *cursor, sorted_nbr_ids, *h_ports, Pack4(coord), true, sends));
+        for (const auto& [id, packed] : xchg.result) {
+          nbr_coord[id] = Unpack4(packed);
+        }
+
+        // Recolor the retiring class into {0,1,2}: forbidden are the
+        // parent's color and the children's (uniform after shift-down)
+        // color.
+        for (std::uint32_t f = 0; f < 4; ++f) {
+          if (coord[f] != retire) continue;
+          std::set<std::uint64_t> forbidden;
+          if (f < out_edges.size()) {
+            forbidden.insert(nbr_coord[out_edges[f].frag_id][f]);
+          }
+          for (NodeId child : forest_children[f]) {
+            forbidden.insert(nbr_coord[child][f]);
+          }
+          for (std::uint64_t c = 0; c <= 2; ++c) {
+            if (!forbidden.count(c)) {
+              coord[f] = c;
+              break;
+            }
+          }
+        }
+        SMST_FLAT_SUB(*this, xchg, xchg.Begin(node, *ldt, *cursor, sorted_nbr_ids, *h_ports, Pack4(coord), true, sends));
+        for (const auto& [id, packed] : xchg.result) {
+          nbr_coord[id] = Unpack4(packed);
+        }
+      }
+
+      // --- combine to 3^4 = 81 colors, then retire classes 80..5 -------
+      result.my_color = CombineColors(coord);
+      result.neighbor_colors.clear();
+      for (const auto& [id, c] : nbr_coord) {
+        result.neighbor_colors[id] = CombineColors(c);
+      }
+      for (step = 0; step < kReductionSteps; ++step) {
+        {
+          const std::uint32_t retiring = 80 - step;
+          announcer = result.my_color == retiring;
+          listener = false;
+          for (const auto& [id, c] : result.neighbor_colors) {
+            listener |= c == retiring;
+          }
+        }
+        if (!announcer && !listener) {
+          cursor->SkipBlocks(kExchangeBlocks);
+          continue;
+        }
+        if (announcer) {
+          std::set<std::uint32_t> used;
+          for (const auto& [id, c] : result.neighbor_colors) used.insert(c);
+          for (std::uint32_t c = 0; c <= 4; ++c) {
+            if (!used.count(c)) {
+              result.my_color = c;
+              break;
+            }
+          }
+        }
+        // Only the retiring class announces; every neighbor of an
+        // announcer is a listener (it tracked the announcer's color), so
+        // nothing is ever sent to a sleeping fragment.
+        SMST_FLAT_SUB(*this, xchg, xchg.Begin(node, *ldt, *cursor, sorted_nbr_ids, *h_ports, result.my_color, announcer, sends));
+        for (const auto& [id, value] : xchg.result) {
+          result.neighbor_colors[id] = static_cast<std::uint32_t>(value);
+        }
+      }
+      return kFlatDone;
+  }
 }
 
 }  // namespace smst

@@ -13,21 +13,21 @@
 // is funneled through the root (Upcast-Min + Fragment-Broadcast) before
 // the boundary announces it to the neighbors (Transmit-Adjacent +
 // Upcast-Min + Fragment-Broadcast = the paper's Neighbor-Awareness).
+//
+// Both colorings run as flat sub-machines: FlatColoring and
+// FlatLogStarColoring in sleeping/flat_procedures.h.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <vector>
 
-#include "smst/runtime/node.h"
-#include "smst/runtime/task.h"
+#include "smst/graph/graph.h"
 #include "smst/sleeping/ldt.h"
-#include "smst/sleeping/schedule.h"
 
 namespace smst {
 
-// Coloring-internal message tags (< 100 like the rest of the toolbox);
-// shared with the flat lowering in sleeping/flat_procedures.h.
+// Coloring-internal message tags (< 100 like the rest of the toolbox).
 inline constexpr std::uint16_t kTagColorChoice = 60;
 inline constexpr std::uint16_t kTagColorAnnounce = 61;
 inline constexpr std::uint16_t kTagColorNbr = 62;
@@ -69,17 +69,9 @@ struct ColoringResult {
 inline constexpr std::uint64_t kColoringBlocksPerStage = 5;
 
 // The fragment-wide greedy palette choice (highest-priority color no
-// already-colored H-neighbor took) and the received-color validation,
-// shared by the coroutine and flat forms of Fast-Awake-Coloring.
+// already-colored H-neighbor took) and the received-color validation.
 FragColor ColoringGreedyChoice(const std::map<NodeId, FragColor>& taken);
 FragColor ColoringCheckedColor(std::uint64_t raw);
-
-// Runs the N-stage coloring. `nbr` lists the fragment's H-neighbors
-// (fragment-wide consistent); `h_ports` this node's own boundary edges.
-Task<ColoringResult> FastAwakeColoring(NodeContext& ctx, const LdtState& ldt,
-                                       BlockCursor& cursor,
-                                       const std::vector<NbrEntry>& nbr,
-                                       const std::vector<HPort>& h_ports);
 
 // ----------------------------------------------------------------------
 // Corollary 1: the log*-round coloring alternative.
@@ -124,16 +116,8 @@ struct LogStarResult {
 // Number of Cole-Vishkin iterations for initial colors in [1, N].
 std::uint32_t LogStarCvIterations(NodeId max_id);
 
-// Schedule blocks the whole LogStarColoring spans (same for every
+// Schedule blocks the whole log* coloring spans (same for every
 // fragment; non-participants SkipBlocks this amount).
 std::uint64_t LogStarColoringBlocks(std::size_t n, NodeId max_id);
-
-// Runs the log* coloring. Precondition: `nbr` is non-empty (isolated
-// fragments skip coloring; they are movers by definition) and max_id
-// < 2^48 (4 coordinates must pack into one message).
-Task<LogStarResult> LogStarColoring(NodeContext& ctx, const LdtState& ldt,
-                                    BlockCursor& cursor,
-                                    const std::vector<NbrEntry>& nbr,
-                                    const std::vector<HPort>& h_ports);
 
 }  // namespace smst

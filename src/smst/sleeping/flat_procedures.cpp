@@ -12,7 +12,9 @@ namespace {
 
 constexpr auto FromPort = MessageFromPort;
 
-// Same classification and text as merging.cpp's ProtocolError.
+// Drop-free by construction in the sleeping model, so a protocol step
+// starved of its expected message is a fault effect (ProtocolStallError
+// classifies it as a crashed partition rather than a crash).
 [[noreturn]] void MergeProtocolError(const FlatNodeRef& node,
                                      const std::string& what) {
   throw ProtocolStallError("MergingFragments: node " +
@@ -20,15 +22,6 @@ constexpr auto FromPort = MessageFromPort;
 }
 
 }  // namespace
-
-// Each flat class below is a hand-lowered state machine for a coroutine
-// procedure; the twin directives let smst_lint cross-check that the two
-// sides still use the same message tags and error strings.
-// smst-lint-twin(FlatBroadcast=FragmentBroadcast)
-// smst-lint-twin(FlatUpcastMin=UpcastMin)
-// smst-lint-twin(FlatUpcastSum=UpcastSum)
-// smst-lint-twin(FlatMerge=MergingFragments)
-// smst-lint-twin(FlatColoring=FastAwakeColoring)
 
 // --- Fragment-Broadcast -----------------------------------------------
 
@@ -165,13 +158,15 @@ Round FlatMerge::Begin(const FlatNodeRef& node, LdtState& l,
   const Round block_a = cursor.TakeBlock();
   const Round block_b = cursor.TakeBlock();
   const Round block_c = cursor.TakeBlock();
-  // The node's level is unchanged until Finalize, so all three sub-block
-  // schedules can be fixed here (the coroutine computes each lazily but
-  // from the same unchanged level).
+  // The schedule span comes from the cursor so the adaptive-blocks
+  // optimization applies here too. The node's level is unchanged until
+  // Finalize, so all three sub-block schedules can be fixed here.
   sched_a = TransmissionSchedule(block_a, l.level, span);
   sched_b = TransmissionSchedule(block_b, l.level, span);
   sched_c = TransmissionSchedule(block_c, l.level, span);
 
+  // Pending NEW-* values (the paper's NEW-FRAGMENT-ID / NEW-LEVEL-NUM)
+  // and re-orientation, applied only in Finalize.
   have_new = false;
   new_frag = 0;
   new_level = 0;
@@ -223,7 +218,9 @@ Round FlatMerge::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
       if (!role.is_tails) return Finalize();  // heads: B and C are sleep
       return EnterB(node, sends);
     }
-    case 2: {  // sub-block B Up-Receive inbox (tails only)
+    case 2: {  // sub-block B Up-Receive inbox (tails only): the NEW values
+               // travel from u_T to the old root; each path node
+               // re-orients toward the child it heard from
       std::uint32_t sender = kNoPort;
       for (std::uint32_t p : ldt->child_ports) {
         if (auto m = FromPort(inbox, p); m.has_value()) {
@@ -251,7 +248,8 @@ Round FlatMerge::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
     }
     case 3:  // sub-block B Up-Send completed
       return EnterC(node, sends);
-    case 4: {  // sub-block C Down-Receive inbox
+    case 4: {  // sub-block C Down-Receive inbox: still-empty nodes adopt
+               // (old parent's NEW level + 1), orientation unchanged
       const auto m = FromPort(inbox, ldt->parent_port);
       if (!m.has_value()) {
         MergeProtocolError(node, "no NEW values arrived in the down pass");

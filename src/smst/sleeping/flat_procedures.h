@@ -1,11 +1,11 @@
-// Flat (coroutine-less) lowerings of the paper's toolbox procedures.
+// The paper's toolbox procedures (Appendix B) and colorings as flat
+// (coroutine-less) sub-machines.
 //
-// Each struct here is the batched state-machine form of one procedure in
-// procedures.h / merging.h / coloring.h: identical message tags, schedule
-// rounds, LDT mutations, and error strings, with the coroutine's
-// suspension points turned into an explicit resume protocol. A driver
-// (the flat MST programs in src/smst/mst/) embeds one instance per node
-// and runs it like this:
+// procedures.h / merging.h / coloring.h define the procedures' messages,
+// results and schedules; each struct here runs one procedure as a state
+// machine with an explicit resume protocol. A driver (the flat MST
+// programs in src/smst/mst/, apps/tree_ops, or ProcedureProgram below)
+// embeds one instance per node and runs it like this:
 //
 //   Round r = sub.Begin(node, ..., sends);         // may push sends
 //   while (r != kFlatDone) {
@@ -14,21 +14,25 @@
 //   }
 //   <read the procedure's result fields>
 //
-// Begin/Resume return the next awake round with that round's sends
-// already pushed into the driver's out-parameter, or kFlatDone when the
-// procedure has finished — the exact contract of FlatProgram::Step, so a
-// driver can forward a sub-machine's round verbatim. A procedure that
-// never needs to wake (e.g. Upcast-Min at a childless root with nothing
-// to send) finishes inside Begin and the driver continues synchronously,
-// just as the coroutine form would run through without suspending.
+// (SMST_FLAT_SUB in runtime/flat/driver.h is that loop.) Begin/Resume
+// return the next awake round with that round's sends already pushed
+// into the driver's out-parameter, or kFlatDone when the procedure has
+// finished — the exact contract of FlatProgram::Step, so a driver can
+// forward a sub-machine's round verbatim. A procedure that never needs
+// to wake (e.g. Upcast-Min at a childless root with nothing to send)
+// finishes inside Begin and the driver continues synchronously.
 //
-// State referenced across suspensions (the LDT, the driver's NbrEntry /
-// HPort vectors) is held by pointer; drivers keep those objects at stable
-// addresses for the procedure's lifetime, exactly as coroutine frames
-// keep references into the node's locals.
+// State referenced across suspensions (the LDT, the cursor, the driver's
+// NbrEntry / HPort vectors) is held by pointer; drivers keep those
+// objects at stable addresses for the procedure's lifetime.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "smst/runtime/flat/program.h"
@@ -40,8 +44,11 @@
 
 namespace smst {
 
-// Fragment-Broadcast(n): after completion, `msg` holds the broadcast
-// message (the coroutine form's return value).
+// Fragment-Broadcast(n): the root's message reaches every fragment node.
+// The root passes its message in `root_msg` (ignored elsewhere); after
+// completion `msg` holds the broadcast message at every node. Throws
+// ProtocolStallError if a non-root node hears nothing from its parent.
+// `span` selects the schedule span (0 = the default n); see schedule.h.
 struct FlatBroadcast {
   ScheduleRounds sched;
   Message msg;
@@ -57,8 +64,9 @@ struct FlatBroadcast {
   Round SendDown(SendBatch& sends);
 };
 
-// Upcast-Min(n): after completion, `best` holds the subtree minimum (the
-// coroutine form's return value).
+// Upcast-Min(n) (convergecast): the minimum of all offered values reaches
+// the root. After completion `best` holds the minimum over this node's
+// subtree (at the root: the fragment-wide minimum).
 struct FlatUpcastMin {
   ScheduleRounds sched;
   UpcastItem best;
@@ -75,7 +83,7 @@ struct FlatUpcastMin {
 };
 
 // Upcast-Sum(n): after completion, `result` holds the subtree total and
-// the per-child breakdown.
+// the per-child breakdown (at the root: the fragment-wide sum).
 struct FlatUpcastSum {
   ScheduleRounds sched;
   UpcastSumResult result;
@@ -91,9 +99,9 @@ struct FlatUpcastSum {
   Round SendUp(SendBatch& sends);
 };
 
-// Merging-Fragments(n): mutates `ldt` and `mst_port_mark` in place with
-// the same timing as the coroutine form (marks at sub-block A, LDT
-// fields when the procedure completes).
+// Merging-Fragments(n) (merging.h): one merge wave. Marks newly added
+// MST edges in `m` during sub-block A (both endpoints of a merge edge
+// mark it) and updates `ldt` in place when the procedure completes.
 struct FlatMerge {
   std::size_t span = 0;
   ScheduleRounds sched_a, sched_b, sched_c;
@@ -120,8 +128,10 @@ struct FlatMerge {
   Round Finalize();
 };
 
-// Fast-Awake-Coloring(n, N): after completion, `result` holds my_color
-// and the fragment's H-neighbor colors.
+// Fast-Awake-Coloring(n, N) (coloring.h): after completion, `result`
+// holds my_color and the fragment's H-neighbor colors. `nbr_in` lists
+// the fragment's H-neighbors (fragment-wide consistent); `h_ports_in`
+// this node's own boundary edges.
 struct FlatColoring {
   const LdtState* ldt = nullptr;
   const std::vector<NbrEntry>* nbr = nullptr;
@@ -153,6 +163,114 @@ struct FlatColoring {
   Round ListenerAfterUmin(const FlatNodeRef& node, SendBatch& sends);
   Round ListenerAfterBcast(const FlatNodeRef& node, SendBatch& sends);
   Round EndStage(const FlatNodeRef& node, SendBatch& sends);
+};
+
+// One simultaneous "announce to H-neighbors + make it fragment-wide"
+// exchange of the log* coloring (9 schedule blocks): a Side round on the
+// valid-MOE edges, then four Upcast-Min + Fragment-Broadcast gathers.
+// After completion `result` maps every H-neighbor that announced to its
+// value, known fragment-wide; neighbors that did not announce are
+// absent. With `announce_in` false this fragment only listens (the
+// reduction steps, where a listener's other neighbors may be asleep and
+// sending to them would violate the drop-free protocol).
+struct FlatExchange {
+  const LdtState* ldt = nullptr;
+  BlockCursor* cursor = nullptr;
+  const std::vector<NodeId>* sorted_nbr_ids = nullptr;
+  const std::vector<HPort>* h_ports = nullptr;
+  std::uint64_t own_value = 0;
+  bool announce = true;
+  // This node's locally heard (neighbor index -> value).
+  std::map<std::uint64_t, std::uint64_t> heard;
+  std::set<std::uint64_t> done_indices;
+  std::map<NodeId, std::uint64_t> result;
+  int k = 0;
+  FlatUpcastMin umin;
+  FlatBroadcast bcast;
+  int pc = 0;
+
+  Round Begin(const FlatNodeRef& node, const LdtState& l, BlockCursor& c,
+              const std::vector<NodeId>& sorted_ids,
+              const std::vector<HPort>& h_ports_in, std::uint64_t value,
+              bool announce_in, SendBatch& sends);
+  Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
+               SendBatch& sends);
+};
+
+// The Corollary-1 log* coloring (coloring.h): after completion, `result`
+// holds this fragment's final color and its H-neighbors'. Precondition:
+// `nbr_in` is non-empty (isolated fragments skip coloring; they are
+// movers by definition) and N < 2^48 (4 coordinates must pack into one
+// message). `cv_iters` is LogStarCvIterations(N), fixed per run.
+struct FlatLogStarColoring {
+  const LdtState* ldt = nullptr;
+  BlockCursor* cursor = nullptr;
+  const std::vector<NbrEntry>* nbr = nullptr;
+  const std::vector<HPort>* h_ports = nullptr;
+  std::uint32_t cv_iters = 0;
+  NodeId own_frag = 0;
+  // Fragment-wide consistent views derived from nbr.
+  std::vector<NodeId> sorted_nbr_ids;
+  std::vector<NbrEntry> out_edges;  // index = forest 0..3
+  // Orientation exchange: in-edge weight -> forest the source assigned.
+  std::map<Weight, std::uint32_t> heard_forest;
+  std::set<Weight> done_forest;
+  std::map<Weight, std::uint32_t> in_forest;
+  std::array<std::vector<NodeId>, 4> forest_children;
+  std::array<std::uint64_t, 4> coord{};
+  std::map<NodeId, std::array<std::uint64_t, 4>> nbr_coord;
+  int k = 0;
+  std::uint32_t t = 0;
+  std::uint64_t retire = 0;
+  std::uint32_t step = 0;
+  bool announcer = false;
+  bool listener = false;
+  LogStarResult result;
+  FlatExchange xchg;
+  FlatUpcastMin umin;
+  FlatBroadcast bcast;
+  int pc = 0;
+
+  Round Begin(const FlatNodeRef& node, const LdtState& l, BlockCursor& c,
+              const std::vector<NbrEntry>& nbr_in,
+              const std::vector<HPort>& h_ports_in, std::uint32_t iters,
+              SendBatch& sends);
+  Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
+               SendBatch& sends);
+};
+
+// A whole FlatProgram running one sub-machine per node: Start calls
+// `begin` on node v's instance, every later Step resumes it until it
+// finishes. Tests and benches drive single procedures with it:
+//
+//   ProcedureProgram<FlatUpcastMin> program(g, [&](const FlatNodeRef& node,
+//       FlatUpcastMin& proc, SendBatch& sends) {
+//     return proc.Begin(node, states[node.v], 1, own[node.v], sends);
+//   });
+//   sim.Run(program);  // then read program[v].best
+template <typename Proc>
+class ProcedureProgram final : public FlatProgram {
+ public:
+  using BeginFn =
+      std::function<Round(const FlatNodeRef&, Proc&, SendBatch& sends)>;
+
+  ProcedureProgram(const WeightedGraph& g, BeginFn begin)
+      : g_(&g), begin_(std::move(begin)), procs_(g.NumNodes()) {}
+
+  Round Start(NodeIndex v, FlatEnv& /*env*/, SendBatch& sends) override {
+    return begin_(FlatNodeRef{g_, v}, procs_[v], sends);
+  }
+  Round Step(NodeIndex v, Round /*now*/, FlatEnv& /*env*/,
+             const InboxBatch& inbox, SendBatch& sends) override {
+    return procs_[v].Resume(FlatNodeRef{g_, v}, inbox, sends);
+  }
+
+  const Proc& operator[](NodeIndex v) const { return procs_[v]; }
+
+ private:
+  const WeightedGraph* g_;
+  BeginFn begin_;
+  std::vector<Proc> procs_;
 };
 
 }  // namespace smst

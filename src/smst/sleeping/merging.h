@@ -24,15 +24,12 @@
 // still-empty nodes adopt. We implement the figures. See DESIGN.md §2.)
 //
 // Heads fragments keep their identity; their nodes sleep through B and C.
+// The procedure runs as FlatMerge in sleeping/flat_procedures.h.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "smst/runtime/node.h"
-#include "smst/runtime/task.h"
 #include "smst/sleeping/ldt.h"
-#include "smst/sleeping/schedule.h"
 
 namespace smst {
 
@@ -46,12 +43,5 @@ struct MergeRole {
 
 // Number of schedule blocks one merge occupies (A, B, C).
 inline constexpr std::uint64_t kMergeBlocks = 3;
-
-// Runs one merge wave. Updates `ldt` in place and marks newly added MST
-// edges in `mst_port_mark` (one flag per own port; both endpoints of a
-// merge edge mark it).
-Task<void> MergingFragments(NodeContext& ctx, LdtState& ldt,
-                            BlockCursor& cursor, MergeRole role,
-                            std::vector<bool>& mst_port_mark);
 
 }  // namespace smst

@@ -2,20 +2,23 @@
 // a Forest of Labeled Distance Trees. Every procedure occupies exactly
 // one schedule block (2n+1 rounds); all fragments run the same procedure
 // in the same block, so cross-fragment Side rounds line up globally.
+// This header holds their messages and results; the procedures run as
+// the flat sub-machines in sleeping/flat_procedures.h.
 //
 // Awake costs (asserted by tests):
-//   FragmentBroadcast  <= 2 wakes (1 for root / leaves)
-//   UpcastMin          <= 2 wakes
-//   UpcastSum          <= 2 wakes
-//   TransmitAdjacent   == 1 wake
+//   Fragment-Broadcast  <= 2 wakes (1 for root / leaves)   FlatBroadcast
+//   Upcast-Min          <= 2 wakes                         FlatUpcastMin
+//   Upcast-Sum          <= 2 wakes                         FlatUpcastSum
+//   Transmit-Adjacent   == 1 wake: the block's Side round,
+//                       TransmissionSchedule(block, level, n).side
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 
-#include "smst/runtime/node.h"
-#include "smst/runtime/task.h"
+#include "smst/runtime/message.h"
 #include "smst/sleeping/ldt.h"
 #include "smst/sleeping/schedule.h"
 
@@ -32,15 +35,6 @@ enum ProcedureTag : std::uint16_t {
   kTagMergeDown = 7,
 };
 
-// Fragment-Broadcast(n): the root's message reaches every fragment node.
-// The root passes its message in `root_msg` (ignored elsewhere); every
-// node returns the broadcast message. Throws if a non-root node hears
-// nothing from its parent (protocol violation).
-// `span` selects the schedule span (0 = the default n); see schedule.h.
-Task<Message> FragmentBroadcast(NodeContext& ctx, const LdtState& ldt,
-                                Round block_start, Message root_msg,
-                                std::size_t span = 0);
-
 // A value offered to / aggregated by Upcast-Min. Ordered by (key, b, c);
 // key == kPlusInfinity means "no value".
 struct UpcastItem {
@@ -56,41 +50,21 @@ struct UpcastItem {
   }
 };
 
-// Upcast-Min(n) (convergecast): the minimum of all offered values reaches
-// the root. Every node returns the minimum over its own subtree (the
-// root's return value is the fragment-wide minimum).
-Task<UpcastItem> UpcastMin(NodeContext& ctx, const LdtState& ldt,
-                           Round block_start, UpcastItem own,
-                           std::size_t span = 0);
-
 struct UpcastSumResult {
   std::uint64_t subtree_total = 0;  // own contribution + all descendants
   // (child port, that child's subtree total) in child_ports order; kept
   // so a later down-pass can split an allotment among subtrees. SmallVec:
-  // LDT fan-out is small, so this stays inside the coroutine frame.
+  // LDT fan-out is small, so this stays inside the node's state.
   SmallVec<std::pair<std::uint32_t, std::uint64_t>, 4> child_totals;
 };
 
-// Sum convergecast (used by Deterministic-MST's incoming-MOE counting).
-// The root's subtree_total is the fragment-wide sum.
-Task<UpcastSumResult> UpcastSum(NodeContext& ctx, const LdtState& ldt,
-                                Round block_start, std::uint64_t own,
-                                std::size_t span = 0);
-
-// Transmit-Adjacent(n): every node is awake in the block's Side round and
-// exchanges messages with simultaneously-awake neighbors. The caller
-// chooses the per-port messages (or none); returns what arrived.
-Task<InboxBatch> TransmitAdjacent(NodeContext& ctx,
-                                  const LdtState& ldt,
-                                  Round block_start,
-                                  SendBatch sends,
-                                  std::size_t span = 0);
-
-// Convenience: the same message on every port.
-SendBatch ToAllPorts(const NodeContext& ctx, Message msg);
-
 // The message that arrived on `port`, if any.
-std::optional<Message> MessageFromPort(std::span<const InMessage> inbox,
-                                       std::uint32_t port);
+inline std::optional<Message> MessageFromPort(
+    std::span<const InMessage> inbox, std::uint32_t port) {
+  for (const InMessage& m : inbox) {
+    if (m.port == port) return m.msg;
+  }
+  return std::nullopt;
+}
 
 }  // namespace smst

@@ -7,9 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "smst/faults/run_outcome.h"
 #include "smst/graph/generators.h"
 #include "smst/runtime/simulator.h"
-#include "smst/sleeping/coloring.h"
+#include "smst/sleeping/flat_procedures.h"
 #include "smst/sleeping/forest_builder.h"
 #include "tests/test_util.h"
 
@@ -34,8 +35,34 @@ TEST(LogStarParamsTest, BlockCountIsNIndependent) {
             LogStarColoringBlocks(100, 64) + 5 * 9);
 }
 
+// Runs FlatLogStarColoring on every node with H-neighbors; isolated
+// fragments skip the coloring, as in Deterministic-MST, and keep a
+// default result. The cursors outlive the run: the machine advances
+// them across its suspensions.
+std::vector<LogStarResult> RunLogStar(
+    const WeightedGraph& g, const std::vector<LdtState>& states,
+    const std::vector<std::vector<NbrEntry>>& nbr,
+    const std::vector<std::vector<HPort>>& h_ports, RunStats* stats) {
+  std::vector<BlockCursor> cursors(g.NumNodes(),
+                                   BlockCursor(1, g.NumNodes()));
+  const std::uint32_t iters = LogStarCvIterations(g.MaxId());
+  ProcedureProgram<FlatLogStarColoring> program(
+      g, [&](const FlatNodeRef& node, FlatLogStarColoring& proc,
+             SendBatch& sends) -> Round {
+        if (nbr[node.v].empty()) return kFlatDone;
+        return proc.Begin(node, states[node.v], cursors[node.v], nbr[node.v],
+                          h_ports[node.v], iters, sends);
+      });
+  Simulator sim(g);
+  sim.Run(program);
+  if (stats != nullptr) *stats = sim.Stats();
+  std::vector<LogStarResult> results(g.NumNodes());
+  for (NodeIndex v = 0; v < g.NumNodes(); ++v) results[v] = program[v].result;
+  return results;
+}
+
 // Harness: singleton-node fragments, H-edges = chosen graph edges
-// (mirrors the FastAwakeColoring test harness).
+// (mirrors the Fast-Awake-Coloring test harness).
 struct LogStarHarness {
   WeightedGraph g;
   std::vector<LdtState> states;
@@ -59,23 +86,7 @@ struct LogStarHarness {
     }
   }
 
-  Task<void> Program(NodeContext& ctx) {
-    BlockCursor cursor(1, ctx.NumNodesKnown());
-    const NodeIndex v = ctx.Index();
-    if (nbr[v].empty()) {
-      cursor.SkipBlocks(
-          LogStarColoringBlocks(ctx.NumNodesKnown(), ctx.MaxIdKnown()));
-      co_return;
-    }
-    results[v] =
-        co_await LogStarColoring(ctx, states[v], cursor, nbr[v], h_ports[v]);
-  }
-
-  void Run() {
-    Simulator sim(g);
-    sim.Run([this](NodeContext& ctx) { return Program(ctx); });
-    stats = sim.Stats();
-  }
+  void Run() { results = RunLogStar(g, states, nbr, h_ports, &stats); }
 
   void ExpectProper(const std::vector<EdgeIndex>& h_edges) {
     for (EdgeIndex e : h_edges) {
@@ -192,15 +203,16 @@ TEST(LogStarColoringTest, RejectsIsolatedFragment) {
   opt.shuffle_ids = false;
   auto g = MakePath(4, rng, opt);
   LogStarHarness h(std::move(g), {});
-  // Program() skips coloring for empty nbr; directly calling it throws.
+  // RunLogStar skips coloring for empty nbr; starting it anyway throws.
+  BlockCursor cursor(1, h.g.NumNodes());
+  ProcedureProgram<FlatLogStarColoring> program(
+      h.g, [&](const FlatNodeRef& node, FlatLogStarColoring& proc,
+               SendBatch& sends) {
+        return proc.Begin(node, h.states[node.v], cursor, h.nbr[node.v],
+                          h.h_ports[node.v], 1, sends);
+      });
   Simulator sim(h.g);
-  EXPECT_THROW(
-      sim.Run([&h](NodeContext& ctx) -> Task<void> {
-        BlockCursor cursor(1, ctx.NumNodesKnown());
-        co_await LogStarColoring(ctx, h.states[ctx.Index()], cursor,
-                                 h.nbr[ctx.Index()], h.h_ports[ctx.Index()]);
-      }),
-      std::logic_error);
+  EXPECT_THROW(sim.Run(program), std::logic_error);
 }
 
 TEST(LogStarColoringTest, TwoValidEdgesBetweenTheSameFragments) {
@@ -226,20 +238,39 @@ TEST(LogStarColoringTest, TwoValidEdgesBetweenTheSameFragments) {
   h_ports[1] = {{PortTo(g, 1, 3), id_b}};
   h_ports[3] = {{PortTo(g, 3, 1), id_a}};
 
-  std::vector<LogStarResult> results(4);
-  Simulator sim(g);
-  sim.Run([&](NodeContext& ctx) -> Task<void> {
-    BlockCursor cursor(1, ctx.NumNodesKnown());
-    const NodeIndex v = ctx.Index();
-    results[v] =
-        co_await LogStarColoring(ctx, states[v], cursor, nbr[v], h_ports[v]);
-  });
+  const std::vector<LogStarResult> results =
+      RunLogStar(g, states, nbr, h_ports, nullptr);
   // Fragment-level colors: consistent within a fragment, proper across.
   EXPECT_EQ(results[0].my_color, results[1].my_color);
   EXPECT_EQ(results[2].my_color, results[3].my_color);
   EXPECT_NE(results[0].my_color, results[2].my_color);
   EXPECT_EQ(results[0].neighbor_colors.at(id_b), results[2].my_color);
   EXPECT_EQ(results[2].neighbor_colors.at(id_a), results[0].my_color);
+}
+
+TEST(LogStarColoringTest, ExchangeRejectsAnIndexPastItsNeighborList) {
+  // Fragment {0,1} lists no H-neighbors, yet its root hears an
+  // announcement on an H-port, so the gathered index names no neighbor.
+  // In a run only a foreign (faulted) message gets there; it must be a
+  // classified protocol stall, not an out-of-bounds read.
+  GraphBuilder b(3);
+  b.AddEdge(0, 1, 1).AddEdge(0, 2, 2);
+  auto g = std::move(b).Build();
+  auto states = BuildForest(g, {0}, {0, 2});  // fragments {0,1} and {2}
+  const std::vector<NodeId> none;
+  const std::vector<NodeId> frag_a{g.IdOf(0)};
+  std::vector<std::vector<HPort>> h_ports(3);
+  h_ports[0] = {{PortTo(g, 0, 2), g.IdOf(2)}};
+  h_ports[2] = {{PortTo(g, 2, 0), g.IdOf(0)}};
+  std::vector<BlockCursor> cursors(3, BlockCursor(1, 3));
+  ProcedureProgram<FlatExchange> program(
+      g, [&](const FlatNodeRef& node, FlatExchange& proc, SendBatch& sends) {
+        return proc.Begin(node, states[node.v], cursors[node.v],
+                          node.v == 2 ? frag_a : none, h_ports[node.v], 5,
+                          true, sends);
+      });
+  Simulator sim(g);
+  EXPECT_THROW(sim.Run(program), ProtocolStallError);
 }
 
 }  // namespace

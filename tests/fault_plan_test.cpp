@@ -5,6 +5,7 @@
 // tree, independent of thread count).
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -285,6 +286,39 @@ TEST(FaultedRunTest, CrashStopClassifiesAsCrashedPartition) {
   EXPECT_FALSE(r.outcome.Ok());
   EXPECT_GE(r.outcome.faults.crashed_nodes, 1u);
   EXPECT_GE(r.outcome.faults.suppressed_wakes, 1u);
+}
+
+TEST(FaultedRunTest, RulesTargetingMissingNodesAreRejected) {
+  // An @NODE filter naming no node of the graph would match nothing and
+  // run silently as a no-op; the Simulator rejects it before any engine
+  // is built, on every engine and shard count alike.
+  Xoshiro256 rng(12);
+  const auto g = MakeRing(16, rng);
+  for (const std::string kind : {"crash=3", "drop=0.5", "jitter=1"}) {
+    for (const auto& [engine, shards] :
+         {std::pair{EngineMode::kCoroutine, 0u},
+          std::pair{EngineMode::kFlat, 0u}, std::pair{EngineMode::kFlat, 2u}}) {
+      SCOPED_TRACE(kind + " " + EngineModeName(engine) + " shards " +
+                   std::to_string(shards));
+      MstOptions opt;
+      opt.seed = 3;
+      opt.engine = engine;
+      opt.shards = shards;
+      const FaultPlan missing = ParseFaultPlan(kind + "@16");
+      opt.fault_plan = &missing;
+      try {
+        ComputeMst(g, MstAlgorithm::kRandomized, opt);
+        ADD_FAILURE() << "accepted a rule for node 16 on n = 16";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'" + kind + "@16'"), std::string::npos) << what;
+        EXPECT_NE(what.find("n = 16"), std::string::npos) << what;
+      }
+      const FaultPlan last = ParseFaultPlan(kind + "@15");
+      opt.fault_plan = &last;
+      EXPECT_NO_THROW(ComputeMst(g, MstAlgorithm::kRandomized, opt));
+    }
+  }
 }
 
 }  // namespace

@@ -1,229 +1,15 @@
-// Flat execution engine (DESIGN §13): the batched state-machine lowering
-// of the MST algorithms must be bit-identical to the coroutine engine in
-// every observable — tree, aggregate and per-node metrics, telemetry,
-// classified outcome, fault meters, and audit totals — fault-free and
-// faulted, serial and sharded. Plus the option-validation surface:
-// engine parsing, trace rejection, overload mismatch, and the
-// flat+log*-coloring rejection.
-#include <cstdint>
+// Engine selection (DESIGN §13): engine-name parsing and which program
+// kinds each EngineMode accepts. That every MST algorithm gives the same
+// run on every round loop is pinned by mst_golden_test.
 #include <stdexcept>
-#include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "smst/faults/fault_plan.h"
 #include "smst/graph/generators.h"
-#include "smst/lower_bounds/grc.h"
-#include "smst/mst/api.h"
-#include "smst/mst/deterministic_mst.h"
-#include "smst/mst/randomized_mst.h"
 #include "smst/runtime/simulator.h"
 
 namespace smst {
 namespace {
-
-struct Topology {
-  std::string name;
-  WeightedGraph graph;
-};
-
-std::vector<Topology> Topologies() {
-  std::vector<Topology> cases;
-  {
-    Xoshiro256 rng(71);
-    cases.push_back({"ring-24", MakeRing(24, rng)});
-  }
-  {
-    Xoshiro256 rng(72);
-    cases.push_back({"star-16", MakeStar(16, rng)});
-  }
-  {
-    Xoshiro256 rng(73);
-    cases.push_back({"grc-4x8", BuildGrc(4, 8, rng).graph});
-  }
-  {
-    Xoshiro256 rng(74);
-    cases.push_back({"er-32", MakeErdosRenyi(32, 0.2, rng)});
-  }
-  return cases;
-}
-
-void ExpectSameLdt(const LdtState& a, const LdtState& b) {
-  EXPECT_EQ(a.fragment_id, b.fragment_id);
-  EXPECT_EQ(a.level, b.level);
-  EXPECT_EQ(a.parent_port, b.parent_port);
-  ASSERT_EQ(a.child_ports.size(), b.child_ports.size());
-  for (std::size_t i = 0; i < a.child_ports.size(); ++i) {
-    EXPECT_EQ(a.child_ports[i], b.child_ports[i]);
-  }
-}
-
-// Every observable of a run must match (the same contract the sharded
-// backend pins against the serial engine).
-void ExpectIdenticalRuns(const MstRunResult& a, const MstRunResult& b) {
-  EXPECT_EQ(a.tree_edges, b.tree_edges);
-  EXPECT_EQ(a.consistency_error, b.consistency_error);
-  EXPECT_EQ(a.phases, b.phases);
-
-  EXPECT_EQ(a.stats.rounds, b.stats.rounds);
-  EXPECT_EQ(a.stats.max_awake, b.stats.max_awake);
-  EXPECT_EQ(a.stats.avg_awake, b.stats.avg_awake);  // exact, same sums
-  EXPECT_EQ(a.stats.total_messages, b.stats.total_messages);
-  EXPECT_EQ(a.stats.total_bits, b.stats.total_bits);
-  EXPECT_EQ(a.stats.max_message_bits, b.stats.max_message_bits);
-  EXPECT_EQ(a.stats.dropped_messages, b.stats.dropped_messages);
-  EXPECT_EQ(a.stats.awake_node_rounds, b.stats.awake_node_rounds);
-
-  ASSERT_EQ(a.node_metrics.size(), b.node_metrics.size());
-  for (std::size_t v = 0; v < a.node_metrics.size(); ++v) {
-    EXPECT_EQ(a.node_metrics[v].awake_rounds, b.node_metrics[v].awake_rounds);
-    EXPECT_EQ(a.node_metrics[v].messages_sent,
-              b.node_metrics[v].messages_sent);
-    EXPECT_EQ(a.node_metrics[v].bits_sent, b.node_metrics[v].bits_sent);
-    EXPECT_EQ(a.node_metrics[v].messages_dropped,
-              b.node_metrics[v].messages_dropped);
-  }
-  EXPECT_EQ(a.wake_times, b.wake_times);
-  EXPECT_EQ(a.fragments_per_phase, b.fragments_per_phase);
-  EXPECT_EQ(a.blue_per_phase, b.blue_per_phase);
-  ASSERT_EQ(a.final_ldt.size(), b.final_ldt.size());
-  for (std::size_t v = 0; v < a.final_ldt.size(); ++v) {
-    ExpectSameLdt(a.final_ldt[v], b.final_ldt[v]);
-  }
-  ASSERT_EQ(a.forest_per_phase.size(), b.forest_per_phase.size());
-  for (std::size_t p = 0; p < a.forest_per_phase.size(); ++p) {
-    ASSERT_EQ(a.forest_per_phase[p].size(), b.forest_per_phase[p].size());
-    for (std::size_t v = 0; v < a.forest_per_phase[p].size(); ++v) {
-      ExpectSameLdt(a.forest_per_phase[p][v], b.forest_per_phase[p][v]);
-    }
-  }
-
-  EXPECT_EQ(a.outcome.status, b.outcome.status);
-  EXPECT_EQ(a.outcome.detail, b.outcome.detail);
-  EXPECT_EQ(a.outcome.unfinished_nodes, b.outcome.unfinished_nodes);
-  EXPECT_EQ(a.outcome.last_round, b.outcome.last_round);
-  EXPECT_EQ(a.outcome.faults.injected_drops, b.outcome.faults.injected_drops);
-  EXPECT_EQ(a.outcome.faults.injected_delays,
-            b.outcome.faults.injected_delays);
-  EXPECT_EQ(a.outcome.faults.delayed_delivered,
-            b.outcome.faults.delayed_delivered);
-  EXPECT_EQ(a.outcome.faults.delayed_lost, b.outcome.faults.delayed_lost);
-  EXPECT_EQ(a.outcome.faults.injected_duplicates,
-            b.outcome.faults.injected_duplicates);
-  EXPECT_EQ(a.outcome.faults.jittered_wakes, b.outcome.faults.jittered_wakes);
-  EXPECT_EQ(a.outcome.faults.suppressed_wakes,
-            b.outcome.faults.suppressed_wakes);
-  EXPECT_EQ(a.outcome.faults.crashed_nodes, b.outcome.faults.crashed_nodes);
-  EXPECT_EQ(a.outcome.audited_awake_node_rounds,
-            b.outcome.audited_awake_node_rounds);
-  EXPECT_EQ(a.outcome.audited_model_drops, b.outcome.audited_model_drops);
-  EXPECT_EQ(a.outcome.audit_violations, b.outcome.audit_violations);
-}
-
-MstRunResult RunWith(const WeightedGraph& g, MstAlgorithm algo,
-                     std::uint64_t seed, EngineMode engine,
-                     std::uint32_t shards, const FaultPlan* plan,
-                     AuditMode audit = AuditMode::kDefault) {
-  MstOptions opt;
-  opt.seed = seed;
-  opt.engine = engine;
-  opt.shards = shards;
-  opt.fault_plan = plan;
-  opt.audit = audit;
-  opt.record_wake_times = true;
-  opt.record_forest_snapshots = true;
-  return ComputeMst(g, algo, opt);
-}
-
-// ----------------------------------------------------- bit-identity ---
-
-TEST(FlatEngineIdentityTest, FaultFreeRunsMatchCoroutineSerialAndSharded) {
-  for (const Topology& c : Topologies()) {
-    for (MstAlgorithm algo :
-         {MstAlgorithm::kRandomized, MstAlgorithm::kDeterministic}) {
-      for (std::uint64_t seed : {1, 5}) {
-        const MstRunResult coro = RunWith(c.graph, algo, seed,
-                                          EngineMode::kCoroutine, 0, nullptr);
-        for (std::uint32_t shards : {0u, 2u}) {
-          SCOPED_TRACE(c.name + " " + MstAlgorithmName(algo) + " seed " +
-                       std::to_string(seed) + " shards " +
-                       std::to_string(shards));
-          ExpectIdenticalRuns(coro, RunWith(c.graph, algo, seed,
-                                            EngineMode::kFlat, shards,
-                                            nullptr));
-        }
-      }
-    }
-  }
-}
-
-TEST(FlatEngineIdentityTest, FaultedRunsMatchCoroutineSerialAndSharded) {
-  // Mixed adversary (drops, delays, duplicates, jitter) and a crash-stop
-  // plan: the whole classified outcome including the per-category fault
-  // meters must be engine-invariant.
-  const FaultPlan plan =
-      ParseFaultPlan("salt=9,drop=0.003,delay=2:0.02,dup=0.01,jitter=2:0.01");
-  const FaultPlan crashy = ParseFaultPlan("salt=4,crash=40:0.05,drop=0.002");
-  for (const Topology& c : Topologies()) {
-    for (const FaultPlan* p : {&plan, &crashy}) {
-      for (MstAlgorithm algo :
-           {MstAlgorithm::kRandomized, MstAlgorithm::kDeterministic}) {
-        const MstRunResult coro =
-            RunWith(c.graph, algo, 3, EngineMode::kCoroutine, 0, p);
-        for (std::uint32_t shards : {0u, 2u}) {
-          SCOPED_TRACE(c.name + " " + MstAlgorithmName(algo) + " plan " +
-                       p->ToString() + " shards " + std::to_string(shards));
-          ExpectIdenticalRuns(
-              coro, RunWith(c.graph, algo, 3, EngineMode::kFlat, shards, p));
-        }
-      }
-    }
-  }
-}
-
-TEST(FlatEngineIdentityTest, AuditedRunsMatchIncludingAuditTotals) {
-  // AuditMode::kOn routes the flat run through the generic scheduler
-  // path (the auditor observes the identical event stream); the audit
-  // meters themselves must match the coroutine run's.
-  Xoshiro256 rng(75);
-  const auto g = MakeErdosRenyi(24, 0.25, rng);
-  for (MstAlgorithm algo :
-       {MstAlgorithm::kRandomized, MstAlgorithm::kDeterministic}) {
-    SCOPED_TRACE(MstAlgorithmName(algo));
-    const MstRunResult coro = RunWith(g, algo, 2, EngineMode::kCoroutine, 0,
-                                      nullptr, AuditMode::kOn);
-    const MstRunResult flat = RunWith(g, algo, 2, EngineMode::kFlat, 0,
-                                      nullptr, AuditMode::kOn);
-    ExpectIdenticalRuns(coro, flat);
-    EXPECT_GT(flat.outcome.audited_awake_node_rounds, 0u);
-  }
-}
-
-TEST(FlatEngineIdentityTest, AdaptiveBlocksAndBaselinesMatchToo) {
-  // The remaining harness surfaces: adaptive blocks (randomized),
-  // paper-mode termination, and the two derived algorithms that reuse
-  // the randomized engine.
-  Xoshiro256 rng(76);
-  const auto g = MakeErdosRenyi(20, 0.3, rng);
-  for (MstAlgorithm algo :
-       {MstAlgorithm::kGhsBaseline, MstAlgorithm::kBmSpanningTree}) {
-    SCOPED_TRACE(MstAlgorithmName(algo));
-    ExpectIdenticalRuns(RunWith(g, algo, 7, EngineMode::kCoroutine, 0, nullptr),
-                        RunWith(g, algo, 7, EngineMode::kFlat, 0, nullptr));
-  }
-  MstOptions opt;
-  opt.seed = 7;
-  opt.adaptive_blocks = true;
-  MstOptions flat_opt = opt;
-  flat_opt.engine = EngineMode::kFlat;
-  ExpectIdenticalRuns(RunRandomizedMst(g, opt), RunRandomizedMst(g, flat_opt));
-  opt.adaptive_blocks = false;
-  opt.termination = TerminationMode::kPaperPhaseCount;
-  flat_opt = opt;
-  flat_opt.engine = EngineMode::kFlat;
-  ExpectIdenticalRuns(RunRandomizedMst(g, opt), RunRandomizedMst(g, flat_opt));
-}
 
 // ------------------------------------------------ option validation ---
 
@@ -235,15 +21,6 @@ TEST(FlatEngineOptionsTest, EngineNamesRoundTrip) {
   EXPECT_THROW(ParseEngineMode("warp"), std::invalid_argument);
 }
 
-TEST(FlatEngineOptionsTest, TracingRequiresTheCoroutineEngine) {
-  Xoshiro256 rng(77);
-  const auto g = MakeRing(4, rng);
-  SimulatorOptions opt;
-  opt.engine = EngineMode::kFlat;
-  opt.trace = [](const TraceEvent&) {};
-  EXPECT_THROW(Simulator(g, opt), std::invalid_argument);
-}
-
 struct NoopFlatProgram final : FlatProgram {
   Round Start(NodeIndex, FlatEnv&, SendBatch&) override { return kFlatDone; }
   Round Step(NodeIndex, Round, FlatEnv&, const InboxBatch&,
@@ -253,6 +30,8 @@ struct NoopFlatProgram final : FlatProgram {
 };
 
 TEST(FlatEngineOptionsTest, EngineAndOverloadMustAgree) {
+  // kFlat steps FlatPrograms only; kCoroutine (the Scheduler) runs both
+  // kinds, FlatPrograms through FlatRuntime.
   Xoshiro256 rng(78);
   const auto g = MakeRing(4, rng);
   {
@@ -266,21 +45,8 @@ TEST(FlatEngineOptionsTest, EngineAndOverloadMustAgree) {
   {
     Simulator sim(g, SimulatorOptions{});
     NoopFlatProgram program;
-    EXPECT_THROW(sim.Run(program), std::logic_error);
+    EXPECT_NO_THROW(sim.Run(program));
   }
-}
-
-TEST(FlatEngineOptionsTest, LogStarColoringRejectsTheFlatEngine) {
-  Xoshiro256 rng(79);
-  const auto g = MakeRing(6, rng);
-  MstOptions opt;
-  opt.engine = EngineMode::kFlat;
-  opt.coloring = ColoringVariant::kLogStar;
-  EXPECT_THROW(RunDeterministicMst(g, opt), std::invalid_argument);
-  MstOptions api_opt;
-  api_opt.engine = EngineMode::kFlat;
-  EXPECT_THROW(ComputeMst(g, MstAlgorithm::kDeterministicLogStar, api_opt),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -11,8 +11,8 @@
 #include "smst/graph/generators.h"
 #include "smst/graph/union_find.h"
 #include "smst/runtime/simulator.h"
+#include "smst/sleeping/flat_procedures.h"
 #include "smst/sleeping/forest_builder.h"
-#include "smst/sleeping/merging.h"
 
 namespace smst {
 namespace {
@@ -114,12 +114,14 @@ TEST_P(MergingPropertyTest, RandomScenarioPreservesAllInvariants) {
   for (NodeIndex v = 0; v < sc.g.NumNodes(); ++v) {
     marks.emplace_back(sc.g.DegreeOf(v), false);
   }
+  ProcedureProgram<FlatMerge> program(
+      sc.g, [&](const FlatNodeRef& node, FlatMerge& proc, SendBatch& sends) {
+        BlockCursor cursor(1, node.NumNodesKnown());
+        return proc.Begin(node, sc.states[node.v], cursor, sc.roles[node.v],
+                          marks[node.v], sends);
+      });
   Simulator sim(sc.g);
-  sim.Run([&](NodeContext& ctx) -> Task<void> {
-    BlockCursor cursor(1, ctx.NumNodesKnown());
-    co_await MergingFragments(ctx, sc.states[ctx.Index()], cursor,
-                              sc.roles[ctx.Index()], marks[ctx.Index()]);
-  });
+  sim.Run(program);
 
   // Forest invariant after the wave.
   EXPECT_EQ(CheckForestInvariant(sc.g, sc.states), "");

@@ -4,21 +4,9 @@
 
 #include "smst/graph/graph.h"
 #include "smst/mst/detail.h"
-#include "smst/runtime/simulator.h"
 
 namespace smst {
 namespace {
-
-// The detail functions take a NodeContext; a tiny harness runs a check
-// inside a one-round simulation to obtain one.
-void WithContext(const WeightedGraph& g, NodeIndex node,
-                 const std::function<void(NodeContext&)>& check) {
-  Simulator sim(g);
-  sim.Run([&](NodeContext& ctx) -> Task<void> {
-    if (ctx.Index() == node) check(ctx);
-    co_await ctx.Awake(1);
-  });
-}
 
 WeightedGraph Diamond() {
   // 0-1 (w 10), 0-2 (w 20), 1-3 (w 30), 2-3 (w 5)
@@ -29,51 +17,47 @@ WeightedGraph Diamond() {
 
 TEST(DetailTest, LocalMoeMinWeightSkipsIntraFragmentEdges) {
   auto g = Diamond();
-  WithContext(g, 0, [&](NodeContext& ctx) {
-    LdtState ldt = LdtState::Singleton(ctx.Id());
-    // Node 0's ports: to 1 (w10), to 2 (w20). Same fragment as node 1.
-    std::vector<NodeId> nbr_frag{ldt.fragment_id, 99};
-    auto item = detail::LocalMoe(ctx, ldt, nbr_frag,
-                                 detail::SelectionRule::kMinWeight);
-    EXPECT_EQ(item.key, 20u);
-    EXPECT_EQ(item.b, 20u);  // b always carries the weight
-  });
+  const FlatNodeRef node{&g, 0};
+  LdtState ldt = LdtState::Singleton(node.Id());
+  // Node 0's ports: to 1 (w10), to 2 (w20). Same fragment as node 1.
+  std::vector<NodeId> nbr_frag{ldt.fragment_id, 99};
+  auto item = detail::LocalMoe(node, ldt, nbr_frag,
+                               detail::SelectionRule::kMinWeight);
+  EXPECT_EQ(item.key, 20u);
+  EXPECT_EQ(item.b, 20u);  // b always carries the weight
 }
 
 TEST(DetailTest, LocalMoeAbsentWhenAllNeighborsInternal) {
   auto g = Diamond();
-  WithContext(g, 0, [&](NodeContext& ctx) {
-    LdtState ldt = LdtState::Singleton(ctx.Id());
-    std::vector<NodeId> nbr_frag{ldt.fragment_id, ldt.fragment_id};
-    auto item = detail::LocalMoe(ctx, ldt, nbr_frag,
-                                 detail::SelectionRule::kMinWeight);
-    EXPECT_TRUE(item.Absent());
-  });
+  const FlatNodeRef node{&g, 0};
+  LdtState ldt = LdtState::Singleton(node.Id());
+  std::vector<NodeId> nbr_frag{ldt.fragment_id, ldt.fragment_id};
+  auto item = detail::LocalMoe(node, ldt, nbr_frag,
+                               detail::SelectionRule::kMinWeight);
+  EXPECT_TRUE(item.Absent());
 }
 
 TEST(DetailTest, LocalMoeMinNeighborIdPrefersSmallFragment) {
   auto g = Diamond();
-  WithContext(g, 0, [&](NodeContext& ctx) {
-    LdtState ldt = LdtState::Singleton(ctx.Id());
-    // Heavier edge leads to the smaller fragment ID: the BM rule picks it.
-    std::vector<NodeId> nbr_frag{50, 7};
-    auto item = detail::LocalMoe(ctx, ldt, nbr_frag,
-                                 detail::SelectionRule::kMinNeighborId);
-    EXPECT_EQ(item.key, 7u);
-    EXPECT_EQ(item.b, 20u);
-  });
+  const FlatNodeRef node{&g, 0};
+  LdtState ldt = LdtState::Singleton(node.Id());
+  // Heavier edge leads to the smaller fragment ID: the BM rule picks it.
+  std::vector<NodeId> nbr_frag{50, 7};
+  auto item = detail::LocalMoe(node, ldt, nbr_frag,
+                               detail::SelectionRule::kMinNeighborId);
+  EXPECT_EQ(item.key, 7u);
+  EXPECT_EQ(item.b, 20u);
 }
 
 TEST(DetailTest, PortOfOutgoingWeightFindsOnlyOutgoingEdges) {
   auto g = Diamond();
-  WithContext(g, 0, [&](NodeContext& ctx) {
-    LdtState ldt = LdtState::Singleton(ctx.Id());
-    std::vector<NodeId> nbr_frag{ldt.fragment_id, 99};
-    // Weight 10 exists but is intra-fragment -> not found.
-    EXPECT_EQ(detail::PortOfOutgoingWeight(ctx, ldt, nbr_frag, 10), kNoPort);
-    EXPECT_EQ(detail::PortOfOutgoingWeight(ctx, ldt, nbr_frag, 20), 1u);
-    EXPECT_EQ(detail::PortOfOutgoingWeight(ctx, ldt, nbr_frag, 77), kNoPort);
-  });
+  const FlatNodeRef node{&g, 0};
+  LdtState ldt = LdtState::Singleton(node.Id());
+  std::vector<NodeId> nbr_frag{ldt.fragment_id, 99};
+  // Weight 10 exists but is intra-fragment -> not found.
+  EXPECT_EQ(detail::PortOfOutgoingWeight(node, ldt, nbr_frag, 10), kNoPort);
+  EXPECT_EQ(detail::PortOfOutgoingWeight(node, ldt, nbr_frag, 20), 1u);
+  EXPECT_EQ(detail::PortOfOutgoingWeight(node, ldt, nbr_frag, 77), kNoPort);
 }
 
 }  // namespace

@@ -9,8 +9,8 @@
 
 #include "smst/graph/generators.h"
 #include "smst/runtime/simulator.h"
+#include "smst/sleeping/flat_procedures.h"
 #include "smst/sleeping/forest_builder.h"
-#include "smst/sleeping/procedures.h"
 
 namespace smst {
 namespace {
@@ -76,12 +76,13 @@ TEST_P(ProcedureSweep, UpcastMinMatchesOracleEverywhere) {
       own[v] = UpcastItem{rng.NextBelow(1000), v, 0};
     }
   }
-  std::vector<UpcastItem> result(fx.g.NumNodes());
+  ProcedureProgram<FlatUpcastMin> program(
+      fx.g, [&](const FlatNodeRef& node, FlatUpcastMin& proc,
+                SendBatch& sends) {
+        return proc.Begin(node, fx.states[node.v], 1, own[node.v], sends);
+      });
   Simulator sim(fx.g);
-  sim.Run([&](NodeContext& ctx) -> Task<void> {
-    result[ctx.Index()] =
-        co_await UpcastMin(ctx, fx.states[ctx.Index()], 1, own[ctx.Index()]);
-  });
+  sim.Run(program);
 
   // Oracle: every node's result is the min over its subtree.
   auto subtree = fx.Subtrees();
@@ -90,8 +91,8 @@ TEST_P(ProcedureSweep, UpcastMinMatchesOracleEverywhere) {
     for (NodeIndex u : subtree[v]) {
       if (own[u] < expected) expected = own[u];
     }
-    EXPECT_EQ(result[v].key, expected.key) << "node " << v;
-    EXPECT_EQ(result[v].b, expected.b) << "node " << v;
+    EXPECT_EQ(program[v].best.key, expected.key) << "node " << v;
+    EXPECT_EQ(program[v].best.b, expected.b) << "node " << v;
   }
   EXPECT_LE(sim.Stats().max_awake, 2u);
   EXPECT_EQ(sim.Stats().dropped_messages, 0u);
@@ -105,21 +106,23 @@ TEST_P(ProcedureSweep, UpcastSumMatchesOracleEverywhere) {
   Xoshiro256 rng(seed * 103);
   std::vector<std::uint64_t> own(fx.g.NumNodes());
   for (auto& v : own) v = rng.NextBelow(5);
-  std::vector<UpcastSumResult> result(fx.g.NumNodes());
+  ProcedureProgram<FlatUpcastSum> program(
+      fx.g, [&](const FlatNodeRef& node, FlatUpcastSum& proc,
+                SendBatch& sends) {
+        return proc.Begin(node, fx.states[node.v], 1, own[node.v], sends);
+      });
   Simulator sim(fx.g);
-  sim.Run([&](NodeContext& ctx) -> Task<void> {
-    result[ctx.Index()] =
-        co_await UpcastSum(ctx, fx.states[ctx.Index()], 1, own[ctx.Index()]);
-  });
+  sim.Run(program);
 
   auto subtree = fx.Subtrees();
   for (NodeIndex v = 0; v < fx.g.NumNodes(); ++v) {
+    const UpcastSumResult& result = program[v].result;
     std::uint64_t expected = 0;
     for (NodeIndex u : subtree[v]) expected += own[u];
-    EXPECT_EQ(result[v].subtree_total, expected) << "node " << v;
+    EXPECT_EQ(result.subtree_total, expected) << "node " << v;
     // Child breakdown sums to the total minus own.
     std::uint64_t child_sum = 0;
-    for (auto [port, total] : result[v].child_totals) child_sum += total;
+    for (auto [port, total] : result.child_totals) child_sum += total;
     EXPECT_EQ(child_sum + own[v], expected);
   }
   EXPECT_LE(sim.Stats().max_awake, 2u);
@@ -130,14 +133,17 @@ TEST_P(ProcedureSweep, BroadcastReachesAllAtO1Awake) {
   const std::size_t n = size_class == 0 ? 12 : (size_class == 1 ? 33 : 70);
   TreeFixture fx(n, seed, caterpillar);
 
-  std::vector<std::uint64_t> got(fx.g.NumNodes(), 0);
+  ProcedureProgram<FlatBroadcast> program(
+      fx.g, [&](const FlatNodeRef& node, FlatBroadcast& proc,
+                SendBatch& sends) {
+        return proc.Begin(node, fx.states[node.v], 1, Message{9, 7777, 0, 0},
+                          sends);
+      });
   Simulator sim(fx.g);
-  sim.Run([&](NodeContext& ctx) -> Task<void> {
-    Message m = co_await FragmentBroadcast(ctx, fx.states[ctx.Index()], 1,
-                                           Message{9, 7777, 0, 0});
-    got[ctx.Index()] = m.a;
-  });
-  for (auto v : got) EXPECT_EQ(v, 7777u);
+  sim.Run(program);
+  for (NodeIndex v = 0; v < fx.g.NumNodes(); ++v) {
+    EXPECT_EQ(program[v].msg.a, 7777u);
+  }
   EXPECT_LE(sim.Stats().max_awake, 2u);
   EXPECT_LE(sim.Stats().rounds, ScheduleBlockLength(fx.g.NumNodes()));
   EXPECT_EQ(sim.Stats().dropped_messages, 0u);
@@ -159,14 +165,17 @@ TEST(ProcedureSpanTest, SmallerSpanSameResultsFewerRounds) {
   auto states = BuildForest(g, all, {0});
 
   for (std::size_t span : {2u, 40u}) {
-    std::vector<std::uint64_t> got(g.NumNodes(), 0);
+    ProcedureProgram<FlatBroadcast> program(
+        g, [&](const FlatNodeRef& node, FlatBroadcast& proc,
+               SendBatch& sends) {
+          return proc.Begin(node, states[node.v], 1, Message{9, 123, 0, 0},
+                            sends, span);
+        });
     Simulator sim(g);
-    sim.Run([&](NodeContext& ctx) -> Task<void> {
-      Message m = co_await FragmentBroadcast(ctx, states[ctx.Index()], 1,
-                                             Message{9, 123, 0, 0}, span);
-      got[ctx.Index()] = m.a;
-    });
-    for (auto v : got) EXPECT_EQ(v, 123u);
+    sim.Run(program);
+    for (NodeIndex v = 0; v < g.NumNodes(); ++v) {
+      EXPECT_EQ(program[v].msg.a, 123u);
+    }
     EXPECT_LE(sim.Stats().rounds, ScheduleBlockLength(span));
   }
 }

@@ -1,6 +1,7 @@
 // Tests for the sleeping-model toolbox: schedule arithmetic, the four
 // Appendix-B procedures, Merging-Fragments, and Fast-Awake-Coloring —
-// including the paper's O(1)-awake guarantees.
+// including the paper's O(1)-awake guarantees. Each procedure runs as
+// its flat sub-machine, one instance per node (ProcedureProgram).
 #include <map>
 #include <set>
 #include <vector>
@@ -9,10 +10,8 @@
 
 #include "smst/graph/generators.h"
 #include "smst/runtime/simulator.h"
-#include "smst/sleeping/coloring.h"
+#include "smst/sleeping/flat_procedures.h"
 #include "smst/sleeping/ldt.h"
-#include "smst/sleeping/merging.h"
-#include "smst/sleeping/procedures.h"
 #include "smst/sleeping/schedule.h"
 #include "tests/test_util.h"
 
@@ -105,34 +104,31 @@ struct SingleTreeFixture {
   }
 };
 
-Task<void> BroadcastProgram(NodeContext& ctx, std::vector<LdtState>* states,
-                            std::vector<std::uint64_t>* got) {
-  const LdtState& ldt = (*states)[ctx.Index()];
-  Message root_msg{100, 4242, 0, 0};
-  Message m = co_await FragmentBroadcast(ctx, ldt, 1, root_msg);
-  (*got)[ctx.Index()] = m.a;
-}
-
 TEST(FragmentBroadcastTest, ReachesEveryNodeInO1Awake) {
   SingleTreeFixture fx;
   ASSERT_EQ(CheckForestInvariant(fx.g, fx.states), "");
-  std::vector<std::uint64_t> got(6, 0);
+  ProcedureProgram<FlatBroadcast> program(
+      fx.g, [&](const FlatNodeRef& node, FlatBroadcast& proc,
+                SendBatch& sends) {
+        return proc.Begin(node, fx.states[node.v], 1, Message{100, 4242, 0, 0},
+                          sends);
+      });
   Simulator sim(fx.g);
-  sim.Run([&](NodeContext& ctx) {
-    return BroadcastProgram(ctx, &fx.states, &got);
-  });
-  for (auto v : got) EXPECT_EQ(v, 4242u);
+  sim.Run(program);
+  for (NodeIndex v = 0; v < 6; ++v) EXPECT_EQ(program[v].msg.a, 4242u);
   auto stats = sim.Stats();
   EXPECT_LE(stats.max_awake, 2u);                       // O(1) awake
   EXPECT_LE(stats.rounds, ScheduleBlockLength(6));      // O(n) run time
 }
 
-Task<void> UpcastProgram(NodeContext& ctx, std::vector<LdtState>* states,
-                         std::vector<UpcastItem>* own,
-                         std::vector<UpcastItem>* result) {
-  const LdtState& ldt = (*states)[ctx.Index()];
-  (*result)[ctx.Index()] =
-      co_await UpcastMin(ctx, ldt, 1, (*own)[ctx.Index()]);
+// Runs Upcast-Min once over the fixture's tree with the given offers.
+ProcedureProgram<FlatUpcastMin> UpcastProgram(
+    const SingleTreeFixture& fx, const std::vector<UpcastItem>& own) {
+  return ProcedureProgram<FlatUpcastMin>(
+      fx.g, [&](const FlatNodeRef& node, FlatUpcastMin& proc,
+                SendBatch& sends) {
+        return proc.Begin(node, fx.states[node.v], 1, own[node.v], sends);
+      });
 }
 
 TEST(UpcastMinTest, MinReachesRootWithPayload) {
@@ -142,55 +138,46 @@ TEST(UpcastMinTest, MinReachesRootWithPayload) {
   own[2] = {30, 2, 2};
   own[5] = {10, 3, 3};  // global min at a leaf, deep in the tree
   own[4] = {40, 4, 4};
-  std::vector<UpcastItem> result(6);
+  auto program = UpcastProgram(fx, own);
   Simulator sim(fx.g);
-  sim.Run([&](NodeContext& ctx) {
-    return UpcastProgram(ctx, &fx.states, &own, &result);
-  });
-  EXPECT_EQ(result[0].key, 10u);
-  EXPECT_EQ(result[0].b, 3u);
-  EXPECT_EQ(result[0].c, 3u);
+  sim.Run(program);
+  EXPECT_EQ(program[0].best.key, 10u);
+  EXPECT_EQ(program[0].best.b, 3u);
+  EXPECT_EQ(program[0].best.c, 3u);
   // Intermediate node 3 sees the min of its subtree {3, 5}.
-  EXPECT_EQ(result[3].key, 10u);
+  EXPECT_EQ(program[3].best.key, 10u);
   // Node 4's subtree is itself.
-  EXPECT_EQ(result[4].key, 40u);
+  EXPECT_EQ(program[4].best.key, 40u);
   EXPECT_LE(sim.Stats().max_awake, 2u);
 }
 
 TEST(UpcastMinTest, AllAbsentYieldsAbsentAtRoot) {
   SingleTreeFixture fx;
   std::vector<UpcastItem> own(6);  // all absent
-  std::vector<UpcastItem> result(6);
+  auto program = UpcastProgram(fx, own);
   Simulator sim(fx.g);
-  sim.Run([&](NodeContext& ctx) {
-    return UpcastProgram(ctx, &fx.states, &own, &result);
-  });
-  EXPECT_TRUE(result[0].Absent());
+  sim.Run(program);
+  EXPECT_TRUE(program[0].best.Absent());
   // Nothing needed to be sent at all.
   EXPECT_EQ(sim.Stats().total_messages, 0u);
-}
-
-Task<void> UpcastSumProgram(NodeContext& ctx, std::vector<LdtState>* states,
-                            std::vector<std::uint64_t>* own,
-                            std::vector<UpcastSumResult>* result) {
-  const LdtState& ldt = (*states)[ctx.Index()];
-  (*result)[ctx.Index()] =
-      co_await UpcastSum(ctx, ldt, 1, (*own)[ctx.Index()]);
 }
 
 TEST(UpcastSumTest, TotalsAndPerChildBreakdown) {
   SingleTreeFixture fx;
   std::vector<std::uint64_t> own{1, 0, 2, 0, 5, 3};
-  std::vector<UpcastSumResult> result(6);
+  ProcedureProgram<FlatUpcastSum> program(
+      fx.g, [&](const FlatNodeRef& node, FlatUpcastSum& proc,
+                SendBatch& sends) {
+        return proc.Begin(node, fx.states[node.v], 1, own[node.v], sends);
+      });
   Simulator sim(fx.g);
-  sim.Run([&](NodeContext& ctx) {
-    return UpcastSumProgram(ctx, &fx.states, &own, &result);
-  });
-  EXPECT_EQ(result[0].subtree_total, 11u);  // all
-  EXPECT_EQ(result[1].subtree_total, 10u);  // {1,2,3,4,5}
+  sim.Run(program);
+  EXPECT_EQ(program[0].result.subtree_total, 11u);  // all
+  EXPECT_EQ(program[1].result.subtree_total, 10u);  // {1,2,3,4,5}
   // Node 1's children: node 2 (subtree {2,3,5} = 5) and node 4 (5).
-  std::map<std::uint32_t, std::uint64_t> by_port(
-      result[1].child_totals.begin(), result[1].child_totals.end());
+  const auto& child_totals = program[1].result.child_totals;
+  std::map<std::uint32_t, std::uint64_t> by_port(child_totals.begin(),
+                                                 child_totals.end());
   EXPECT_EQ(by_port[PortTo(fx.g, 1, 2)], 5u);
   EXPECT_EQ(by_port[PortTo(fx.g, 1, 4)], 5u);
   EXPECT_LE(sim.Stats().max_awake, 2u);
@@ -212,29 +199,38 @@ struct TwoFragmentFixture {
   }
 };
 
-Task<void> SideProgram(NodeContext& ctx, std::vector<LdtState>* states,
-                       std::vector<InboxBatch>* got) {
-  const LdtState& ldt = (*states)[ctx.Index()];
-  // Everyone announces its fragment ID on every port.
-  auto sends = ToAllPorts(ctx, Message{7, ldt.fragment_id, 0, 0});
-  (*got)[ctx.Index()] =
-      co_await TransmitAdjacent(ctx, ldt, 1, std::move(sends));
-}
+// Transmit-Adjacent is one awake round in the block's Side slot; this
+// sub-machine keeps what arrived.
+struct SideRound {
+  InboxBatch got;
+  Round Resume(const FlatNodeRef& /*node*/, const InboxBatch& inbox,
+               SendBatch& /*sends*/) {
+    got = inbox;
+    return kFlatDone;
+  }
+};
 
 TEST(TransmitAdjacentTest, CrossFragmentExchangeInOneAwakeRound) {
   TwoFragmentFixture fx;
   ASSERT_EQ(CheckForestInvariant(fx.g, fx.states), "");
-  std::vector<InboxBatch> got(4);
+  ProcedureProgram<SideRound> program(
+      fx.g, [&](const FlatNodeRef& node, SideRound& /*proc*/,
+                SendBatch& sends) {
+        // Everyone announces its fragment ID on every port.
+        const LdtState& ldt = fx.states[node.v];
+        for (std::uint32_t p = 0; p < node.Degree(); ++p) {
+          sends.push_back({p, Message{7, ldt.fragment_id, 0, 0}});
+        }
+        return TransmissionSchedule(1, ldt.level, node.NumNodesKnown()).side;
+      });
   Simulator sim(fx.g);
-  sim.Run([&](NodeContext& ctx) {
-    return SideProgram(ctx, &fx.states, &got);
-  });
+  sim.Run(program);
   // Node 1 (fragment 1) hears fragment 3's ID from node 2 and vice versa.
   bool node1_heard_frag3 = false;
-  for (const auto& m : got[1]) node1_heard_frag3 |= m.msg.a == 3;
+  for (const auto& m : program[1].got) node1_heard_frag3 |= m.msg.a == 3;
   EXPECT_TRUE(node1_heard_frag3);
   bool node2_heard_frag1 = false;
-  for (const auto& m : got[2]) node2_heard_frag1 |= m.msg.a == 1;
+  for (const auto& m : program[2].got) node2_heard_frag1 |= m.msg.a == 1;
   EXPECT_TRUE(node2_heard_frag1);
   EXPECT_EQ(sim.Stats().max_awake, 1u);
 }
@@ -255,15 +251,16 @@ struct MergeHarness {
   }
 
   void Run() {
+    ProcedureProgram<FlatMerge> program(
+        g, [this](const FlatNodeRef& node, FlatMerge& proc,
+                  SendBatch& sends) {
+          BlockCursor cursor(1, node.NumNodesKnown());
+          return proc.Begin(node, states[node.v], cursor, roles[node.v],
+                            mst_marks[node.v], sends);
+        });
     Simulator sim(g);
-    sim.Run([this](NodeContext& ctx) { return Program(ctx); });
+    sim.Run(program);
     stats = sim.Stats();
-  }
-
-  Task<void> Program(NodeContext& ctx) {
-    BlockCursor cursor(1, ctx.NumNodesKnown());
-    co_await MergingFragments(ctx, states[ctx.Index()], cursor,
-                              roles[ctx.Index()], mst_marks[ctx.Index()]);
   }
 
   RunStats stats;
@@ -393,16 +390,19 @@ struct ColoringHarness {
     }
   }
 
-  Task<void> Program(NodeContext& ctx) {
-    BlockCursor cursor(1, ctx.NumNodesKnown());
-    const NodeIndex v = ctx.Index();
-    results[v] = co_await FastAwakeColoring(ctx, states[v], cursor, nbr[v],
-                                            h_ports[v]);
-  }
-
   void Run() {
+    ProcedureProgram<FlatColoring> program(
+        g, [this](const FlatNodeRef& node, FlatColoring& proc,
+                  SendBatch& sends) {
+          BlockCursor cursor(1, node.NumNodesKnown());
+          return proc.Begin(node, states[node.v], cursor, nbr[node.v],
+                            h_ports[node.v], sends);
+        });
     Simulator sim(g);
-    sim.Run([this](NodeContext& ctx) { return Program(ctx); });
+    sim.Run(program);
+    for (NodeIndex v = 0; v < g.NumNodes(); ++v) {
+      results[v] = program[v].result;
+    }
     stats = sim.Stats();
   }
 

@@ -1,25 +1,55 @@
 // Execution tracing and stress / edge coverage: high-degree nodes (the
 // scheduler's >64-port duplicate-send fallback), larger n, and schedule
 // violation detection.
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "smst/faults/fault_plan.h"
 #include "smst/graph/generators.h"
 #include "smst/graph/mst_reference.h"
 #include "smst/mst/deterministic_mst.h"
 #include "smst/mst/randomized_mst.h"
 #include "smst/runtime/simulator.h"
+#include "smst/sleeping/flat_procedures.h"
 #include "smst/sleeping/forest_builder.h"
-#include "smst/sleeping/procedures.h"
 
 namespace smst {
 namespace {
 
 Task<void> ChatterNode(NodeContext& ctx) {
-  auto sends = ToAllPorts(ctx, Message{1, ctx.Id(), 0, 0});
+  SendBatch sends;
+  for (std::uint32_t p = 0; p < ctx.Degree(); ++p) {
+    sends.push_back({p, Message{1, ctx.Id(), 0, 0}});
+  }
   co_await ctx.Awake(1, std::move(sends));
   if (ctx.Index() == 0) co_await ctx.Awake(2);  // one lonely wake
+}
+
+// ChatterNode as a flat state machine.
+class FlatChatter final : public FlatProgram {
+ public:
+  explicit FlatChatter(const WeightedGraph& g) : g_(&g) {}
+
+  Round Start(NodeIndex v, FlatEnv& /*env*/, SendBatch& sends) override {
+    for (std::uint32_t p = 0; p < g_->DegreeOf(v); ++p) {
+      sends.push_back({p, Message{1, g_->IdOf(v), 0, 0}});
+    }
+    return 1;
+  }
+  Round Step(NodeIndex v, Round now, FlatEnv& /*env*/,
+             const InboxBatch& /*inbox*/, SendBatch& /*sends*/) override {
+    return v == 0 && now == 1 ? 2 : kFlatDone;
+  }
+
+ private:
+  const WeightedGraph* g_;
+};
+
+auto Fields(const TraceEvent& e) {
+  return std::tuple(e.round, e.node, e.sent, e.received, e.dropped,
+                    e.injected_drops, e.injected_delays, e.injected_dups);
 }
 
 TEST(TraceTest, EventsMatchTheRun) {
@@ -43,6 +73,37 @@ TEST(TraceTest, EventsMatchTheRun) {
   EXPECT_EQ(events[3].node, 0u);
   EXPECT_EQ(events[3].sent, 0u);
   EXPECT_EQ(events[3].received, 0u);
+}
+
+TEST(TraceTest, FlatProgramsTraceLikeTheirCoroutine) {
+  // A trace is an observer like the auditor: a traced flat run steps on
+  // the Scheduler under either engine mode and must emit the coroutine
+  // run's events, fault-free and under an adversary.
+  Xoshiro256 rng(8);
+  const auto g = MakeRing(6, rng);
+  const FaultPlan plan = ParseFaultPlan("salt=3,drop=0.3,dup=0.3,delay=1:0.3");
+  for (const FaultPlan* p : {static_cast<const FaultPlan*>(nullptr), &plan}) {
+    std::vector<TraceEvent> want;
+    SimulatorOptions opt;
+    opt.fault_plan = p;
+    opt.trace = [&want](const TraceEvent& e) { want.push_back(e); };
+    Simulator(g, opt).Run([](NodeContext& ctx) { return ChatterNode(ctx); });
+    ASSERT_EQ(want.size(), 7u);  // 6 nodes in round 1 + node 0 in round 2
+
+    for (EngineMode engine : {EngineMode::kCoroutine, EngineMode::kFlat}) {
+      SCOPED_TRACE(std::string(EngineModeName(engine)) +
+                   (p ? " faulted" : " fault-free"));
+      std::vector<TraceEvent> got;
+      opt.engine = engine;
+      opt.trace = [&got](const TraceEvent& e) { got.push_back(e); };
+      FlatChatter program(g);
+      Simulator(g, opt).Run(program);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(Fields(got[i]), Fields(want[i])) << "event " << i;
+      }
+    }
+  }
 }
 
 Task<void> SendToSleeperNode(NodeContext& ctx) {
@@ -112,25 +173,22 @@ TEST(StressTest, DeepPathDeterministic) {
   EXPECT_EQ(r.tree_edges.size(), 199u);  // every path edge
 }
 
-Task<void> BrokenParentBroadcast(NodeContext& ctx,
-                                 std::vector<LdtState>* states) {
-  // The root "forgets" to participate: its child must detect the
-  // protocol violation instead of silently misbehaving.
-  const LdtState& ldt = (*states)[ctx.Index()];
-  if (ldt.IsRoot()) co_return;
-  co_await FragmentBroadcast(ctx, ldt, 1, Message{});
-}
-
 TEST(FailureDetectionTest, SilentParentIsAProtocolError) {
   GraphBuilder b(2);
   b.AddEdge(0, 1, 1);
   auto g = std::move(b).Build();
   auto states = BuildForest(g, {0}, {0});
+  // The root "forgets" to participate: its child must detect the
+  // protocol violation instead of silently misbehaving.
+  ProcedureProgram<FlatBroadcast> program(
+      g, [&states](const FlatNodeRef& node, FlatBroadcast& proc,
+                   SendBatch& sends) {
+        const LdtState& ldt = states[node.v];
+        return ldt.IsRoot() ? kFlatDone
+                            : proc.Begin(node, ldt, 1, Message{}, sends);
+      });
   Simulator sim(g);
-  EXPECT_THROW(sim.Run([&states](NodeContext& ctx) {
-                 return BrokenParentBroadcast(ctx, &states);
-               }),
-               std::runtime_error);
+  EXPECT_THROW(sim.Run(program), std::runtime_error);
 }
 
 }  // namespace

@@ -58,9 +58,11 @@ flags:
   --shards   simulator worker shards (0 = serial engine); results are
              bit-identical for every value                           [0]
   --shard-policy  block | rr — node-to-shard partition policy        [block]
-  --engine   coroutine | flat — per-node coroutines, or the batched
-             state-machine lowering (results are bit-identical; flat
-             trades generality for throughput, see DESIGN.md §13)    [coroutine]
+  --engine   coroutine | flat — the round loop that steps the
+             algorithm's state machine: the Scheduler, or the batched
+             FlatEngine (used when no --fault-plan / --audit observes the
+             run; otherwise flat also steps on the Scheduler). Results are
+             bit-identical; see DESIGN.md §13                        [coroutine]
   --energy   off | mote | wifi | ble                                 [off]
   --quiet    only the summary line
 )";
@@ -152,14 +154,6 @@ int main(int argc, char** argv) {
     opt.shard_policy =
         smst::ParseShardPolicy(args.GetString("shard-policy", "block"));
     opt.engine = smst::ParseEngineMode(args.GetString("engine", "coroutine"));
-    if (opt.engine == smst::EngineMode::kFlat &&
-        !smst::SupportsFlatEngine(algo, opt)) {
-      std::cerr << "error: --engine flat is not lowered for "
-                << smst::MstAlgorithmName(algo)
-                << " (supported: randomized, deterministic with the "
-                   "fast-awake coloring); use --engine coroutine\n";
-      return 2;
-    }
     const std::uint64_t num_seeds = args.GetUint("seeds", 1);
     const auto threads = static_cast<unsigned>(args.GetUint("threads", 0));
     if (auto unused = args.UnusedFlags(); !unused.empty()) {

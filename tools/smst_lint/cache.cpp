@@ -11,7 +11,7 @@
 namespace smst_lint::cache {
 namespace {
 
-constexpr std::string_view kVersion = "smst-lint-cache-v2";
+constexpr std::string_view kVersion = "smst-lint-cache-v3";
 
 // Space-separated line format needs whitespace-free fields.
 std::string Escape(const std::string& s) {
@@ -87,28 +87,6 @@ std::optional<Entry> ParseEntry(const std::filesystem::path& entry_path) {
       fd.message = Unescape(f[4]);
       fd.file = Unescape(f[5]);
       e.analysis.findings.push_back(std::move(fd));
-    } else if (f[0] == "twin" && f.size() == 6) {
-      TwinRef tw;
-      tw.line = static_cast<std::uint32_t>(std::strtoul(f[1].c_str(),
-                                                        nullptr, 10));
-      tw.suppressed = f[2] == "1";
-      tw.flat_class = Unescape(f[3]);
-      tw.coro_name = Unescape(f[4]);
-      tw.norm_text = Unescape(f[5]);
-      e.analysis.twins.push_back(std::move(tw));
-    } else if (f[0] == "cdecl" && f.size() == 2) {
-      e.analysis.class_facts[Unescape(f[1])];
-    } else if (f[0] == "fdecl" && f.size() == 2) {
-      e.analysis.fn_facts[Unescape(f[1])];
-    } else if (f[0] == "ctag" && f.size() == 3) {
-      e.analysis.class_facts[Unescape(f[1])].tags.push_back(Unescape(f[2]));
-    } else if (f[0] == "clit" && f.size() == 3) {
-      e.analysis.class_facts[Unescape(f[1])].literals.push_back(
-          Unescape(f[2]));
-    } else if (f[0] == "ftag" && f.size() == 3) {
-      e.analysis.fn_facts[Unescape(f[1])].tags.push_back(Unescape(f[2]));
-    } else if (f[0] == "flit" && f.size() == 3) {
-      e.analysis.fn_facts[Unescape(f[1])].literals.push_back(Unescape(f[2]));
     } else {
       return std::nullopt;  // unknown record: treat as corrupt
     }
@@ -132,29 +110,6 @@ void WriteEntry(const std::filesystem::path& entry_path, const Entry& e) {
     out << "finding " << fd.line << " " << Escape(fd.rule) << " "
         << Escape(fd.norm_text) << " " << Escape(fd.message) << " "
         << Escape(fd.file) << "\n";
-  }
-  for (const TwinRef& tw : e.analysis.twins) {
-    out << "twin " << tw.line << " " << (tw.suppressed ? 1 : 0) << " "
-        << Escape(tw.flat_class) << " " << Escape(tw.coro_name) << " "
-        << Escape(tw.norm_text) << "\n";
-  }
-  for (const auto& [name, facts] : e.analysis.class_facts) {
-    out << "cdecl " << Escape(name) << "\n";
-    for (const std::string& t : facts.tags) {
-      out << "ctag " << Escape(name) << " " << Escape(t) << "\n";
-    }
-    for (const std::string& l : facts.literals) {
-      out << "clit " << Escape(name) << " " << Escape(l) << "\n";
-    }
-  }
-  for (const auto& [name, facts] : e.analysis.fn_facts) {
-    out << "fdecl " << Escape(name) << "\n";
-    for (const std::string& t : facts.tags) {
-      out << "ftag " << Escape(name) << " " << Escape(t) << "\n";
-    }
-    for (const std::string& l : facts.literals) {
-      out << "flit " << Escape(name) << " " << Escape(l) << "\n";
-    }
   }
 }
 

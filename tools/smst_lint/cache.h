@@ -4,12 +4,8 @@
 // One entry file per analyzed source file, named by a hash of the
 // repo-relative path. An entry stores freshness info (mtime in
 // nanoseconds, FNV-1a 64 of the file contents) plus the complete
-// FileAnalysis: findings (with their normalized line text, so baseline
-// keys re-derive without re-reading the source), twin directives, and the
-// tag/literal facts the cross-TU twin check consumes. Cross-TU
-// flat-twin-drift findings are NOT cached — CrossCheckTwins recomputes
-// them each run from the cached facts, so a change in one TU re-checks
-// every twin pair.
+// FileAnalysis: findings, with their normalized line text, so baseline
+// keys re-derive without re-reading the source.
 //
 // Lookup is mtime-first: an exact mtime match is a hit with no source
 // read at all. On mtime mismatch the caller re-reads the file and retries

@@ -52,37 +52,6 @@ void CollectDirectives(std::string_view comment, std::uint32_t line,
   }
 }
 
-// Parses `smst-lint-twin(FlatClass=CoroutineName)` twin declarations out
-// of a comment's text. Both sides are plain identifiers; malformed
-// directives are ignored (the fixture corpus pins the accepted shape).
-void CollectTwins(std::string_view comment, std::uint32_t line,
-                  std::vector<TwinDecl>& out) {
-  static constexpr std::string_view kTag = "smst-lint-twin";
-  std::size_t pos = 0;
-  while ((pos = comment.find(kTag, pos)) != std::string_view::npos) {
-    std::size_t cursor = pos + kTag.size();
-    pos = cursor;
-    if (cursor >= comment.size() || comment[cursor] != '(') continue;
-    const std::size_t close = comment.find(')', cursor);
-    if (close == std::string_view::npos) continue;
-    std::string_view body = comment.substr(cursor + 1, close - cursor - 1);
-    const std::size_t eq = body.find('=');
-    if (eq == std::string_view::npos) continue;
-    auto trim = [](std::string_view s) {
-      while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front())))
-        s.remove_prefix(1);
-      while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back())))
-        s.remove_suffix(1);
-      return std::string(s);
-    };
-    TwinDecl decl{trim(body.substr(0, eq)), trim(body.substr(eq + 1)), line};
-    if (!decl.flat_class.empty() && !decl.coro_name.empty()) {
-      out.push_back(std::move(decl));
-    }
-    pos = close;
-  }
-}
-
 }  // namespace
 
 LexedFile Lex(std::string path, std::string_view src) {
@@ -109,12 +78,7 @@ LexedFile Lex(std::string path, std::string_view src) {
   bool at_line_start = true;  // only whitespace seen since the last newline
 
   auto push = [&](Token::Kind kind, std::string text) {
-    out.tokens.push_back(Token{kind, std::move(text), line, {}});
-  };
-  auto push_literal = [&](std::string text, std::string contents,
-                          std::uint32_t at_line) {
-    out.tokens.push_back(Token{Token::Kind::kString, std::move(text), at_line,
-                               std::move(contents)});
+    out.tokens.push_back(Token{kind, std::move(text), line});
   };
 
   while (i < n) {
@@ -151,7 +115,6 @@ LexedFile Lex(std::string path, std::string_view src) {
       std::size_t start = i + 2;
       while (i < n && src[i] != '\n') ++i;
       CollectDirectives(src.substr(start, i - start), line, out.suppressions);
-      CollectTwins(src.substr(start, i - start), line, out.twins);
       continue;
     }
     if (c == '/' && i + 1 < n && src[i + 1] == '*') {
@@ -165,7 +128,6 @@ LexedFile Lex(std::string path, std::string_view src) {
       std::size_t end = (i + 1 < n) ? i : n;
       CollectDirectives(src.substr(start, end - start), comment_line,
                         out.suppressions);
-      CollectTwins(src.substr(start, end - start), comment_line, out.twins);
       i = (i + 1 < n) ? i + 2 : n;
       continue;
     }
@@ -188,9 +150,9 @@ LexedFile Lex(std::string path, std::string_view src) {
         for (std::size_t j = i; j < end && j < n; ++j) {
           if (src[j] == '\n') ++line;
         }
-        std::string contents(src.substr(i, end - i));
         i = (end == n) ? n : end + closer.size();
-        push_literal("<raw-string>", std::move(contents), open_line);
+        out.tokens.push_back(
+            Token{Token::Kind::kString, "<raw-string>", open_line});
         continue;
       }
       push(Token::Kind::kIdent, std::move(ident));
@@ -217,17 +179,16 @@ LexedFile Lex(std::string path, std::string_view src) {
     if (c == '"' || c == '\'') {
       const char quote = c;
       const std::uint32_t open_line = line;
-      const std::size_t start = i + 1;
       ++i;
       while (i < n && src[i] != quote) {
         if (src[i] == '\\' && i + 1 < n) ++i;
         if (src[i] == '\n') ++line;  // unterminated; keep line counts sane
         ++i;
       }
-      std::string contents(src.substr(start, i - start));
       if (i < n) ++i;  // closing quote
-      push_literal(quote == '"' ? "<string>" : "<char>", std::move(contents),
-                   open_line);
+      out.tokens.push_back(Token{Token::Kind::kString,
+                                 quote == '"' ? "<string>" : "<char>",
+                                 open_line});
       continue;
     }
 

@@ -3,15 +3,13 @@
 // It is not a compiler front end. It produces a flat token stream with
 // line numbers and guarantees exactly the invariants the rule packs need:
 //
-//   * comments never produce tokens (but suppression and twin directives
-//     inside them are collected — see Suppressions / TwinDecl),
+//   * comments never produce tokens (but suppression directives inside
+//     them are collected — see Suppressions),
 //   * string literals (including raw strings R"delim(...)delim" and
 //     encoding prefixes), character literals, and digit separators are
-//     consumed correctly so their contents can never fake an identifier.
-//     A literal's contents are preserved in Token::literal (the
-//     flat-twin-drift rule compares error-string fragments across TUs),
-//     while Token::text stays a placeholder so literal contents can never
-//     collide with punctuation or identifier matching,
+//     consumed correctly so their contents can never fake an identifier:
+//     a literal's Token::text is a placeholder, so literal contents can
+//     never collide with punctuation or identifier matching,
 //   * preprocessor lines — with backslash continuations — are skipped
 //     entirely (rules reason about code, not includes or macros),
 //   * the multi-character operators the rules care about (`::`, `<<`,
@@ -36,9 +34,6 @@ struct Token {
   Kind kind;
   std::string text;
   std::uint32_t line = 0;
-  // For kString tokens only: the literal's contents (without quotes or
-  // encoding prefix). Empty for every other kind.
-  std::string literal;
 
   bool Is(std::string_view s) const { return text == s; }
   bool IsIdent(std::string_view s) const {
@@ -65,24 +60,10 @@ class Suppressions {
   std::map<std::uint32_t, std::set<std::string>> by_line_;
 };
 
-// A flat/coroutine twin declaration gathered from a comment:
-//   // smst-lint-twin(FlatBroadcast=FragmentBroadcast)
-// declares that the member functions of class FlatBroadcast (in this TU)
-// must use the same message tags and error-string literals as the
-// coroutine function FragmentBroadcast (in any TU of the same run).
-// The flat-twin-drift rule cross-checks the pair after all files are
-// analyzed; see rules.h.
-struct TwinDecl {
-  std::string flat_class;
-  std::string coro_name;
-  std::uint32_t line = 0;
-};
-
 struct LexedFile {
   std::string path;  // repo-relative, forward slashes
   std::vector<Token> tokens;
   Suppressions suppressions;
-  std::vector<TwinDecl> twins;
   std::vector<std::string> lines;  // raw source lines, for baseline keys
 };
 

@@ -295,9 +295,6 @@ int main(int argc, char** argv) {
     analyses.push_back(std::move(slot.analysis));
   }
 
-  // Cross-TU pass: flat-twin-drift over the cached+fresh facts.
-  smst_lint::CrossCheckTwins(analyses);
-
   // Baseline matching and aggregation, in file order (serial).
   std::vector<Finding> findings;
   Baseline next_baseline;

@@ -1,49 +1,6 @@
 #include "parser.h"
 
 namespace smst_lint {
-namespace {
-
-// Spans of `class`/`struct` bodies, innermost last, for attributing
-// in-class member functions. `enum class` and forward declarations
-// (`class X;`) produce no span.
-struct ClassSpan {
-  std::string name;
-  std::size_t body_begin = 0;
-  std::size_t body_end = 0;
-};
-
-std::vector<ClassSpan> FindClassSpans(const Tokens& t,
-                                      const std::vector<std::size_t>& match) {
-  std::vector<ClassSpan> spans;
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (!t[i].IsIdent("class") && !t[i].IsIdent("struct")) continue;
-    if (i > 0 && t[i - 1].IsIdent("enum")) continue;
-    if (t[i + 1].kind != Token::Kind::kIdent) continue;
-    const std::string& name = t[i + 1].text;
-    // Scan past the name (and any `final` / base-clause) to `{` or `;`.
-    std::size_t k = i + 2;
-    while (k < t.size() && !t[k].Is("{") && !t[k].Is(";") && !t[k].Is("(") &&
-           !t[k].Is(")") && !t[k].Is("}")) {
-      if (t[k].Is("<")) {  // template-id in a base clause; hop over it
-        int depth = 0;
-        for (; k < t.size(); ++k) {
-          if (t[k].Is("<")) ++depth;
-          if (t[k].Is(">") && --depth == 0) break;
-          if (t[k].Is(">>") && (depth -= 2) <= 0) break;
-        }
-      }
-      ++k;
-    }
-    if (k >= t.size() || !t[k].Is("{")) continue;
-    const std::size_t close = match[k];
-    if (close == kNoMatch) continue;
-    spans.push_back(ClassSpan{name, k, close});
-  }
-  return spans;
-}
-
-}  // namespace
-
 bool IsAnyOf(const Token& tok, std::initializer_list<std::string_view> set) {
   for (std::string_view s : set) {
     if (tok.text == s) return true;
@@ -109,8 +66,6 @@ ParsedFile Parse(const LexedFile& file) {
     }
   }
 
-  const std::vector<ClassSpan> classes = FindClassSpans(t, out.match);
-
   // Function extraction: a candidate body is a `{` preceded (modulo
   // cv/noexcept specifiers and constructor init lists) by `name(...)`.
   // Lambdas are excluded: their tokens stay inside the enclosing
@@ -172,19 +127,6 @@ ParsedFile Parse(const LexedFile& file) {
     fn.body_begin = i;
     fn.body_end =
         out.match[i] != kNoMatch ? out.match[i] : MatchForward(t, i, "{", "}");
-
-    // Enclosing class: out-of-line qualification wins, then the innermost
-    // class body span containing this function.
-    if (name_idx >= 2 && t[name_idx - 1].Is("::") &&
-        t[name_idx - 2].kind == Token::Kind::kIdent) {
-      fn.class_name = t[name_idx - 2].text;
-    } else {
-      for (const ClassSpan& c : classes) {
-        if (c.body_begin < name_idx && fn.body_end < c.body_end) {
-          fn.class_name = c.name;  // spans are in opening order; keep last
-        }
-      }
-    }
 
     // Return type: scan left of the name for `Task <`.
     for (std::size_t k = name_idx; k-- > 0;) {

@@ -7,11 +7,7 @@
 //   * a bracket map: for every `{`/`(`/`[` the index of its matching
 //     close token (and back), computed in one pass;
 //   * function spans: body extents, the parameter-list extent, the
-//     (heuristic) declared-return-type facts, coroutine-ness;
-//   * the enclosing class of a function, either from an out-of-line
-//     qualified name (`Round FlatMerge::Resume(...)`) or from an
-//     enclosing `class`/`struct` body span — this is what lets the
-//     flat-twin-drift rule group member functions per flat class.
+//     (heuristic) declared-return-type facts, coroutine-ness.
 //
 // Everything downstream (symtab.h, flow.h, rules.cpp) works on these
 // spans instead of re-deriving them with local token scans.
@@ -45,7 +41,6 @@ std::size_t MatchBackward(const Tokens& t, std::size_t close,
 // One function (or member-function) body found in the token stream.
 struct Fn {
   std::string name;        // unqualified
-  std::string class_name;  // enclosing class, or "" for a free function
   std::uint32_t line = 0;  // line of the body's `{`
   std::size_t params_begin = 0;  // index of the parameter list's `(`
   std::size_t params_end = 0;    // index of its `)`

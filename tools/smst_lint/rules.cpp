@@ -108,7 +108,6 @@ class Analysis {
     CoroutinePack();
     FlatPack();
     ShardPack();
-    CollectTwinFacts();
 
     FileAnalysis out;
     out.path = file_.path;
@@ -123,18 +122,6 @@ class Analysis {
               });
     out.findings.erase(std::unique(out.findings.begin(), out.findings.end()),
                        out.findings.end());
-    for (const TwinDecl& tw : file_.twins) {
-      TwinRef ref;
-      ref.flat_class = tw.flat_class;
-      ref.coro_name = tw.coro_name;
-      ref.line = tw.line;
-      ref.suppressed =
-          file_.suppressions.Suppressed(tw.line, "flat-twin-drift");
-      ref.norm_text = LineText(tw.line);
-      out.twins.push_back(std::move(ref));
-    }
-    out.class_facts = std::move(class_facts_);
-    out.fn_facts = std::move(fn_facts_);
     return out;
   }
 
@@ -655,65 +642,12 @@ class Analysis {
     }
   }
 
-  // --- twin facts (for the cross-TU flat-twin-drift pass) ---------------
-  void CollectTwinFacts() {
-    for (const Fn& fn : parsed_.fns) {
-      TwinFacts facts;
-      for (std::size_t k = fn.body_begin; k < fn.body_end && k < t_.size();
-           ++k) {
-        if (t_[k].kind == Token::Kind::kIdent &&
-            t_[k].text.rfind("kTag", 0) == 0) {
-          facts.tags.push_back(t_[k].text);
-        }
-        if (t_[k].kind == Token::Kind::kString && !t_[k].literal.empty()) {
-          facts.literals.push_back(t_[k].literal);
-        }
-      }
-      auto merge = [](TwinFacts& into, const TwinFacts& from) {
-        into.tags.insert(into.tags.end(), from.tags.begin(), from.tags.end());
-        into.literals.insert(into.literals.end(), from.literals.begin(),
-                             from.literals.end());
-        std::sort(into.tags.begin(), into.tags.end());
-        into.tags.erase(std::unique(into.tags.begin(), into.tags.end()),
-                        into.tags.end());
-        std::sort(into.literals.begin(), into.literals.end());
-        into.literals.erase(
-            std::unique(into.literals.begin(), into.literals.end()),
-            into.literals.end());
-      };
-      merge(fn_facts_[fn.name], facts);
-      if (!fn.class_name.empty()) merge(class_facts_[fn.class_name], facts);
-    }
-  }
-
   const LexedFile& file_;
   const Tokens& t_;
   ParsedFile parsed_;
   std::vector<SymbolTable> symtabs_;
   std::vector<Finding> findings_;
-  std::map<std::string, TwinFacts> class_facts_;
-  std::map<std::string, TwinFacts> fn_facts_;
 };
-
-std::string Truncate(const std::string& s, std::size_t max) {
-  if (s.size() <= max) return s;
-  return s.substr(0, max) + "...";
-}
-
-// Elements of `a` missing from `b` (both sorted), rendered for a message.
-std::string MissingFrom(const std::vector<std::string>& a,
-                        const std::vector<std::string>& b, bool quote) {
-  std::vector<std::string> diff;
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(diff));
-  std::string out;
-  for (std::size_t i = 0; i < diff.size() && i < 3; ++i) {
-    if (!out.empty()) out += ", ";
-    out += quote ? "\"" + Truncate(diff[i], 40) + "\"" : diff[i];
-  }
-  if (diff.size() > 3) out += ", ...";
-  return out;
-}
 
 }  // namespace
 
@@ -742,8 +676,6 @@ const std::vector<RuleDesc>& AllRules() {
        "flat resume label reached by fallthrough from the previous state"},
       {"flat-local-across-resume",
        "flat state-machine local read across a resume point"},
-      {"flat-twin-drift",
-       "flat class and coroutine twin disagree on tags or error strings"},
       {"shard-barrier-order",
        "exchange Push/DrainInto on the wrong side of the round barrier"},
       {"shard-local-escape",
@@ -754,67 +686,6 @@ const std::vector<RuleDesc>& AllRules() {
 
 FileAnalysis AnalyzeFile(const LexedFile& file) {
   return Analysis(file).Run();
-}
-
-void CrossCheckTwins(std::vector<FileAnalysis>& files) {
-  std::map<std::string, TwinFacts> classes, fns;
-  auto merge = [](TwinFacts& into, const TwinFacts& from) {
-    into.tags.insert(into.tags.end(), from.tags.begin(), from.tags.end());
-    into.literals.insert(into.literals.end(), from.literals.begin(),
-                         from.literals.end());
-    std::sort(into.tags.begin(), into.tags.end());
-    into.tags.erase(std::unique(into.tags.begin(), into.tags.end()),
-                    into.tags.end());
-    std::sort(into.literals.begin(), into.literals.end());
-    into.literals.erase(
-        std::unique(into.literals.begin(), into.literals.end()),
-        into.literals.end());
-  };
-  for (const FileAnalysis& fa : files) {
-    for (const auto& [name, facts] : fa.class_facts) merge(classes[name], facts);
-    for (const auto& [name, facts] : fa.fn_facts) merge(fns[name], facts);
-  }
-
-  for (FileAnalysis& fa : files) {
-    bool appended = false;
-    for (const TwinRef& tw : fa.twins) {
-      if (tw.suppressed) continue;
-      auto ci = classes.find(tw.flat_class);
-      auto fi = fns.find(tw.coro_name);
-      // Lenient when either side is outside the analyzed set: a partial
-      // run (single file, fixtures) must not produce phantom drift.
-      if (ci == classes.end() || fi == fns.end()) continue;
-      std::string parts;
-      auto add = [&parts](std::string_view what, const std::string& items) {
-        if (items.empty()) return;
-        if (!parts.empty()) parts += "; ";
-        parts += std::string(what) + ": " + items;
-      };
-      add("tags only in flat",
-          MissingFrom(ci->second.tags, fi->second.tags, false));
-      add("tags only in coroutine",
-          MissingFrom(fi->second.tags, ci->second.tags, false));
-      add("strings only in flat",
-          MissingFrom(ci->second.literals, fi->second.literals, true));
-      add("strings only in coroutine",
-          MissingFrom(fi->second.literals, ci->second.literals, true));
-      if (parts.empty()) continue;
-      fa.findings.push_back(Finding{
-          fa.path, tw.line, "flat-twin-drift",
-          "flat class " + tw.flat_class + " and coroutine " + tw.coro_name +
-              " have drifted apart (" + parts +
-              "); the flat lowering must stay behaviorally identical to "
-              "its coroutine twin",
-          tw.norm_text});
-      appended = true;
-    }
-    if (appended) {
-      std::sort(fa.findings.begin(), fa.findings.end(),
-                [](const Finding& a, const Finding& b) {
-                  return a.line != b.line ? a.line < b.line : a.rule < b.rule;
-                });
-    }
-  }
 }
 
 }  // namespace smst_lint

@@ -12,11 +12,10 @@
 //   coro-*     coroutine safety: no dangerous lambda captures in
 //              coroutines, no value-returning Task without co_return, no
 //              local addresses escaping across a co_await.
-//   flat-*     flat-lowering discipline for the Duff's-device state
-//              machines (mst/flat_driver.h): no locals alive across a
+//   flat-*     flat state-machine discipline for the Duff's-device
+//              programs (runtime/flat/driver.h): no locals alive across a
 //              resume point, no missing case 0 / default, no implicit
-//              fallthrough between resume labels, no tag/error-string
-//              drift between a flat class and its coroutine twin.
+//              fallthrough between resume labels.
 //   shard-*    sharded-runtime discipline: no shard-local state escaping
 //              into wire entries, no exchange pushes/drains on the wrong
 //              side of the round barrier.
@@ -29,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,47 +61,15 @@ struct RuleDesc {
 // All rules, for --list-rules and docs.
 const std::vector<RuleDesc>& AllRules();
 
-// Facts the flat-twin-drift rule compares across translation units: the
-// message tags (identifiers starting with "kTag") and the string-literal
-// contents used inside a span.
-struct TwinFacts {
-  std::vector<std::string> tags;      // sorted, unique
-  std::vector<std::string> literals;  // sorted, unique
-};
-
-// One `// smst-lint-twin(FlatClass=CoroName)` directive, resolved enough
-// to cross-check after all files are analyzed.
-struct TwinRef {
-  std::string flat_class;
-  std::string coro_name;
-  std::uint32_t line = 0;     // line of the directive
-  bool suppressed = false;    // inline suppression covers the directive line
-  std::string norm_text;      // of the directive line, for baseline keys
-};
-
-// Per-file analysis result. `findings` covers every single-TU rule;
-// twin directives and the tag/literal facts feed the cross-TU
-// flat-twin-drift pass (CrossCheckTwins).
+// Per-file analysis result: every rule's findings for one file.
 struct FileAnalysis {
   std::string path;
   std::vector<Finding> findings;
-  std::vector<TwinRef> twins;
-  // Union of member-function facts per class declared-or-defined here.
-  std::map<std::string, TwinFacts> class_facts;
-  // Facts per free/member function name (the coroutine side of a twin).
-  std::map<std::string, TwinFacts> fn_facts;
 };
 
 // Runs every single-TU rule pack over one lexed file. Findings are sorted
 // by (line, rule) and already filtered through the file's inline
 // suppressions; baseline filtering happens later (baseline.h).
 FileAnalysis AnalyzeFile(const LexedFile& file);
-
-// Cross-TU pass: for every twin directive, compares the flat class's
-// facts against the coroutine's facts across all analyzed files and
-// appends flat-twin-drift findings (at the directive's line) to the
-// directive's file. Call after all AnalyzeFile results are collected;
-// deterministic given the same input set in any order.
-void CrossCheckTwins(std::vector<FileAnalysis>& files);
 
 }  // namespace smst_lint
