@@ -7,8 +7,8 @@
 //  * Dense rounds — every node awake and chattering on every port every
 //    round (the round engine's worst case, same as bench_sharded). This
 //    isolates per-node-round overhead: coroutine frame resume + scheduler
-//    heap traffic vs one virtual Step() into a flat program. The ISSUE's
-//    >=5x target is measured here.
+//    wake bookkeeping vs one virtual Step() into a flat program. The flat
+//    engine's >=5x target is measured here.
 //  * MST end-to-end — Randomized-MST and Deterministic-MST, whose only
 //    implementation is a flat program (src/smst/mst/*_mst.cpp): axis 0
 //    steps it on the Scheduler (through FlatRuntime), axis 1 on the

@@ -96,7 +96,8 @@ BENCHMARK(BM_SimulatorDenseRounds)->Arg(64)->Arg(512)->Arg(1 << 18);
 // every-round chatter, lowered to a FlatProgram. The pair is the headline
 // engine comparison — same graph, same rounds, same messages, so the
 // items/s ratio is pure per-node-round overhead (coroutine frame resume +
-// scheduler heap traffic vs a virtual call into a batched state machine).
+// scheduler wake bookkeeping vs a virtual call into a batched state
+// machine).
 class FlatPingProgram final : public FlatProgram {
  public:
   FlatPingProgram(const WeightedGraph& g, int rounds)

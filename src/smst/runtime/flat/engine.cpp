@@ -17,8 +17,8 @@ FlatEngine::FlatEngine(const WeightedGraph& graph, Metrics& metrics,
       inbox_(graph.NumNodes()),
       status_(graph.NumNodes(), Status::kRunning),
       errors_(graph.NumNodes()),
-      stamp_(graph.NumNodes(), 0),
       acc_(graph.NumNodes()),
+      queue_(graph.NumNodes()),
       port_offset_(csr.port_offset_),
       reverse_ports_(csr.reverse_ports_) {
   std::size_t max_degree = 0;
@@ -71,29 +71,7 @@ void FlatEngine::RegisterNext(NodeIndex v, Round r, const SendBatch& sends) {
         std::to_string(current_));
   }
   ValidateSends(v, sends);
-  PushRegistered(v, r);
-}
-
-void FlatEngine::PushRegistered(NodeIndex v, Round r) {
-  // The queued batch itself stays in sends_[v]; only the node index goes
-  // into the round bucket.
-  if (open_bucket_ != kNoBucket && open_round_ == r) {
-    buckets_[open_bucket_].push_back(v);
-    return;
-  }
-  std::uint32_t b;
-  if (!free_buckets_.empty()) {
-    b = free_buckets_.back();
-    free_buckets_.pop_back();
-  } else {
-    b = static_cast<std::uint32_t>(buckets_.size());
-    buckets_.emplace_back();
-  }
-  buckets_[b].push_back(v);
-  heap_.push_back(QueueEntry{r, next_seq_++, b});
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  open_round_ = r;
-  open_bucket_ = b;
+  queue_.Push(v, r);
 }
 
 void FlatEngine::Run(FlatProgram& program) {
@@ -135,8 +113,8 @@ void FlatEngine::Run(FlatProgram& program) {
 
 void FlatEngine::RunRounds(FlatProgram& program, FlatEnv& env,
                            const bool wake_times) {
-  while (!heap_.empty()) {
-    const Round r = heap_.front().round;
+  while (!queue_.Empty()) {
+    const Round r = queue_.NextRound();
     if (r > max_rounds_) {
       throw NonTerminationError("round watchdog tripped at round " +
                                 std::to_string(r) + " (max " +
@@ -144,54 +122,23 @@ void FlatEngine::RunRounds(FlatProgram& program, FlatEnv& env,
     }
     current_ = r;
     metrics_.SetLastRound(r);
-
-    // Stage: splice round-r buckets into the canonical ascending order.
-    // Steps push only strictly later rounds, so the heap front is stable.
-    // The dominant shape — every round-r node registered into one bucket
-    // — swaps that bucket straight into staged_ (no element copies);
-    // multi-bucket rounds fall back to appending. Sortedness is checked
-    // while splicing: the step sweep runs ascending, so registrations
-    // usually arrive pre-sorted and the sort is skipped.
-    staged_.clear();
-    bool sorted = true;
-    while (!heap_.empty() && heap_.front().round == r) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      std::vector<NodeIndex>& bucket = buckets_[heap_.back().bucket];
-      if (staged_.empty()) {
-        staged_.swap(bucket);
-        for (std::size_t i = 1; i < staged_.size(); ++i) {
-          if (staged_[i] < staged_[i - 1]) {
-            sorted = false;
-            break;
-          }
-        }
-      } else {
-        for (const NodeIndex v : bucket) {
-          if (v < staged_.back()) sorted = false;
-          staged_.push_back(v);
-        }
-        bucket.clear();
-      }
-      if (open_bucket_ == heap_.back().bucket) open_bucket_ = kNoBucket;
-      free_buckets_.push_back(heap_.back().bucket);
-      heap_.pop_back();
-    }
-    if (!sorted) std::sort(staged_.begin(), staged_.end());
+    // Steps push only strictly later rounds, so the round-r set popped
+    // here is final; it comes out in the canonical ascending order.
+    queue_.PopRound(r, staged_);
 
     const std::size_t staged_count = staged_.size();
     const NodeIndex* nodes = staged_.data();
 
     // All-awake rounds (every dense-round workload, and every toolbox
-    // block where the whole graph participates) need no awake stamps:
-    // each delivery lands on a staged receiver by construction, so the
-    // stamp pass and the per-message stamp probe are skipped wholesale —
-    // and the delivery and step sweeps fuse into one pass.
+    // block where the whole graph participates) need no awake test: each
+    // delivery lands on a staged receiver by construction, so the
+    // per-message probe is skipped and the delivery and step sweeps fuse
+    // into one pass.
     const bool all_awake = staged_count == graph_.NumNodes();
     if (all_awake) {
       FusedRound(program, env, r, wake_times);
       continue;
     }
-    for (std::size_t i = 0; i < staged_count; ++i) stamp_[nodes[i]] = r;
 
     // Delivery sweep (whole round before any node steps): ascending
     // sender, batch order — the scheduler's exact delivery order. The
@@ -225,7 +172,9 @@ void FlatEngine::RunRounds(FlatProgram& program, FlatEnv& env,
         bits_sum += bits;
         if (bits > max_bits_seen_) max_bits_seen_ = bits;
         const NodeIndex neighbor = ports[out.port].neighbor;
-        if (stamp_[neighbor] == r) {
+        // Awake in r iff popped in r: the node keeps that queue round
+        // until it steps, and steps come after this whole sweep.
+        if (queue_.RoundOf(neighbor) == r) {
           inbox_[neighbor].push_back(InMessage{reverse[out.port], out.msg});
         } else {
           // Sleeping-model loss: the receiver is not awake this round.
@@ -290,7 +239,7 @@ void FlatEngine::BuildFusedOrder() {
 void FlatEngine::FusedRound(FlatProgram& program, FlatEnv& env, const Round r,
                             const bool wake_times) {
   // All-awake round: staged_ is exactly 0..n-1, so the delivery cursor
-  // IS the sender id, every send lands on an awake receiver (no stamp
+  // IS the sender id, every send lands on an awake receiver (no awake
   // probes), and node v's inbox is complete — and its own send slot
   // drained — as soon as the cursor passes thresh_[v]. Stepping it right
   // then touches inbox_[v]/sends_[v] while they are still resident
@@ -330,8 +279,9 @@ void FlatEngine::FusedRound(FlatProgram& program, FlatEnv& env, const Round r,
     }
 
     // Step every node whose threshold the cursor just passed. Validation
-    // runs here, while the batch is hot; the bucket push is deferred to
-    // the ascending registration pass below so staged order stays sorted.
+    // runs here, while the batch is hot; the queue push is deferred to
+    // the ascending registration pass below, so the next round pops
+    // already sorted.
     while (cursor < n && thresh_[step_order_[cursor]] <= v) {
       const NodeIndex u = step_order_[cursor++];
       SendBatch& out = sends_[u];
@@ -365,7 +315,7 @@ void FlatEngine::FusedRound(FlatProgram& program, FlatEnv& env, const Round r,
   // Registration pass: ascending nodes, already-validated batches. Pure
   // index traffic — the message slots are not touched again.
   for (NodeIndex v = 0; v < n; ++v) {
-    if (next_round_[v] != 0) PushRegistered(v, next_round_[v]);
+    if (next_round_[v] != 0) queue_.Push(v, next_round_[v]);
   }
 }
 

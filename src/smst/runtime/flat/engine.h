@@ -1,17 +1,17 @@
 // Fault-free serial fast path for flat programs.
 //
 // When a run needs no fault plan, no auditor, and no trace sink, nothing
-// in the scheduler's per-wake machinery (pointer-sorted wake staging,
-// fault verdict branches, delayed-message heap) earns its keep: a flat
+// in the scheduler's per-wake machinery (PendingWake indirection, fault
+// verdict branches, delayed-message heap) earns its keep: a flat
 // program's nodes are dense indices with one stable slot each, so the
 // whole round loop collapses into array sweeps over struct-of-arrays
 // node state. This engine is that collapse. It reproduces the serial
 // scheduler's observable behaviour exactly — same round clock, same
 // canonical ascending-node delivery and step order, same metrics
 // (messages / bits / drops / awake rounds / wake times / last round),
-// same error messages — so its runs are bit-identical to the coroutine
-// engine's (pinned by tests/flat_engine_test.cpp). See DESIGN.md §13
-// for why each sweep preserves the scheduler's order.
+// same error messages — so its runs are bit-identical to the scheduler
+// loop's (pinned by tests/mst_golden_test.cpp). See DESIGN.md §13 for
+// why each sweep preserves the scheduler's order.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +22,7 @@
 #include "smst/runtime/flat/program.h"
 #include "smst/runtime/metrics.h"
 #include "smst/runtime/scheduler.h"
+#include "smst/runtime/wake_queue.h"
 
 namespace smst {
 
@@ -51,10 +52,6 @@ class FlatEngine {
   // message per port) with identical error messages.
   void RegisterNext(NodeIndex v, Round r, const SendBatch& sends);
   void ValidateSends(NodeIndex v, const SendBatch& sends);
-  // The bucket-push half of RegisterNext, for callers that already
-  // validated the batch (the fused sweep validates while the node's
-  // state is cache-hot).
-  void PushRegistered(NodeIndex v, Round r);
   // The round loop proper; split out of Run so the metric fold below
   // runs on both the clean exit and the watchdog throw.
   void RunRounds(FlatProgram& program, FlatEnv& env, bool wake_times);
@@ -83,16 +80,11 @@ class FlatEngine {
   // batch node v queued for its next awake round; inbox_[v] what this
   // round delivered to it), the program status lane, and the captured
   // failure, all indexed by the dense node index. A node's pending round
-  // lives only in the queue buckets below — no per-node copy is kept.
+  // lives only in its wake-queue slot below.
   std::vector<SendBatch> sends_;
   std::vector<InboxBatch> inbox_;
   std::vector<Status> status_;
   std::vector<std::exception_ptr> errors_;
-
-  // Awake stamp: stamp_[v] == r iff v is awake in the round r currently
-  // being delivered (rounds are >= 1, so 0 means never). One store per
-  // staged node replaces the scheduler's awake_now_ pointer map.
-  std::vector<Round> stamp_;
 
   // Dense meter records (32-byte stride, one hardware-prefetched stream)
   // for the hot per-round accounting; folded into the 64-byte
@@ -108,28 +100,10 @@ class FlatEngine {
   std::vector<MeterAcc> acc_;
   std::uint64_t max_bits_seen_ = 0;
 
-  // Round queue: the scheduler's bucketed min-heap with NodeIndex
-  // buckets instead of PendingWake pointers. The dominant pattern —
-  // every staged node re-registers for the same next round, in
-  // ascending order — appends to one open bucket, so staging a round is
-  // usually a single swap (the sortedness check during splicing skips
-  // the sort entirely; the pointer engine cannot, because its buckets
-  // hold frame addresses, not indices).
-  struct QueueEntry {
-    Round round;
-    std::uint64_t seq;
-    std::uint32_t bucket;
-    bool operator>(const QueueEntry& o) const {
-      return round != o.round ? round > o.round : seq > o.seq;
-    }
-  };
-  static constexpr std::uint32_t kNoBucket = ~std::uint32_t{0};
-  std::vector<QueueEntry> heap_;
-  std::uint64_t next_seq_ = 0;
-  std::vector<std::vector<NodeIndex>> buckets_;
-  std::vector<std::uint32_t> free_buckets_;
-  Round open_round_ = 0;
-  std::uint32_t open_bucket_ = kNoBucket;
+  // The same wake queue as the Scheduler's, over node indices. Its
+  // per-node round doubles as the awake test of the delivery sweep: a
+  // node is awake in round r iff it was popped in r.
+  WakeQueue queue_;
   std::vector<NodeIndex> staged_;
   std::vector<std::uint64_t> seen_ports_scratch_;
 

@@ -31,7 +31,8 @@ Scheduler::Scheduler(const WeightedGraph& graph, Metrics& metrics,
       max_rounds_(options.max_rounds),
       faults_(options.fault_plan, options.run_seed, graph.NumNodes()),
       auditor_(options.auditor),
-      awake_now_(graph.NumNodes(), nullptr),
+      queue_(graph.NumNodes()),
+      wakes_(graph.NumNodes(), nullptr),
       port_offset_(graph.NumNodes() + 1, 0) {
   std::size_t max_degree = 0;
   for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
@@ -69,6 +70,16 @@ Scheduler::Scheduler(const WeightedGraph& graph, Metrics& metrics,
 void Scheduler::Register(PendingWake* wake) {
   assert(wake != nullptr);
   assert(wake->node < graph_.NumNodes());
+  if (queue_.Pending(wake->node)) {
+    // Two live PendingWakes for one node would silently clobber each
+    // other's delivery state; only direct Register misuse can get here
+    // (a coroutine is suspended while its wake is queued), but fail
+    // loudly in every build type rather than corrupt the run.
+    throw std::logic_error(
+        "node " + std::to_string(wake->node) + " registered awake twice: "
+        "round " + std::to_string(queue_.RoundOf(wake->node)) +
+        " is still pending, requested " + std::to_string(wake->round));
+  }
   if (faults_.Active()) {
     // Jitter may move the wake in either direction; clamping (rather than
     // the monotonicity throw below) keeps perturbed runs legal — from the
@@ -128,28 +139,13 @@ void Scheduler::Register(PendingWake* wake) {
       }
     }
   }
-  if (open_bucket_ != kNoBucket && open_round_ == wake->round) {
-    buckets_[open_bucket_].push_back(wake);
-    return;
-  }
-  std::uint32_t b;
-  if (!free_buckets_.empty()) {
-    b = free_buckets_.back();
-    free_buckets_.pop_back();
-  } else {
-    b = static_cast<std::uint32_t>(buckets_.size());
-    buckets_.emplace_back();
-  }
-  buckets_[b].push_back(wake);
-  heap_.push_back(QueueEntry{wake->round, next_seq_++, b});
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  open_round_ = wake->round;
-  open_bucket_ = b;
+  wakes_[wake->node] = wake;
+  queue_.Push(wake->node, wake->round);
 }
 
 void Scheduler::RunUntilIdle() {
-  while (!heap_.empty()) {
-    const Round r = heap_.front().round;
+  while (!queue_.Empty()) {
+    const Round r = queue_.NextRound();
     if (r > max_rounds_) {
       throw NonTerminationError("round watchdog tripped at round " +
                                 std::to_string(r) + " (max " +
@@ -166,42 +162,12 @@ void Scheduler::RunUntilIdle() {
 void Scheduler::StageRound(Round r) {
   current_round_ = r;
   metrics_.SetLastRound(r);
-  // Stage every bucket of round r; resumed coroutines push only strictly
-  // later rounds (Register enforces it), so the heap front is stable
-  // until the round finishes.
-  round_wakers_.clear();
-  while (!heap_.empty() && heap_.front().round == r) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    std::vector<PendingWake*>& bucket = buckets_[heap_.back().bucket];
-    round_wakers_.insert(round_wakers_.end(), bucket.begin(), bucket.end());
-    bucket.clear();  // keeps capacity for reuse
-    if (open_bucket_ == heap_.back().bucket) open_bucket_ = kNoBucket;
-    free_buckets_.push_back(heap_.back().bucket);
-    heap_.pop_back();
-  }
   // Canonical round order: ascending node index, regardless of
   // registration history. Delivery and resume order therefore depend
   // only on *which* nodes are awake, which is what makes a sharded run
-  // bit-identical to a serial one (DESIGN.md §7, §12). Each node appears
-  // at most once per round, so the sort key is strict.
-  std::sort(round_wakers_.begin(), round_wakers_.end(),
-            [](const PendingWake* a, const PendingWake* b) {
-              return a->node < b->node;
-            });
-
-  for (PendingWake* w : round_wakers_) {
-    if (awake_now_[w->node] != nullptr) {
-      // Two live PendingWakes for one node would silently clobber each
-      // other's delivery state; only direct Register misuse can get here
-      // (a coroutine is suspended while its wake is queued), but fail
-      // loudly in every build type rather than corrupt the run.
-      throw std::logic_error("node " + std::to_string(w->node) +
-                             " registered awake twice in round " +
-                             std::to_string(r));
-    }
-    awake_now_[w->node] = w;
-    SMST_AUDIT_HOOK(OnAwake(r, w->node));
-  }
+  // bit-identical to a serial one (DESIGN.md §7, §12).
+  queue_.PopRound(r, staged_);
+  for (const NodeIndex v : staged_) SMST_AUDIT_HOOK(OnAwake(r, v));
 }
 
 void Scheduler::DrainDelayed(Round r) {
@@ -209,7 +175,7 @@ void Scheduler::DrainDelayed(Round r) {
     std::pop_heap(delayed_.begin(), delayed_.end(), std::greater<>{});
     const DelayedMessage m = delayed_.back();
     delayed_.pop_back();
-    PendingWake* target = m.due == r ? awake_now_[m.dst] : nullptr;
+    PendingWake* target = m.due == r ? AwakeNow(m.dst) : nullptr;
     if (target != nullptr) {
       // The receiver happens to be awake in the deferred round: the
       // message arrives late but intact.
@@ -235,11 +201,10 @@ void Scheduler::DeliverAndResume() {
 
   // Delivery: same-round send/receive between simultaneously awake
   // endpoints; messages to sleepers are lost (and counted).
-  std::vector<PendingWake*>& wakers = round_wakers_;
-  round_trace_.assign(trace_ ? wakers.size() : 0, TraceCounts{});
+  round_trace_.assign(trace_ ? staged_.size() : 0, TraceCounts{});
   const bool faulty = faults_.Active();
-  for (std::size_t wi = 0; wi < wakers.size(); ++wi) {
-    PendingWake* w = wakers[wi];
+  for (std::size_t wi = 0; wi < staged_.size(); ++wi) {
+    PendingWake* w = wakes_[staged_[wi]];
     NodeMetrics& nm = metrics_.Node(w->node);
     // Hoist the per-node indirections out of the per-send loop: the port
     // table base and the precomputed receiver-port row.
@@ -280,7 +245,7 @@ void Scheduler::DeliverAndResume() {
           }
           continue;
         }
-        PendingWake* target = awake_now_[port.neighbor];
+        PendingWake* target = AwakeNow(port.neighbor);
         if (target == nullptr) {
           ++nm.messages_dropped;
           if (trace_) ++round_trace_[wi].dropped;
@@ -296,7 +261,7 @@ void Scheduler::DeliverAndResume() {
         }
         continue;
       }
-      PendingWake* target = awake_now_[port.neighbor];
+      PendingWake* target = AwakeNow(port.neighbor);
       if (target == nullptr) {
         ++nm.messages_dropped;
         if (trace_) ++round_trace_[wi].dropped;
@@ -312,9 +277,8 @@ void Scheduler::DeliverAndResume() {
 
   // Resume phase: every awake node gets its inbox and one awake round on
   // the meter, then runs to its next suspension (or completion).
-  for (std::size_t wi = 0; wi < wakers.size(); ++wi) {
-    PendingWake* w = wakers[wi];
-    awake_now_[w->node] = nullptr;
+  for (std::size_t wi = 0; wi < staged_.size(); ++wi) {
+    PendingWake* w = wakes_[staged_[wi]];
     NodeMetrics& nm = metrics_.Node(w->node);
     ++nm.awake_rounds;
     if (metrics_.WakeTimesEnabled()) nm.wake_times.push_back(r);

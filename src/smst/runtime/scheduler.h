@@ -6,9 +6,11 @@
 //    node, delivers each message iff the *target* is also awake in round
 //    r (otherwise drops it and counts it — sleeping nodes lose messages),
 //    then resumes every round-r awake node with its inbox.
-//  * Rounds with no awake node are skipped in O(log n) time, so an
+//  * Rounds with no awake node are never visited: the wake queue jumps
+//    straight to the next registered round in O(1) (wake_queue.h), so an
 //    execution with huge round counts (the deterministic algorithm's
-//    O(nN log n)) costs only Σ awake node-rounds of simulation work.
+//    O(nN log n)) costs only Σ awake node-rounds of simulation work, plus
+//    at most 63 O(1) queue moves per wake.
 //
 // Fault injection (DESIGN.md §10): a FaultPlan installed on
 // SchedulerOptions is consulted at delivery time (drop / delay /
@@ -28,6 +30,7 @@
 #include "smst/runtime/message.h"
 #include "smst/runtime/metrics.h"
 #include "smst/runtime/trace.h"
+#include "smst/runtime/wake_queue.h"
 
 namespace smst {
 
@@ -84,23 +87,21 @@ class Scheduler {
   // Registers a suspended node; called from the Awake awaitable. Under an
   // active fault plan the requested round may be jittered or clamped (to
   // current_round + 1), and a crash-stopped node's registration is
-  // swallowed entirely — its coroutine stays suspended forever.
+  // swallowed entirely — its coroutine stays suspended forever. Throws
+  // std::logic_error if the node already has a wake pending.
   void Register(PendingWake* wake);
 
   // Runs rounds until no node is pending. Throws NonTerminationError if
-  // `max_rounds` is exceeded (runaway algorithm watchdog) and
-  // std::logic_error if one node was registered awake twice in a round.
+  // `max_rounds` is exceeded (runaway algorithm watchdog).
   void RunUntilIdle();
 
   Round CurrentRound() const { return current_round_; }
-  bool HasPending() const { return !heap_.empty(); }
-  // Earliest round with a registered wake (kMaxRound if none). The
-  // sharded driver's round barrier reduces this over all shards to pick
-  // the next global round; delayed messages never create rounds (one
+  bool HasPending() const { return !queue_.Empty(); }
+  // Earliest round with a registered wake (kMaxRound if none), in O(1).
+  // The sharded driver's round barrier reduces this over all shards to
+  // pick the next global round; delayed messages never create rounds (one
   // parked for a round nobody wakes in is lost, as in the serial engine).
-  Round NextPendingRound() const {
-    return heap_.empty() ? kMaxRound : heap_.front().round;
-  }
+  Round NextPendingRound() const { return queue_.NextRound(); }
 
   void SetTraceSink(TraceSink sink) { trace_ = std::move(sink); }
 
@@ -121,30 +122,6 @@ class Scheduler {
   // engines resolve receiver ports from one shared layout (DESIGN.md §13).
   friend class ShardedEngine;
   friend class FlatEngine;
-
-  // Pending wakes live in a binary min-heap of (round, seq, bucket)
-  // entries over a pool of reusable bucket vectors. Consecutive
-  // registrations for the same round — the dominant pattern, since a
-  // block of simultaneously-awake nodes schedules its next block from
-  // one RunRound — append to the open bucket in O(1); a new round costs
-  // one O(log R) heap push. Compared with the ordered map this
-  // replaced, the hot path does zero steady-state allocation: buckets,
-  // the heap's backing vector, and the per-round scratch buffers below
-  // all recycle their capacity across the run's millions of rounds.
-  //
-  // The seq tiebreak gives the heap a strict order (buckets of one round
-  // pop in registration order); the staged wakers are then sorted into
-  // the canonical ascending-node-index round order (DESIGN.md §7), which
-  // is what keeps serial and sharded executions bit-identical.
-  struct QueueEntry {
-    Round round;
-    std::uint64_t seq;
-    std::uint32_t bucket;
-    bool operator>(const QueueEntry& o) const {
-      return round != o.round ? round > o.round : seq > o.seq;
-    }
-  };
-  static constexpr std::uint32_t kNoBucket = ~std::uint32_t{0};
 
   // An adversary-delayed message parked until its due round. Ordered by
   // the canonical key (due, birth_round, src, batch_pos, copy) — the
@@ -179,19 +156,23 @@ class Scheduler {
     std::uint32_t injected_dups = 0;
   };
 
-  // Pops every bucket of round `r` into round_wakers_, sorts them into
-  // the canonical ascending-node order, populates awake_now_ (throwing
-  // on double registration), and advances the round clock. Staging no
-  // wakers (the shard has nothing due in a global round) is legal.
+  // Advances the round clock to `r` and pops round r's wakers into
+  // staged_ in the canonical ascending-node order (DESIGN.md §7), which
+  // is what keeps serial and sharded executions bit-identical. Staging
+  // no wakers (the shard has nothing due in a global round) is legal.
   void StageRound(Round r);
   // Serial remainder of a round for the staged wakers: drain delayed
   // messages, deliver sends, resume. The sharded engine replaces this
   // with its collect / exchange / receive phases.
   void DeliverAndResume();
   // Delivers or expires delayed messages with due <= r; called after
-  // awake_now_ is populated for round r (and with r = kMaxRound at the
-  // end of the run, expiring everything still parked).
+  // StageRound(r) (and with r = kMaxRound at the end of the run,
+  // expiring everything still parked).
   void DrainDelayed(Round r);
+  // Node v's wake if v is awake in the round being processed, else null.
+  PendingWake* AwakeNow(NodeIndex v) const {
+    return queue_.RoundOf(v) == current_round_ ? wakes_[v] : nullptr;
+  }
 
   const WeightedGraph& graph_;
   Metrics& metrics_;
@@ -199,19 +180,15 @@ class Scheduler {
   Round current_round_ = 0;
   FaultSession faults_;
   Auditor* auditor_ = nullptr;
-  std::vector<QueueEntry> heap_;
-  std::uint64_t next_seq_ = 0;
-  std::vector<std::vector<PendingWake*>> buckets_;
-  std::vector<std::uint32_t> free_buckets_;
-  // Fast path: the bucket the last registration went into.
-  Round open_round_ = 0;
-  std::uint32_t open_bucket_ = kNoBucket;
-  // Scratch reused every round: the current round's wakes and (when
+  WakeQueue queue_;
+  // node -> the PendingWake it registered last. Valid while the node is
+  // queued or awake in the current round (AwakeNow); a resumed coroutine
+  // may leave it dangling until the node registers again.
+  std::vector<PendingWake*> wakes_;
+  // Scratch reused every round: the current round's wakers and (when
   // tracing) their fault/drop counts.
-  std::vector<PendingWake*> round_wakers_;
+  std::vector<NodeIndex> staged_;
   std::vector<TraceCounts> round_trace_;
-  // node -> its PendingWake for the round being processed (else null).
-  std::vector<PendingWake*> awake_now_;
   // Min-heap of adversary-delayed messages (std::*_heap with
   // std::greater); empty for a null plan.
   std::vector<DelayedMessage> delayed_;

@@ -104,9 +104,9 @@ void ShardedEngine::ExecuteImpl(const NodeProgram* coro, FlatProgram* flat) {
     merged_metrics_.MergeFrom(shard->metrics);
     merged_faults_.MergeFrom(shard->scheduler->InjectedFaults());
   }
-  // Shard-level failures (watchdog, double registration, allocation
-  // failure) rethrow lowest-shard-first — deterministic, and for the
-  // watchdog identical on every shard anyway.
+  // Shard-level failures (watchdog, allocation failure) rethrow
+  // lowest-shard-first — deterministic, and for the watchdog identical on
+  // every shard anyway.
   for (const std::exception_ptr& e : errors_) {
     if (e) std::rethrow_exception(e);
   }
@@ -207,8 +207,9 @@ void ShardedEngine::CollectSends(std::uint32_t s, Round r) {
   Scheduler& sched = *shard.scheduler;
   Auditor* const auditor = shard.auditor.get();
   const bool faulty = sched.faults_.Active();
-  for (PendingWake* w : sched.round_wakers_) {
-    if (!shard.cross_ports[w->node]) continue;  // all ports internal
+  for (const NodeIndex v : sched.staged_) {
+    if (!shard.cross_ports[v]) continue;  // all ports internal
+    const PendingWake* w = sched.wakes_[v];
     const Port* ports = graph_.PortsOf(w->node).data();
     const std::uint32_t* reverse =
         sched.reverse_ports_.data() + sched.port_offset_[w->node];
@@ -273,7 +274,7 @@ void ShardedEngine::ReceiveAndResume(std::uint32_t s, Round r) {
   std::vector<std::size_t>& pos = shard.merge_pos;
   pos.assign(k, 0);
   const bool faulty = sched.faults_.Active();
-  std::size_t wi = 0;  // next local waker in sched.round_wakers_
+  std::size_t wi = 0;  // next local waker in sched.staged_
   for (;;) {
     std::uint32_t pick = k;
     NodeIndex best_src = kInvalidNode;
@@ -285,15 +286,15 @@ void ShardedEngine::ReceiveAndResume(std::uint32_t s, Round r) {
         best_src = src;
       }
     }
-    const bool local = wi < sched.round_wakers_.size() &&
-                       (pick == k || sched.round_wakers_[wi]->node < best_src);
+    const bool local = wi < sched.staged_.size() &&
+                       (pick == k || sched.staged_[wi] < best_src);
     if (local) {
       // A local sender: run the serial delivery loop body for its batch.
       // Cross-shard sends were metered and published pre-barrier;
       // everything else — metering, verdict, delayed parking, drop
       // accounting, delivery — happens here, bit-for-bit like
       // scheduler.cpp's DeliverAndResume.
-      PendingWake* w = sched.round_wakers_[wi++];
+      const PendingWake* w = sched.wakes_[sched.staged_[wi++]];
       NodeMetrics& nm = shard.metrics.Node(w->node);
       const Port* ports = graph_.PortsOf(w->node).data();
       const std::uint32_t* reverse =
@@ -332,7 +333,7 @@ void ShardedEngine::ReceiveAndResume(std::uint32_t s, Round r) {
             }
             continue;
           }
-          PendingWake* target = sched.awake_now_[dst];
+          PendingWake* target = sched.AwakeNow(dst);
           if (target == nullptr) {
             ++nm.messages_dropped;
             SMST_SHARD_AUDIT(auditor, OnDrop(r, w->node, /*injected=*/false));
@@ -346,7 +347,7 @@ void ShardedEngine::ReceiveAndResume(std::uint32_t s, Round r) {
           }
           continue;
         }
-        PendingWake* target = sched.awake_now_[dst];
+        PendingWake* target = sched.AwakeNow(dst);
         if (target == nullptr) {
           ++nm.messages_dropped;
           SMST_SHARD_AUDIT(auditor, OnDrop(r, w->node, /*injected=*/false));
@@ -368,7 +369,7 @@ void ShardedEngine::ReceiveAndResume(std::uint32_t s, Round r) {
                      std::greater<>{});
       continue;
     }
-    PendingWake* target = sched.awake_now_[e.dst];
+    PendingWake* target = sched.AwakeNow(e.dst);
     if (target == nullptr) {
       // Sleeping-model loss, charged to the sender. The charge lands in
       // the *receiver* shard's metrics (only this shard knows the
@@ -388,8 +389,8 @@ void ShardedEngine::ReceiveAndResume(std::uint32_t s, Round r) {
 
   // Resume in canonical (ascending node) order; all staged wakers are
   // local, so this never touches another shard's coroutines.
-  for (PendingWake* w : sched.round_wakers_) {
-    sched.awake_now_[w->node] = nullptr;
+  for (const NodeIndex v : sched.staged_) {
+    PendingWake* w = sched.wakes_[v];
     NodeMetrics& nm = shard.metrics.Node(w->node);
     ++nm.awake_rounds;
     if (shard.metrics.WakeTimesEnabled()) nm.wake_times.push_back(r);

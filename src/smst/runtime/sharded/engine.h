@@ -1,14 +1,14 @@
 // Sharded multi-worker backend for the sleeping-model simulator.
 //
 // The node set is partitioned into K shards; each shard worker thread
-// owns a full Scheduler instance (wake heap, delayed-message parking,
+// owns a full Scheduler instance (wake queue, delayed-message parking,
 // fault session, optional auditor) plus the coroutines and metrics of
 // its nodes. A round proceeds in barrier-separated phases:
 //
 //   select   every shard publishes NextPendingRound(); the barrier's
 //            completion reduces them to the global round R = min
-//   stage    each shard stages its round-R wakers (canonical ascending
-//            node order) and marks them awake
+//   stage    each shard pops its round-R wakers (canonical ascending
+//            node order), which marks them awake
 //   collect  each shard meters its nodes' sends and publishes the
 //            *cross-shard* ones (fault verdicts applied sender-side)
 //            through the ShardExchange; shard-local sends wait for the
@@ -77,9 +77,9 @@ class ShardedEngine {
   ~ShardedEngine();
 
   // Runs every node program to completion (or abort). Shard-level
-  // failures (round watchdog, double registration) rethrow here, lowest
-  // shard index first; node-program failures are left in their promises
-  // for RethrowFirstNodeFailure. Per-shard metrics and fault counters
+  // failures (the round watchdog) rethrow here, lowest shard index first;
+  // node-program failures, including a rejected registration, are left in
+  // their promises for RethrowFirstNodeFailure. Per-shard metrics and fault counters
   // are merged (in shard order) before any rethrow, so callers observe
   // a consistent aborted state. May be called once.
   void Execute(const NodeProgram& program);

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace smst {
 
@@ -23,6 +24,13 @@ bool IsPlainDecimal(const std::string& s) {
 }  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
+  // A repeated flag is an error, not "last one wins": `--n 64 --n 128`
+  // is almost always a pasted command line with a stale value in it.
+  const auto set = [this](const std::string& name, std::string value) {
+    if (!values_.emplace(name, std::move(value)).second) {
+      throw std::invalid_argument("--" + name + " given more than once");
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     std::string token = argv[i];
     if (token.rfind("--", 0) != 0 || token.size() <= 2) {
@@ -31,15 +39,15 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
     token = token.substr(2);
     const auto eq = token.find('=');
     if (eq != std::string::npos) {
-      values_[token.substr(0, eq)] = token.substr(eq + 1);
+      set(token.substr(0, eq), token.substr(eq + 1));
       continue;
     }
     // "--flag value" unless the next token is another flag (then it is a
     // boolean switch).
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[token] = argv[++i];
+      set(token, argv[++i]);
     } else {
-      values_[token] = "true";
+      set(token, "true");
     }
   }
 }

@@ -14,7 +14,7 @@ namespace smst {
 class ArgParser {
  public:
   // Parses argv; throws std::invalid_argument on malformed input
-  // (non-flag tokens, missing values).
+  // (non-flag tokens, a flag given twice in either form).
   ArgParser(int argc, const char* const* argv);
 
   bool Has(const std::string& name) const;

@@ -82,7 +82,7 @@ TEST(AllocationRegressionTest, EngineSteadyStateIsAllocationFree) {
   const std::uint64_t long_run = CountAllocs([&] { RunPing(g, 128); });
   // The extra (128 - 32) * 64 = 6144 awake node-rounds must cost zero
   // heap allocations: inline message batches, pooled coroutine frames,
-  // recycled scheduler buckets.
+  // and a wake queue whose entries live in fixed per-node slots.
   EXPECT_EQ(long_run, short_run)
       << "steady-state allocations now scale with awake node-rounds";
 }

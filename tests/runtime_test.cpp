@@ -196,21 +196,34 @@ TEST(SchedulerTest, DuplicateWakeRegistrationThrowsInEveryBuildType) {
   // Only direct Register misuse can double-book a node (a coroutine is
   // suspended while its wake is queued), but before this was a throw it
   // was a debug-only assert: release builds silently clobbered
-  // delivery state. Pin the loud failure.
+  // delivery state. Pin the loud failure, raised by the second Register
+  // itself (the node's queue slot is taken).
   auto g = TwoNodes();
   Metrics metrics(g.NumNodes());
   Scheduler sched(g, metrics, /*max_rounds=*/100);
   PendingWake first{0, 1, {}, {}, nullptr};
   PendingWake second{0, 1, {}, {}, nullptr};
   sched.Register(&first);
-  sched.Register(&second);
   try {
-    sched.RunUntilIdle();
+    sched.Register(&second);
     FAIL() << "duplicate wake did not throw";
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string(e.what()).find("awake twice"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(SchedulerTest, DuplicateWakeForALaterRoundAlsoThrows) {
+  // The slot test catches a second pending wake whatever its round, not
+  // only one that collides in the same round.
+  auto g = TwoNodes();
+  Metrics metrics(g.NumNodes());
+  Scheduler sched(g, metrics, /*max_rounds=*/100);
+  PendingWake first{1, 3, {}, {}, nullptr};
+  PendingWake second{1, 7, {}, {}, nullptr};
+  sched.Register(&first);
+  EXPECT_THROW(sched.Register(&second), std::logic_error);
+  EXPECT_EQ(sched.NextPendingRound(), 3u);
 }
 
 Task<int> NestedBadRound(NodeContext& ctx) {

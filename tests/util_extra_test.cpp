@@ -78,6 +78,23 @@ TEST(ArgsTest, RejectsNonFlagToken) {
   EXPECT_THROW(Parse({"positional"}), std::invalid_argument);
 }
 
+TEST(ArgsTest, RejectsRepeatedFlagInEitherForm) {
+  const auto expect_rejected = [](std::initializer_list<const char*> tokens,
+                                  const std::string& flag) {
+    try {
+      Parse(tokens);
+      ADD_FAILURE() << flag << " given twice was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected({"--n", "64", "--n", "128"}, "--n");
+  expect_rejected({"--n=64", "--n=128"}, "--n");
+  expect_rejected({"--n", "64", "--seed", "3", "--n=128"}, "--n");
+  expect_rejected({"--quiet", "--quiet"}, "--quiet");
+}
+
 TEST(ArgsTest, RejectsMalformedNumbers) {
   auto a = Parse({"--n", "12x"});
   EXPECT_THROW(a.GetUint("n", 0), std::invalid_argument);

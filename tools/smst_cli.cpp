@@ -155,6 +155,9 @@ int main(int argc, char** argv) {
         smst::ParseShardPolicy(args.GetString("shard-policy", "block"));
     opt.engine = smst::ParseEngineMode(args.GetString("engine", "coroutine"));
     const std::uint64_t num_seeds = args.GetUint("seeds", 1);
+    if (num_seeds == 0) {
+      throw std::invalid_argument("--seeds expects at least 1 run, got 0");
+    }
     const auto threads = static_cast<unsigned>(args.GetUint("threads", 0));
     if (auto unused = args.UnusedFlags(); !unused.empty()) {
       std::cerr << "unknown flag --" << unused.front() << " (see --help)\n";
