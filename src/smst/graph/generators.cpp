@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace smst {
@@ -177,6 +178,10 @@ WeightedGraph MakeLollipop(std::size_t n, Xoshiro256& rng,
 
 WeightedGraph MakeErdosRenyi(std::size_t n, double p, Xoshiro256& rng,
                              const GeneratorOptions& opt) {
+  if (!(p >= 0.0)) {
+    throw std::invalid_argument("Erdos-Renyi needs p >= 0, got " +
+                                std::to_string(p));
+  }
   EdgeList edges;
   for (NodeIndex u = 0; u < n; ++u) {
     for (NodeIndex v = u + 1; v < n; ++v) {
@@ -199,6 +204,11 @@ WeightedGraph MakeRandomTree(std::size_t n, Xoshiro256& rng,
 WeightedGraph MakeRandomGeometric(std::size_t n, double radius,
                                   Xoshiro256& rng,
                                   const GeneratorOptions& opt) {
+  if (!(radius >= 0.0)) {
+    throw std::invalid_argument(
+        "random geometric graph needs radius >= 0, got " +
+        std::to_string(radius));
+  }
   std::vector<std::pair<double, double>> pts(n);
   for (auto& [x, y] : pts) {
     x = rng.NextDouble();

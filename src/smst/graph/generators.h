@@ -54,7 +54,8 @@ WeightedGraph MakeLollipop(std::size_t n, Xoshiro256& rng,
 
 // -- random topologies --------------------------------------------------
 // Erdős–Rényi G(n, p), patched to connectivity by adding a random
-// spanning tree over the components if needed.
+// spanning tree over the components if needed. p >= 1 takes every pair;
+// p < 0 or NaN throws std::invalid_argument.
 WeightedGraph MakeErdosRenyi(std::size_t n, double p, Xoshiro256& rng,
                              const GeneratorOptions& opt = {});
 // Random spanning tree alone (uniform attachment), a worst case for
@@ -63,7 +64,8 @@ WeightedGraph MakeRandomTree(std::size_t n, Xoshiro256& rng,
                              const GeneratorOptions& opt = {});
 // Random geometric graph on the unit square with connection radius
 // `radius` (patched to connectivity); the usual model for the sensor
-// networks the paper's introduction motivates.
+// networks the paper's introduction motivates. A radius < 0 or NaN throws
+// std::invalid_argument.
 WeightedGraph MakeRandomGeometric(std::size_t n, double radius,
                                   Xoshiro256& rng,
                                   const GeneratorOptions& opt = {});

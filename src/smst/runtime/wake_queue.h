@@ -19,6 +19,13 @@
 // Higher buckets stay correct when last_ rises to the minimum of the
 // lowest occupied bucket, because that minimum shares every bit above the
 // bucket's index with the old last_.
+//
+// Canonical order: a round pops in ascending node index. FIFO buckets keep
+// the order of one ascending registration sweep, so a round registered in
+// one earlier round pops sorted as it is. A round filled from several
+// earlier rounds is a concatenation of ascending runs, which a bottom-up
+// natural merge joins pairwise through a scratch buffer of n entries: R
+// runs take ceil(log2 R) linear passes. A round of all n nodes is 0..n-1.
 #pragma once
 
 #include <algorithm>
@@ -26,6 +33,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "smst/faults/fault_plan.h"
@@ -35,7 +43,8 @@ namespace smst {
 
 class WakeQueue {
  public:
-  explicit WakeQueue(std::size_t num_nodes) : slots_(num_nodes) {}
+  explicit WakeQueue(std::size_t num_nodes)
+      : slots_(num_nodes), scratch_(num_nodes) {}
 
   bool Empty() const { return occupied_ == 0; }
 
@@ -86,9 +95,13 @@ class WakeQueue {
       }
       v = next;
     }
-    // Registrations made in one ascending sweep arrive in order; a round
-    // filled from several earlier rounds is a concatenation of runs.
-    if (!sorted) std::sort(out.begin(), out.end());
+    if (sorted) return;
+    // A set of n distinct nodes is every node.
+    if (out.size() == slots_.size()) {
+      std::iota(out.begin(), out.end(), NodeIndex{0});
+    } else {
+      MergeRuns(out);
+    }
   }
 
  private:
@@ -101,6 +114,26 @@ class WakeQueue {
     NodeIndex head = kInvalidNode;
     NodeIndex tail = kInvalidNode;
   };
+
+  // Sorts `out`, a concatenation of ascending runs: each pass merges
+  // adjacent runs pairwise into the other buffer until one run is left.
+  void MergeRuns(std::vector<NodeIndex>& out) {
+    const std::size_t k = out.size();
+    NodeIndex* src = out.data();
+    NodeIndex* dst = scratch_.data();
+    std::size_t runs;
+    do {
+      runs = 0;
+      for (std::size_t begin = 0; begin < k; ++runs) {
+        NodeIndex* const mid = std::is_sorted_until(src + begin, src + k);
+        NodeIndex* const end = std::is_sorted_until(mid, src + k);
+        std::merge(src + begin, mid, mid, end, dst + begin);
+        begin = static_cast<std::size_t>(end - src);
+      }
+      std::swap(src, dst);
+    } while (runs > 1);
+    if (src != out.data()) std::copy(src, src + k, out.data());
+  }
 
   // r > clock_ >= last_, so r ^ last_ is nonzero.
   int BucketOf(Round r) const { return 63 - std::countl_zero(r ^ last_); }
@@ -119,6 +152,7 @@ class WakeQueue {
   }
 
   std::vector<Slot> slots_;
+  std::vector<NodeIndex> scratch_;  // MergeRuns' second buffer
   std::array<Bucket, 64> buckets_{};
   std::uint64_t occupied_ = 0;  // bit b set iff bucket b is nonempty
   Round last_ = 0;   // radix reference: the last round that popped nodes

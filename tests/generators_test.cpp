@@ -1,4 +1,6 @@
+#include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -87,6 +89,27 @@ TEST(GeneratorsTest, ErdosRenyiIsAlwaysConnected) {
   }
 }
 
+TEST(GeneratorsTest, ErdosRenyiRejectsNegativeOrNanP) {
+  Xoshiro256 rng(7);
+  EXPECT_THROW(MakeErdosRenyi(20, -0.5, rng), std::invalid_argument);
+  EXPECT_THROW(MakeErdosRenyi(20, std::nan(""), rng), std::invalid_argument);
+  // The checks draw nothing: a valid call after them still gets the
+  // seed's graph.
+  Xoshiro256 fresh(7);
+  const auto g = MakeErdosRenyi(20, 0.3, rng);
+  const auto expected = MakeErdosRenyi(20, 0.3, fresh);
+  ASSERT_EQ(g.NumEdges(), expected.NumEdges());
+  for (EdgeIndex e = 0; e < g.NumEdges(); ++e) {
+    EXPECT_EQ(g.GetEdge(e).weight, expected.GetEdge(e).weight);
+  }
+}
+
+TEST(GeneratorsTest, ErdosRenyiWithPAtLeastOneIsComplete) {
+  Xoshiro256 a(3), b(3);
+  EXPECT_EQ(MakeErdosRenyi(7, 1.0, a).NumEdges(), 21u);
+  EXPECT_EQ(MakeErdosRenyi(7, 8.0 / 7.0, b).NumEdges(), 21u);
+}
+
 TEST(GeneratorsTest, RandomTreeHasExactlyNMinusOneEdges) {
   Xoshiro256 rng(8);
   auto g = MakeRandomTree(64, rng);
@@ -98,6 +121,23 @@ TEST(GeneratorsTest, RandomGeometricConnected) {
   Xoshiro256 rng(9);
   auto g = MakeRandomGeometric(60, 0.18, rng);
   ExpectValid(g, 60);
+}
+
+TEST(GeneratorsTest, RandomGeometricRejectsNegativeOrNanRadius) {
+  Xoshiro256 rng(9);
+  EXPECT_THROW(MakeRandomGeometric(20, -0.3, rng), std::invalid_argument);
+  EXPECT_THROW(MakeRandomGeometric(20, std::nan(""), rng),
+               std::invalid_argument);
+  Xoshiro256 fresh(9);
+  const auto g = MakeRandomGeometric(20, 0.3, rng);
+  const auto expected = MakeRandomGeometric(20, 0.3, fresh);
+  ASSERT_EQ(g.NumEdges(), expected.NumEdges());
+  for (EdgeIndex e = 0; e < g.NumEdges(); ++e) {
+    EXPECT_EQ(g.GetEdge(e).weight, expected.GetEdge(e).weight);
+  }
+  // Radius 0 is legal: only the connectivity patch adds edges.
+  Xoshiro256 zero(9);
+  EXPECT_EQ(MakeRandomGeometric(20, 0.0, zero).NumEdges(), 19u);
 }
 
 TEST(GeneratorsTest, SameSeedSameGraph) {

@@ -26,13 +26,18 @@ thread_local std::uint64_t t_alloc_count = 0;
 
 }  // namespace
 
-void* operator new(std::size_t n) {
+// Kept out of line: once one side inlines into a caller, GCC's
+// -Wmismatched-new-delete pairs malloc with operator delete (or operator
+// new with free) and warns.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   ++t_alloc_count;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace smst {
 namespace {
@@ -165,6 +170,70 @@ TEST(WakeQueueTest, RoundFilledFromSeveralEarlierRoundsPopsAscending) {
   EXPECT_TRUE(q.Empty());
 }
 
+// The number of ascending runs in `nodes`.
+std::size_t CountRuns(const Nodes& nodes) {
+  std::size_t runs = nodes.empty() ? 0 : 1;
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    runs += nodes[i] < nodes[i - 1];
+  }
+  return runs;
+}
+
+TEST(WakeQueueTest, RoundFilledFromManyEarlierRoundsMergesEveryRun) {
+  // Group i, the nodes v with v % 37 == i, wakes in round 1 + i and
+  // registers its first two nodes for round 100 and its last two for
+  // round 101 (groups 0-4) or 102 (the rest), in ascending order. A
+  // bucket keeps registration order, so round 100 pops as 37 runs (6
+  // merge passes, with an odd trailing run in passes 1, 2, 4 and 5),
+  // round 101 as 5 runs and round 102 as 32: odd pass counts, whose
+  // result is copied back from the scratch buffer.
+  constexpr NodeIndex kGroups = 37;
+  constexpr NodeIndex kN = 4 * kGroups;
+  WakeQueue q(kN);
+  for (NodeIndex v = 0; v < kN; ++v) q.Push(v, 1 + v % kGroups);
+  std::map<Round, Nodes> registered;
+  for (NodeIndex i = 0; i < kGroups; ++i) {
+    const Nodes group = Pop(q, 1 + i);
+    ASSERT_EQ(group, (Nodes{i, i + kGroups, i + 2 * kGroups, i + 3 * kGroups}));
+    for (std::size_t j = 0; j < group.size(); ++j) {
+      const Round r = j < 2 ? 100 : i < 5 ? 101 : 102;
+      q.Push(group[j], r);
+      registered[r].push_back(group[j]);
+    }
+  }
+  EXPECT_EQ(CountRuns(registered[100]), 37u);
+  EXPECT_EQ(CountRuns(registered[101]), 5u);
+  EXPECT_EQ(CountRuns(registered[102]), 32u);
+  for (auto& [round, nodes] : registered) {
+    std::sort(nodes.begin(), nodes.end());
+    ASSERT_EQ(q.NextRound(), round);
+    EXPECT_EQ(Pop(q, round), nodes) << "round " << round;
+  }
+  EXPECT_TRUE(q.Empty());
+}
+
+TEST(WakeQueueTest, FullRoundFromScrambledRegistrationsPopsEveryNode) {
+  // Every node registers for round 20 from one of five earlier rounds,
+  // each in a scrambled order.
+  constexpr NodeIndex kN = 96;
+  WakeQueue q(kN);
+  Xoshiro256 rng(11);
+  for (NodeIndex v = 0; v < kN; ++v) q.Push(v, 1 + (v * 7 + 3) % 5);
+  for (Round r = 1; r <= 5; ++r) {
+    Nodes popped = Pop(q, r);
+    for (std::size_t i = popped.size(); i > 1; --i) {
+      std::swap(popped[i - 1], popped[rng.NextBelow(i)]);
+    }
+    for (const NodeIndex v : popped) q.Push(v, 20);
+  }
+  Nodes all(kN);
+  for (NodeIndex v = 0; v < kN; ++v) all[v] = v;
+  EXPECT_EQ(q.NextRound(), 20u);
+  EXPECT_EQ(Pop(q, 20), all);
+  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.NextRound(), kMaxRound);
+}
+
 TEST(WakeQueueTest, GapsOfManyScheduleBlocks) {
   // Transmission-Schedule blocks of 2n + 1 rounds at n = 1024; wakes
   // scattered up to a million blocks ahead, registered descending.
@@ -239,24 +308,64 @@ TEST(WakeQueueTest, ShardedReducerStagesASmallerRoundThenPushes) {
 }
 
 TEST(WakeQueueTest, NoAllocationAfterConstruction) {
+  // Every popped round re-registers in shuffled order, so later rounds
+  // merge several runs; the first rounds fill a round of all nodes. A
+  // bucket keeps registration order, so a round's runs before the merge
+  // are those of its nodes ordered by push sequence number.
   constexpr NodeIndex kN = 512;
   WakeQueue q(kN);
-  Nodes out;
+  Nodes out, order;
   out.reserve(kN);
+  order.reserve(kN);
+  std::vector<std::uint64_t> seq(kN);
+  std::uint64_t pushes = 0;
   Xoshiro256 rng(5);
+  const auto push = [&](NodeIndex v, Round r) {
+    q.Push(v, r);
+    seq[v] = pushes++;
+  };
+  const auto shuffle = [&] {
+    for (std::size_t i = out.size(); i > 1; --i) {
+      std::swap(out[i - 1], out[rng.NextBelow(i)]);
+    }
+  };
 
   const std::uint64_t before = t_alloc_count;
+  for (NodeIndex v = 0; v < kN; ++v) push(v, 1 + v % 4);
+  for (Round r = 1; r <= 4; ++r) {
+    q.PopRound(r, out);
+    shuffle();
+    for (const NodeIndex v : out) push(v, 5);
+  }
+  q.PopRound(5, out);
+  const std::size_t full_round = out.size();
   std::uint64_t popped = 0;
-  for (NodeIndex v = 0; v < kN; ++v) q.Push(v, 1 + rng.NextBelow(3 * kN));
+  std::uint64_t unsorted_rounds =
+      std::is_sorted(out.begin(), out.end()) ? 0 : 1;
+  std::uint64_t multi_run_rounds = 0;
+  std::size_t max_runs = 0;
+  for (const NodeIndex v : out) push(v, 6 + rng.NextBelow(3 * kN));
   for (int step = 0; step < 200'000 && !q.Empty(); ++step) {
     const Round r = q.NextRound();
     q.PopRound(r, out);
     popped += out.size();
-    for (const NodeIndex v : out) q.Push(v, r + 1 + rng.NextBelow(3 * kN));
+    if (!std::is_sorted(out.begin(), out.end())) ++unsorted_rounds;
+    order.assign(out.begin(), out.end());
+    std::sort(order.begin(), order.end(),
+              [&](NodeIndex a, NodeIndex b) { return seq[a] < seq[b]; });
+    const std::size_t runs = CountRuns(order);
+    if (runs > 1) ++multi_run_rounds;
+    max_runs = std::max(max_runs, runs);
+    shuffle();
+    for (const NodeIndex v : out) push(v, r + 1 + rng.NextBelow(3 * kN));
   }
   const std::uint64_t allocs = t_alloc_count - before;
   EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(full_round, kN);
+  EXPECT_EQ(unsorted_rounds, 0u);
   EXPECT_GT(popped, 100'000u);
+  EXPECT_GT(multi_run_rounds, 10'000u);
+  EXPECT_GE(max_runs, 3u);
 }
 
 }  // namespace

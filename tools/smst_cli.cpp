@@ -10,7 +10,9 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <fstream>
@@ -25,6 +27,7 @@
 #include "smst/runtime/parallel_runner.h"
 #include "smst/runtime/simulator.h"
 #include "smst/util/args.h"
+#include "smst/util/json.h"
 #include "smst/util/stats.h"
 #include "smst/util/table.h"
 
@@ -40,8 +43,8 @@ flags:
   --dot      write the graph + tree as Graphviz DOT to this path
   --adaptive use depth-bounded schedule blocks (randomized engine)
   --n        node count (family-dependent meaning)                   [256]
-  --p        Erdos-Renyi edge probability (0 = 8/n)                  [0]
-  --radius   geometric radius                                        [0.16]
+  --p        Erdos-Renyi edge probability in [0, 1] (0 = min(1, 8/n)) [0]
+  --radius   geometric radius, >= 0                                  [0.16]
   --rows/--cols  G_rc shape                                          [4/64]
   --max-id   N, the ID range (0 = n)                                 [0]
   --seed     run & generator seed                                    [1]
@@ -63,7 +66,7 @@ flags:
              FlatEngine (used when no --fault-plan / --audit observes the
              run; otherwise flat also steps on the Scheduler). Results are
              bit-identical; see DESIGN.md §13                        [coroutine]
-  --energy   off | mote | wifi | ble                                 [off]
+  --energy   off | mote | wifi | ble (single runs only)              [off]
   --quiet    only the summary line
 )";
 
@@ -76,6 +79,16 @@ smst::MstAlgorithm ParseAlgo(const std::string& s) {
   throw std::invalid_argument("unknown --algo '" + s + "'");
 }
 
+// The energy model --energy names; nullopt for "off".
+std::optional<smst::EnergyModel> ParseEnergy(const std::string& s) {
+  if (s == "off") return std::nullopt;
+  if (s == "mote") return smst::EnergyModel::SensorMote();
+  if (s == "wifi") return smst::EnergyModel::WifiStation();
+  if (s == "ble") return smst::EnergyModel::BleBeacon();
+  throw std::invalid_argument("unknown --energy '" + s +
+                              "' (off | mote | wifi | ble)");
+}
+
 smst::WeightedGraph MakeGraph(const smst::ArgParser& args,
                               smst::Xoshiro256& rng) {
   const std::string family = args.GetString("graph", "er");
@@ -84,7 +97,11 @@ smst::WeightedGraph MakeGraph(const smst::ArgParser& args,
   opt.max_id = args.GetUint("max-id", 0);
   if (family == "er") {
     double p = args.GetDouble("p", 0.0);
-    if (p <= 0.0) p = 8.0 / static_cast<double>(n);
+    if (p < 0.0 || p > 1.0) {
+      throw std::invalid_argument("--p must lie in [0, 1], got " +
+                                  smst::JsonNum(p));
+    }
+    if (p == 0.0) p = std::min(1.0, 8.0 / static_cast<double>(n));
     return smst::MakeErdosRenyi(n, p, rng, opt);
   }
   if (family == "ring") return smst::MakeRing(n, rng, opt);
@@ -95,8 +112,12 @@ smst::WeightedGraph MakeGraph(const smst::ArgParser& args,
     return smst::MakeGrid(side, (n + side - 1) / side, rng, opt);
   }
   if (family == "geometric") {
-    return smst::MakeRandomGeometric(n, args.GetDouble("radius", 0.16), rng,
-                                     opt);
+    const double radius = args.GetDouble("radius", 0.16);
+    if (radius < 0.0) {
+      throw std::invalid_argument("--radius must be >= 0, got " +
+                                  smst::JsonNum(radius));
+    }
+    return smst::MakeRandomGeometric(n, radius, rng, opt);
   }
   if (family == "complete") return smst::MakeComplete(n, rng, opt);
   if (family == "tree") return smst::MakeRandomTree(n, rng, opt);
@@ -129,12 +150,28 @@ int main(int argc, char** argv) {
     const std::uint64_t seed = args.GetUint("seed", 1);
     const bool quiet = args.GetBool("quiet", false);
     const std::string energy = args.GetString("energy", "off");
+    const auto energy_model = ParseEnergy(energy);
+    const std::string dot_path = args.GetString("dot", "");
+    const std::uint64_t num_seeds = args.GetUint("seeds", 1);
+    if (num_seeds == 0) {
+      throw std::invalid_argument("--seeds expects at least 1 run, got 0");
+    }
+    // A multi-seed sweep reports one row per seed: there is no single
+    // tree to draw and no single run to bill.
+    if (num_seeds > 1 && !dot_path.empty()) {
+      throw std::invalid_argument("--dot needs a single run, not --seeds " +
+                                  std::to_string(num_seeds));
+    }
+    if (num_seeds > 1 && energy_model) {
+      throw std::invalid_argument("--energy " + energy +
+                                  " needs a single run, not --seeds " +
+                                  std::to_string(num_seeds));
+    }
 
     smst::Xoshiro256 rng(seed);
     const std::string input = args.GetString("input", "");
     auto g = input.empty() ? MakeGraph(args, rng)
                            : smst::ReadEdgeListFile(input);
-    const std::string dot_path = args.GetString("dot", "");
 
     smst::MstOptions opt;
     opt.seed = seed;
@@ -154,10 +191,6 @@ int main(int argc, char** argv) {
     opt.shard_policy =
         smst::ParseShardPolicy(args.GetString("shard-policy", "block"));
     opt.engine = smst::ParseEngineMode(args.GetString("engine", "coroutine"));
-    const std::uint64_t num_seeds = args.GetUint("seeds", 1);
-    if (num_seeds == 0) {
-      throw std::invalid_argument("--seeds expects at least 1 run, got 0");
-    }
     const auto threads = static_cast<unsigned>(args.GetUint("threads", 0));
     if (auto unused = args.UnusedFlags(); !unused.empty()) {
       std::cerr << "unknown flag --" << unused.front() << " (see --help)\n";
@@ -298,15 +331,8 @@ int main(int argc, char** argv) {
       std::cout << "wrote " << dot_path << " (render: dot -Tsvg " << dot_path
                 << " -o tree.svg)\n";
     }
-    if (energy != "off") {
-      smst::EnergyModel model = smst::EnergyModel::SensorMote();
-      if (energy == "wifi") model = smst::EnergyModel::WifiStation();
-      else if (energy == "ble") model = smst::EnergyModel::BleBeacon();
-      else if (energy != "mote") {
-        std::cerr << "unknown --energy '" << energy << "'\n";
-        return 2;
-      }
-      const auto bill = smst::BillRun(r.stats, r.node_metrics, model);
+    if (energy_model) {
+      const auto bill = smst::BillRun(r.stats, r.node_metrics, *energy_model);
       std::cout << "energy(" << energy << "): total=" << bill.total
                 << "uJ worst-node=" << bill.max_per_node
                 << "uJ awake-share=" << bill.awake_share
