@@ -1,25 +1,24 @@
-// Flat-engine throughput curve (google-benchmark): the coroutine
-// scheduler versus the flat batched-state-machine engine, serial and
-// sharded, on identical work. Committed curve:
-// bench/baselines/BENCH_flat.json.
+// Round-loop throughput curve (google-benchmark): coroutine versus flat
+// node programs on the one round loop, serial and sharded, on identical
+// work. Committed curve: bench/baselines/BENCH_flat.json (recorded when
+// each program kind still had its own loop; see the baselines README).
 //
 // Two workload families:
 //  * Dense rounds — every node awake and chattering on every port every
-//    round (the round engine's worst case, same as bench_sharded). This
-//    isolates per-node-round overhead: coroutine frame resume + scheduler
-//    wake bookkeeping vs one virtual Step() into a flat program. The flat
-//    engine's >=5x target is measured here.
-//  * MST end-to-end — Randomized-MST and Deterministic-MST, whose only
-//    implementation is a flat program (src/smst/mst/*_mst.cpp): axis 0
-//    steps it on the Scheduler (through FlatRuntime), axis 1 on the
-//    FlatEngine, so the curve shows what the batched round loop buys on
-//    the paper's real sleeping-model workload, where most node-rounds
-//    are spent asleep.
+//    round (the round engine's worst case, same as bench_sharded). Both
+//    program kinds take the scheduler's fused all-awake sweep, so the
+//    pair isolates the per-node-round cost of a coroutine resume through
+//    the CoroutineProgram adapter against one virtual Step() into a flat
+//    program.
+//  * MST end to end — Randomized-MST and Deterministic-MST, whose only
+//    implementation is a flat program (src/smst/mst/*_mst.cpp), serial and
+//    on 2 shards: the paper's real sleeping-model workload, where most
+//    node-rounds are spent asleep.
 //
-// Engine axis (arg 1): 0 = coroutine serial (EngineMode::kCoroutine),
-// 1 = flat serial, 2 = flat + 2 shards. Results are bit-identical across
-// all three (pinned by tests/mst_golden_test.cpp); this bench records the
-// cost.
+// Variant axis (arg 1): 0 = coroutine program, serial (dense rows only);
+// 1 = flat program, serial; 2 = flat program on 2 shards. Results are
+// bit-identical across all three (pinned by tests/mst_golden_test.cpp
+// and tests/program_kinds_test.cpp); this bench records the cost.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -37,7 +36,7 @@ using namespace smst;
 constexpr int kRounds = 32;
 
 // arg1 encoding shared by every benchmark in this file.
-enum EngineAxis : std::int64_t {
+enum Variant : std::int64_t {
   kCoroutineSerial = 0,
   kFlatSerial = 1,
   kFlatSharded2 = 2,
@@ -85,7 +84,6 @@ SimulatorOptions OptionsFor(std::int64_t axis) {
   // Throughput numbers are for the production configuration; the auditor
   // is O(messages) bookkeeping on top.
   opt.audit = AuditMode::kOff;
-  if (axis != kCoroutineSerial) opt.engine = EngineMode::kFlat;
   if (axis == kFlatSharded2) opt.shards = 2;
   return opt;
 }
@@ -156,7 +154,6 @@ void RunMst(benchmark::State& state, bool deterministic) {
   const std::int64_t axis = state.range(1);
   MstOptions opt;
   opt.seed = 1;
-  if (axis != kCoroutineSerial) opt.engine = EngineMode::kFlat;
   if (axis == kFlatSharded2) opt.shards = 2;
   std::uint64_t awake = 0;
   std::uint64_t rounds = 0;
@@ -180,10 +177,8 @@ void RunMst(benchmark::State& state, bool deterministic) {
 
 void BM_RandomizedMst(benchmark::State& state) { RunMst(state, false); }
 BENCHMARK(BM_RandomizedMst)
-    ->Args({256, kCoroutineSerial})
     ->Args({256, kFlatSerial})
     ->Args({256, kFlatSharded2})
-    ->Args({1024, kCoroutineSerial})
     ->Args({1024, kFlatSerial})
     ->Args({1024, kFlatSharded2})
     ->UseRealTime()
@@ -191,7 +186,6 @@ BENCHMARK(BM_RandomizedMst)
 
 void BM_DeterministicMst(benchmark::State& state) { RunMst(state, true); }
 BENCHMARK(BM_DeterministicMst)
-    ->Args({256, kCoroutineSerial})
     ->Args({256, kFlatSerial})
     ->Args({256, kFlatSharded2})
     ->UseRealTime()

@@ -87,17 +87,15 @@ void BM_SimulatorDenseRounds(benchmark::State& state) {
       benchmark::Counter(node_rounds == 0 ? 0.0 : allocs / node_rounds);
   state.SetItemsProcessed(state.iterations() * state.range(0) * kRounds);
 }
-// 2^18 leaves every per-node structure far outside cache: the regime
-// where the coroutine engine's pointer-chasing collapses and the flat
-// engine's fused sweeps keep streaming (the >=5x row; see BENCH_flat).
+// 2^18 leaves every per-node structure far outside cache, where the
+// fused all-awake sweep's sliding window matters most.
 BENCHMARK(BM_SimulatorDenseRounds)->Arg(64)->Arg(512)->Arg(1 << 18);
 
-// Flat-engine twin of BM_SimulatorDenseRounds: the identical every-node-
-// every-round chatter, lowered to a FlatProgram. The pair is the headline
-// engine comparison — same graph, same rounds, same messages, so the
-// items/s ratio is pure per-node-round overhead (coroutine frame resume +
-// scheduler wake bookkeeping vs a virtual call into a batched state
-// machine).
+// Flat twin of BM_SimulatorDenseRounds: the identical every-node-every-
+// round chatter, lowered to a FlatProgram. Both run on the one round loop
+// — same graph, same rounds, same messages — so the items/s ratio is the
+// per-node-round cost of a coroutine resume through the CoroutineProgram
+// adapter against a virtual call into a batched state machine.
 class FlatPingProgram final : public FlatProgram {
  public:
   FlatPingProgram(const WeightedGraph& g, int rounds)
@@ -133,9 +131,7 @@ void BM_SimulatorDenseRoundsFlat(benchmark::State& state) {
   constexpr int kRounds = 64;
   const std::uint64_t allocs_before = bench::AllocCount();
   for (auto _ : state) {
-    SimulatorOptions opt;
-    opt.engine = EngineMode::kFlat;
-    Simulator sim(g, opt);
+    Simulator sim(g);
     FlatPingProgram program(g, kRounds);
     sim.Run(program);
     benchmark::DoNotOptimize(sim.Stats());

@@ -25,7 +25,6 @@ Harness::Harness(std::string experiment, int argc, char** argv)
   seeds_override_ = args.GetUint("seeds", 0);
   shards_ = static_cast<std::uint32_t>(args.GetUint("shards", 0));
   shard_policy_ = ParseShardPolicy(args.GetString("shard-policy", "block"));
-  engine_ = ParseEngineMode(args.GetString("engine", "coroutine"));
   const std::string json_path = args.GetString("json", "");
   if (!json_path.empty()) {
     json_.open(json_path);
@@ -39,8 +38,7 @@ Harness::Harness(std::string experiment, int argc, char** argv)
   if (auto unused = args.UnusedFlags(); !unused.empty()) {
     std::cerr << "note: ignoring unknown flag --" << unused.front()
               << " (harness flags: --threads N, --seeds K, --json PATH, "
-                 "--shards K, --shard-policy block|rr, "
-                 "--engine coroutine|flat)\n";
+                 "--shards K, --shard-policy block|rr)\n";
   }
 }
 
@@ -74,7 +72,6 @@ SweepOutput Harness::Sweep(MstAlgorithm algo,
     // pure function of (n, seed) either way.
     options.shards = shards_;
     options.shard_policy = shard_policy_;
-    options.engine = engine_;
     // Each cell runs wholly on this worker thread, so the thread-local
     // counter difference is exactly this run's allocations. Graph
     // generation (above) and verification (below) are excluded: the

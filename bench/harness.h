@@ -11,9 +11,6 @@
 //      --shards K    run every cell on the K-shard simulator backend
 //                    (0 = serial; results are bit-identical either way)
 //      --shard-policy block|rr   node-to-shard partition policy
-//      --engine coroutine|flat   round loop for every cell: the
-//                    Scheduler, or the batched FlatEngine when nothing
-//                    observes the run (bit-identical; DESIGN.md §13)
 //  * parallel execution of the cells via smst::ParallelRunner, with
 //    results identical to the serial loops the benches used to run
 //    (each cell's graph and randomness derive only from (n, seed));
@@ -93,8 +90,6 @@ class Harness {
   // Simulator shard count applied to every sweep cell (0 = serial).
   std::uint32_t Shards() const { return shards_; }
   ShardPolicy GetShardPolicy() const { return shard_policy_; }
-  // Execution engine applied to every sweep cell.
-  EngineMode Engine() const { return engine_; }
 
   // Runs `algo` on factory(n, seed) for every n in `sizes` and seed in
   // [1, seeds], in parallel. With `verify`, every result is checked
@@ -115,7 +110,6 @@ class Harness {
   std::uint64_t seeds_override_ = 0;
   std::uint32_t shards_ = 0;
   ShardPolicy shard_policy_ = ShardPolicy::kContiguousBlocks;
-  EngineMode engine_ = EngineMode::kCoroutine;
   std::ofstream json_;
 };
 

@@ -118,7 +118,6 @@ TreeOpsReport RunTreeOps(const WeightedGraph& g, const MstRunResult& result,
   TreeOpsProgram program(g, result.final_ldt, requests, report.outcomes);
   SimulatorOptions opt;
   opt.seed = seed;
-  opt.engine = EngineMode::kFlat;
   Simulator sim(g, opt);
   sim.Run(program);
   report.stats = sim.Stats();

@@ -19,9 +19,9 @@
 //                   tests)
 //
 // Violations are recorded with round + node attribution (up to
-// Config::max_recorded, counted beyond that). The hooks are compiled
-// into the scheduler by default behind a null-pointer check and can be
-// removed entirely with -DSMST_NO_AUDITOR=ON; Debug builds (and any
+// Config::max_recorded, counted beyond that). The hooks sit on the
+// scheduler's observed path, behind a null-pointer check; a run with no
+// auditor, fault plan or trace never reaches them. Debug builds (and any
 // build configured with -DSMST_AUDIT=ON) install an auditor on every
 // Simulator by default, making every existing test a model-conformance
 // test. The auditor never changes execution — it only observes.

@@ -394,6 +394,13 @@ std::uint64_t DeterministicPaperPhaseCount(std::size_t n) {
 
 MstRunResult RunDeterministicMst(const WeightedGraph& g,
                                  const MstOptions& options) {
+  if (options.adaptive_blocks) {
+    // The deterministic schedule has no depth-bounded blocks to shrink;
+    // running without them would silently ignore the option.
+    throw std::invalid_argument(
+        "adaptive_blocks applies to the randomized engine (randomized, "
+        "GHS-baseline, BM spanning tree), not to Deterministic-MST");
+  }
   Shared sh;
   sh.g = &g;
   sh.termination = options.termination;
@@ -420,7 +427,6 @@ MstRunResult RunDeterministicMst(const WeightedGraph& g,
   sim_options.audit = options.audit;
   sim_options.shards = options.shards;
   sim_options.shard_policy = options.shard_policy;
-  sim_options.engine = options.engine;
   const bool faulted =
       options.fault_plan != nullptr && !options.fault_plan->Empty();
   Simulator sim(g, sim_options);

@@ -50,6 +50,8 @@ inline constexpr std::uint64_t kDeterministicFixedBlocksPerPhase = 23;
 // and the bench that explains why we run kEarlyDetect instead.
 std::uint64_t DeterministicPaperPhaseCount(std::size_t n);
 
+// Throws std::invalid_argument for options.adaptive_blocks, which only the
+// randomized engine's schedule has.
 MstRunResult RunDeterministicMst(const WeightedGraph& g,
                                  const MstOptions& options = {});
 

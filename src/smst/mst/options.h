@@ -8,6 +8,9 @@
 
 namespace smst {
 
+// No effect; see MstOptions::engine.
+enum class EngineMode : std::uint8_t { kCoroutine, kFlat };
+
 enum class MstAlgorithm {
   kRandomized,            // §2.2: coin-flip valid-MOE filtering
   kDeterministic,         // §2.3: Fast-Awake-Coloring, O(nN log n) rounds
@@ -50,7 +53,9 @@ struct MstOptions {
   // MstRunResult::forest_per_phase (tests check the FLDT invariant holds
   // *between* phases, not just at the end). Out-of-band telemetry.
   bool record_forest_snapshots = false;
-  // Adaptive schedule blocks (randomized engine only): instead of the
+  // Adaptive schedule blocks (randomized engine only — randomized,
+  // GHS-baseline and BM spanning tree; Deterministic-MST and its log*
+  // variant throw std::invalid_argument): instead of the
   // paper's fixed 2n+1-round blocks, phase p uses blocks of span
   // B_p + 1, where B_1 = 0 and B_{p+1} = min(3*B_p + 1, n-1) bounds every
   // fragment's depth (a merged fragment is at most 3x+1 deeper than its
@@ -70,10 +75,9 @@ struct MstOptions {
   // programs on K worker threads with bit-identical results (DESIGN §12).
   std::uint32_t shards = 0;
   ShardPolicy shard_policy = ShardPolicy::kContiguousBlocks;
-  // Round loop for the algorithm's flat program (DESIGN §13): kCoroutine
-  // steps it on the Scheduler, kFlat on the batched FlatEngine whenever
-  // nothing observes the run. Bit-identical results; only wall-clock
-  // time differs.
+  // No effect: every run steps on the one round loop (DESIGN §13). Kept
+  // only because the end-to-end benchmark (perfbench/e2e.cpp) still sets
+  // it; it goes with the next change to that benchmark.
   EngineMode engine = EngineMode::kCoroutine;
 };
 

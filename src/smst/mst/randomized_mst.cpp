@@ -254,7 +254,6 @@ MstRunResult RunEngine(const WeightedGraph& g, const MstOptions& options,
   sim_options.audit = options.audit;
   sim_options.shards = options.shards;
   sim_options.shard_policy = options.shard_policy;
-  sim_options.engine = options.engine;
   const bool faulted =
       options.fault_plan != nullptr && !options.fault_plan->Empty();
   Simulator sim(g, sim_options);

@@ -14,12 +14,14 @@
 //   co_await Awake(r, sends)       return r (sends already pushed)
 //   co_return                      return kFlatDone
 //
-// Engines call Start once per node (before round 1) and then Step each
-// time the node's requested round comes due, in the same canonical
-// ascending-node order as coroutine resumes — which is why a flat run is
-// bit-identical to the coroutine run of the same algorithm (DESIGN.md
-// §13). Exceptions thrown by Start/Step mark the node failed exactly
-// like a coroutine exception reaching the promise.
+// The Scheduler (runtime/scheduler.h), the one round loop, calls Start
+// once per node (before round 1) and then Step each time the node's
+// requested round comes due, in canonical ascending-node order (DESIGN.md
+// §13). It steps nothing else: coroutine NodePrograms reach it through
+// the CoroutineProgram adapter (runtime/node.h), so a flat program and a
+// coroutine of the same protocol give bit-identical runs. An exception
+// thrown by Start/Step marks the node failed, exactly like a coroutine
+// exception reaching its promise.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +35,10 @@ namespace smst {
 using Round = std::uint64_t;
 
 // Sentinel return: the node's program finished (co_return equivalent).
-// Real awake rounds are >= 1, so 0 is unambiguous.
-inline constexpr Round kFlatDone = 0;
+// It is kMaxRound (faults/fault_plan.h), a round no run reaches — the
+// wake queue and the sharded round reducer read it as "none" — so every
+// real request, even an invalid round 0, reaches the scheduler's checks.
+inline constexpr Round kFlatDone = ~Round{0};
 
 // What a flat program may touch besides its own state: the run's metrics
 // sink (for Probe / ExtendRun — the out-of-band telemetry NodeContext

@@ -48,31 +48,6 @@ void* FrameAllocate(std::size_t bytes);
 // bucket is recomputed instead of stored per block).
 void FrameDeallocate(void* p, std::size_t bytes) noexcept;
 
-// Standard-allocator shim over the pool, for node-count-sized
-// containers that must grow on worker threads (the sharded backend's
-// per-shard NodeContext deque). Growing such a container through plain
-// malloc trips the same cold-arena pathology the pool exists to avoid;
-// routing its chunks here makes them slab-carved instead. Oversized
-// requests (a deque's pointer map, say) fall through to global
-// operator new exactly like oversized frames do.
-template <class T>
-struct FramePoolAllocator {
-  using value_type = T;
-  FramePoolAllocator() noexcept = default;
-  template <class U>
-  FramePoolAllocator(const FramePoolAllocator<U>&) noexcept {}
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(FrameAllocate(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    FrameDeallocate(p, n * sizeof(T));
-  }
-  friend bool operator==(const FramePoolAllocator&,
-                         const FramePoolAllocator&) noexcept {
-    return true;
-  }
-};
-
 // Introspection for tests and benches: counters for the calling
 // thread's arena only.
 struct FramePoolStats {

@@ -16,31 +16,35 @@
 //
 // Deliberately absent: neighbor identities (learned only via messages),
 // any global state, other nodes' metrics.
+//
+// Coroutine programs run on the one round loop (runtime/scheduler.h)
+// through CoroutineProgram, the FlatProgram adapter below: Start creates
+// and starts a node's task, Step resumes the frame suspended in Awake,
+// and Awake hands its sends straight to the engine's send lane.
 #pragma once
 
-#include <cassert>
 #include <coroutine>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "smst/graph/graph.h"
+#include "smst/runtime/flat/program.h"
 #include "smst/runtime/message.h"
 #include "smst/runtime/metrics.h"
-#include "smst/runtime/scheduler.h"
+#include "smst/runtime/sharded/partition.h"
+#include "smst/runtime/task.h"
 #include "smst/util/prng.h"
 
 namespace smst {
 
+class CoroutineProgram;
+
 class NodeContext {
  public:
-  NodeContext(const WeightedGraph& graph, NodeIndex index,
-              Scheduler& scheduler, Metrics& metrics, Xoshiro256 rng)
-      : graph_(graph),
-        index_(index),
-        scheduler_(scheduler),
-        metrics_(metrics),
-        rng_(std::move(rng)) {}
+  NodeContext(CoroutineProgram& host, NodeIndex index, Xoshiro256 rng);
 
   NodeContext(const NodeContext&) = delete;
   NodeContext& operator=(const NodeContext&) = delete;
@@ -53,31 +57,32 @@ class NodeContext {
   Weight WeightAtPort(std::uint32_t port) const {
     return graph_.PortsOf(index_)[port].weight;
   }
-  Round CurrentRound() const { return scheduler_.CurrentRound(); }
+  // 0 before the first wake, then the round the node is awake in.
+  Round CurrentRound() const;
   Xoshiro256& Rng() { return rng_; }
 
   // --- the model primitive ---------------------------------------------
+  // Holds no batch: the sends are already in the engine's send lane, and
+  // the inbox is read from the engine's inbox lane on resume.
   struct AwakeAwaiter {
     NodeContext* ctx;
-    PendingWake wake;
+    Round round;
 
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      wake.handle_address = h.address();
-      ctx->scheduler_.Register(&wake);
-    }
-    InboxBatch await_resume() { return std::move(wake.inbox); }
+    void await_suspend(std::coroutine_handle<> h) noexcept;
+    InboxBatch await_resume() const;
   };
 
   // Be awake in absolute round `round` (strictly after the current round)
   // and send `sends` (at most one message per port). The batches are
   // SmallVecs (message.h): up to kInlineMessageCapacity sends/receipts
-  // stay inside the coroutine frame, so a typical awake allocates
-  // nothing.
-  AwakeAwaiter Awake(Round round, SendBatch sends = {}) {
-    return AwakeAwaiter{
-        this, PendingWake{index_, round, std::move(sends), {}, nullptr}};
-  }
+  // stay inline, so a typical awake allocates nothing. The batch is taken
+  // by reference and moved into the engine at once, so the coroutine
+  // frame holds no second copy of it across the suspension. An invalid
+  // request fails the node from the round loop once the frame has
+  // suspended; it cannot be caught inside the program.
+  AwakeAwaiter Awake(Round round, SendBatch&& sends);
+  AwakeAwaiter Awake(Round round) { return AwakeAwaiter{this, round}; }
 
   // Single-send convenience. (Also sidesteps a GCC bug where a braced
   // initializer-list inside a co_await expression fails to compile:
@@ -104,11 +109,88 @@ class NodeContext {
   NodeIndex Index() const { return index_; }
 
  private:
+  friend class CoroutineProgram;
+
+  CoroutineProgram& host_;
   const WeightedGraph& graph_;
-  NodeIndex index_;
-  Scheduler& scheduler_;
   Metrics& metrics_;
+  NodeIndex index_;
   Xoshiro256 rng_;
+  std::coroutine_handle<> suspended_;  // the frame waiting in Awake
 };
+
+// A node program: the algorithm one node runs. Must eventually finish.
+using NodeProgram = std::function<Task<void>(NodeContext&)>;
+
+// Runs a coroutine NodeProgram as a FlatProgram. One instance serves the
+// nodes of one engine (all of them, or one shard's), and is driven from
+// one thread, which allocates the coroutine frames (frame_pool.h).
+class CoroutineProgram final : public FlatProgram {
+ public:
+  // Serves the nodes `partition` gives `shard` (every node when
+  // `partition` is null). Node v's randomness is Xoshiro256(seed).Split(v)
+  // either way.
+  CoroutineProgram(const WeightedGraph& graph, Metrics& metrics,
+                   NodeProgram program, std::uint64_t seed,
+                   const ShardPartition* partition = nullptr,
+                   std::uint32_t shard = 0);
+
+  Round Start(NodeIndex v, FlatEnv& env, SendBatch& sends) override;
+  Round Step(NodeIndex v, Round now, FlatEnv& env, const InboxBatch& inbox,
+             SendBatch& sends) override;
+
+ private:
+  friend class NodeContext;
+
+  std::size_t Slot(NodeIndex v) const {
+    return partition_ == nullptr ? v : partition_->LocalIndex(v);
+  }
+  // The round node slot i's frame now waits for, or kFlatDone once its
+  // task finished (rethrowing the exception the task ended with).
+  Round Suspended(NodeIndex v, std::size_t i);
+
+  const WeightedGraph& graph_;
+  Metrics& metrics_;
+  NodeProgram program_;
+  Xoshiro256 root_rng_;
+  const ShardPartition* partition_;
+  // One slot per served node, sized once: a context must not move while
+  // its program runs (the coroutine holds a reference to it).
+  std::vector<std::optional<NodeContext>> contexts_;
+  std::vector<TaskRunner> runners_;
+
+  // The call in progress: the node's clock, its engine lanes, and the
+  // round its Awake asked for.
+  Round now_ = 0;
+  const InboxBatch* inbox_ = nullptr;
+  SendBatch* sends_ = nullptr;
+  Round requested_ = kFlatDone;
+};
+
+inline NodeContext::NodeContext(CoroutineProgram& host, NodeIndex index,
+                                Xoshiro256 rng)
+    : host_(host),
+      graph_(host.graph_),
+      metrics_(host.metrics_),
+      index_(index),
+      rng_(std::move(rng)) {}
+
+inline Round NodeContext::CurrentRound() const { return host_.now_; }
+
+inline NodeContext::AwakeAwaiter NodeContext::Awake(Round round,
+                                                    SendBatch&& sends) {
+  *host_.sends_ = std::move(sends);
+  return AwakeAwaiter{this, round};
+}
+
+inline void NodeContext::AwakeAwaiter::await_suspend(
+    std::coroutine_handle<> h) noexcept {
+  ctx->suspended_ = h;
+  ctx->host_.requested_ = round;
+}
+
+inline InboxBatch NodeContext::AwakeAwaiter::await_resume() const {
+  return *ctx->host_.inbox_;
+}
 
 }  // namespace smst

@@ -1,39 +1,37 @@
 #include "smst/runtime/scheduler.h"
 
 #include <algorithm>
-#include <cassert>
-#include <coroutine>
 #include <stdexcept>
 #include <string>
 
-#include "smst/faults/auditor.h"
 #include "smst/faults/run_outcome.h"
-
-// Auditor call sites compile to a single null check by default; a build
-// configured with -DSMST_NO_AUDITOR=ON removes them entirely.
-#ifdef SMST_NO_AUDITOR
-#define SMST_AUDIT_HOOK(call) ((void)0)
-#else
-#define SMST_AUDIT_HOOK(call) \
-  do {                        \
-    if (auditor_) {           \
-      auditor_->call;         \
-    }                         \
-  } while (0)
-#endif
 
 namespace smst {
 
 Scheduler::Scheduler(const WeightedGraph& graph, Metrics& metrics,
-                     SchedulerOptions options)
+                     SchedulerOptions options,
+                     const ShardPartition* partition, std::uint32_t shard)
     : graph_(graph),
       metrics_(metrics),
       max_rounds_(options.max_rounds),
       faults_(options.fault_plan, options.run_seed, graph.NumNodes()),
       auditor_(options.auditor),
+      partition_(partition),
+      shard_(shard),
       queue_(graph.NumNodes()),
-      wakes_(graph.NumNodes(), nullptr),
       port_offset_(graph.NumNodes() + 1, 0) {
+  std::size_t lanes = graph.NumNodes();
+  if (partition_ != nullptr) {
+    const std::vector<NodeIndex>& owned = partition_->NodesOf(shard_);
+    nodes_ = owned.data();
+    lanes = owned.size();
+  }
+  sends_.resize(lanes);
+  inbox_.resize(lanes);
+  status_.assign(lanes, Status::kRunning);
+  errors_.resize(lanes);
+  acc_.resize(lanes);
+
   std::size_t max_degree = 0;
   for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
     const std::size_t deg = graph_.DegreeOf(v);
@@ -67,107 +65,90 @@ Scheduler::Scheduler(const WeightedGraph& graph, Metrics& metrics,
   }
 }
 
-void Scheduler::Register(PendingWake* wake) {
-  assert(wake != nullptr);
-  assert(wake->node < graph_.NumNodes());
-  if (queue_.Pending(wake->node)) {
-    // Two live PendingWakes for one node would silently clobber each
-    // other's delivery state; only direct Register misuse can get here
-    // (a coroutine is suspended while its wake is queued), but fail
-    // loudly in every build type rather than corrupt the run.
-    throw std::logic_error(
-        "node " + std::to_string(wake->node) + " registered awake twice: "
-        "round " + std::to_string(queue_.RoundOf(wake->node)) +
-        " is still pending, requested " + std::to_string(wake->round));
-  }
-  if (faults_.Active()) {
-    // Jitter may move the wake in either direction; clamping (rather than
-    // the monotonicity throw below) keeps perturbed runs legal — from the
-    // node's point of view the adversary skewed its clock. Crash-stop
-    // swallows the registration entirely: the coroutine stays suspended
-    // with no queue entry, and Task's destructor reclaims the frame.
-    wake->round =
-        faults_.PerturbWake(wake->node, wake->round, current_round_ + 1);
-    if (faults_.SuppressWake(wake->node, wake->round)) return;
-  } else if (wake->round <= current_round_) {
-    throw std::logic_error(
-        "node " + std::to_string(wake->node) + " requested awake round " +
-        std::to_string(wake->round) + " but the clock is already at " +
-        std::to_string(current_round_));
-  }
-  // CONGEST: at most one message per port per round. In a fault-free run
-  // a double-send is a programming bug (logic_error, never classified);
-  // under an active adversary a duplicated or delayed inbox can trick a
-  // correct protocol into replying twice on one port, so the violation is
-  // a fault effect and must stay classifiable (-> crashed-partition).
-  const auto double_send = [this](NodeIndex node) -> void {
-    const std::string what = "node " + std::to_string(node) +
-                             " sent two messages on one port in one round";
-    if (faults_.Active()) {
-      throw std::runtime_error(what + " (fault-corrupted protocol state)");
-    }
-    throw std::logic_error("two messages on one port in one round");
-  };
-  {
-    const std::size_t degree = graph_.DegreeOf(wake->node);
-    if (degree <= 64) {
-      std::uint64_t seen_ports = 0;
-      for (const OutMessage& out : wake->sends) {
-        if (out.port >= degree) {
-          throw std::logic_error("send on nonexistent port");
-        }
-        if (((seen_ports >> out.port) & 1) != 0) {
-          double_send(wake->node);
-        }
-        seen_ports |= std::uint64_t{1} << out.port;
+void Scheduler::Run(FlatProgram& program) {
+  // Nothing observes the event stream: all-awake rounds may fuse, and
+  // the delivery step runs without its hooks.
+  const bool observed = faults_.Active() || auditor_ != nullptr || trace_;
+  try {
+    Start(program);
+    while (!queue_.Empty()) {
+      const Round r = queue_.NextRound();
+      CheckWatchdog(r);
+      StageRound(r);
+      if (observed) {
+        DeliverRound<true>();
+      } else if (staged_.size() == graph_.NumNodes()) {
+        FusedRound();
+        continue;
+      } else {
+        DeliverRound<false>();
       }
-    } else {
-      // Reuse the scheduler-owned scratch bitset (sized to the max
-      // degree in the constructor) rather than allocating per awake.
-      const std::size_t words = (degree + 63) / 64;
-      std::fill_n(seen_ports_scratch_.begin(), words, 0);
-      for (const OutMessage& out : wake->sends) {
-        if (out.port >= degree) {
-          throw std::logic_error("send on nonexistent port");
-        }
-        std::uint64_t& word = seen_ports_scratch_[out.port / 64];
-        const std::uint64_t bit = std::uint64_t{1} << (out.port % 64);
-        if ((word & bit) != 0) {
-          double_send(wake->node);
-        }
-        word |= bit;
-      }
+      StepRound();
     }
+    // Delayed messages still parked when every node is done (or crashed)
+    // can never be delivered; expire them so the model-drop books balance.
+    if (!delayed_.empty()) DrainDelayed(kMaxRound);
+  } catch (...) {
+    // The watchdog throw must leave the meters exactly as they stood at
+    // that point: fold what accumulated, then let the exception continue.
+    FoldMetrics();
+    throw;
   }
-  wakes_[wake->node] = wake;
-  queue_.Push(wake->node, wake->round);
+  FoldMetrics();
 }
 
-void Scheduler::RunUntilIdle() {
-  while (!queue_.Empty()) {
-    const Round r = queue_.NextRound();
-    if (r > max_rounds_) {
-      throw NonTerminationError("round watchdog tripped at round " +
-                                std::to_string(r) + " (max " +
-                                std::to_string(max_rounds_) + ")");
+void Scheduler::Start(FlatProgram& program) {
+  program_ = &program;
+  env_.metrics = &metrics_;
+  for (std::size_t i = 0; i < status_.size(); ++i) {
+    const NodeIndex v = NodeOfLane(i);
+    try {
+      const Round first =
+          Settle(v, i, program.Start(v, env_, sends_[i]));
+      if (first != 0) queue_.Push(v, first);
+    } catch (...) {
+      Fail(i);
     }
-    StageRound(r);
-    DeliverAndResume();
   }
-  // Delayed messages still parked when every node is done (or crashed)
-  // can never be delivered; expire them so the model-drop books balance.
-  if (!delayed_.empty()) DrainDelayed(kMaxRound);
+}
+
+void Scheduler::CheckWatchdog(Round r) const {
+  if (r > max_rounds_) {
+    throw NonTerminationError("round watchdog tripped at round " +
+                              std::to_string(r) + " (max " +
+                              std::to_string(max_rounds_) + ")");
+  }
 }
 
 void Scheduler::StageRound(Round r) {
   current_round_ = r;
   metrics_.SetLastRound(r);
   // Canonical round order: ascending node index, regardless of
-  // registration history. Delivery and resume order therefore depend
-  // only on *which* nodes are awake, which is what makes a sharded run
+  // registration history. Delivery and step order therefore depend only
+  // on *which* nodes are awake, which is what makes a sharded run
   // bit-identical to a serial one (DESIGN.md §7, §12).
   queue_.PopRound(r, staged_);
-  for (const NodeIndex v : staged_) SMST_AUDIT_HOOK(OnAwake(r, v));
+  if (auditor_ != nullptr) {
+    for (const NodeIndex v : staged_) auditor_->OnAwake(r, v);
+  }
+}
+
+template <bool kObserved>
+void Scheduler::DeliverRound() {
+  // Adversary-delayed messages fall due before this round's own sends so
+  // a late message and a fresh same-round message arrive in age order.
+  if (kObserved && !delayed_.empty()) DrainDelayed(current_round_);
+  const bool tracing = kObserved && trace_;
+  if (tracing) round_trace_.assign(staged_.size(), TraceCounts{});
+  for (std::size_t wi = 0; wi < staged_.size(); ++wi) {
+    DeliverBatch<kObserved>(staged_[wi],
+                            tracing ? &round_trace_[wi] : nullptr);
+  }
+}
+
+void Scheduler::Park(const DelayedMessage& m) {
+  delayed_.push_back(m);
+  std::push_heap(delayed_.begin(), delayed_.end(), std::greater<>{});
 }
 
 void Scheduler::DrainDelayed(Round r) {
@@ -175,134 +156,223 @@ void Scheduler::DrainDelayed(Round r) {
     std::pop_heap(delayed_.begin(), delayed_.end(), std::greater<>{});
     const DelayedMessage m = delayed_.back();
     delayed_.pop_back();
-    PendingWake* target = m.due == r ? AwakeNow(m.dst) : nullptr;
-    if (target != nullptr) {
+    if (m.due == r && Deliver<true>(m.src, m.dst, m.dst_port, m.msg)) {
       // The receiver happens to be awake in the deferred round: the
       // message arrives late but intact.
-      target->inbox.push_back(InMessage{m.dst_port, m.msg});
       faults_.CountDelayedDelivered();
-      SMST_AUDIT_HOOK(OnDeliver(r, m.src, m.dst, m.msg));
     } else {
       // Due round skipped or receiver asleep: sleeping-model loss,
-      // charged to the sender like any other drop.
+      // charged to the sender like any other drop (the sender may be
+      // another shard's node, so straight to its NodeMetrics record).
       ++metrics_.Node(m.src).messages_dropped;
       faults_.CountDelayedLost();
-      SMST_AUDIT_HOOK(OnDrop(m.due, m.src, /*injected=*/false));
+      if (auditor_ != nullptr) {
+        auditor_->OnDrop(m.due, m.src, /*injected=*/false);
+      }
     }
   }
 }
 
-void Scheduler::DeliverAndResume() {
+void Scheduler::StepRound() {
   const Round r = current_round_;
-
-  // Adversary-delayed messages fall due before this round's own sends so
-  // a late message and a fresh same-round message arrive in age order.
-  if (!delayed_.empty()) DrainDelayed(r);
-
-  // Delivery: same-round send/receive between simultaneously awake
-  // endpoints; messages to sleepers are lost (and counted).
-  round_trace_.assign(trace_ ? staged_.size() : 0, TraceCounts{});
-  const bool faulty = faults_.Active();
+  const bool tracing = static_cast<bool>(trace_);
   for (std::size_t wi = 0; wi < staged_.size(); ++wi) {
-    PendingWake* w = wakes_[staged_[wi]];
-    NodeMetrics& nm = metrics_.Node(w->node);
-    // Hoist the per-node indirections out of the per-send loop: the port
-    // table base and the precomputed receiver-port row.
-    const Port* ports = graph_.PortsOf(w->node).data();
-    const std::uint32_t* reverse = reverse_ports_.data() + port_offset_[w->node];
-    for (std::uint32_t bp = 0; bp < w->sends.size(); ++bp) {
-      const OutMessage& out = w->sends[bp];
-      const Port& port = ports[out.port];
-      ++nm.messages_sent;
-      const std::uint64_t bits = out.msg.BitSize();
-      nm.bits_sent += bits;
-      metrics_.RecordMessageBits(bits);
-      SMST_AUDIT_HOOK(OnSend(r, w->node, out.port, out.msg));
-      if (faulty) {
-        const FaultSession::MessageVerdict verdict =
-            faults_.OnMessage(w->node, out.port, r);
-        if (verdict.drop) {
-          // Adversary drop: distinct from the sleeping-model loss below —
-          // it does NOT count towards messages_dropped.
-          if (trace_) ++round_trace_[wi].injected_drops;
-          SMST_AUDIT_HOOK(OnDrop(r, w->node, /*injected=*/true));
-          continue;
-        }
-        if (verdict.delay != 0) {
-          delayed_.push_back(DelayedMessage{r + verdict.delay, r, w->node, bp,
-                                            /*copy=*/0, port.neighbor,
-                                            reverse[out.port], out.msg});
-          std::push_heap(delayed_.begin(), delayed_.end(), std::greater<>{});
-          if (trace_) ++round_trace_[wi].injected_delays;
-          if (verdict.duplicate) {
-            // The duplicate of a delayed message is also delayed (one
-            // extra copy in the same deferred round).
-            delayed_.push_back(DelayedMessage{r + verdict.delay, r, w->node,
-                                              bp, /*copy=*/1, port.neighbor,
-                                              reverse[out.port], out.msg});
-            std::push_heap(delayed_.begin(), delayed_.end(), std::greater<>{});
-            if (trace_) ++round_trace_[wi].injected_dups;
-          }
-          continue;
-        }
-        PendingWake* target = AwakeNow(port.neighbor);
-        if (target == nullptr) {
-          ++nm.messages_dropped;
-          if (trace_) ++round_trace_[wi].dropped;
-          SMST_AUDIT_HOOK(OnDrop(r, w->node, /*injected=*/false));
-          continue;
-        }
-        target->inbox.push_back(InMessage{reverse[out.port], out.msg});
-        SMST_AUDIT_HOOK(OnDeliver(r, w->node, port.neighbor, out.msg));
-        if (verdict.duplicate) {
-          target->inbox.push_back(InMessage{reverse[out.port], out.msg});
-          if (trace_) ++round_trace_[wi].injected_dups;
-          SMST_AUDIT_HOOK(OnDeliver(r, w->node, port.neighbor, out.msg));
-        }
-        continue;
-      }
-      PendingWake* target = AwakeNow(port.neighbor);
-      if (target == nullptr) {
-        ++nm.messages_dropped;
-        if (trace_) ++round_trace_[wi].dropped;
-        SMST_AUDIT_HOOK(OnDrop(r, w->node, /*injected=*/false));
-        continue;
-      }
-      // The receiving side identifies the sender by its own port number
-      // for the shared edge (precomputed in reverse_ports_).
-      target->inbox.push_back(InMessage{reverse[out.port], out.msg});
-      SMST_AUDIT_HOOK(OnDeliver(r, w->node, port.neighbor, out.msg));
-    }
-  }
-
-  // Resume phase: every awake node gets its inbox and one awake round on
-  // the meter, then runs to its next suspension (or completion).
-  for (std::size_t wi = 0; wi < staged_.size(); ++wi) {
-    PendingWake* w = wakes_[staged_[wi]];
-    NodeMetrics& nm = metrics_.Node(w->node);
-    ++nm.awake_rounds;
-    if (metrics_.WakeTimesEnabled()) nm.wake_times.push_back(r);
-    if (trace_) {
+    const NodeIndex v = staged_[wi];
+    const std::size_t i = Lane(v);
+    if (tracing) {
       const TraceCounts& tc = round_trace_[wi];
-      trace_(TraceEvent{r, w->node,
-                        static_cast<std::uint32_t>(w->sends.size()),
-                        static_cast<std::uint32_t>(w->inbox.size()),
+      trace_(TraceEvent{r, v, static_cast<std::uint32_t>(sends_[i].size()),
+                        static_cast<std::uint32_t>(inbox_[i].size()),
                         tc.dropped, tc.injected_drops, tc.injected_delays,
                         tc.injected_dups});
     }
-    if (w->handle_address == nullptr) {
-      // Flat node: no coroutine frame to resume; the installed stepper
-      // advances its state machine in place (re-registering `w` itself
-      // for the next wake, so the pointer stays valid — it lives in the
-      // flat runtime's stable per-node slot, not a coroutine frame).
-      flat_stepper_->Step(*w);
-      continue;
-    }
-    auto handle = std::coroutine_handle<>::from_address(w->handle_address);
-    // After resume(), `w` may be a dangling pointer (the coroutine frame
-    // advanced past the awaitable); do not touch it again.
-    handle.resume();
+    // Steps push only strictly later rounds, and this round's deliveries
+    // are complete, so queueing right away cannot disturb round r.
+    const Round next = StepNode(v, i);
+    if (next != 0) queue_.Push(v, next);
   }
+}
+
+Round Scheduler::StepNode(NodeIndex v, std::size_t i) {
+  // The node's inbox lane is handed to Step directly (programs take it by
+  // const reference and only ever write into their own send lane) and
+  // cleared afterwards, so the inline buffer is never copied; the send
+  // lane is reused round over round, so its heap spill (if any) is
+  // allocated once.
+  sends_[i].clear();
+  try {
+    const Round next =
+        program_->Step(v, current_round_, env_, inbox_[i], sends_[i]);
+    inbox_[i].clear();
+    return Settle(v, i, next);
+  } catch (...) {
+    inbox_[i].clear();
+    Fail(i);
+    return 0;
+  }
+}
+
+Round Scheduler::Settle(NodeIndex v, std::size_t i, Round requested) {
+  if (requested == kFlatDone) {
+    status_[i] = Status::kDone;
+    sends_[i].clear();
+    return 0;
+  }
+  return Admit(v, requested, sends_[i]);
+}
+
+Round Scheduler::Admit(NodeIndex v, Round requested, const SendBatch& sends) {
+  Round r = requested;
+  if (faults_.Active()) {
+    // Jitter may move the wake in either direction; clamping (rather than
+    // the monotonicity throw below) keeps perturbed runs legal — from the
+    // node's point of view the adversary skewed its clock. Crash-stop
+    // swallows the wake entirely: the node stays unfinished.
+    r = faults_.PerturbWake(v, requested, current_round_ + 1);
+    if (faults_.SuppressWake(v, r)) return 0;
+  } else if (requested <= current_round_) {
+    throw std::logic_error(
+        "node " + std::to_string(v) + " requested awake round " +
+        std::to_string(requested) + " but the clock is already at " +
+        std::to_string(current_round_));
+  }
+  ValidateSends(v, sends);
+  return r;
+}
+
+void Scheduler::ValidateSends(NodeIndex v, const SendBatch& sends) {
+  // CONGEST: at most one message per port per round. In a fault-free run
+  // a double-send is a programming bug (logic_error, never classified);
+  // under an active adversary a duplicated or delayed inbox can trick a
+  // correct protocol into replying twice on one port, so the violation is
+  // a fault effect and must stay classifiable (-> crashed-partition).
+  const auto double_send = [this, v]() {
+    if (faults_.Active()) {
+      throw std::runtime_error("node " + std::to_string(v) +
+                               " sent two messages on one port in one "
+                               "round (fault-corrupted protocol state)");
+    }
+    throw std::logic_error("two messages on one port in one round");
+  };
+  const std::size_t degree = graph_.DegreeOf(v);
+  if (degree <= 64) {
+    std::uint64_t seen_ports = 0;
+    for (const OutMessage& out : sends) {
+      if (out.port >= degree) {
+        throw std::logic_error("send on nonexistent port");
+      }
+      if (((seen_ports >> out.port) & 1) != 0) double_send();
+      seen_ports |= std::uint64_t{1} << out.port;
+    }
+    return;
+  }
+  // Reuse the scheduler-owned scratch bitset (sized to the max degree in
+  // the constructor) rather than allocating per awake.
+  std::fill_n(seen_ports_scratch_.begin(), (degree + 63) / 64, 0);
+  for (const OutMessage& out : sends) {
+    if (out.port >= degree) {
+      throw std::logic_error("send on nonexistent port");
+    }
+    std::uint64_t& word = seen_ports_scratch_[out.port / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (out.port % 64);
+    if ((word & bit) != 0) double_send();
+    word |= bit;
+  }
+}
+
+void Scheduler::Fail(std::size_t i) {
+  sends_[i].clear();
+  status_[i] = Status::kFailed;
+  errors_[i] = std::current_exception();
+}
+
+void Scheduler::BuildFusedOrder() {
+  const NodeIndex n = graph_.NumNodes();
+  thresh_.resize(n);
+  for (NodeIndex v = 0; v < n; ++v) {
+    NodeIndex t = v;
+    for (const Port& p : graph_.PortsOf(v)) {
+      if (p.neighbor > t) t = p.neighbor;
+    }
+    thresh_[v] = t;
+  }
+  step_order_.resize(n);
+  for (NodeIndex v = 0; v < n; ++v) step_order_[v] = v;
+  // Ties step in ascending node order, so the fused step order is fully
+  // determined by the graph.
+  std::sort(step_order_.begin(), step_order_.end(),
+            [this](NodeIndex a, NodeIndex b) {
+              return thresh_[a] != thresh_[b] ? thresh_[a] < thresh_[b]
+                                              : a < b;
+            });
+  next_round_.assign(n, 0);
+}
+
+void Scheduler::FusedRound() {
+  // All-awake round on the serial engine: staged_ is exactly 0..n-1, so
+  // the delivery cursor IS the sender id, and node v's inbox is complete
+  // — and its own send lane drained — as soon as the cursor passes
+  // thresh_[v]. Stepping it right then touches inbox_[v]/sends_[v] while
+  // they are still resident instead of re-streaming the whole lanes in a
+  // second pass; on neighbor-local graphs (rings, paths, grids) the
+  // working set of the entire round collapses to a sliding window.
+  // Observable behaviour is unchanged: delivery order is still ascending
+  // sender, each node still sees its complete round-r inbox, and per-node
+  // effects (metrics, errors, next-round requests) are order-independent
+  // across nodes within a round.
+  if (step_order_.empty()) BuildFusedOrder();
+  const NodeIndex n = graph_.NumNodes();
+  std::size_t cursor = 0;  // into step_order_
+  for (NodeIndex v = 0; v < n; ++v) {
+    DeliverBatch<false>(v, nullptr);
+    // Step every node whose threshold the cursor just passed. The queue
+    // push is deferred to the ascending pass below, so the next round
+    // pops already sorted; until then every node keeps round r in its
+    // queue slot, so later deliveries still find their receivers awake.
+    while (cursor < n && thresh_[step_order_[cursor]] <= v) {
+      const NodeIndex u = step_order_[cursor++];
+      next_round_[u] = StepNode(u, u);
+    }
+  }
+  for (NodeIndex v = 0; v < n; ++v) {
+    if (next_round_[v] != 0) queue_.Push(v, next_round_[v]);
+  }
+}
+
+void Scheduler::FoldMetrics() {
+  for (std::size_t i = 0; i < acc_.size(); ++i) {
+    MeterAcc& acc = acc_[i];
+    if (acc.awake == 0 && acc.msgs == 0) continue;
+    NodeMetrics& nm = metrics_.Node(NodeOfLane(i));
+    nm.awake_rounds += acc.awake;
+    nm.messages_sent += acc.msgs;
+    nm.bits_sent += acc.bits;
+    nm.messages_dropped += acc.drops;
+    acc = MeterAcc{};
+  }
+  if (max_bits_ > 0) {
+    metrics_.RecordMessageBits(max_bits_);
+    max_bits_ = 0;
+  }
+}
+
+std::uint64_t Scheduler::CountUnfinished() const {
+  return static_cast<std::uint64_t>(
+      std::count(status_.begin(), status_.end(), Status::kRunning));
+}
+
+NodeIndex Scheduler::FirstUnfinishedNode() const {
+  const auto it = std::find(status_.begin(), status_.end(), Status::kRunning);
+  return it == status_.end()
+             ? kInvalidNode
+             : NodeOfLane(static_cast<std::size_t>(it - status_.begin()));
+}
+
+std::pair<NodeIndex, std::exception_ptr> Scheduler::FirstFailure() const {
+  for (std::size_t i = 0; i < errors_.size(); ++i) {
+    if (errors_[i]) return {NodeOfLane(i), errors_[i]};
+  }
+  return {kInvalidNode, nullptr};
 }
 
 }  // namespace smst

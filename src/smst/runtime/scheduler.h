@@ -1,68 +1,53 @@
-// The sleeping-model round engine.
+// The sleeping-model round engine: the one round loop of the simulator.
 //
 // Semantics (normative, see DESIGN.md §4):
-//  * A node is awake in round r iff it co_awaited Awake(r, sends).
+//  * A node is awake in round r iff its program asked for round r (a flat
+//    program returns r; a coroutine program co_awaits Awake(r, sends)
+//    through the CoroutineProgram adapter, runtime/node.h).
 //  * At round r the scheduler gathers the sends of every round-r awake
 //    node, delivers each message iff the *target* is also awake in round
 //    r (otherwise drops it and counts it — sleeping nodes lose messages),
-//    then resumes every round-r awake node with its inbox.
+//    then steps every round-r awake node with its inbox.
 //  * Rounds with no awake node are never visited: the wake queue jumps
 //    straight to the next registered round in O(1) (wake_queue.h), so an
 //    execution with huge round counts (the deterministic algorithm's
 //    O(nN log n)) costs only Σ awake node-rounds of simulation work, plus
 //    at most 63 O(1) queue moves per wake.
 //
-// Fault injection (DESIGN.md §10): a FaultPlan installed on
-// SchedulerOptions is consulted at delivery time (drop / delay /
-// duplicate verdicts per message) and at wake registration (jitter,
-// crash-stop). With a null plan every fault branch is a single
-// well-predicted null/flag check and the engine is bit-identical to the
-// fault-free build. An optional Auditor observes the same hook points;
-// its call sites compile out under -DSMST_NO_AUDITOR.
+// Node state lives in per-node lanes (struct-of-arrays: send batch,
+// inbox, status, failure, and a dense meter record folded into Metrics
+// at the end of the run and on the watchdog throw). A round with every
+// node awake and nothing observing the run is one fused delivery-and-
+// step sweep (DESIGN.md §13). Otherwise a round is a delivery sweep and
+// a step sweep, and the observers hook into that same code: a FaultPlan
+// (drop / delay / duplicate verdicts per message at delivery time,
+// jitter and crash-stop at wake registration, DESIGN.md §10), an
+// Auditor, and a TraceSink. With no observer each hook compiles out of
+// the delivery step.
+//
+// The sharded engine (runtime/sharded/engine.h) runs one Scheduler per
+// shard over that shard's own nodes and drives the same staging,
+// delivery and step code phase by phase across worker threads.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <utility>
 #include <vector>
 
+#include "smst/faults/auditor.h"
 #include "smst/faults/fault_plan.h"
 #include "smst/graph/graph.h"
+#include "smst/runtime/flat/program.h"
 #include "smst/runtime/message.h"
 #include "smst/runtime/metrics.h"
+#include "smst/runtime/sharded/partition.h"
 #include "smst/runtime/trace.h"
 #include "smst/runtime/wake_queue.h"
 
 namespace smst {
 
-class Auditor;
 class ShardedEngine;
-class FlatEngine;
-
-using Round = std::uint64_t;
-
-// One suspended Awake(...) call; lives inside the awaiting coroutine's
-// frame (stable while suspended). Defined here so the scheduler can hold
-// pointers to it; constructed by NodeContext. The batches are SmallVecs
-// with inline capacity, so a typical awake (degree-bounded sends and
-// inbox) costs no heap allocation at all.
-struct PendingWake {
-  NodeIndex node = kInvalidNode;
-  Round round = 0;
-  SendBatch sends;
-  InboxBatch inbox;
-  void* handle_address = nullptr;  // std::coroutine_handle<> address
-};
-
-// Advances one flat (coroutine-less) node when its wake comes due: the
-// scheduler resumes a PendingWake whose handle_address is null by calling
-// the installed stepper instead of a coroutine handle (runtime/flat/).
-// The stepper owns the node's state machine; the wake's inbox/sends are
-// its mailbox exactly as for a suspended coroutine.
-class FlatStepper {
- public:
-  virtual ~FlatStepper() = default;
-  virtual void Step(PendingWake& wake) = 0;
-};
 
 struct SchedulerOptions {
   // Watchdog: abort (NonTerminationError) if the round clock passes this.
@@ -72,56 +57,48 @@ struct SchedulerOptions {
   const FaultPlan* fault_plan = nullptr;
   std::uint64_t run_seed = 0;
   // Borrowed runtime invariant auditor (observation only); may be null.
-  // Ignored when the library is built with SMST_NO_AUDITOR.
   Auditor* auditor = nullptr;
 };
 
 class Scheduler {
  public:
+  // Owns every node (the serial engine), or the nodes the borrowed
+  // `partition` gives `shard` (one shard of the sharded engine).
   Scheduler(const WeightedGraph& graph, Metrics& metrics,
-            SchedulerOptions options);
-  // Fault-free convenience ctor (tests drive the scheduler directly).
-  Scheduler(const WeightedGraph& graph, Metrics& metrics, Round max_rounds)
-      : Scheduler(graph, metrics, SchedulerOptions{max_rounds}) {}
-
-  // Registers a suspended node; called from the Awake awaitable. Under an
-  // active fault plan the requested round may be jittered or clamped (to
-  // current_round + 1), and a crash-stopped node's registration is
-  // swallowed entirely — its coroutine stays suspended forever. Throws
-  // std::logic_error if the node already has a wake pending.
-  void Register(PendingWake* wake);
-
-  // Runs rounds until no node is pending. Throws NonTerminationError if
-  // `max_rounds` is exceeded (runaway algorithm watchdog).
-  void RunUntilIdle();
-
-  Round CurrentRound() const { return current_round_; }
-  bool HasPending() const { return !queue_.Empty(); }
-  // Earliest round with a registered wake (kMaxRound if none), in O(1).
-  // The sharded driver's round barrier reduces this over all shards to
-  // pick the next global round; delayed messages never create rounds (one
-  // parked for a round nobody wakes in is lost, as in the serial engine).
-  Round NextPendingRound() const { return queue_.NextRound(); }
+            SchedulerOptions options,
+            const ShardPartition* partition = nullptr,
+            std::uint32_t shard = 0);
 
   void SetTraceSink(TraceSink sink) { trace_ = std::move(sink); }
 
-  // Installs the handler for flat wakes (PendingWakes with a null
-  // handle_address). Must outlive the run; null means every wake is a
-  // coroutine wake.
-  void SetFlatStepper(FlatStepper* stepper) { flat_stepper_ = stepper; }
+  // Starts `program` on every owned node in ascending order and runs
+  // rounds until no node is pending. Throws NonTerminationError when the
+  // watchdog trips; a node whose program throws, or asks for an invalid
+  // wake, is marked failed and the run goes on without it. Serial only
+  // (the sharded engine drives the phases itself). `program` must
+  // outlive the scheduler's use of it.
+  void Run(FlatProgram& program);
 
   // What the adversary did so far (all zero for a null plan).
   const FaultStats& InjectedFaults() const { return faults_.Stats(); }
 
+  // Owned nodes whose program neither finished nor failed (crash-
+  // stopped nodes and the peers they stranded, or a run cut short).
+  std::uint64_t CountUnfinished() const;
+  // The smallest such node, kInvalidNode if none.
+  NodeIndex FirstUnfinishedNode() const;
+  // The smallest owned node whose program failed, and its exception
+  // (kInvalidNode and null if none).
+  std::pair<NodeIndex, std::exception_ptr> FirstFailure() const;
+
  private:
   // The sharded engine (runtime/sharded/engine.cpp) drives the same
-  // staging / delivery / resume machinery phase by phase across worker
+  // staging / delivery / step machinery phase by phase across worker
   // threads; it is the one sanctioned out-of-module user of these
-  // internals (DESIGN.md §12). The flat fast engine (runtime/flat/
-  // engine.cpp) borrows the precomputed CSR reverse-port tables so both
-  // engines resolve receiver ports from one shared layout (DESIGN.md §13).
+  // internals (DESIGN.md §12).
   friend class ShardedEngine;
-  friend class FlatEngine;
+
+  enum class Status : std::uint8_t { kRunning, kDone, kFailed };
 
   // An adversary-delayed message parked until its due round. Ordered by
   // the canonical key (due, birth_round, src, batch_pos, copy) — the
@@ -156,23 +133,96 @@ class Scheduler {
     std::uint32_t injected_dups = 0;
   };
 
+  // Dense meter record (32-byte stride, one hardware-prefetched stream)
+  // for the hot per-round accounting; FoldMetrics adds it into the
+  // 64-byte NodeMetrics records. Sums are associative, so the totals are
+  // bit-identical to metering NodeMetrics directly. Wake times, when
+  // recorded, go to NodeMetrics at once (they need the round, not a sum).
+  struct MeterAcc {
+    std::uint64_t awake = 0;
+    std::uint64_t msgs = 0;
+    std::uint64_t bits = 0;
+    std::uint64_t drops = 0;
+  };
+
+  // Lane of an owned node: its rank among the owned nodes, which is the
+  // node itself on the serial engine. Ranks ascend with node indices, so
+  // lane order is canonical order.
+  std::size_t Lane(NodeIndex v) const {
+    return partition_ == nullptr ? v : partition_->LocalIndex(v);
+  }
+  NodeIndex NodeOfLane(std::size_t i) const {
+    return nodes_ == nullptr ? static_cast<NodeIndex>(i) : nodes_[i];
+  }
+  bool Owns(NodeIndex v) const {
+    return partition_ == nullptr || partition_->Owner(v) == shard_;
+  }
+
+  // Start pass: every owned node to its first request, ascending — the
+  // first wakes are all registered before round 1 runs.
+  void Start(FlatProgram& program);
+  // Throws NonTerminationError if round r is past the watchdog.
+  void CheckWatchdog(Round r) const;
   // Advances the round clock to `r` and pops round r's wakers into
   // staged_ in the canonical ascending-node order (DESIGN.md §7), which
   // is what keeps serial and sharded executions bit-identical. Staging
   // no wakers (the shard has nothing due in a global round) is legal.
   void StageRound(Round r);
-  // Serial remainder of a round for the staged wakers: drain delayed
-  // messages, deliver sends, resume. The sharded engine replaces this
-  // with its collect / exchange / receive phases.
-  void DeliverAndResume();
+  // The delivery sweep of a serial round: delayed messages due now, then
+  // every staged sender's batch in ascending order. kObserved = false is
+  // the serial engine with nothing observing the run: no hooks, and every
+  // node is owned (the sharded engine always runs the observed form).
+  template <bool kObserved>
+  void DeliverRound();
+  // The delivery step of awake node v, run once per round for every
+  // awake node: meters its awake round, then, for each send whose
+  // receiver this scheduler owns (the sharded engine publishes the
+  // others), the fault verdict, delayed parking, and the inbox append or
+  // the model drop. `tc` collects trace counts (null when not tracing).
+  template <bool kObserved>
+  void DeliverBatch(NodeIndex v, TraceCounts* tc);
+  // Meters one fresh send of awake node v into `meter` and returns its
+  // fault verdict (one with no effect when no plan is active); shared by
+  // the delivery step and the sharded engine's cross-shard publication.
+  template <bool kObserved>
+  FaultSession::MessageVerdict Emit(NodeIndex v, const OutMessage& out,
+                                    MeterAcc& meter, TraceCounts* tc);
+  // Appends a round-r message to dst's inbox if dst is awake this round;
+  // returns false (and appends nothing) if it sleeps. The only place a
+  // message reaches an inbox.
+  template <bool kObserved>
+  bool Deliver(NodeIndex src, NodeIndex dst, std::uint32_t dst_port,
+               const Message& msg);
+  void Park(const DelayedMessage& m);
   // Delivers or expires delayed messages with due <= r; called after
   // StageRound(r) (and with r = kMaxRound at the end of the run,
   // expiring everything still parked).
   void DrainDelayed(Round r);
-  // Node v's wake if v is awake in the round being processed, else null.
-  PendingWake* AwakeNow(NodeIndex v) const {
-    return queue_.RoundOf(v) == current_round_ ? wakes_[v] : nullptr;
-  }
+  // The step sweep: emits each staged node's trace event, steps it, and
+  // queues its next wake.
+  void StepRound();
+  // One all-awake, unobserved round as a single fused sweep (see the
+  // definition).
+  void FusedRound();
+  void BuildFusedOrder();
+  // Steps node v (lane i) through the current round; returns the round
+  // to queue it for, or 0 if it finished, failed or was crash-stopped.
+  // Inline: both sweeps that call it are in scheduler.cpp.
+  inline Round StepNode(NodeIndex v, std::size_t i);
+  // Turns a program's request into the round to queue: kFlatDone marks
+  // the node done (0); otherwise Admit.
+  Round Settle(NodeIndex v, std::size_t i, Round requested);
+  // The registration contract for node v's next wake with `sends` for
+  // that round. Under an active fault plan the round may be jittered or
+  // clamped (to current + 1), and a crash-stopped node's wake is
+  // swallowed (returns 0). Throws on a round not after the clock (fault-
+  // free), a nonexistent port, or two sends on one port.
+  Round Admit(NodeIndex v, Round requested, const SendBatch& sends);
+  void ValidateSends(NodeIndex v, const SendBatch& sends);
+  void Fail(std::size_t i);
+  // Adds the dense meter records into Metrics and resets them (so a
+  // second call is a no-op).
+  void FoldMetrics();
 
   const WeightedGraph& graph_;
   Metrics& metrics_;
@@ -180,11 +230,29 @@ class Scheduler {
   Round current_round_ = 0;
   FaultSession faults_;
   Auditor* auditor_ = nullptr;
+  TraceSink trace_;
+  const ShardPartition* partition_;
+  std::uint32_t shard_;
+  const NodeIndex* nodes_ = nullptr;  // lane -> node; null = identity
+
+  FlatProgram* program_ = nullptr;
+  FlatEnv env_;
+
+  // Lanes, indexed by Lane(v): sends_[i] is the batch the node queued
+  // for its next awake round, inbox_[i] what this round delivered to it.
+  // Two arrays, not one record per node: interleaved, the fused sweep ran
+  // ~30 % slower at ring n = 2^18. A node's pending round lives only in
+  // its wake-queue slot.
+  std::vector<SendBatch> sends_;
+  std::vector<InboxBatch> inbox_;
+  std::vector<Status> status_;
+  std::vector<std::exception_ptr> errors_;
+  std::vector<MeterAcc> acc_;
+  std::uint64_t max_bits_ = 0;
+
+  // Indexed by node. A node is awake in round r iff it was popped in r:
+  // it keeps that queue round until it steps and queues its next wake.
   WakeQueue queue_;
-  // node -> the PendingWake it registered last. Valid while the node is
-  // queued or awake in the current round (AwakeNow); a resumed coroutine
-  // may leave it dangling until the node registers again.
-  std::vector<PendingWake*> wakes_;
   // Scratch reused every round: the current round's wakers and (when
   // tracing) their fault/drop counts.
   std::vector<NodeIndex> staged_;
@@ -199,11 +267,127 @@ class Scheduler {
   // comparison per message.
   std::vector<std::size_t> port_offset_;   // size n+1
   std::vector<std::uint32_t> reverse_ports_;
-  // Scratch bitset reused by Register's duplicate-port check for nodes
-  // of degree > 64 (sized to the max degree once; cleared per use).
+  // Scratch bitset reused by ValidateSends for nodes of degree > 64
+  // (sized to the max degree once; cleared per use).
   std::vector<std::uint64_t> seen_ports_scratch_;
-  TraceSink trace_;
-  FlatStepper* flat_stepper_ = nullptr;
+
+  // Fused-sweep order (built on the first fused round): thresh_[v] =
+  // max(v, max neighbor of v) is the delivery-cursor value after which
+  // v may step; step_order_ lists nodes by ascending threshold (ties in
+  // ascending node order); next_round_[v] holds the admitted wake round
+  // a fused step requested (0 = none), queued by an ascending pass at
+  // the end of the round.
+  std::vector<NodeIndex> thresh_;
+  std::vector<NodeIndex> step_order_;
+  std::vector<Round> next_round_;
 };
+
+// The delivery step is defined here, inline, so that every sweep that
+// runs it — the serial rounds and the sharded engine's scan — compiles it
+// into its own loop and keeps the scheduler's tables in registers across
+// nodes (an out-of-line call per awake node measured ~10 % slower on the
+// sparse ring rounds).
+
+template <bool kObserved>
+inline FaultSession::MessageVerdict Scheduler::Emit(NodeIndex v,
+                                                    const OutMessage& out,
+                                                    MeterAcc& meter,
+                                                    TraceCounts* tc) {
+  const std::uint64_t bits = out.msg.BitSize();
+  ++meter.msgs;
+  meter.bits += bits;
+  if (bits > max_bits_) max_bits_ = bits;
+  if (!kObserved) return {};
+  const Round r = current_round_;
+  if (auditor_ != nullptr) auditor_->OnSend(r, v, out.port, out.msg);
+  if (!faults_.Active()) return {};
+  const FaultSession::MessageVerdict verdict =
+      faults_.OnMessage(v, out.port, r);
+  if (verdict.drop) {
+    // Adversary drop: distinct from the sleeping-model loss — it does
+    // NOT count towards messages_dropped.
+    if (tc != nullptr) ++tc->injected_drops;
+    if (auditor_ != nullptr) auditor_->OnDrop(r, v, /*injected=*/true);
+  }
+  return verdict;
+}
+
+template <bool kObserved>
+[[gnu::always_inline]] inline void Scheduler::DeliverBatch(NodeIndex v,
+                                                           TraceCounts* tc) {
+  const std::size_t i = kObserved ? Lane(v) : v;
+  const Round r = current_round_;
+  MeterAcc& acc = acc_[i];
+  ++acc.awake;
+  if (metrics_.WakeTimesEnabled()) metrics_.Node(v).wake_times.push_back(r);
+  const SendBatch& sends = sends_[i];
+  if (sends.empty()) return;
+  // Hoist the per-node indirections out of the per-send loop: the port
+  // table base and the precomputed receiver-port row.
+  const Port* ports = graph_.PortsOf(v).data();
+  const std::uint32_t* reverse = reverse_ports_.data() + port_offset_[v];
+  MeterAcc sent;  // this batch's meters, added to acc at the end
+  for (std::uint32_t bp = 0; bp < sends.size(); ++bp) {
+    const OutMessage& out = sends[bp];
+    const NodeIndex dst = ports[out.port].neighbor;
+    if (kObserved && !Owns(dst)) continue;  // published by the sharded engine
+    // The scatter target (a neighbor's inbox header) is the one
+    // irregular access of the sweep; fetching the next message's target
+    // while this one is written hides most of its latency on high-degree
+    // nodes.
+    if (!kObserved && bp + 1 < sends.size()) {
+      __builtin_prefetch(&inbox_[ports[sends[bp + 1].port].neighbor], 1);
+    }
+    const FaultSession::MessageVerdict verdict =
+        Emit<kObserved>(v, out, sent, tc);
+    if (kObserved) {
+      if (verdict.drop) continue;
+      if (verdict.delay != 0) {
+        DelayedMessage m{r + verdict.delay, r, v, bp, /*copy=*/0,
+                         dst, reverse[out.port], out.msg};
+        Park(m);
+        if (tc != nullptr) ++tc->injected_delays;
+        if (verdict.duplicate) {
+          // The duplicate of a delayed message is also delayed (one
+          // extra copy in the same deferred round).
+          m.copy = 1;
+          Park(m);
+          if (tc != nullptr) ++tc->injected_dups;
+        }
+        continue;
+      }
+    }
+    // The receiving side identifies the sender by its own port number
+    // for the shared edge (precomputed in reverse_ports_).
+    if (!Deliver<kObserved>(v, dst, reverse[out.port], out.msg)) {
+      // Sleeping-model loss: the receiver is not awake this round.
+      ++sent.drops;
+      if (kObserved) {
+        if (tc != nullptr) ++tc->dropped;
+        if (auditor_ != nullptr) auditor_->OnDrop(r, v, /*injected=*/false);
+      }
+      continue;
+    }
+    if (kObserved && verdict.duplicate) {
+      Deliver<kObserved>(v, dst, reverse[out.port], out.msg);
+      if (tc != nullptr) ++tc->injected_dups;
+    }
+  }
+  acc.msgs += sent.msgs;
+  acc.bits += sent.bits;
+  acc.drops += sent.drops;
+}
+
+template <bool kObserved>
+inline bool Scheduler::Deliver(NodeIndex src, NodeIndex dst,
+                               std::uint32_t dst_port, const Message& msg) {
+  if (queue_.RoundOf(dst) != current_round_) return false;
+  inbox_[kObserved ? Lane(dst) : dst].push_back(
+      InMessage{dst_port, msg});
+  if (kObserved && auditor_ != nullptr) {
+    auditor_->OnDeliver(current_round_, src, dst, msg);
+  }
+  return true;
+}
 
 }  // namespace smst

@@ -1,39 +1,24 @@
 #include "smst/runtime/sharded/engine.h"
 
-#include <cassert>
-#include <coroutine>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "smst/faults/auditor.h"
-#include "smst/faults/run_outcome.h"
-#include "smst/util/prng.h"
-
-// Same convention as scheduler.cpp: auditor hooks are a null check by
-// default and vanish under -DSMST_NO_AUDITOR.
-#ifdef SMST_NO_AUDITOR
-#define SMST_SHARD_AUDIT(aud, call) ((void)0)
-#else
-#define SMST_SHARD_AUDIT(aud, call) \
-  do {                              \
-    if (aud) {                      \
-      (aud)->call;                  \
-    }                               \
-  } while (0)
-#endif
 
 namespace smst {
 
 ShardedEngine::Shard::Shard(const WeightedGraph& graph,
-                            const ShardedEngineOptions& options)
+                            const ShardedEngineOptions& options,
+                            const ShardPartition& partition, std::uint32_t s)
     : metrics(graph.NumNodes()),
       auditor(options.audit ? std::make_unique<Auditor>(graph) : nullptr),
       scheduler(std::make_unique<Scheduler>(
           graph, metrics,
           SchedulerOptions{options.max_rounds, options.fault_plan,
-                           options.seed, auditor.get()})) {
+                           options.seed, auditor.get()},
+          &partition, s)) {
   if (options.record_wake_times) metrics.EnableWakeTimes();
 }
 
@@ -74,15 +59,7 @@ ShardedEngine::~ShardedEngine() {
   }
 }
 
-void ShardedEngine::Execute(const NodeProgram& program) {
-  ExecuteImpl(&program, nullptr);
-}
-
-void ShardedEngine::ExecuteFlat(FlatProgram& program) {
-  ExecuteImpl(nullptr, &program);
-}
-
-void ShardedEngine::ExecuteImpl(const NodeProgram* coro, FlatProgram* flat) {
+void ShardedEngine::Execute(const NodeProgram* coroutine, FlatProgram* flat) {
   if (ran_) throw std::logic_error("ShardedEngine may run only once");
   ran_ = true;
 
@@ -92,7 +69,8 @@ void ShardedEngine::ExecuteImpl(const NodeProgram* coro, FlatProgram* flat) {
   std::vector<std::thread> workers;
   workers.reserve(k);
   for (std::uint32_t s = 0; s < k; ++s) {
-    workers.emplace_back([this, s, coro, flat] { ShardMain(s, coro, flat); });
+    workers.emplace_back(
+        [this, s, coroutine, flat] { ShardMain(s, coroutine, flat); });
   }
   for (std::thread& t : workers) t.join();
 
@@ -101,6 +79,9 @@ void ShardedEngine::ExecuteImpl(const NodeProgram* coro, FlatProgram* flat) {
   // peaks are maxima, probes are key-summed, wake times are owner-only.
   for (const auto& shard : shards_) {
     if (!shard) continue;  // failed before constructing; see errors_
+    // Folds the shard's meter lanes whichever way its worker left the
+    // round loop (a clean stop, the watchdog, or another shard's abort).
+    shard->scheduler->FoldMetrics();
     merged_metrics_.MergeFrom(shard->metrics);
     merged_faults_.MergeFrom(shard->scheduler->InjectedFaults());
   }
@@ -112,22 +93,21 @@ void ShardedEngine::ExecuteImpl(const NodeProgram* coro, FlatProgram* flat) {
   }
 }
 
-void ShardedEngine::ShardMain(std::uint32_t s, const NodeProgram* coro,
+void ShardedEngine::ShardMain(std::uint32_t s, const NodeProgram* coroutine,
                               FlatProgram* flat) {
   try {
-    // Build this shard's state and spawn its node programs on the worker
-    // thread itself: the Metrics/Scheduler arrays, the contexts, and the
-    // coroutine frames are then allocated (and first-touched) by the
-    // thread that will use them, and the K shards set up in parallel.
-    // Each node's randomness is the same seed-derived substream the
-    // serial engine would hand it: Split is a pure function of
-    // (seed, node index).
-    shards_[s] = std::make_unique<Shard>(graph_, options_);
+    // Build this shard's state and start its node programs on the worker
+    // thread itself: the Metrics/Scheduler arrays and the coroutine
+    // frames are then allocated (and first-touched) by the thread that
+    // will use them, and the K shards set up in parallel. Each node's
+    // randomness is the same seed-derived substream the serial engine
+    // would hand it: Split is a pure function of (seed, node index).
+    shards_[s] = std::make_unique<Shard>(graph_, options_, partition_, s);
     Shard& shard = *shards_[s];
+    Scheduler& sched = *shard.scheduler;
     shard.inbound.resize(partition_.NumShards());
-    const std::vector<NodeIndex>& local = partition_.NodesOf(s);
     shard.cross_ports.assign(graph_.NumNodes(), 0);
-    for (NodeIndex v : local) {
+    for (const NodeIndex v : partition_.NodesOf(s)) {
       for (const Port& port : graph_.PortsOf(v)) {
         if (partition_.Owner(port.neighbor) != s) {
           shard.cross_ports[v] = 1;
@@ -135,47 +115,31 @@ void ShardedEngine::ShardMain(std::uint32_t s, const NodeProgram* coro,
         }
       }
     }
-    if (flat != nullptr) {
-      // Flat form: one FlatRuntime drives this shard's partition of the
-      // shared program; its StartAll registers the same first wakes the
-      // coroutine spawn-then-Start two-pass would.
-      shard.flat = std::make_unique<FlatRuntime>(*shard.scheduler, *flat,
-                                                 shard.metrics, local);
-      shard.flat->StartAll();
-    } else {
-      Xoshiro256 root_rng(options_.seed);
-      shard.runners.reserve(local.size());
-      for (NodeIndex v : local) {
-        shard.contexts.emplace_back(graph_, v, *shard.scheduler,
-                                    shard.metrics, root_rng.Split(v));
-      }
-      for (NodeContext& ctx : shard.contexts) {
-        shard.runners.emplace_back((*coro)(ctx));
-      }
-      for (TaskRunner& r : shard.runners) r.Start();
+    if (coroutine != nullptr) {
+      shard.coroutines = std::make_unique<CoroutineProgram>(
+          graph_, shard.metrics, *coroutine, options_.seed, &partition_, s);
+      flat = shard.coroutines.get();
     }
+    sched.Start(*flat);
     for (;;) {
-      next_round_[s] = shard.scheduler->NextPendingRound();
+      next_round_[s] = sched.queue_.NextRound();
       barrier_->arrive_and_wait();  // completion computes global_round_
       if (abort_.load(std::memory_order_acquire)) return;
       const Round r = global_round_;
       if (r == kMaxRound) break;  // every shard idle: clean stop
-      if (r > options_.max_rounds) {
-        // Same trip point and message as the serial engine; every shard
-        // throws this identically.
-        throw NonTerminationError("round watchdog tripped at round " +
-                                  std::to_string(r) + " (max " +
-                                  std::to_string(options_.max_rounds) + ")");
-      }
-      shard.scheduler->StageRound(r);  // possibly zero local wakers
+      // Same trip point and message as the serial engine; every shard
+      // throws this identically.
+      sched.CheckWatchdog(r);
+      sched.StageRound(r);  // possibly zero local wakers
       CollectSends(s, r);
       barrier_->arrive_and_wait();  // all sends published
       if (abort_.load(std::memory_order_acquire)) return;
-      ReceiveAndResume(s, r);
+      Receive(s, r);
+      sched.StepRound();
     }
     // Clean stop: expire still-parked delayed messages so the model-drop
     // books balance (mirrors the serial end-of-run drain).
-    shard.scheduler->DrainDelayed(kMaxRound);
+    sched.DrainDelayed(kMaxRound);
   } catch (...) {
     errors_[s] = std::current_exception();
     // Release the others: the drop counts as this shard's arrival for
@@ -189,69 +153,50 @@ void ShardedEngine::ShardMain(std::uint32_t s, const NodeProgram* coro,
 void ShardedEngine::CollectSends(std::uint32_t s, Round r) {
   // Pre-barrier half of the round: publish the *cross-shard* sends to
   // the exchange. Shard-local sends are handled entirely by this
-  // shard's own post-barrier scan (ReceiveAndResume), where they can
-  // interleave with remote arrivals in canonical source order —
-  // pushing them through a ring would only add copies.
+  // shard's own post-barrier scan (Receive), where they can interleave
+  // with remote arrivals in canonical source order — pushing them
+  // through a ring would only add copies.
   //
-  // Each send is metered (count, bits, audit OnSend) in the phase that
-  // consumes it — cross-shard here, local in the delivery scan — so
-  // this pass stays a cheap read-only sweep when few edges cross
-  // shards. Metrics are commutative sums and the auditor's books are
-  // order-free within a round, so the split cannot change any total.
-  //
-  // Fault verdicts likewise fire exactly once per send (OnMessage
-  // counts what it injects): here for cross-shard sends, because a
-  // drop/delay/duplicate must be resolved before the entry goes on the
-  // wire, and in the delivery scan for local sends.
-  Shard& shard = *shards_[s];
-  Scheduler& sched = *shard.scheduler;
-  Auditor* const auditor = shard.auditor.get();
-  const bool faulty = sched.faults_.Active();
+  // Each send is metered (count, bits, audit OnSend) and given its fault
+  // verdict exactly once, by Scheduler::Emit: here for cross-shard
+  // sends, because a drop/delay/duplicate must be resolved before the
+  // entry goes on the wire, and in the delivery step for local sends.
+  // Metrics are commutative sums and the auditor's books are order-free
+  // within a round, so the split cannot change any total.
+  Scheduler& sched = *shards_[s]->scheduler;
+  const std::vector<std::uint8_t>& cross_ports = shards_[s]->cross_ports;
   for (const NodeIndex v : sched.staged_) {
-    if (!shard.cross_ports[v]) continue;  // all ports internal
-    const PendingWake* w = sched.wakes_[v];
-    const Port* ports = graph_.PortsOf(w->node).data();
+    if (!cross_ports[v]) continue;  // all ports internal
+    const std::size_t i = sched.Lane(v);
+    const SendBatch& sends = sched.sends_[i];
+    const Port* ports = graph_.PortsOf(v).data();
     const std::uint32_t* reverse =
-        sched.reverse_ports_.data() + sched.port_offset_[w->node];
-    for (std::uint32_t bp = 0; bp < w->sends.size(); ++bp) {
-      const OutMessage& out = w->sends[bp];
-      const Port& port = ports[out.port];
-      const NodeIndex dst = port.neighbor;
+        sched.reverse_ports_.data() + sched.port_offset_[v];
+    for (std::uint32_t bp = 0; bp < sends.size(); ++bp) {
+      const OutMessage& out = sends[bp];
+      const NodeIndex dst = ports[out.port].neighbor;
       const std::uint32_t to = partition_.Owner(dst);
       if (to == s) continue;  // metered and delivered post-barrier
-      NodeMetrics& nm = shard.metrics.Node(w->node);
-      ++nm.messages_sent;
-      const std::uint64_t bits = out.msg.BitSize();
-      nm.bits_sent += bits;
-      shard.metrics.RecordMessageBits(bits);
-      SMST_SHARD_AUDIT(auditor, OnSend(r, w->node, out.port, out.msg));
-      WireEntry e{w->node, dst,          reverse[out.port], bp,
-                  /*due=*/0, /*birth=*/r, /*copy=*/0,        out.msg};
-      if (faulty) {
-        const FaultSession::MessageVerdict verdict =
-            sched.faults_.OnMessage(w->node, out.port, r);
-        if (verdict.drop) {
-          SMST_SHARD_AUDIT(auditor, OnDrop(r, w->node, /*injected=*/true));
-          continue;
-        }
-        // A delayed entry carries its absolute due round; the receiver
-        // shard parks it. A duplicate is one extra adjacent copy, fresh
-        // or delayed alongside its original — exactly the serial
-        // scheduler's behaviour.
-        if (verdict.delay != 0) e.due = r + verdict.delay;
-        exchange_.Push(s, to, e);
-        if (verdict.duplicate) {
-          e.copy = 1;
-          exchange_.Push(s, to, e);
-        }
-        continue;
-      }
+      const FaultSession::MessageVerdict verdict =
+          sched.Emit<true>(v, out, sched.acc_[i], nullptr);
+      if (verdict.drop) continue;
+      // A delayed entry carries its absolute due round; the receiver
+      // shard parks it. A duplicate is one extra adjacent copy, fresh or
+      // delayed alongside its original — exactly the serial delivery
+      // step's behaviour.
+      WireEntry e{v, dst, reverse[out.port], bp,
+                  /*due=*/verdict.delay != 0 ? r + verdict.delay : 0,
+                  /*birth_round=*/r, /*copy=*/0, out.msg};
       exchange_.Push(s, to, e);
+      if (verdict.duplicate) {
+        e.copy = 1;
+        exchange_.Push(s, to, e);
+      }
     }
   }
 }
 
-void ShardedEngine::ReceiveAndResume(std::uint32_t s, Round r) {
+void ShardedEngine::Receive(std::uint32_t s, Round r) {
   Shard& shard = *shards_[s];
   Scheduler& sched = *shard.scheduler;
   Auditor* const auditor = shard.auditor.get();
@@ -265,7 +210,7 @@ void ShardedEngine::ReceiveAndResume(std::uint32_t s, Round r) {
   // local sends skip the exchange). Each producer emitted in ascending
   // (src, batch_pos, copy) order and shards own disjoint node sets, so
   // stepping local wakers and remote stream heads by minimum source
-  // reproduces the serial delivery loop's global order exactly.
+  // reproduces the serial delivery sweep's global order exactly.
   const std::uint32_t k = partition_.NumShards();
   for (std::uint32_t from = 0; from < k; ++from) {
     shard.inbound[from].clear();
@@ -273,7 +218,6 @@ void ShardedEngine::ReceiveAndResume(std::uint32_t s, Round r) {
   }
   std::vector<std::size_t>& pos = shard.merge_pos;
   pos.assign(k, 0);
-  const bool faulty = sched.faults_.Active();
   std::size_t wi = 0;  // next local waker in sched.staged_
   for (;;) {
     std::uint32_t pick = k;
@@ -286,125 +230,33 @@ void ShardedEngine::ReceiveAndResume(std::uint32_t s, Round r) {
         best_src = src;
       }
     }
-    const bool local = wi < sched.staged_.size() &&
-                       (pick == k || sched.staged_[wi] < best_src);
-    if (local) {
-      // A local sender: run the serial delivery loop body for its batch.
-      // Cross-shard sends were metered and published pre-barrier;
-      // everything else — metering, verdict, delayed parking, drop
-      // accounting, delivery — happens here, bit-for-bit like
-      // scheduler.cpp's DeliverAndResume.
-      const PendingWake* w = sched.wakes_[sched.staged_[wi++]];
-      NodeMetrics& nm = shard.metrics.Node(w->node);
-      const Port* ports = graph_.PortsOf(w->node).data();
-      const std::uint32_t* reverse =
-          sched.reverse_ports_.data() + sched.port_offset_[w->node];
-      for (std::uint32_t bp = 0; bp < w->sends.size(); ++bp) {
-        const OutMessage& out = w->sends[bp];
-        const Port& port = ports[out.port];
-        const NodeIndex dst = port.neighbor;
-        if (partition_.Owner(dst) != s) continue;  // already on the wire
-        ++nm.messages_sent;
-        const std::uint64_t bits = out.msg.BitSize();
-        nm.bits_sent += bits;
-        shard.metrics.RecordMessageBits(bits);
-        SMST_SHARD_AUDIT(auditor, OnSend(r, w->node, out.port, out.msg));
-        if (faulty) {
-          const FaultSession::MessageVerdict verdict =
-              sched.faults_.OnMessage(w->node, out.port, r);
-          if (verdict.drop) {
-            SMST_SHARD_AUDIT(auditor, OnDrop(r, w->node, /*injected=*/true));
-            continue;
-          }
-          if (verdict.delay != 0) {
-            sched.delayed_.push_back(
-                Scheduler::DelayedMessage{r + verdict.delay, r, w->node, bp,
-                                          /*copy=*/0, dst, reverse[out.port],
-                                          out.msg});
-            std::push_heap(sched.delayed_.begin(), sched.delayed_.end(),
-                           std::greater<>{});
-            if (verdict.duplicate) {
-              sched.delayed_.push_back(
-                  Scheduler::DelayedMessage{r + verdict.delay, r, w->node, bp,
-                                            /*copy=*/1, dst, reverse[out.port],
-                                            out.msg});
-              std::push_heap(sched.delayed_.begin(), sched.delayed_.end(),
-                             std::greater<>{});
-            }
-            continue;
-          }
-          PendingWake* target = sched.AwakeNow(dst);
-          if (target == nullptr) {
-            ++nm.messages_dropped;
-            SMST_SHARD_AUDIT(auditor, OnDrop(r, w->node, /*injected=*/false));
-            continue;
-          }
-          target->inbox.push_back(InMessage{reverse[out.port], out.msg});
-          SMST_SHARD_AUDIT(auditor, OnDeliver(r, w->node, dst, out.msg));
-          if (verdict.duplicate) {
-            target->inbox.push_back(InMessage{reverse[out.port], out.msg});
-            SMST_SHARD_AUDIT(auditor, OnDeliver(r, w->node, dst, out.msg));
-          }
-          continue;
-        }
-        PendingWake* target = sched.AwakeNow(dst);
-        if (target == nullptr) {
-          ++nm.messages_dropped;
-          SMST_SHARD_AUDIT(auditor, OnDrop(r, w->node, /*injected=*/false));
-          continue;
-        }
-        target->inbox.push_back(InMessage{reverse[out.port], out.msg});
-        SMST_SHARD_AUDIT(auditor, OnDeliver(r, w->node, dst, out.msg));
-      }
+    if (wi < sched.staged_.size() &&
+        (pick == k || sched.staged_[wi] < best_src)) {
+      // A local sender: the serial delivery step for its batch (it skips
+      // the cross-shard sends, already metered and on the wire).
+      sched.DeliverBatch<true>(sched.staged_[wi++], nullptr);
       continue;
     }
     if (pick == k) break;
     const WireEntry& e = shard.inbound[pick][pos[pick]++];
     if (e.due != 0) {
       // Adversary-delayed: park at the receiver under the canonical key.
-      sched.delayed_.push_back(Scheduler::DelayedMessage{
-          e.due, e.birth_round, e.src, e.batch_pos, e.copy, e.dst, e.dst_port,
-          e.msg});
-      std::push_heap(sched.delayed_.begin(), sched.delayed_.end(),
-                     std::greater<>{});
+      sched.Park(Scheduler::DelayedMessage{e.due, e.birth_round, e.src,
+                                           e.batch_pos, e.copy, e.dst,
+                                           e.dst_port, e.msg});
       continue;
     }
-    PendingWake* target = sched.AwakeNow(e.dst);
-    if (target == nullptr) {
-      // Sleeping-model loss, charged to the sender. The charge lands in
-      // the *receiver* shard's metrics (only this shard knows the
-      // target slept); summation at merge time restores the per-node
-      // total. A fresh adversary duplicate (copy == 1) of a lost send is
-      // never materialized in the serial engine — the original's single
-      // drop is the only charge — so its wire entry vanishes silently.
-      if (e.copy == 0) {
-        ++shard.metrics.Node(e.src).messages_dropped;
-        SMST_SHARD_AUDIT(auditor, OnDrop(r, e.src, /*injected=*/false));
-      }
-      continue;
+    // Sleeping-model loss, charged to the sender. The charge lands in the
+    // *receiver* shard's metrics (only this shard knows the target
+    // slept); summation at merge time restores the per-node total. A
+    // fresh adversary duplicate (copy == 1) of a lost send is never
+    // materialized in the serial engine — the original's single drop is
+    // the only charge — so its wire entry vanishes silently.
+    if (!sched.Deliver<true>(e.src, e.dst, e.dst_port, e.msg) &&
+        e.copy == 0) {
+      ++shard.metrics.Node(e.src).messages_dropped;
+      if (auditor != nullptr) auditor->OnDrop(r, e.src, /*injected=*/false);
     }
-    target->inbox.push_back(InMessage{e.dst_port, e.msg});
-    SMST_SHARD_AUDIT(auditor, OnDeliver(r, e.src, e.dst, e.msg));
-  }
-
-  // Resume in canonical (ascending node) order; all staged wakers are
-  // local, so this never touches another shard's coroutines.
-  for (const NodeIndex v : sched.staged_) {
-    PendingWake* w = sched.wakes_[v];
-    NodeMetrics& nm = shard.metrics.Node(w->node);
-    ++nm.awake_rounds;
-    if (shard.metrics.WakeTimesEnabled()) nm.wake_times.push_back(r);
-    if (w->handle_address == nullptr) {
-      // Flat node: the shard's FlatRuntime (the scheduler's installed
-      // stepper) advances it in place; `w` stays valid — it lives in the
-      // runtime's stable slot, not a coroutine frame.
-      sched.flat_stepper_->Step(*w);
-      continue;
-    }
-    auto handle = std::coroutine_handle<>::from_address(w->handle_address);
-    // After resume(), `w` may dangle (the frame advanced past the
-    // awaitable); do not touch it again.
-    handle.resume();
   }
 }
 
@@ -415,52 +267,35 @@ void ShardedEngine::MergeMetricsInto(Metrics& target) const {
 std::uint64_t ShardedEngine::CountUnfinished() const {
   std::uint64_t unfinished = 0;
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    const Shard* shard = shards_[s].get();
-    if (shard == nullptr) {
-      // Failed before constructing: every local node is unfinished.
-      unfinished += partition_.NodesOf(s).size();
-      continue;
-    }
-    if (shard->flat) {
-      unfinished += shard->flat->CountUnfinished();
-      continue;
-    }
-    for (const TaskRunner& r : shard->runners) {
-      if (!r.Done()) ++unfinished;
-    }
+    // A shard that failed before constructing leaves every node
+    // unfinished.
+    unfinished += shards_[s] ? shards_[s]->scheduler->CountUnfinished()
+                             : partition_.NodesOf(s).size();
   }
   return unfinished;
 }
 
 NodeIndex ShardedEngine::FirstUnfinishedNode() const {
-  for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
-    const Shard* shard = shards_[partition_.Owner(v)].get();
-    const std::uint32_t i = partition_.LocalIndex(v);
-    // A shard that aborted before spawning (or constructing) has no
-    // runners; treat its nodes as unfinished.
-    if (shard == nullptr) return v;
-    if (shard->flat) {
-      if (!shard->flat->DoneAt(i)) return v;
-      continue;
-    }
-    if (i >= shard->runners.size() || !shard->runners[i].Done()) {
-      return v;
+  NodeIndex first = kInvalidNode;
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    const std::vector<NodeIndex>& owned = partition_.NodesOf(s);
+    if (shards_[s]) {
+      first = std::min(first, shards_[s]->scheduler->FirstUnfinishedNode());
+    } else if (!owned.empty()) {
+      first = std::min(first, owned.front());
     }
   }
-  return kInvalidNode;
+  return first;
 }
 
 void ShardedEngine::RethrowFirstNodeFailure() const {
-  for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
-    const Shard* shard = shards_[partition_.Owner(v)].get();
-    if (shard == nullptr) continue;
-    const std::uint32_t i = partition_.LocalIndex(v);
-    if (shard->flat) {
-      shard->flat->RethrowIfFailedAt(i);
-      continue;
-    }
-    if (i < shard->runners.size()) shard->runners[i].RethrowIfFailed();
+  std::pair<NodeIndex, std::exception_ptr> first{kInvalidNode, nullptr};
+  for (const auto& shard : shards_) {
+    if (!shard) continue;
+    const auto failure = shard->scheduler->FirstFailure();
+    if (failure.first < first.first) first = failure;
   }
+  if (first.second) std::rethrow_exception(first.second);
 }
 
 ShardedEngine::AuditTotals ShardedEngine::CheckAndSummarizeAudit() {

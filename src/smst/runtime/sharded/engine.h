@@ -1,11 +1,12 @@
 // Sharded multi-worker backend for the sleeping-model simulator.
 //
 // The node set is partitioned into K shards; each shard worker thread
-// owns a full Scheduler instance (wake queue, delayed-message parking,
-// fault session, optional auditor) plus the coroutines and metrics of
-// its nodes. A round proceeds in barrier-separated phases:
+// owns a Scheduler over that shard's own nodes (lanes, wake queue,
+// delayed-message parking, fault session, optional auditor) plus its
+// metrics and, for a coroutine program, its CoroutineProgram adapter. A
+// round proceeds in barrier-separated phases:
 //
-//   select   every shard publishes NextPendingRound(); the barrier's
+//   select   every shard publishes its next pending round; the barrier's
 //            completion reduces them to the global round R = min
 //   stage    each shard pops its round-R wakers (canonical ascending
 //            node order), which marks them awake
@@ -16,10 +17,10 @@
 //   barrier
 //   receive  each shard drains its delayed heap for round R, then runs
 //            one scan that steps its local wakers and its remote inbound
-//            streams in ascending source order — delivering local sends
-//            directly (serial loop body, one copy) and remote entries to
-//            awake targets (charging model drops receiver-side)
-//   resume   each shard resumes its wakers in ascending node order
+//            streams in ascending source order — local senders through
+//            the Scheduler's own delivery step, remote entries to awake
+//            targets (charging model drops receiver-side)
+//   step     each shard runs the Scheduler's step sweep over its wakers
 //
 // Determinism: round staging order is canonical, fault verdicts are pure
 // hashes of event coordinates, per-shard metrics/fault counters merge by
@@ -36,9 +37,7 @@
 #include <atomic>
 #include <barrier>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -46,14 +45,12 @@
 
 #include "smst/faults/fault_plan.h"
 #include "smst/graph/graph.h"
-#include "smst/runtime/flat/runtime.h"
-#include "smst/runtime/frame_pool.h"
+#include "smst/runtime/flat/program.h"
 #include "smst/runtime/metrics.h"
 #include "smst/runtime/node.h"
 #include "smst/runtime/scheduler.h"
 #include "smst/runtime/sharded/exchange.h"
 #include "smst/runtime/sharded/partition.h"
-#include "smst/runtime/task.h"
 
 namespace smst {
 
@@ -71,25 +68,21 @@ struct ShardedEngineOptions {
 
 class ShardedEngine {
  public:
-  using NodeProgram = std::function<Task<void>(NodeContext&)>;
-
   ShardedEngine(const WeightedGraph& graph, ShardedEngineOptions options);
   ~ShardedEngine();
 
-  // Runs every node program to completion (or abort). Shard-level
-  // failures (the round watchdog) rethrow here, lowest shard index first;
-  // node-program failures, including a rejected registration, are left in
-  // their promises for RethrowFirstNodeFailure. Per-shard metrics and fault counters
-  // are merged (in shard order) before any rethrow, so callers observe
-  // a consistent aborted state. May be called once.
-  void Execute(const NodeProgram& program);
-
-  // Flat twin of Execute: each shard drives its partition of `program`
-  // through a scheduler-backed FlatRuntime instead of coroutines. The
-  // single program instance is shared across worker threads — safe
-  // because shards own disjoint node sets and flat programs keep all
-  // mutable state in per-node slots (runtime/flat/program.h).
-  void ExecuteFlat(FlatProgram& program);
+  // Runs the program on every node to completion (or abort): exactly one
+  // of `coroutine` (run through one CoroutineProgram per shard) and
+  // `flat` is non-null. A flat program instance is shared across worker
+  // threads — safe because shards own disjoint node sets and flat
+  // programs keep all mutable state in per-node slots
+  // (runtime/flat/program.h). Shard-level failures (the round watchdog)
+  // rethrow here, lowest shard index first; node-program failures,
+  // including a rejected wake, stay in the shards' lanes for
+  // RethrowFirstNodeFailure. Per-shard metrics and fault counters are
+  // merged (in shard order) before any rethrow, so callers observe a
+  // consistent aborted state. May be called once.
+  void Execute(const NodeProgram* coroutine, FlatProgram* flat);
 
   // --- post-run views (valid after Execute, even if it threw) ----------
   const Metrics& MergedMetrics() const { return merged_metrics_; }
@@ -120,20 +113,16 @@ class ShardedEngine {
 
  private:
   struct Shard {
-    Shard(const WeightedGraph& graph, const ShardedEngineOptions& options);
+    Shard(const WeightedGraph& graph, const ShardedEngineOptions& options,
+          const ShardPartition& partition, std::uint32_t s);
 
     Metrics metrics;                     // full-size; merged by summation
     std::unique_ptr<Auditor> auditor;    // before scheduler: it borrows it
     std::unique_ptr<Scheduler> scheduler;
-    // Contexts must be address-stable (coroutines hold references). The
-    // deque's chunks come from the frame pool: this container grows on
-    // the worker thread, where plain malloc is arena-growth-bound (see
-    // frame_pool.cpp), and a chunked pool-backed deque sidesteps that.
-    std::deque<NodeContext, FramePoolAllocator<NodeContext>> contexts;
-    std::vector<TaskRunner> runners;  // parallel to partition NodesOf
-    // Flat-engine runs own a FlatRuntime instead of contexts/runners
-    // (also parallel to partition NodesOf); exactly one form is live.
-    std::unique_ptr<FlatRuntime> flat;
+    // The shard's adapter for a coroutine program (null for a flat one).
+    // Built on the worker thread, so the coroutine frames come from that
+    // thread's pool arena (frame_pool.h).
+    std::unique_ptr<CoroutineProgram> coroutines;
     // Consumer-side scratch, reused every round: one inbound buffer per
     // producer shard, plus the merge cursors over those buffers.
     std::vector<std::vector<WireEntry>> inbound;
@@ -147,12 +136,10 @@ class ShardedEngine {
     std::vector<std::uint8_t> cross_ports;
   };
 
-  // Shared Execute/ExecuteFlat body; exactly one of the programs is
-  // non-null and selects what ShardMain spawns per shard.
-  void ExecuteImpl(const NodeProgram* coro, FlatProgram* flat);
-  void ShardMain(std::uint32_t s, const NodeProgram* coro, FlatProgram* flat);
+  void ShardMain(std::uint32_t s, const NodeProgram* coroutine,
+                 FlatProgram* flat);
   void CollectSends(std::uint32_t s, Round r);
-  void ReceiveAndResume(std::uint32_t s, Round r);
+  void Receive(std::uint32_t s, Round r);
 
   // Barrier completion: reduce the published per-shard next rounds to
   // the global round. Runs exactly once per barrier phase, on the last
@@ -171,8 +158,8 @@ class ShardedEngine {
   ShardPartition partition_;
   ShardExchange exchange_;
   // Slot s is constructed by worker s itself (ShardMain), not in the
-  // engine constructor: the O(n)-sized Metrics and Scheduler arrays are
-  // then built in parallel and first-touched by their owner thread.
+  // engine constructor: the Metrics and Scheduler arrays are then built
+  // in parallel and first-touched by their owner thread.
   // Null after Execute only if that shard failed before constructing;
   // its exception is in errors_[s]. The join in Execute orders every
   // slot's write before the main thread's reads.

@@ -1,12 +1,10 @@
 #include "smst/runtime/simulator.h"
 
-#include <numeric>
+#include <exception>
 #include <stdexcept>
 #include <string>
 
 #include "smst/faults/auditor.h"
-#include "smst/runtime/flat/engine.h"
-#include "smst/runtime/flat/runtime.h"
 #include "smst/runtime/sharded/engine.h"
 
 namespace smst {
@@ -14,10 +12,6 @@ namespace smst {
 namespace {
 
 bool WantAuditor(AuditMode mode) {
-#ifdef SMST_NO_AUDITOR
-  (void)mode;
-  return false;
-#else
   switch (mode) {
     case AuditMode::kOn: return true;
     case AuditMode::kOff: return false;
@@ -29,7 +23,6 @@ bool WantAuditor(AuditMode mode) {
 #endif
   }
   return false;
-#endif
 }
 
 SchedulerOptions MakeSchedulerOptions(const SimulatorOptions& o,
@@ -43,21 +36,6 @@ SchedulerOptions MakeSchedulerOptions(const SimulatorOptions& o,
 }
 
 }  // namespace
-
-const char* EngineModeName(EngineMode mode) {
-  switch (mode) {
-    case EngineMode::kCoroutine: return "coroutine";
-    case EngineMode::kFlat: return "flat";
-  }
-  return "?";
-}
-
-EngineMode ParseEngineMode(const std::string& name) {
-  if (name == "coroutine") return EngineMode::kCoroutine;
-  if (name == "flat") return EngineMode::kFlat;
-  throw std::invalid_argument("unknown engine '" + name +
-                              "' (valid: coroutine, flat)");
-}
 
 Simulator::Simulator(const WeightedGraph& graph, SimulatorOptions options)
     : graph_(graph), options_(std::move(options)), metrics_(graph.NumNodes()) {
@@ -108,21 +86,16 @@ const FaultStats& Simulator::InjectedFaults() const {
   return sharded_ ? sharded_->InjectedFaults() : scheduler_->InjectedFaults();
 }
 
-void Simulator::Execute(const NodeProgram& program) {
+void Simulator::Execute(const NodeProgram* coroutine, FlatProgram* flat) {
   if (ran_) throw std::logic_error("Simulator may run only once");
   ran_ = true;
-  if (options_.engine != EngineMode::kCoroutine) {
-    throw std::logic_error(
-        "SimulatorOptions::engine is flat, which steps FlatPrograms "
-        "only; run coroutine NodePrograms with EngineMode::kCoroutine");
-  }
 
   if (sharded_) {
-    // The engine owns the per-shard contexts and runners; it merges the
-    // per-shard metrics into its totals before rethrowing shard-level
-    // failures, so metrics_ is consistent on every exit path.
+    // The engine owns the per-shard adapters; it merges the per-shard
+    // metrics into its totals before rethrowing shard-level failures, so
+    // metrics_ is consistent on every exit path.
     try {
-      sharded_->Execute(program);
+      sharded_->Execute(coroutine, flat);
     } catch (...) {
       sharded_->MergeMetricsInto(metrics_);
       throw;
@@ -132,91 +105,29 @@ void Simulator::Execute(const NodeProgram& program) {
     return;
   }
 
-  Xoshiro256 root_rng(options_.seed);
-  runners_.reserve(graph_.NumNodes());
-  for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
-    // Each node's private randomness is a substream keyed by its index so
-    // runs are reproducible regardless of scheduling order.
-    contexts_.emplace_back(graph_, v, *scheduler_, metrics_,
-                           root_rng.Split(v));
+  if (coroutine != nullptr) {
+    coroutines_ = std::make_unique<CoroutineProgram>(graph_, metrics_,
+                                                     *coroutine, options_.seed);
+    flat = coroutines_.get();
   }
-  for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
-    runners_.emplace_back(program(contexts_[v]));
-  }
-  // Start after all tasks exist: a program may run to completion
-  // immediately, and starting in a second pass keeps round-1 sends of all
-  // nodes registered before the first round executes.
-  for (TaskRunner& r : runners_) r.Start();
-
-  scheduler_->RunUntilIdle();
-
+  scheduler_->Run(*flat);
   // Rethrow failures before the never-finished check: a node that threw
-  // (e.g. Scheduler::Register rejecting a bad wake from inside the Awake
-  // suspend path) is the root cause, and peers it stranded mid-protocol
-  // must not mask it with the generic error below.
-  for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
-    runners_[v].RethrowIfFailed();
+  // (e.g. an Awake request the scheduler rejected) is the root cause, and
+  // peers it stranded mid-protocol must not mask it with the generic
+  // error below.
+  if (const std::exception_ptr error = scheduler_->FirstFailure().second) {
+    std::rethrow_exception(error);
   }
-}
-
-void Simulator::ExecuteFlat(FlatProgram& program) {
-  if (ran_) throw std::logic_error("Simulator may run only once");
-  ran_ = true;
-
-  if (sharded_) {
-    try {
-      sharded_->ExecuteFlat(program);
-    } catch (...) {
-      sharded_->MergeMetricsInto(metrics_);
-      throw;
-    }
-    sharded_->MergeMetricsInto(metrics_);
-    sharded_->RethrowFirstNodeFailure();
-    return;
-  }
-
-  const bool faulted =
-      options_.fault_plan != nullptr && !options_.fault_plan->Empty();
-  if (options_.engine == EngineMode::kFlat && !auditor_ && !faulted &&
-      !options_.trace) {
-    // Nothing observes the event stream (no auditor, no adversary, no
-    // trace), so the run can use the batched fast engine instead of the
-    // scheduler (DESIGN.md §13).
-    flat_engine_ = std::make_unique<FlatEngine>(graph_, metrics_, *scheduler_,
-                                                options_.max_rounds);
-    flat_engine_->Run(program);
-    flat_engine_->RethrowFirstFailure();
-    return;
-  }
-
-  std::vector<NodeIndex> nodes(graph_.NumNodes());
-  std::iota(nodes.begin(), nodes.end(), NodeIndex{0});
-  flat_runtime_ = std::make_unique<FlatRuntime>(*scheduler_, program,
-                                                metrics_, std::move(nodes));
-  flat_runtime_->StartAll();
-  scheduler_->RunUntilIdle();
-  flat_runtime_->RethrowFirstFailure();
 }
 
 std::uint64_t Simulator::CountUnfinished() const {
-  if (sharded_) return sharded_->CountUnfinished();
-  if (flat_engine_) return flat_engine_->CountUnfinished();
-  if (flat_runtime_) return flat_runtime_->CountUnfinished();
-  std::uint64_t unfinished = 0;
-  for (const TaskRunner& r : runners_) {
-    if (!r.Done()) ++unfinished;
-  }
-  return unfinished;
+  return sharded_ ? sharded_->CountUnfinished()
+                  : scheduler_->CountUnfinished();
 }
 
 NodeIndex Simulator::FirstUnfinishedNode() const {
-  if (sharded_) return sharded_->FirstUnfinishedNode();
-  if (flat_engine_) return flat_engine_->FirstUnfinishedNode();
-  if (flat_runtime_) return flat_runtime_->FirstUnfinishedNode();
-  for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
-    if (!runners_[v].Done()) return v;
-  }
-  return kInvalidNode;
+  return sharded_ ? sharded_->FirstUnfinishedNode()
+                  : scheduler_->FirstUnfinishedNode();
 }
 
 Simulator::AuditSummary Simulator::Audit() const {
@@ -268,12 +179,12 @@ void Simulator::FinishRun() {
 }
 
 void Simulator::Run(const NodeProgram& program) {
-  Execute(program);
+  Execute(&program, nullptr);
   FinishRun();
 }
 
 void Simulator::Run(FlatProgram& program) {
-  ExecuteFlat(program);
+  Execute(nullptr, &program);
   FinishRun();
 }
 
@@ -321,7 +232,7 @@ RunOutcome Simulator::FinishOutcome(RunOutcome out) {
 RunOutcome Simulator::RunToOutcome(const NodeProgram& program) {
   RunOutcome out;
   try {
-    Execute(program);
+    Execute(&program, nullptr);
   } catch (...) {
     ClassifyFailure(out);
   }
@@ -331,7 +242,7 @@ RunOutcome Simulator::RunToOutcome(const NodeProgram& program) {
 RunOutcome Simulator::RunToOutcome(FlatProgram& program) {
   RunOutcome out;
   try {
-    ExecuteFlat(program);
+    Execute(nullptr, &program);
   } catch (...) {
     ClassifyFailure(out);
   }

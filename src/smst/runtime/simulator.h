@@ -4,8 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -15,34 +13,17 @@
 #include "smst/runtime/flat/program.h"
 #include "smst/runtime/metrics.h"
 #include "smst/runtime/node.h"
+#include "smst/runtime/scheduler.h"
 #include "smst/runtime/sharded/partition.h"
-#include "smst/runtime/task.h"
 
 namespace smst {
 
 class Auditor;
 class ShardedEngine;
-class FlatEngine;
-class FlatRuntime;
-
-// Which round loop runs the node programs (DESIGN.md §13). kCoroutine is
-// the Scheduler: it resumes coroutine NodePrograms and steps FlatPrograms
-// (through FlatRuntime), and serves every observer — auditor, fault plan,
-// trace. kFlat steps a FlatProgram on the batched FlatEngine when nothing
-// observes the run, and on the Scheduler otherwise; a coroutine
-// NodeProgram on kFlat is a logic_error. Results are bit-identical on
-// every loop; only wall-clock time differs.
-enum class EngineMode : std::uint8_t { kCoroutine, kFlat };
-
-const char* EngineModeName(EngineMode mode);
-// Parses "coroutine" / "flat" (the CLI/harness --engine values); throws
-// std::invalid_argument naming the valid values on anything else.
-EngineMode ParseEngineMode(const std::string& name);
 
 // Whether this run gets a runtime invariant auditor (see faults/auditor.h).
 // kDefault = on in builds configured with SMST_AUDIT (all Debug builds),
-// off otherwise; kOn/kOff force it. A library built with SMST_NO_AUDITOR
-// has no hooks, so every mode degrades to off.
+// off otherwise; kOn/kOff force it.
 enum class AuditMode : std::uint8_t { kDefault, kOn, kOff };
 
 struct SimulatorOptions {
@@ -66,13 +47,7 @@ struct SimulatorOptions {
   // engine for every K (DESIGN.md §12). `trace` is serial-only.
   std::uint32_t shards = 0;
   ShardPolicy shard_policy = ShardPolicy::kContiguousBlocks;
-  // Round loop (see EngineMode). A trace, like the auditor and a fault
-  // plan, is an observer: it keeps a kFlat run on the Scheduler.
-  EngineMode engine = EngineMode::kCoroutine;
 };
-
-// A node program: the algorithm one node runs. Must eventually finish.
-using NodeProgram = std::function<Task<void>(NodeContext&)>;
 
 class Simulator {
  public:
@@ -94,8 +69,8 @@ class Simulator {
   // once per Simulator, instead of Run.
   RunOutcome RunToOutcome(const NodeProgram& program);
 
-  // The same for a flat state-machine program, on either engine mode.
-  // The caller owns `program` (one instance holds every node's state).
+  // The same for a flat state-machine program. The caller owns `program`
+  // (one instance holds every node's state).
   void Run(FlatProgram& program);
   RunOutcome RunToOutcome(FlatProgram& program);
 
@@ -119,15 +94,10 @@ class Simulator {
   AuditSummary Audit() const;
 
  private:
-  // Shared body of Run/RunToOutcome: spawn, start, run until idle,
+  // Shared body of Run/RunToOutcome: run the program (a coroutine
+  // NodeProgram through its CoroutineProgram adapter) until idle, then
   // rethrow the first failed node program.
-  void Execute(const NodeProgram& program);
-  // Execute for a FlatProgram: picks the fast engine
-  // (runtime/flat/engine.h) on kFlat when nothing observes the event
-  // stream, the scheduler-backed FlatRuntime otherwise, or hands the
-  // program to the sharded engine.
-  void ExecuteFlat(FlatProgram& program);
-  // Post-Execute tail shared by the coroutine and flat overloads.
+  void Execute(const NodeProgram* coroutine, FlatProgram* flat);
   void FinishRun();
   RunOutcome FinishOutcome(RunOutcome out);
   // Classifies the in-flight exception into `out` (rethrows logic_error).
@@ -144,15 +114,9 @@ class Simulator {
   // the sharded multi-worker backend when options.shards >= 1.
   std::unique_ptr<Scheduler> scheduler_;
   std::unique_ptr<ShardedEngine> sharded_;
-  // Serial-engine state. Contexts must be address-stable across the run
-  // (coroutines hold references); a deque keeps elements pinned while
-  // growing without one heap allocation per node. In sharded mode the
-  // engine owns the per-shard equivalents.
-  std::deque<NodeContext> contexts_;
-  std::vector<TaskRunner> runners_;
-  // Flat-engine state (at most one is live, per ExecuteFlat's choice).
-  std::unique_ptr<FlatRuntime> flat_runtime_;
-  std::unique_ptr<FlatEngine> flat_engine_;
+  // The serial engine's adapter for a coroutine NodeProgram (the sharded
+  // engine keeps one per shard).
+  std::unique_ptr<CoroutineProgram> coroutines_;
   // Filled by Run/RunToOutcome after a sharded run (the shard auditors'
   // CheckAwakeMeter cross-check runs exactly once, there).
   AuditSummary sharded_audit_;

@@ -157,10 +157,11 @@ class [[nodiscard]] Task<void> {
 };
 
 // Drives top-level (per-node) tasks from non-coroutine code: the
-// simulator Starts each program, the scheduler resumes leaf awaitables,
-// and Done/RethrowIfFailed observe completion.
+// CoroutineProgram adapter (node.h) Starts each program and resumes leaf
+// awaitables, and Done/RethrowIfFailed observe completion.
 class TaskRunner {
  public:
+  TaskRunner() = default;  // no task: Done()
   explicit TaskRunner(Task<void> task) : task_(std::move(task)) {}
 
   // Runs the task until its first suspension (or completion).

@@ -1,9 +1,10 @@
-// The pending-wake queue of both round loops (Scheduler and FlatEngine).
+// The pending-wake queue of the round loop (Scheduler, runtime/
+// scheduler.h; one per shard on the sharded engine).
 //
 // A monotone radix heap keyed by round (Ahuja, Mehlhorn, Orlin, Tarjan,
 // "Faster algorithms for the shortest path problem", JACM 1990) over one
-// intrusive slot per node. Both loops keep at most one pending wake per
-// node and only ever register rounds after the current one, so a node's
+// intrusive slot per node. The loop keeps at most one pending wake per
+// node and only ever registers rounds after the current one, so a node's
 // queue entry can live in a fixed per-node slot (its round and a next
 // link) and the queue never allocates after construction.
 //
@@ -59,7 +60,7 @@ class WakeQueue {
 
   // The round v was last pushed for (0 if never). Between PopRound(r) and
   // v's next Push this equals r exactly for the nodes popped in round r,
-  // which is how both loops test "receiver awake in this round".
+  // which is how the loop tests "receiver awake in this round".
   Round RoundOf(NodeIndex v) const { return slots_[v].round; }
 
   // Queues v for round r. Requires !Pending(v) and r after the last round

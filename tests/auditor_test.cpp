@@ -206,7 +206,6 @@ TEST(AuditorTest, RecordsUpToCapAndCountsTheRest) {
 
 // ---- clean-run integration ---------------------------------------------
 
-#ifndef SMST_NO_AUDITOR
 TEST(AuditorTest, CleanRunsAuditCleanUnderBothAlgorithms) {
   Xoshiro256 rng(21);
   const auto g = MakeErdosRenyi(40, 0.2, rng);
@@ -234,7 +233,6 @@ TEST(AuditorTest, AuditModeOffDisablesTheSummary) {
   EXPECT_TRUE(r.outcome.Ok());
   EXPECT_EQ(r.outcome.audited_awake_node_rounds, 0u);
 }
-#endif  // SMST_NO_AUDITOR
 
 }  // namespace
 }  // namespace smst

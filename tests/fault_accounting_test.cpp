@@ -58,7 +58,6 @@ std::uint64_t SumAwake(const MstRunResult& r) {
   return total;
 }
 
-#ifndef SMST_NO_AUDITOR
 TEST(FaultAccountingTest, DropMeterAndAwakeMeterAgreeWithAuditor) {
   const FaultPlan plan = ParseFaultPlan(kMixedPlan);
   for (const Case& c : Topologies()) {
@@ -82,7 +81,6 @@ TEST(FaultAccountingTest, DropMeterAndAwakeMeterAgreeWithAuditor) {
     }
   }
 }
-#endif  // SMST_NO_AUDITOR
 
 TEST(FaultAccountingTest, InjectedDropsAreNotModelDrops) {
   // drop=1 destroys every message in flight; the model-drop meter must
@@ -105,9 +103,7 @@ TEST(FaultAccountingTest, AccountingIsThreadCountInvariant) {
   std::vector<RunSpec> specs;
   MstOptions opt;
   opt.fault_plan = &plan;
-#ifndef SMST_NO_AUDITOR
   opt.audit = AuditMode::kOn;
-#endif
   for (const Case& c : cases) {
     for (std::uint64_t seed : {1, 2}) {
       specs.push_back(RunSpec{&c.graph, MstAlgorithm::kRandomized, opt, seed});

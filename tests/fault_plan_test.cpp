@@ -291,18 +291,14 @@ TEST(FaultedRunTest, CrashStopClassifiesAsCrashedPartition) {
 TEST(FaultedRunTest, RulesTargetingMissingNodesAreRejected) {
   // An @NODE filter naming no node of the graph would match nothing and
   // run silently as a no-op; the Simulator rejects it before any engine
-  // is built, on every engine and shard count alike.
+  // is built, serial and sharded alike.
   Xoshiro256 rng(12);
   const auto g = MakeRing(16, rng);
   for (const std::string kind : {"crash=3", "drop=0.5", "jitter=1"}) {
-    for (const auto& [engine, shards] :
-         {std::pair{EngineMode::kCoroutine, 0u},
-          std::pair{EngineMode::kFlat, 0u}, std::pair{EngineMode::kFlat, 2u}}) {
-      SCOPED_TRACE(kind + " " + EngineModeName(engine) + " shards " +
-                   std::to_string(shards));
+    for (const std::uint32_t shards : {0u, 2u}) {
+      SCOPED_TRACE(kind + " shards " + std::to_string(shards));
       MstOptions opt;
       opt.seed = 3;
-      opt.engine = engine;
       opt.shards = shards;
       const FaultPlan missing = ParseFaultPlan(kind + "@16");
       opt.fault_plan = &missing;

@@ -1,9 +1,8 @@
 // Golden records for the five MST algorithms. Each cell's row was
 // recorded on the coroutine engine when every algorithm still had a
 // coroutine script next to its flat state machine; the flat form is now
-// the only source, and each cell must still reproduce its row on every
-// round loop: the Scheduler (kCoroutine), the FlatEngine (kFlat) and the
-// sharded backend (kFlat, 2 shards).
+// the only source, and each cell must still reproduce its row on the
+// serial engine and on the sharded backend (2 shards).
 //
 // A row keeps the readable Table-1 numbers plus one digest over every
 // observable of the run (tree, per-node metrics, wake times, telemetry,
@@ -130,8 +129,6 @@ const Golden kGolden[] = {
     {"er-20/ghs/seed7", 5658, 113160, 6176, 16, "completed", 0x7a6dd2e5cdd76c5aull},
     {"er-20/spanning/seed7", 4182, 1459, 4514, 12, "completed", 0xd3765ec591590b92ull},
     {"er-20/randomized/adaptive", 4614, 2117, 6176, 16, "completed", 0x5337258542e6be45ull},
-    {"er-20/deterministic/adaptive", 20295, 1601, 2692, 5, "completed", 0x17e8e18db5098a62ull},
-    {"er-20/logstar/adaptive", 130831, 6847, 5253, 5, "completed", 0x63aab5432b72b929ull},
     {"er-20/ghs/adaptive", 4614, 92280, 6176, 16, "completed", 0x7ee79c0c68fe5dedull},
     {"er-20/spanning/adaptive", 3138, 1459, 4514, 12, "completed", 0x49f1f4faf3df9457ull},
     {"er-20/randomized/paper-phases", 16605, 2117, 6176, 16, "completed", 0x2bc8f81a1d5f88fdull},
@@ -436,8 +433,8 @@ std::vector<Cell> FaultedCells() {
   return cells;
 }
 
-// AuditMode::kOn routes flat runs through the Scheduler as an observer;
-// the audit meters are part of the digest.
+// AuditMode::kOn keeps every round on the observed (unfused) path; the
+// audit meters are part of the digest.
 std::vector<Cell> AuditedCells() {
   Xoshiro256 rng(75);
   const auto g = Share(MakeErdosRenyi(24, 0.25, rng));
@@ -451,16 +448,27 @@ std::vector<Cell> AuditedCells() {
   return cells;
 }
 
-// Adaptive blocks and the paper's fixed phase budget (the GHS-style
-// algorithms only: the deterministic budget is ~10^6 phases), next to the
-// plain runs on the same graph.
-std::vector<Cell> AdaptiveAndPaperCells() {
+// Adaptive blocks (the randomized engine's algorithms; the deterministic
+// ones reject them, see the test below) and the paper's fixed phase budget
+// (the GHS-style algorithms only: the deterministic budget is ~10^6
+// phases), next to the plain runs on the same graph.
+bool TakesAdaptiveBlocks(MstAlgorithm algo) {
+  return algo != MstAlgorithm::kDeterministic &&
+         algo != MstAlgorithm::kDeterministicLogStar;
+}
+
+std::shared_ptr<const WeightedGraph> AdaptiveGraph() {
   Xoshiro256 rng(76);
-  const auto g = Share(MakeErdosRenyi(20, 0.3, rng));
+  return Share(MakeErdosRenyi(20, 0.3, rng));
+}
+
+std::vector<Cell> AdaptiveAndPaperCells() {
+  const auto g = AdaptiveGraph();
   std::vector<Cell> cells;
   for (MstAlgorithm algo : kAlgorithms) {
     cells.push_back({std::string("er-20/") + AlgoKey(algo) + "/seed7", g,
                      algo, BaseOptions(7)});
+    if (!TakesAdaptiveBlocks(algo)) continue;
     MstOptions opt = BaseOptions(7);
     opt.adaptive_blocks = true;
     cells.push_back({std::string("er-20/") + AlgoKey(algo) + "/adaptive", g,
@@ -514,19 +522,15 @@ std::string RowOf(const std::string& cell, const MstRunResult& r) {
 
 struct Replay {
   const char* name;
-  EngineMode engine;
   std::uint32_t shards;
 };
 
 void ExpectCellsMatch(const std::vector<Cell>& cells) {
   for (const Cell& c : cells) {
     const Golden* want = FindGolden(c.name);
-    for (const Replay& replay : {Replay{"coroutine", EngineMode::kCoroutine, 0},
-                                 Replay{"flat", EngineMode::kFlat, 0},
-                                 Replay{"flat+2", EngineMode::kFlat, 2}}) {
+    for (const Replay& replay : {Replay{"serial", 0}, Replay{"2 shards", 2}}) {
       SCOPED_TRACE(c.name + " on " + replay.name);
       MstOptions opt = c.options;
-      opt.engine = replay.engine;
       opt.shards = replay.shards;
       const MstRunResult r = ComputeMst(*c.graph, c.algo, opt);
       const std::string row = RowOf(c.name, r);
@@ -553,14 +557,28 @@ TEST(MstGoldenTest, FaultedRunsMatchTheRecords) {
 }
 
 TEST(MstGoldenTest, AuditedRunsMatchTheRecords) {
-#ifdef SMST_NO_AUDITOR
-  GTEST_SKIP() << "built without the auditor; the rows hold its meters";
-#endif
   ExpectCellsMatch(AuditedCells());
 }
 
 TEST(MstGoldenTest, AdaptiveBlocksAndPaperPhasesMatchTheRecords) {
   ExpectCellsMatch(AdaptiveAndPaperCells());
+}
+
+TEST(MstGoldenTest, DeterministicVariantsRejectAdaptiveBlocks) {
+  // These two cells once recorded the plain seed-7 runs: the option was
+  // silently ignored.
+  const auto g = AdaptiveGraph();
+  for (MstAlgorithm algo : kAlgorithms) {
+    if (TakesAdaptiveBlocks(algo)) continue;
+    for (const std::uint32_t shards : {0u, 2u}) {
+      SCOPED_TRACE(std::string(AlgoKey(algo)) + " shards " +
+                   std::to_string(shards));
+      MstOptions opt = BaseOptions(7);
+      opt.adaptive_blocks = true;
+      opt.shards = shards;
+      EXPECT_THROW(ComputeMst(*g, algo, opt), std::invalid_argument);
+    }
+  }
 }
 
 TEST(MstGoldenTest, SeedSweptGraphsMatchTheRecords) {

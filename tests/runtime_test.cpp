@@ -186,45 +186,10 @@ TEST(SimulatorTest, AwakeRoundsMustStrictlyIncrease) {
 }
 
 // ------------------------------------------ scheduler failure surfacing --
-// Scheduler::Register throws from inside the Awake awaitable's
-// await_suspend; the standard resumes the coroutine and propagates the
-// exception from the co_await, so it must land in the task's promise and
-// surface via TaskRunner::RethrowIfFailed — never std::terminate, and
-// never masked by a peer's generic "never finished" error.
-
-TEST(SchedulerTest, DuplicateWakeRegistrationThrowsInEveryBuildType) {
-  // Only direct Register misuse can double-book a node (a coroutine is
-  // suspended while its wake is queued), but before this was a throw it
-  // was a debug-only assert: release builds silently clobbered
-  // delivery state. Pin the loud failure, raised by the second Register
-  // itself (the node's queue slot is taken).
-  auto g = TwoNodes();
-  Metrics metrics(g.NumNodes());
-  Scheduler sched(g, metrics, /*max_rounds=*/100);
-  PendingWake first{0, 1, {}, {}, nullptr};
-  PendingWake second{0, 1, {}, {}, nullptr};
-  sched.Register(&first);
-  try {
-    sched.Register(&second);
-    FAIL() << "duplicate wake did not throw";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("awake twice"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(SchedulerTest, DuplicateWakeForALaterRoundAlsoThrows) {
-  // The slot test catches a second pending wake whatever its round, not
-  // only one that collides in the same round.
-  auto g = TwoNodes();
-  Metrics metrics(g.NumNodes());
-  Scheduler sched(g, metrics, /*max_rounds=*/100);
-  PendingWake first{1, 3, {}, {}, nullptr};
-  PendingWake second{1, 7, {}, {}, nullptr};
-  sched.Register(&first);
-  EXPECT_THROW(sched.Register(&second), std::logic_error);
-  EXPECT_EQ(sched.NextPendingRound(), 3u);
-}
+// An invalid Awake request (bad round, double send) fails the node from
+// the round loop once its frame has suspended. The failure must surface
+// as the node's own error — never std::terminate, and never masked by a
+// peer's generic "never finished" error.
 
 Task<int> NestedBadRound(NodeContext& ctx) {
   co_await ctx.Awake(3);

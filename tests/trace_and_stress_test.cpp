@@ -76,9 +76,8 @@ TEST(TraceTest, EventsMatchTheRun) {
 }
 
 TEST(TraceTest, FlatProgramsTraceLikeTheirCoroutine) {
-  // A trace is an observer like the auditor: a traced flat run steps on
-  // the Scheduler under either engine mode and must emit the coroutine
-  // run's events, fault-free and under an adversary.
+  // A trace is an observer like the auditor: a traced flat run must emit
+  // the coroutine run's events, fault-free and under an adversary.
   Xoshiro256 rng(8);
   const auto g = MakeRing(6, rng);
   const FaultPlan plan = ParseFaultPlan("salt=3,drop=0.3,dup=0.3,delay=1:0.3");
@@ -90,18 +89,14 @@ TEST(TraceTest, FlatProgramsTraceLikeTheirCoroutine) {
     Simulator(g, opt).Run([](NodeContext& ctx) { return ChatterNode(ctx); });
     ASSERT_EQ(want.size(), 7u);  // 6 nodes in round 1 + node 0 in round 2
 
-    for (EngineMode engine : {EngineMode::kCoroutine, EngineMode::kFlat}) {
-      SCOPED_TRACE(std::string(EngineModeName(engine)) +
-                   (p ? " faulted" : " fault-free"));
-      std::vector<TraceEvent> got;
-      opt.engine = engine;
-      opt.trace = [&got](const TraceEvent& e) { got.push_back(e); };
-      FlatChatter program(g);
-      Simulator(g, opt).Run(program);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(Fields(got[i]), Fields(want[i])) << "event " << i;
-      }
+    SCOPED_TRACE(p ? "faulted" : "fault-free");
+    std::vector<TraceEvent> got;
+    opt.trace = [&got](const TraceEvent& e) { got.push_back(e); };
+    FlatChatter program(g);
+    Simulator(g, opt).Run(program);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(Fields(got[i]), Fields(want[i])) << "event " << i;
     }
   }
 }

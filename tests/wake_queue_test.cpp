@@ -1,8 +1,8 @@
-// WakeQueue (runtime/wake_queue.h): the radix wake queue shared by the
-// Scheduler and the FlatEngine. The main test is a seeded differential
+// WakeQueue (runtime/wake_queue.h): the radix wake queue of the
+// Scheduler's round loop. The main test is a seeded differential
 // run against a std::map<Round, std::set<NodeIndex>> reference over
 // random monotone push/pop sequences; the named cases pin the shapes the
-// round loops depend on.
+// round loop depends on.
 //
 // This binary replaces global operator new/delete with counting versions
 // (test-only) for the no-allocation case.

@@ -41,16 +41,18 @@ flags:
              hypercube | caterpillar | lollipop | barbell | grc       [er]
   --input    load an edge-list file instead of generating (see graph/io.h)
   --dot      write the graph + tree as Graphviz DOT to this path
-  --adaptive use depth-bounded schedule blocks (randomized engine)
+  --adaptive use depth-bounded schedule blocks (randomized, ghs,
+             spanning; deterministic and logstar reject it)
   --n        node count (family-dependent meaning)                   [256]
   --p        Erdos-Renyi edge probability in [0, 1] (0 = min(1, 8/n)) [0]
   --radius   geometric radius, >= 0                                  [0.16]
-  --rows/--cols  G_rc shape                                          [4/64]
+  --rows/--cols  G_rc shape (grc takes no --n or --max-id)         [4/64]
   --max-id   N, the ID range (0 = n)                                 [0]
   --seed     run & generator seed                                    [1]
   --seeds    run K seeded runs (seed .. seed+K-1) on the same graph  [1]
   --threads  worker threads for multi-seed runs (0 = all cores)      [0]
-  --paper-phases    use the paper's fixed phase budget (randomized)
+  --paper-phases    use the paper's fixed phase budget instead of early
+             termination detection (every --algo)
   --fault-plan      adversary spec, e.g. 'drop=0.01,jitter=2' — comma-
              separated drop=P | delay=K[:P] | dup=P | jitter=D[:P] |
              crash=R[:P] items, each with optional @NODE filter, plus
@@ -61,11 +63,6 @@ flags:
   --shards   simulator worker shards (0 = serial engine); results are
              bit-identical for every value                           [0]
   --shard-policy  block | rr — node-to-shard partition policy        [block]
-  --engine   coroutine | flat — the round loop that steps the
-             algorithm's state machine: the Scheduler, or the batched
-             FlatEngine (used when no --fault-plan / --audit observes the
-             run; otherwise flat also steps on the Scheduler). Results are
-             bit-identical; see DESIGN.md §13                        [coroutine]
   --energy   off | mote | wifi | ble (single runs only)              [off]
   --quiet    only the summary line
 )";
@@ -92,6 +89,20 @@ std::optional<smst::EnergyModel> ParseEnergy(const std::string& s) {
 smst::WeightedGraph MakeGraph(const smst::ArgParser& args,
                               smst::Xoshiro256& rng) {
   const std::string family = args.GetString("graph", "er");
+  if (family == "grc") {
+    // G_rc's size is rows * cols + |I| by construction and it assigns its
+    // own IDs; a size or ID range given for it would be ignored.
+    for (const char* flag : {"n", "max-id"}) {
+      if (args.Has(flag)) {
+        throw std::invalid_argument(std::string("--") + flag +
+                                    " has no effect on --graph grc (its "
+                                    "shape is --rows x --cols)");
+      }
+    }
+    auto inst = smst::BuildGrc(args.GetUint("rows", 4),
+                               args.GetUint("cols", 64), rng);
+    return std::move(inst.graph);
+  }
   const std::size_t n = args.GetUint("n", 256);
   smst::GeneratorOptions opt;
   opt.max_id = args.GetUint("max-id", 0);
@@ -129,11 +140,6 @@ smst::WeightedGraph MakeGraph(const smst::ArgParser& args,
   if (family == "caterpillar") return smst::MakeCaterpillar(n / 2, rng, opt);
   if (family == "lollipop") return smst::MakeLollipop(n, rng, opt);
   if (family == "barbell") return smst::MakeBarbell(n, rng, opt);
-  if (family == "grc") {
-    auto inst = smst::BuildGrc(args.GetUint("rows", 4),
-                               args.GetUint("cols", 64), rng);
-    return std::move(inst.graph);
-  }
   throw std::invalid_argument("unknown --graph '" + family + "'");
 }
 
@@ -167,6 +173,11 @@ int main(int argc, char** argv) {
                                   " needs a single run, not --seeds " +
                                   std::to_string(num_seeds));
     }
+    // Only a multi-seed sweep has runs to spread over threads.
+    if (num_seeds == 1 && args.Has("threads")) {
+      throw std::invalid_argument(
+          "--threads has no effect on a single run (add --seeds K > 1)");
+    }
 
     smst::Xoshiro256 rng(seed);
     const std::string input = args.GetString("input", "");
@@ -190,7 +201,6 @@ int main(int argc, char** argv) {
     opt.shards = static_cast<std::uint32_t>(args.GetUint("shards", 0));
     opt.shard_policy =
         smst::ParseShardPolicy(args.GetString("shard-policy", "block"));
-    opt.engine = smst::ParseEngineMode(args.GetString("engine", "coroutine"));
     const auto threads = static_cast<unsigned>(args.GetUint("threads", 0));
     if (auto unused = args.UnusedFlags(); !unused.empty()) {
       std::cerr << "unknown flag --" << unused.front() << " (see --help)\n";
