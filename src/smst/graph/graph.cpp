@@ -53,11 +53,18 @@ WeightedGraph GraphBuilder::Build() && {
   // reach the built graph. smst_lint's det-unordered-iter rule guards this
   // from regressing; port tables below are built in edge-insertion order.
 
-  // Distinct weights (required: makes the MST unique).
+  // Distinct weights (required: makes the MST unique), none of them a
+  // reserved sentinel.
   {
     std::unordered_set<Weight> seen;
     seen.reserve(g.edges_.size() * 2);
     for (const Edge& e : g.edges_) {
+      if (e.weight == 0 || e.weight == ~Weight{0}) {
+        throw std::invalid_argument(
+            "edge " + std::to_string(e.u) + "-" + std::to_string(e.v) +
+            " has reserved weight " + std::to_string(e.weight) +
+            " (weights must lie in [1, 2^64-2])");
+      }
       if (!seen.insert(e.weight).second) {
         throw std::invalid_argument("duplicate edge weight " +
                                     std::to_string(e.weight));

@@ -1,6 +1,8 @@
 #include "smst/graph/io.h"
 
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -15,6 +17,19 @@ namespace {
                               ": " + what);
 }
 
+// `tok` read as one whole unsigned decimal number: digits only (no sign,
+// fraction or trailing characters) and within uint64.
+std::uint64_t Number(std::size_t line, const std::string& tok,
+                     const char* what) {
+  std::uint64_t value = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    Fail(line, std::string("bad ") + what + " '" + tok + "'");
+  }
+  return value;
+}
+
 }  // namespace
 
 WeightedGraph ReadEdgeList(std::istream& in) {
@@ -26,39 +41,51 @@ WeightedGraph ReadEdgeList(std::istream& in) {
 
   std::string line;
   std::size_t line_no = 0;
+  std::vector<std::string> tok;
   while (std::getline(in, line)) {
     ++line_no;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream ls(line);
-    std::string first;
-    if (!(ls >> first)) continue;  // blank / comment-only
+    tok.clear();
+    for (std::string t; ls >> t;) tok.push_back(std::move(t));
+    if (tok.empty()) continue;  // blank / comment-only
 
-    if (first == "n") {
+    if (tok[0] == "n") {
       if (builder.has_value()) Fail(line_no, "duplicate 'n' header");
-      if (!(ls >> n) || n == 0) Fail(line_no, "bad node count");
-      if (!(ls >> max_id)) max_id = n;
+      if (tok.size() < 2 || tok.size() > 3) {
+        Fail(line_no, "expected 'n count [max-id]'");
+      }
+      const std::uint64_t count = Number(line_no, tok[1], "node count");
+      if (count == 0) Fail(line_no, "bad node count");
+      if (count > std::numeric_limits<NodeIndex>::max()) {
+        Fail(line_no, "node count " + tok[1] + " exceeds the node index range");
+      }
+      n = count;
+      max_id = tok.size() == 3 ? Number(line_no, tok[2], "max-id") : n;
       if (max_id < n) Fail(line_no, "max-id below node count");
       builder.emplace(n);
       ids.assign(n, 0);
       continue;
     }
     if (!builder.has_value()) Fail(line_no, "edges before the 'n' header");
-    if (first == "id") {
-      NodeIndex v;
-      NodeId id;
-      if (!(ls >> v >> id) || v >= n) Fail(line_no, "bad id line");
-      ids[v] = id;
+    if (tok[0] == "id") {
+      if (tok.size() != 3) Fail(line_no, "expected 'id node id'");
+      const std::uint64_t v = Number(line_no, tok[1], "node");
+      if (v >= n) Fail(line_no, "bad id line");
+      ids[v] = Number(line_no, tok[2], "id");
       has_ids = true;
       continue;
     }
     // Edge line: u v w.
-    NodeIndex u, v;
-    Weight w;
-    std::istringstream es(line);
-    if (!(es >> u >> v >> w)) Fail(line_no, "expected 'u v weight'");
+    if (tok.size() != 3) Fail(line_no, "expected 'u v weight'");
+    const std::uint64_t u = Number(line_no, tok[0], "endpoint");
+    const std::uint64_t v = Number(line_no, tok[1], "endpoint");
+    const Weight w = Number(line_no, tok[2], "weight");
+    if (u >= n || v >= n) Fail(line_no, "edge endpoint out of range");
     try {
-      builder->AddEdge(u, v, w);
+      builder->AddEdge(static_cast<NodeIndex>(u), static_cast<NodeIndex>(v),
+                       w);
     } catch (const std::invalid_argument& e) {
       Fail(line_no, e.what());
     }

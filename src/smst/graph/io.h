@@ -2,7 +2,8 @@
 // networks (CLI `--input`), and Graphviz DOT export with optional MST
 // highlighting for inspection.
 //
-// Edge-list format (whitespace-separated, '#' comments):
+// Edge-list format (whitespace-separated, '#' comments; every field is
+// one unsigned decimal number and a line has no further tokens):
 //   n <node-count> [<max-id>]
 //   [id <node-index> <node-id>]...      (optional; default IDs 1..n)
 //   <u> <v> <weight>                    (one line per edge, 0-based)

@@ -1,4 +1,5 @@
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -90,6 +91,41 @@ TEST(EdgeListTest, ErrorsCarryLineNumbers) {
     std::istringstream in("");
     EXPECT_THROW(ReadEdgeList(in), std::invalid_argument);
   }
+}
+
+// Every field is one whole unsigned decimal token; anything else fails
+// naming its line instead of being read as some other number.
+void ExpectLineError(const std::string& text, const std::string& line) {
+  std::istringstream in(text);
+  try {
+    ReadEdgeList(in);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(EdgeListTest, RejectsNegativeWeight) {
+  // An unsigned stream read wraps "-1" to 2^64-1.
+  ExpectLineError("n 3\n0 1 -1\n1 2 7\n", "line 2");
+}
+
+TEST(EdgeListTest, RejectsFractionalWeight) {
+  ExpectLineError("n 3\n0 1 1.5\n1 2 7\n", "line 2");
+}
+
+TEST(EdgeListTest, RejectsTrailingTokenOnEdgeLine) {
+  ExpectLineError("n 3\n0 1 5 junk\n1 2 7\n", "line 2");
+}
+
+TEST(EdgeListTest, RejectsTrailingTokenOnHeader) {
+  ExpectLineError("n 3 junk\n0 1 5\n1 2 7\n", "line 1");
+}
+
+TEST(EdgeListTest, RejectsNodeCountBeyondNodeIndex) {
+  // 2^32 + 1 nodes: no NodeIndex can address them.
+  ExpectLineError("n 4294967297\n0 1 5\n", "line 1");
 }
 
 TEST(EdgeListTest, BuilderValidationPropagates) {

@@ -1,4 +1,5 @@
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -56,6 +57,22 @@ TEST(GraphBuilderTest, RejectsDuplicateWeight) {
   GraphBuilder b(3);
   b.AddEdge(0, 1, 5).AddEdge(1, 2, 5);
   EXPECT_THROW(std::move(b).Build(), std::invalid_argument);
+}
+
+TEST(GraphBuilderTest, RejectsReservedWeights) {
+  // 0 and 2^64-1 are the algorithms' -infinity / +infinity; an MST edge
+  // weighing +infinity would read as "no candidate" in Upcast-Min.
+  for (const Weight w : {Weight{0}, ~Weight{0}}) {
+    GraphBuilder b(3);
+    b.AddEdge(0, 1, w).AddEdge(1, 2, 7);
+    try {
+      std::move(b).Build();
+      ADD_FAILURE() << "accepted weight " << w;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("edge 0-1"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(GraphBuilderTest, RejectsParallelEdge) {
