@@ -4,7 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "smst/graph/graph.h"
 #include "smst/mst/options.h"
@@ -26,10 +26,11 @@ MstRunResult RunGhsStyle(const WeightedGraph& g, const MstOptions& options,
                          SelectionRule rule);
 
 // This node's best outgoing-edge candidate under `rule` (absent if every
-// neighbor is in the same fragment). The item's `b` field always carries
-// the edge weight, which identifies the edge globally.
+// neighbor is in the same fragment). `nbr_frag[p]` is the fragment ID
+// heard on port p. The item's `b` field always carries the edge weight,
+// which identifies the edge globally.
 inline UpcastItem LocalMoe(const FlatNodeRef& node, const LdtState& ldt,
-                           const std::vector<NodeId>& nbr_frag,
+                           std::span<const NodeId> nbr_frag,
                            SelectionRule rule) {
   UpcastItem best;  // absent
   for (std::uint32_t p = 0; p < node.Degree(); ++p) {
@@ -53,7 +54,7 @@ inline UpcastItem LocalMoe(const FlatNodeRef& node, const LdtState& ldt,
 // if the fragment's chosen edge is not incident here.
 inline std::uint32_t PortOfOutgoingWeight(const FlatNodeRef& node,
                                           const LdtState& ldt,
-                                          const std::vector<NodeId>& nbr_frag,
+                                          std::span<const NodeId> nbr_frag,
                                           Weight weight) {
   for (std::uint32_t p = 0; p < node.Degree(); ++p) {
     if (nbr_frag[p] != ldt.fragment_id && node.WeightAtPort(p) == weight) {

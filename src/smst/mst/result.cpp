@@ -8,7 +8,7 @@
 namespace smst {
 
 MstRunResult AssembleResult(const WeightedGraph& g,
-                            const std::vector<std::vector<bool>>& port_marks,
+                            std::span<const std::uint8_t> port_marks,
                             const Metrics& metrics, std::uint64_t phases,
                             std::vector<LdtState> final_ldt) {
   MstRunResult r;
@@ -20,8 +20,9 @@ MstRunResult AssembleResult(const WeightedGraph& g,
   std::vector<std::uint8_t> endpoint_count(g.NumEdges(), 0);
   for (NodeIndex v = 0; v < g.NumNodes(); ++v) {
     const auto ports = g.PortsOf(v);
+    const std::uint8_t* marks = port_marks.data() + g.PortOffset(v);
     for (std::uint32_t p = 0; p < ports.size(); ++p) {
-      if (port_marks[v][p]) ++endpoint_count[ports[p].edge];
+      if (marks[p] != 0) ++endpoint_count[ports[p].edge];
     }
   }
   for (EdgeIndex e = 0; e < g.NumEdges(); ++e) {

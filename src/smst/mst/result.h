@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,10 +53,11 @@ struct MstRunResult {
   std::vector<std::vector<LdtState>> forest_per_phase;
 };
 
-// Shared by the algorithm harnesses: turns per-node per-port MST marks
+// Shared by the algorithm harnesses: turns per-port MST marks (one byte
+// per port, indexed by the graph's CSR port numbering; nonzero = marked)
 // into an edge list, filling `consistency_error` on endpoint mismatch.
 MstRunResult AssembleResult(const WeightedGraph& g,
-                            const std::vector<std::vector<bool>>& port_marks,
+                            std::span<const std::uint8_t> port_marks,
                             const Metrics& metrics, std::uint64_t phases,
                             std::vector<LdtState> final_ldt);
 

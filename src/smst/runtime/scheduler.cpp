@@ -18,8 +18,7 @@ Scheduler::Scheduler(const WeightedGraph& graph, Metrics& metrics,
       auditor_(options.auditor),
       partition_(partition),
       shard_(shard),
-      queue_(graph.NumNodes()),
-      port_offset_(graph.NumNodes() + 1, 0) {
+      queue_(graph.NumNodes()) {
   std::size_t lanes = graph.NumNodes();
   if (partition_ != nullptr) {
     const std::vector<NodeIndex>& owned = partition_->NodesOf(shard_);
@@ -34,9 +33,7 @@ Scheduler::Scheduler(const WeightedGraph& graph, Metrics& metrics,
 
   std::size_t max_degree = 0;
   for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
-    const std::size_t deg = graph_.DegreeOf(v);
-    port_offset_[v + 1] = port_offset_[v] + deg;
-    max_degree = std::max(max_degree, deg);
+    max_degree = std::max(max_degree, graph_.DegreeOf(v));
   }
   // edge -> (port index at edge.u, port index at edge.v), then flattened
   // into the per-(node, port) reverse-port table the delivery loop reads.
@@ -50,11 +47,11 @@ Scheduler::Scheduler(const WeightedGraph& graph, Metrics& metrics,
       ++port_index;
     }
   }
-  reverse_ports_.resize(port_offset_.back());
+  reverse_ports_.resize(graph_.NumPorts());
   for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
     std::uint32_t port_index = 0;
     for (const Port& p : graph_.PortsOf(v)) {
-      reverse_ports_[port_offset_[v] + port_index] =
+      reverse_ports_[graph_.PortOffset(v) + port_index] =
           graph_.GetEdge(p.edge).u == p.neighbor ? edge_ports[p.edge].first
                                                  : edge_ports[p.edge].second;
       ++port_index;

@@ -260,12 +260,11 @@ class Scheduler {
   // Min-heap of adversary-delayed messages (std::*_heap with
   // std::greater); empty for a null plan.
   std::vector<DelayedMessage> delayed_;
-  // CSR over ports, aligned with WeightedGraph's port tables:
-  // reverse_ports_[port_offset_[v] + p] is the port index *at the
+  // Indexed by the graph's CSR port numbering (WeightedGraph::PortOffset):
+  // reverse_ports_[PortOffset(v) + p] is the port index *at the
   // neighbor* for node v's port p. Precomputed so delivery resolves the
   // receiver's port with one load instead of a GetEdge + endpoint
   // comparison per message.
-  std::vector<std::size_t> port_offset_;   // size n+1
   std::vector<std::uint32_t> reverse_ports_;
   // Scratch bitset reused by ValidateSends for nodes of degree > 64
   // (sized to the max degree once; cleared per use).
@@ -325,7 +324,7 @@ template <bool kObserved>
   // Hoist the per-node indirections out of the per-send loop: the port
   // table base and the precomputed receiver-port row.
   const Port* ports = graph_.PortsOf(v).data();
-  const std::uint32_t* reverse = reverse_ports_.data() + port_offset_[v];
+  const std::uint32_t* reverse = reverse_ports_.data() + graph_.PortOffset(v);
   MeterAcc sent;  // this batch's meters, added to acc at the end
   for (std::uint32_t bp = 0; bp < sends.size(); ++bp) {
     const OutMessage& out = sends[bp];

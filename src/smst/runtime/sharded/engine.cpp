@@ -171,7 +171,7 @@ void ShardedEngine::CollectSends(std::uint32_t s, Round r) {
     const SendBatch& sends = sched.sends_[i];
     const Port* ports = graph_.PortsOf(v).data();
     const std::uint32_t* reverse =
-        sched.reverse_ports_.data() + sched.port_offset_[v];
+        sched.reverse_ports_.data() + graph_.PortOffset(v);
     for (std::uint32_t bp = 0; bp < sends.size(); ++bp) {
       const OutMessage& out = sends[bp];
       const NodeIndex dst = ports[out.port].neighbor;

@@ -13,7 +13,8 @@
 
 namespace smst {
 
-FragColor ColoringGreedyChoice(const std::map<NodeId, FragColor>& taken) {
+FragColor ColoringGreedyChoice(
+    std::span<const std::pair<NodeId, FragColor>> taken) {
   for (FragColor c : {FragColor::kBlue, FragColor::kRed, FragColor::kOrange,
                       FragColor::kBlack, FragColor::kGreen}) {
     bool used = false;
@@ -123,15 +124,14 @@ std::uint64_t LogStarColoringBlocks(std::size_t /*n*/, NodeId max_id) {
 // --- ExchangeValues ------------------------------------------------------
 
 Round FlatExchange::Begin(const FlatNodeRef& node, const LdtState& l,
-                          BlockCursor& c,
-                          const std::vector<NodeId>& sorted_ids,
-                          const std::vector<HPort>& h_ports_in,
+                          BlockCursor& c, std::span<const NodeId> sorted_ids,
+                          std::span<const HPort> h_ports_in,
                           std::uint64_t value, bool announce_in,
                           SendBatch& sends) {
   ldt = &l;
   cursor = &c;
-  sorted_nbr_ids = &sorted_ids;
-  h_ports = &h_ports_in;
+  sorted_nbr_ids = sorted_ids;
+  h_ports = h_ports_in;
   own_value = value;
   announce = announce_in;
   pc = 0;
@@ -147,7 +147,7 @@ Round FlatExchange::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
     case 0:
       // Side: announce on the boundary edges.
       if (announce) {
-        for (const HPort& hp : *h_ports) {
+        for (const HPort& hp : h_ports) {
           sends.push_back({hp.port, Message{kTagXchg, own_value, 0, 0}});
         }
       }
@@ -155,12 +155,12 @@ Round FlatExchange::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
       heard.clear();
       for (const InMessage& m : inbox) {
         if (m.msg.type != kTagXchg) continue;
-        for (const HPort& hp : *h_ports) {
+        for (const HPort& hp : h_ports) {
           if (hp.port == m.port) {
-            const auto it = std::lower_bound(sorted_nbr_ids->begin(),
-                                             sorted_nbr_ids->end(),
+            const auto it = std::lower_bound(sorted_nbr_ids.begin(),
+                                             sorted_nbr_ids.end(),
                                              hp.neighbor_frag);
-            heard[static_cast<std::uint64_t>(it - sorted_nbr_ids->begin())] =
+            heard[static_cast<std::uint64_t>(it - sorted_nbr_ids.begin())] =
                 m.msg.a;
           }
         }
@@ -172,16 +172,16 @@ Round FlatExchange::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
         SMST_FLAT_SUB(*this, umin, umin.Begin(node, *ldt, cursor->TakeBlock(), FirstUndone(heard, done_indices), sends));
         SMST_FLAT_SUB(*this, bcast, bcast.Begin(node, *ldt, cursor->TakeBlock(), Message{kTagXchgUp, umin.best.key, umin.best.b, 0}, sends));
         if (bcast.msg.a != kPlusInfinity) {
-          if (bcast.msg.a >= sorted_nbr_ids->size()) {
+          if (bcast.msg.a >= sorted_nbr_ids.size()) {
             // Only a foreign message (a fault effect) carries an index
             // past the fragment's neighbor list.
             throw ProtocolStallError(
                 "ExchangeValues: node " + std::to_string(node.Id()) +
                 " gathered neighbor index " + std::to_string(bcast.msg.a) +
-                " of " + std::to_string(sorted_nbr_ids->size()));
+                " of " + std::to_string(sorted_nbr_ids.size()));
           }
           done_indices.insert(bcast.msg.a);
-          result[(*sorted_nbr_ids)[bcast.msg.a]] = bcast.msg.b;
+          result[sorted_nbr_ids[bcast.msg.a]] = bcast.msg.b;
         }
       }
       return kFlatDone;
@@ -192,13 +192,13 @@ Round FlatExchange::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
 
 Round FlatLogStarColoring::Begin(const FlatNodeRef& node, const LdtState& l,
                                  BlockCursor& c,
-                                 const std::vector<NbrEntry>& nbr_in,
-                                 const std::vector<HPort>& h_ports_in,
+                                 std::span<const NbrEntry> nbr_in,
+                                 std::span<const HPort> h_ports_in,
                                  std::uint32_t iters, SendBatch& sends) {
   ldt = &l;
   cursor = &c;
-  nbr = &nbr_in;
-  h_ports = &h_ports_in;
+  nbr = nbr_in;
+  h_ports = h_ports_in;
   cv_iters = iters;
   pc = 0;
   const InboxBatch empty;
@@ -211,7 +211,7 @@ Round FlatLogStarColoring::Resume(const FlatNodeRef& node,
     default:
       throw std::logic_error("flat program: corrupt pc");
     case 0:
-      if (nbr->empty()) {
+      if (nbr.empty()) {
         throw std::logic_error(
             "LogStarColoring: isolated fragments skip coloring");
       }
@@ -223,7 +223,7 @@ Round FlatLogStarColoring::Resume(const FlatNodeRef& node,
       // Fragment-wide consistent views derived from nbr (identical at
       // every node of the fragment).
       sorted_nbr_ids.clear();
-      for (const NbrEntry& e : *nbr) sorted_nbr_ids.push_back(e.frag_id);
+      for (const NbrEntry& e : nbr) sorted_nbr_ids.push_back(e.frag_id);
       std::sort(sorted_nbr_ids.begin(), sorted_nbr_ids.end());
       sorted_nbr_ids.erase(
           std::unique(sorted_nbr_ids.begin(), sorted_nbr_ids.end()),
@@ -231,7 +231,7 @@ Round FlatLogStarColoring::Resume(const FlatNodeRef& node,
 
       // Out-edges (toward larger fragment IDs), sorted: index = forest.
       out_edges.clear();
-      for (const NbrEntry& e : *nbr) {
+      for (const NbrEntry& e : nbr) {
         if (e.frag_id > own_frag) out_edges.push_back(e);
       }
       std::sort(out_edges.begin(), out_edges.end(),
@@ -242,7 +242,7 @@ Round FlatLogStarColoring::Resume(const FlatNodeRef& node,
 
       // --- orientation exchange: tell each in-neighbor which forest we
       // put the shared edge in; learn the same for our in-edges. -------
-      for (const HPort& hp : *h_ports) {
+      for (const HPort& hp : h_ports) {
         for (std::uint32_t f = 0; f < out_edges.size(); ++f) {
           if (out_edges[f].frag_id == hp.neighbor_frag &&
               node.WeightAtPort(hp.port) == out_edges[f].weight) {
@@ -271,7 +271,7 @@ Round FlatLogStarColoring::Resume(const FlatNodeRef& node,
       // Children per forest: the in-edges' source fragments, by the
       // forest index the *source* assigned.
       for (std::vector<NodeId>& children : forest_children) children.clear();
-      for (const NbrEntry& e : *nbr) {
+      for (const NbrEntry& e : nbr) {
         if (e.frag_id >= own_frag) continue;
         if (auto it = in_forest.find(e.weight); it != in_forest.end()) {
           forest_children[it->second % 4].push_back(e.frag_id);
@@ -290,7 +290,7 @@ Round FlatLogStarColoring::Resume(const FlatNodeRef& node,
             coord[f] = coord[f] & 1;  // forest root: keep bit 0
           }
         }
-        SMST_FLAT_SUB(*this, xchg, xchg.Begin(node, *ldt, *cursor, sorted_nbr_ids, *h_ports, Pack4(coord), true, sends));
+        SMST_FLAT_SUB(*this, xchg, xchg.Begin(node, *ldt, *cursor, sorted_nbr_ids, h_ports, Pack4(coord), true, sends));
         for (const auto& [id, packed] : xchg.result) {
           nbr_coord[id] = Unpack4(packed);
         }
@@ -311,7 +311,7 @@ Round FlatLogStarColoring::Resume(const FlatNodeRef& node,
           }
           coord = next;
         }
-        SMST_FLAT_SUB(*this, xchg, xchg.Begin(node, *ldt, *cursor, sorted_nbr_ids, *h_ports, Pack4(coord), true, sends));
+        SMST_FLAT_SUB(*this, xchg, xchg.Begin(node, *ldt, *cursor, sorted_nbr_ids, h_ports, Pack4(coord), true, sends));
         for (const auto& [id, packed] : xchg.result) {
           nbr_coord[id] = Unpack4(packed);
         }
@@ -335,7 +335,7 @@ Round FlatLogStarColoring::Resume(const FlatNodeRef& node,
             }
           }
         }
-        SMST_FLAT_SUB(*this, xchg, xchg.Begin(node, *ldt, *cursor, sorted_nbr_ids, *h_ports, Pack4(coord), true, sends));
+        SMST_FLAT_SUB(*this, xchg, xchg.Begin(node, *ldt, *cursor, sorted_nbr_ids, h_ports, Pack4(coord), true, sends));
         for (const auto& [id, packed] : xchg.result) {
           nbr_coord[id] = Unpack4(packed);
         }
@@ -373,7 +373,7 @@ Round FlatLogStarColoring::Resume(const FlatNodeRef& node,
         // Only the retiring class announces; every neighbor of an
         // announcer is a listener (it tracked the announcer's color), so
         // nothing is ever sent to a sleeping fragment.
-        SMST_FLAT_SUB(*this, xchg, xchg.Begin(node, *ldt, *cursor, sorted_nbr_ids, *h_ports, result.my_color, announcer, sends));
+        SMST_FLAT_SUB(*this, xchg, xchg.Begin(node, *ldt, *cursor, sorted_nbr_ids, h_ports, result.my_color, announcer, sends));
         for (const auto& [id, value] : xchg.result) {
           result.neighbor_colors[id] = static_cast<std::uint32_t>(value);
         }

@@ -20,10 +20,12 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
+#include <span>
+#include <utility>
 
 #include "smst/graph/graph.h"
 #include "smst/sleeping/ldt.h"
+#include "smst/util/small_vec.h"
 
 namespace smst {
 
@@ -60,8 +62,9 @@ struct HPort {
 
 struct ColoringResult {
   FragColor my_color = FragColor::kNone;
-  // Colors of the fragment's H-neighbors (known fragment-wide).
-  std::map<NodeId, FragColor> neighbor_colors;
+  // (ID, color) of the fragment's H-neighbors (known fragment-wide), in
+  // ascending ID order. H has max degree 4, so the list stays inline.
+  SmallVec<std::pair<NodeId, FragColor>, 4> neighbor_colors;
 };
 
 // Schedule blocks consumed per stage and in total (every node's cursor
@@ -70,7 +73,8 @@ inline constexpr std::uint64_t kColoringBlocksPerStage = 5;
 
 // The fragment-wide greedy palette choice (highest-priority color no
 // already-colored H-neighbor took) and the received-color validation.
-FragColor ColoringGreedyChoice(const std::map<NodeId, FragColor>& taken);
+FragColor ColoringGreedyChoice(
+    std::span<const std::pair<NodeId, FragColor>> taken);
 FragColor ColoringCheckedColor(std::uint64_t raw);
 
 // ----------------------------------------------------------------------

@@ -29,12 +29,13 @@ Round FlatBroadcast::Begin(const FlatNodeRef& node, const LdtState& l,
                            Round block_start, Message root_msg,
                            SendBatch& sends, std::size_t span) {
   ldt = &l;
-  sched = TransmissionSchedule(block_start, l.level,
-                               span == 0 ? node.NumNodesKnown() : span);
+  down_send = TransmissionSchedule(block_start, l.level,
+                                   span == 0 ? node.NumNodesKnown() : span)
+                  .down_send;
   msg = root_msg;
   if (!l.IsRoot()) {
     pc = 1;
-    return sched.down_receive;
+    return down_send - 1;  // Down-Receive
   }
   return SendDown(sends);
 }
@@ -60,7 +61,7 @@ Round FlatBroadcast::SendDown(SendBatch& sends) {
   if (!ldt->child_ports.empty()) {
     for (std::uint32_t p : ldt->child_ports) sends.push_back({p, msg});
     pc = 2;
-    return sched.down_send;
+    return down_send;
   }
   return kFlatDone;
 }
@@ -71,12 +72,13 @@ Round FlatUpcastMin::Begin(const FlatNodeRef& node, const LdtState& l,
                            Round block_start, UpcastItem own, SendBatch& sends,
                            std::size_t span) {
   ldt = &l;
-  sched = TransmissionSchedule(block_start, l.level,
-                               span == 0 ? node.NumNodesKnown() : span);
+  up_receive = TransmissionSchedule(block_start, l.level,
+                                    span == 0 ? node.NumNodesKnown() : span)
+                   .up_receive;
   best = own;
   if (!l.child_ports.empty()) {
     pc = 1;
-    return sched.up_receive;
+    return up_receive;
   }
   return SendUp(sends);
 }
@@ -100,7 +102,7 @@ Round FlatUpcastMin::SendUp(SendBatch& sends) {
     sends.push_back({ldt->parent_port,
                      Message{kTagUpcastMin, best.key, best.b, best.c}});
     pc = 2;
-    return sched.up_send;
+    return up_receive + 1;  // Up-Send
   }
   return kFlatDone;
 }
@@ -111,13 +113,14 @@ Round FlatUpcastSum::Begin(const FlatNodeRef& node, const LdtState& l,
                            Round block_start, std::uint64_t own,
                            SendBatch& sends, std::size_t span) {
   ldt = &l;
-  sched = TransmissionSchedule(block_start, l.level,
-                               span == 0 ? node.NumNodesKnown() : span);
+  up_receive = TransmissionSchedule(block_start, l.level,
+                                    span == 0 ? node.NumNodesKnown() : span)
+                   .up_receive;
   result = UpcastSumResult{};
   result.subtree_total = own;
   if (!l.child_ports.empty()) {
     pc = 1;
-    return sched.up_receive;
+    return up_receive;
   }
   return SendUp(sends);
 }
@@ -141,7 +144,7 @@ Round FlatUpcastSum::SendUp(SendBatch& sends) {
     sends.push_back({ldt->parent_port,
                      Message{kTagUpcastSum, result.subtree_total, 0, 0}});
     pc = 2;
-    return sched.up_send;
+    return up_receive + 1;  // Up-Send
   }
   return kFlatDone;
 }
@@ -149,21 +152,16 @@ Round FlatUpcastSum::SendUp(SendBatch& sends) {
 // --- Merging-Fragments --------------------------------------------------
 
 Round FlatMerge::Begin(const FlatNodeRef& node, LdtState& l,
-                       BlockCursor& cursor, MergeRole r, std::vector<bool>& m,
-                       SendBatch& sends) {
+                       BlockCursor& cursor, MergeRole r,
+                       std::span<std::uint8_t> marks, SendBatch& sends) {
   ldt = &l;
-  mark = &m;
+  mark = marks.data();
   role = r;
-  span = cursor.Span();
-  const Round block_a = cursor.TakeBlock();
-  const Round block_b = cursor.TakeBlock();
-  const Round block_c = cursor.TakeBlock();
   // The schedule span comes from the cursor so the adaptive-blocks
-  // optimization applies here too. The node's level is unchanged until
-  // Finalize, so all three sub-block schedules can be fixed here.
-  sched_a = TransmissionSchedule(block_a, l.level, span);
-  sched_b = TransmissionSchedule(block_b, l.level, span);
-  sched_c = TransmissionSchedule(block_c, l.level, span);
+  // optimization applies here too.
+  span = cursor.Span();
+  block_a = cursor.NextRound();
+  cursor.SkipBlocks(kMergeBlocks);
 
   // Pending NEW-* values (the paper's NEW-FRAGMENT-ID / NEW-LEVEL-NUM)
   // and re-orientation, applied only in Finalize.
@@ -181,7 +179,7 @@ Round FlatMerge::Begin(const FlatNodeRef& node, LdtState& l,
         {p, Message{kTagMergeSide, l.fragment_id, l.level, attach}});
   }
   pc = 1;
-  return sched_a.side;
+  return Sub(0).side;
 }
 
 Round FlatMerge::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
@@ -196,7 +194,7 @@ Round FlatMerge::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
             MergeProtocolError(node, "a tails node received an ATTACH flag");
           }
           new_children.push_back(m.port);
-          (*mark)[m.port] = true;
+          mark[m.port] = 1;
         }
       }
       if (role.is_tails && role.attach_port != kNoPort) {
@@ -213,7 +211,7 @@ Round FlatMerge::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
         if (ldt->parent_port != kNoPort) {
           new_children.push_back(ldt->parent_port);
         }
-        (*mark)[role.attach_port] = true;
+        mark[role.attach_port] = 1;
       }
       if (!role.is_tails) return Finalize();  // heads: B and C are sleep
       return EnterB(node, sends);
@@ -264,10 +262,15 @@ Round FlatMerge::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
   }
 }
 
+ScheduleRounds FlatMerge::Sub(std::uint64_t k) const {
+  return TransmissionSchedule(block_a + k * ScheduleBlockLength(span),
+                              ldt->level, span);
+}
+
 Round FlatMerge::EnterB(const FlatNodeRef& node, SendBatch& sends) {
   if (!ldt->child_ports.empty()) {
     pc = 2;
-    return sched_b.up_receive;
+    return Sub(1).up_receive;
   }
   return MaybeUpSend(node, sends);
 }
@@ -277,7 +280,7 @@ Round FlatMerge::MaybeUpSend(const FlatNodeRef& node, SendBatch& sends) {
     sends.push_back({ldt->parent_port,
                      Message{kTagMergeUp, new_level, new_frag, 0}});
     pc = 3;
-    return sched_b.up_send;
+    return Sub(1).up_send;
   }
   // Skip straight to sub-block C without pushing anything.
   return EnterC(node, sends);
@@ -290,7 +293,7 @@ Round FlatMerge::EnterC(const FlatNodeRef& node, SendBatch& sends) {
       MergeProtocolError(node, "tails root has no NEW values after the up pass");
     }
     pc = 4;
-    return sched_c.down_receive;
+    return Sub(2).down_receive;
   }
   return SendDownC(sends);
 }
@@ -306,7 +309,7 @@ Round FlatMerge::SendDownC(SendBatch& sends) {
   }
   if (sends.size() > before) {
     pc = 5;
-    return sched_c.down_send;
+    return Sub(2).down_send;
   }
   return Finalize();
 }
@@ -326,12 +329,11 @@ Round FlatMerge::Finalize() {
 
 Round FlatColoring::Begin(const FlatNodeRef& node, const LdtState& l,
                           BlockCursor& cursor,
-                          const std::vector<NbrEntry>& nbr_in,
-                          const std::vector<HPort>& h_ports_in,
+                          std::span<const NbrEntry> nbr_in,
+                          std::span<const HPort> h_ports_in,
                           SendBatch& sends) {
   ldt = &l;
-  nbr = &nbr_in;
-  h_ports = &h_ports_in;
+  h_ports = h_ports_in;
   n = node.NumNodesKnown();
   const NodeId max_id = node.MaxIdKnown();
   block_len = ScheduleBlockLength(n);
@@ -341,7 +343,8 @@ Round FlatColoring::Begin(const FlatNodeRef& node, const LdtState& l,
   cursor.SkipBlocks(kColoringBlocksPerStage * max_id);
 
   // The (at most 5) stages this node participates in, in stage order.
-  stages.assign(1, l.fragment_id);
+  stages.clear();
+  stages.push_back(l.fragment_id);
   for (const NbrEntry& e : nbr_in) stages.push_back(e.frag_id);
   std::sort(stages.begin(), stages.end());
   stages.erase(std::unique(stages.begin(), stages.end()), stages.end());
@@ -389,19 +392,17 @@ Round FlatColoring::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
 Round FlatColoring::NextStage(const FlatNodeRef& node, SendBatch& sends) {
   if (stage_i == stages.size()) return kFlatDone;
   stage = stages[stage_i];
-  const Round s0 = base + (stage - 1) * kColoringBlocksPerStage * block_len;
-  b1 = s0;                  // Upcast-Min (choice)
-  b2 = s0 + block_len;      // Fragment-Broadcast (choice)
-  b3 = s0 + 2 * block_len;  // Transmit-Adjacent (announce)
-  b4 = s0 + 3 * block_len;  // Upcast-Min (received color)
-  b5 = s0 + 4 * block_len;  // Fragment-Broadcast (received)
+  // Blocks 0-4: Upcast-Min (choice), Fragment-Broadcast (choice),
+  // Transmit-Adjacent (announce), Upcast-Min (received color),
+  // Fragment-Broadcast (received).
+  stage_start = base + (stage - 1) * kColoringBlocksPerStage * block_len;
 
   if (stage == ldt->fragment_id) {
     // Our turn. All earlier-colored neighbors are in neighbor_colors,
     // so every node of the fragment computes the same greedy choice.
     const FragColor choice = ColoringGreedyChoice(result.neighbor_colors);
     const UpcastItem offer{static_cast<std::uint64_t>(choice), 0, 0};
-    const Round r = umin.Begin(node, *ldt, b1, offer, sends);
+    const Round r = umin.Begin(node, *ldt, StageBlock(0), offer, sends);
     if (r != kFlatDone) {
       pc = 1;
       return r;
@@ -411,16 +412,16 @@ Round FlatColoring::NextStage(const FlatNodeRef& node, SendBatch& sends) {
   // A neighbor's turn: learn its color fragment-wide.
   heard = UpcastItem{};  // absent unless we border fragment `stage`
   bool borders_stage = false;
-  for (const HPort& hp : *h_ports) borders_stage |= hp.neighbor_frag == stage;
+  for (const HPort& hp : h_ports) borders_stage |= hp.neighbor_frag == stage;
   if (borders_stage) {
     pc = 4;
-    return TransmissionSchedule(b3, ldt->level, n).side;
+    return TransmissionSchedule(StageBlock(2), ldt->level, n).side;
   }
   return ListenerAfterTransmit(node, sends);
 }
 
 Round FlatColoring::OwnAfterUmin(const FlatNodeRef& node, SendBatch& sends) {
-  const Round r = bcast.Begin(node, *ldt, b2,
+  const Round r = bcast.Begin(node, *ldt, StageBlock(1),
                               Message{kTagColorChoice, umin.best.key, 0, 0},
                               sends);
   if (r != kFlatDone) {
@@ -433,8 +434,8 @@ Round FlatColoring::OwnAfterUmin(const FlatNodeRef& node, SendBatch& sends) {
 Round FlatColoring::OwnAfterBcast(const FlatNodeRef& node, SendBatch& sends) {
   result.my_color = ColoringCheckedColor(bcast.msg.a);
   // Announce to neighbor fragments over the valid-MOE edges.
-  if (!h_ports->empty()) {
-    for (const HPort& hp : *h_ports) {
+  if (!h_ports.empty()) {
+    for (const HPort& hp : h_ports) {
       sends.push_back(
           {hp.port,
            Message{kTagColorAnnounce,
@@ -442,15 +443,15 @@ Round FlatColoring::OwnAfterBcast(const FlatNodeRef& node, SendBatch& sends) {
                    ldt->fragment_id, 0}});
     }
     pc = 3;
-    return TransmissionSchedule(b3, ldt->level, n).side;
+    return TransmissionSchedule(StageBlock(2), ldt->level, n).side;
   }
-  // b4 / b5 belong to the listening side; we sleep.
+  // Blocks 3 and 4 belong to the listening side; we sleep.
   return EndStage(node, sends);
 }
 
 Round FlatColoring::ListenerAfterTransmit(const FlatNodeRef& node,
                                           SendBatch& sends) {
-  const Round r = umin.Begin(node, *ldt, b4, heard, sends);
+  const Round r = umin.Begin(node, *ldt, StageBlock(3), heard, sends);
   if (r != kFlatDone) {
     pc = 5;
     return r;
@@ -460,7 +461,7 @@ Round FlatColoring::ListenerAfterTransmit(const FlatNodeRef& node,
 
 Round FlatColoring::ListenerAfterUmin(const FlatNodeRef& node,
                                       SendBatch& sends) {
-  const Round r = bcast.Begin(node, *ldt, b5,
+  const Round r = bcast.Begin(node, *ldt, StageBlock(4),
                               Message{kTagColorNbr, umin.best.key, stage, 0},
                               sends);
   if (r != kFlatDone) {
@@ -472,7 +473,8 @@ Round FlatColoring::ListenerAfterUmin(const FlatNodeRef& node,
 
 Round FlatColoring::ListenerAfterBcast(const FlatNodeRef& node,
                                        SendBatch& sends) {
-  result.neighbor_colors[stage] = ColoringCheckedColor(bcast.msg.a);
+  // Stages ascend, so appending keeps the list in ascending ID order.
+  result.neighbor_colors.push_back({stage, ColoringCheckedColor(bcast.msg.a)});
   return EndStage(node, sends);
 }
 

@@ -22,9 +22,12 @@
 // to wake (e.g. Upcast-Min at a childless root with nothing to send)
 // finishes inside Begin and the driver continues synchronously.
 //
-// State referenced across suspensions (the LDT, the cursor, the driver's
-// NbrEntry / HPort vectors) is held by pointer; drivers keep those
-// objects at stable addresses for the procedure's lifetime.
+// A sub-machine holds as little as it can, since every wake of its node
+// reads it: of the schedule it keeps one round and derives the others
+// from it (schedule.h). State referenced across suspensions (the LDT, the
+// cursor, the driver's MST port marks and NbrEntry / HPort lists) is held
+// by pointer or std::span; drivers keep those objects at stable addresses
+// for the procedure's lifetime.
 #pragma once
 
 #include <array>
@@ -32,6 +35,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -50,7 +54,7 @@ namespace smst {
 // ProtocolStallError if a non-root node hears nothing from its parent.
 // `span` selects the schedule span (0 = the default n); see schedule.h.
 struct FlatBroadcast {
-  ScheduleRounds sched;
+  Round down_send = 0;  // Down-Receive is the round before
   Message msg;
   const LdtState* ldt = nullptr;
   std::uint8_t pc = 0;
@@ -68,7 +72,7 @@ struct FlatBroadcast {
 // the root. After completion `best` holds the minimum over this node's
 // subtree (at the root: the fragment-wide minimum).
 struct FlatUpcastMin {
-  ScheduleRounds sched;
+  Round up_receive = 0;  // Up-Send is the round after
   UpcastItem best;
   const LdtState* ldt = nullptr;
   std::uint8_t pc = 0;
@@ -85,7 +89,7 @@ struct FlatUpcastMin {
 // Upcast-Sum(n): after completion, `result` holds the subtree total and
 // the per-child breakdown (at the root: the fragment-wide sum).
 struct FlatUpcastSum {
-  ScheduleRounds sched;
+  Round up_receive = 0;  // Up-Send is the round after
   UpcastSumResult result;
   const LdtState* ldt = nullptr;
   std::uint8_t pc = 0;
@@ -100,27 +104,31 @@ struct FlatUpcastSum {
 };
 
 // Merging-Fragments(n) (merging.h): one merge wave. Marks newly added
-// MST edges in `m` during sub-block A (both endpoints of a merge edge
-// mark it) and updates `ldt` in place when the procedure completes.
+// MST edges in `marks` (this node's ports, one byte each) during
+// sub-block A (both endpoints of a merge edge mark it) and updates `ldt`
+// in place when the procedure completes.
 struct FlatMerge {
   std::size_t span = 0;
-  ScheduleRounds sched_a, sched_b, sched_c;
+  Round block_a = 0;  // sub-blocks B and C are the next two blocks
   LdtState* ldt = nullptr;
-  std::vector<bool>* mark = nullptr;
+  std::uint8_t* mark = nullptr;
   MergeRole role;
+  std::uint32_t new_parent_port = kNoPort;
   bool have_new = false;
+  std::uint8_t pc = 0;
   NodeId new_frag = 0;
   std::uint64_t new_level = 0;
-  std::uint32_t new_parent_port = kNoPort;
   ChildPortList new_children;
-  std::uint8_t pc = 0;
 
   Round Begin(const FlatNodeRef& node, LdtState& l, BlockCursor& cursor,
-              MergeRole r, std::vector<bool>& m, SendBatch& sends);
+              MergeRole r, std::span<std::uint8_t> marks, SendBatch& sends);
   Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
                SendBatch& sends);
 
  private:
+  // Sub-block k's schedule (0 = A, 1 = B, 2 = C) at this node's level,
+  // which stays fixed until Finalize.
+  ScheduleRounds Sub(std::uint64_t k) const;
   Round EnterB(const FlatNodeRef& node, SendBatch& sends);
   Round MaybeUpSend(const FlatNodeRef& node, SendBatch& sends);
   Round EnterC(const FlatNodeRef& node, SendBatch& sends);
@@ -134,15 +142,16 @@ struct FlatMerge {
 // this node's own boundary edges.
 struct FlatColoring {
   const LdtState* ldt = nullptr;
-  const std::vector<NbrEntry>* nbr = nullptr;
-  const std::vector<HPort>* h_ports = nullptr;
+  std::span<const HPort> h_ports;
   std::size_t n = 0;
   Round base = 0;
   Round block_len = 0;
-  std::vector<NodeId> stages;
+  // The stages this node takes part in: its own fragment's and its
+  // (at most 4) H-neighbors', ascending.
+  SmallVec<NodeId, 5> stages;
   std::size_t stage_i = 0;
   NodeId stage = 0;
-  Round b1 = 0, b2 = 0, b3 = 0, b4 = 0, b5 = 0;
+  Round stage_start = 0;  // the stage's 5 blocks follow one another
   UpcastItem heard;
   ColoringResult result;
   FlatUpcastMin umin;
@@ -150,12 +159,17 @@ struct FlatColoring {
   std::uint8_t pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, BlockCursor& cursor,
-              const std::vector<NbrEntry>& nbr_in,
-              const std::vector<HPort>& h_ports_in, SendBatch& sends);
+              std::span<const NbrEntry> nbr_in,
+              std::span<const HPort> h_ports_in, SendBatch& sends);
   Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
                SendBatch& sends);
 
  private:
+  // Start of block k of the current stage (0 = Upcast-Min of the choice,
+  // ..., 4 = Fragment-Broadcast of the received color).
+  Round StageBlock(std::uint64_t k) const {
+    return stage_start + k * block_len;
+  }
   Round NextStage(const FlatNodeRef& node, SendBatch& sends);
   Round OwnAfterUmin(const FlatNodeRef& node, SendBatch& sends);
   Round OwnAfterBcast(const FlatNodeRef& node, SendBatch& sends);
@@ -176,8 +190,8 @@ struct FlatColoring {
 struct FlatExchange {
   const LdtState* ldt = nullptr;
   BlockCursor* cursor = nullptr;
-  const std::vector<NodeId>* sorted_nbr_ids = nullptr;
-  const std::vector<HPort>* h_ports = nullptr;
+  std::span<const NodeId> sorted_nbr_ids;
+  std::span<const HPort> h_ports;
   std::uint64_t own_value = 0;
   bool announce = true;
   // This node's locally heard (neighbor index -> value).
@@ -190,8 +204,8 @@ struct FlatExchange {
   int pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, BlockCursor& c,
-              const std::vector<NodeId>& sorted_ids,
-              const std::vector<HPort>& h_ports_in, std::uint64_t value,
+              std::span<const NodeId> sorted_ids,
+              std::span<const HPort> h_ports_in, std::uint64_t value,
               bool announce_in, SendBatch& sends);
   Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
                SendBatch& sends);
@@ -205,8 +219,8 @@ struct FlatExchange {
 struct FlatLogStarColoring {
   const LdtState* ldt = nullptr;
   BlockCursor* cursor = nullptr;
-  const std::vector<NbrEntry>* nbr = nullptr;
-  const std::vector<HPort>* h_ports = nullptr;
+  std::span<const NbrEntry> nbr;
+  std::span<const HPort> h_ports;
   std::uint32_t cv_iters = 0;
   NodeId own_frag = 0;
   // Fragment-wide consistent views derived from nbr.
@@ -232,8 +246,8 @@ struct FlatLogStarColoring {
   int pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, BlockCursor& c,
-              const std::vector<NbrEntry>& nbr_in,
-              const std::vector<HPort>& h_ports_in, std::uint32_t iters,
+              std::span<const NbrEntry> nbr_in,
+              std::span<const HPort> h_ports_in, std::uint32_t iters,
               SendBatch& sends);
   Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
                SendBatch& sends);

@@ -15,8 +15,14 @@
 // Waking in a subset of these rounds pipelines information root-to-leaves
 // (Down), leaves-to-root (Up), or across fragment boundaries (Side) in
 // O(1) awake rounds and O(n) running time per block.
+//
+// The rounds are a few additions away from (S, level, span), so callers
+// compute them where they wake instead of storing them: a sub-machine
+// keeps one round and derives its neighbor (Down-Receive is the round
+// before Down-Send, Up-Send the round after Up-Receive).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 
 #include "smst/runtime/scheduler.h"
@@ -42,8 +48,26 @@ struct ScheduleRounds {
 
 // Absolute named rounds for a node at `level` within the block starting
 // at `block_start`, with schedule span `span`. Precondition: level < span.
-ScheduleRounds TransmissionSchedule(Round block_start, std::uint64_t level,
-                                    std::size_t span);
+inline ScheduleRounds TransmissionSchedule(Round block_start,
+                                           std::uint64_t level,
+                                           std::size_t span) {
+  assert(level < span);
+  const Round s = block_start;
+  const Round nn = static_cast<Round>(span);
+  ScheduleRounds r;
+  r.is_root = level == 0;
+  r.side = s + nn;
+  if (r.is_root) {
+    r.down_send = s;
+    r.up_receive = s + 2 * nn;
+  } else {
+    r.down_receive = s + level - 1;
+    r.down_send = s + level;
+    r.up_receive = s + 2 * nn - level;
+    r.up_send = s + 2 * nn - level + 1;
+  }
+  return r;
+}
 
 // Hands out consecutive block start rounds. Every node of a run advances
 // its own cursor through an identical sequence of procedure calls (and

@@ -110,9 +110,9 @@ TEST_P(MergingPropertyTest, RandomScenarioPreservesAllInvariants) {
   ASSERT_EQ(CheckForestInvariant(sc.g, sc.states), "");
 
   std::vector<LdtState> before = sc.states;
-  std::vector<std::vector<bool>> marks;
+  std::vector<std::vector<std::uint8_t>> marks;
   for (NodeIndex v = 0; v < sc.g.NumNodes(); ++v) {
-    marks.emplace_back(sc.g.DegreeOf(v), false);
+    marks.emplace_back(sc.g.DegreeOf(v), 0);
   }
   ProcedureProgram<FlatMerge> program(
       sc.g, [&](const FlatNodeRef& node, FlatMerge& proc, SendBatch& sends) {

@@ -241,12 +241,12 @@ struct MergeHarness {
   WeightedGraph g;
   std::vector<LdtState> states;
   std::vector<MergeRole> roles;
-  std::vector<std::vector<bool>> mst_marks;
+  std::vector<std::vector<std::uint8_t>> mst_marks;
 
   MergeHarness(WeightedGraph graph, std::vector<LdtState> s)
       : g(std::move(graph)), states(std::move(s)), roles(g.NumNodes()) {
     for (NodeIndex v = 0; v < g.NumNodes(); ++v) {
-      mst_marks.emplace_back(g.DegreeOf(v), false);
+      mst_marks.emplace_back(g.DegreeOf(v), 0);
     }
   }
 
