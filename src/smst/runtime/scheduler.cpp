@@ -306,7 +306,7 @@ void Scheduler::BuildFusedOrder() {
 }
 
 void Scheduler::FusedRound() {
-  // All-awake round on the serial engine: staged_ is exactly 0..n-1, so
+  // All-awake round on a one-shard run: staged_ is exactly 0..n-1, so
   // the delivery cursor IS the sender id, and node v's inbox is complete
   // — and its own send lane drained — as soon as the cursor passes
   // thresh_[v]. Stepping it right then touches inbox_[v]/sends_[v] while

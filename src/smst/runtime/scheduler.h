@@ -25,9 +25,10 @@
 // Auditor, and a TraceSink. With no observer each hook compiles out of
 // the delivery step.
 //
-// The sharded engine (runtime/sharded/engine.h) runs one Scheduler per
-// shard over that shard's own nodes and drives the same staging,
-// delivery and step code phase by phase across worker threads.
+// The engine above it (runtime/sharded/engine.h) runs one Scheduler
+// through Run on a one-shard run; with K >= 2 shards it runs one
+// Scheduler per shard over that shard's own nodes and drives the same
+// staging, delivery and step code phase by phase across worker threads.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +63,8 @@ struct SchedulerOptions {
 
 class Scheduler {
  public:
-  // Owns every node (the serial engine), or the nodes the borrowed
-  // `partition` gives `shard` (one shard of the sharded engine).
+  // Owns every node (a one-shard run), or the nodes the borrowed
+  // `partition` gives `shard` (one shard of K >= 2).
   Scheduler(const WeightedGraph& graph, Metrics& metrics,
             SchedulerOptions options,
             const ShardPartition* partition = nullptr,
@@ -74,9 +75,9 @@ class Scheduler {
   // Starts `program` on every owned node in ascending order and runs
   // rounds until no node is pending. Throws NonTerminationError when the
   // watchdog trips; a node whose program throws, or asks for an invalid
-  // wake, is marked failed and the run goes on without it. Serial only
-  // (the sharded engine drives the phases itself). `program` must
-  // outlive the scheduler's use of it.
+  // wake, is marked failed and the run goes on without it. One-shard
+  // runs only (with K >= 2 the engine drives the phases itself).
+  // `program` must outlive the scheduler's use of it.
   void Run(FlatProgram& program);
 
   // What the adversary did so far (all zero for a null plan).
@@ -92,9 +93,9 @@ class Scheduler {
   std::pair<NodeIndex, std::exception_ptr> FirstFailure() const;
 
  private:
-  // The sharded engine (runtime/sharded/engine.cpp) drives the same
-  // staging / delivery / step machinery phase by phase across worker
-  // threads; it is the one sanctioned out-of-module user of these
+  // With K >= 2 shards the engine (runtime/sharded/engine.cpp) drives
+  // the same staging / delivery / step machinery phase by phase across
+  // worker threads; it is the one sanctioned out-of-module user of these
   // internals (DESIGN.md §12).
   friend class ShardedEngine;
 
@@ -146,7 +147,7 @@ class Scheduler {
   };
 
   // Lane of an owned node: its rank among the owned nodes, which is the
-  // node itself on the serial engine. Ranks ascend with node indices, so
+  // node itself on a one-shard run. Ranks ascend with node indices, so
   // lane order is canonical order.
   std::size_t Lane(NodeIndex v) const {
     return partition_ == nullptr ? v : partition_->LocalIndex(v);
@@ -168,10 +169,10 @@ class Scheduler {
   // is what keeps serial and sharded executions bit-identical. Staging
   // no wakers (the shard has nothing due in a global round) is legal.
   void StageRound(Round r);
-  // The delivery sweep of a serial round: delayed messages due now, then
-  // every staged sender's batch in ascending order. kObserved = false is
-  // the serial engine with nothing observing the run: no hooks, and every
-  // node is owned (the sharded engine always runs the observed form).
+  // The delivery sweep of a one-shard round: delayed messages due now,
+  // then every staged sender's batch in ascending order. kObserved = false
+  // is a one-shard run with nothing observing it: no hooks, and every
+  // node is owned (K >= 2 shards always run the observed form).
   template <bool kObserved>
   void DeliverRound();
   // The delivery step of awake node v, run once per round for every
@@ -282,7 +283,7 @@ class Scheduler {
 };
 
 // The delivery step is defined here, inline, so that every sweep that
-// runs it — the serial rounds and the sharded engine's scan — compiles it
+// runs it — the one-shard rounds and the K-shard scan — compiles it
 // into its own loop and keeps the scheduler's tables in registers across
 // nodes (an out-of-line call per awake node measured ~10 % slower on the
 // sparse ring rounds).
@@ -329,7 +330,7 @@ template <bool kObserved>
   for (std::uint32_t bp = 0; bp < sends.size(); ++bp) {
     const OutMessage& out = sends[bp];
     const NodeIndex dst = ports[out.port].neighbor;
-    if (kObserved && !Owns(dst)) continue;  // published by the sharded engine
+    if (kObserved && !Owns(dst)) continue;  // published to the exchange
     // The scatter target (a neighbor's inbox header) is the one
     // irregular access of the sweep; fetching the next message's target
     // while this one is written hides most of its latency on high-degree

@@ -20,11 +20,15 @@ ShardPolicy ParseShardPolicy(const std::string& text) {
                               "' (expected block or rr)");
 }
 
+std::uint32_t ShardPartition::ClampShards(std::size_t num_nodes,
+                                          std::uint32_t shards) {
+  return std::max<std::uint32_t>(
+      1, std::min<std::uint64_t>(shards, std::max<std::size_t>(num_nodes, 1)));
+}
+
 ShardPartition::ShardPartition(std::size_t num_nodes, std::uint32_t shards,
                                ShardPolicy policy)
-    : shards_(std::max<std::uint32_t>(
-          1, std::min<std::uint64_t>(shards, std::max<std::size_t>(
-                                                 num_nodes, 1)))),
+    : shards_(ClampShards(num_nodes, shards)),
       policy_(policy),
       owner_(num_nodes),
       local_index_(num_nodes),

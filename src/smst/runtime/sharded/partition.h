@@ -34,8 +34,13 @@ ShardPolicy ParseShardPolicy(const std::string& text);
 
 class ShardPartition {
  public:
-  // `shards` is clamped to [1, max(n, 1)]: more workers than nodes would
-  // only add idle barrier participants.
+  // The shard count a partition of `num_nodes` nodes has for a requested
+  // `shards`: clamped to [1, max(n, 1)], since more workers than nodes
+  // would only add idle barrier participants.
+  static std::uint32_t ClampShards(std::size_t num_nodes,
+                                   std::uint32_t shards);
+
+  // Partitions into ClampShards(num_nodes, shards) shards.
   ShardPartition(std::size_t num_nodes, std::uint32_t shards,
                  ShardPolicy policy);
 

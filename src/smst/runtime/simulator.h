@@ -1,6 +1,11 @@
 // Simulator: drives one node program per node to completion and collects
 // the run's metrics. Deterministic under a fixed seed — including under a
 // fault plan, whose adversary stream is derived from (plan salt ^ seed).
+//
+// Every run takes one path: the Simulator holds one ShardedEngine
+// (runtime/sharded/engine.h), which with one shard is the Scheduler's own
+// round loop on the calling thread and with K >= 2 shards runs that loop's
+// phases on K worker threads. Results are the same either way.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +23,6 @@
 
 namespace smst {
 
-class Auditor;
 class ShardedEngine;
 
 // Whether this run gets a runtime invariant auditor (see faults/auditor.h).
@@ -33,6 +37,7 @@ struct SimulatorOptions {
   // Record every node's awake round numbers (lower-bound experiments).
   bool record_wake_times = false;
   // Optional per-(node, awake round) event sink; see runtime/trace.h.
+  // One-shard runs only: the constructor rejects it with shards >= 2.
   TraceSink trace;
   // Borrowed fault plan (null or empty = fault-free run); consulted by
   // the scheduler at delivery and wake-registration time. A rule whose
@@ -40,11 +45,11 @@ struct SimulatorOptions {
   // constructor (std::invalid_argument).
   const FaultPlan* fault_plan = nullptr;
   AuditMode audit = AuditMode::kDefault;
-  // Sharded multi-worker backend: 0 = serial engine (default); K >= 1
+  // Shards: <= 1 (default) runs one shard on the calling thread; K >= 2
   // partitions the nodes over K worker threads (clamped to n), each with
   // its own Scheduler, exchanging message batches at round barriers.
-  // Results, metrics, and outcomes are bit-identical to the serial
-  // engine for every K (DESIGN.md §12). `trace` is serial-only.
+  // Results, metrics, and outcomes are bit-identical for every K
+  // (DESIGN.md §12).
   std::uint32_t shards = 0;
   ShardPolicy shard_policy = ShardPolicy::kContiguousBlocks;
 };
@@ -76,14 +81,10 @@ class Simulator {
 
   const Metrics& GetMetrics() const { return metrics_; }
   RunStats Stats() const { return metrics_.Summarize(); }
-  // Null unless this run has a serial-engine auditor installed (sharded
-  // runs audit per shard; use Audit() for the engine-independent view).
-  const Auditor* GetAuditor() const { return auditor_.get(); }
-  const FaultStats& InjectedFaults() const;
+  FaultStats InjectedFaults() const;
 
-  // Engine-independent auditor summary: the serial auditor's meters, or
-  // the shard auditors' summed meters (audited == false when no auditor
-  // ran). Valid after Run/RunToOutcome.
+  // The auditors' summed meters, one auditor per shard (audited == false
+  // when no auditor ran). Valid after Run/RunToOutcome.
   struct AuditSummary {
     bool audited = false;
     std::uint64_t awake_node_rounds = 0;
@@ -102,24 +103,9 @@ class Simulator {
   RunOutcome FinishOutcome(RunOutcome out);
   // Classifies the in-flight exception into `out` (rethrows logic_error).
   static void ClassifyFailure(RunOutcome& out);
-  std::uint64_t CountUnfinished() const;
-  NodeIndex FirstUnfinishedNode() const;
-  void FillAuditSummary(RunOutcome& out) const;
 
-  const WeightedGraph& graph_;
-  SimulatorOptions options_;
   Metrics metrics_;
-  std::unique_ptr<Auditor> auditor_;  // before scheduler_: it borrows it
-  // Exactly one engine exists per Simulator: the serial scheduler, or
-  // the sharded multi-worker backend when options.shards >= 1.
-  std::unique_ptr<Scheduler> scheduler_;
-  std::unique_ptr<ShardedEngine> sharded_;
-  // The serial engine's adapter for a coroutine NodeProgram (the sharded
-  // engine keeps one per shard).
-  std::unique_ptr<CoroutineProgram> coroutines_;
-  // Filled by Run/RunToOutcome after a sharded run (the shard auditors'
-  // CheckAwakeMeter cross-check runs exactly once, there).
-  AuditSummary sharded_audit_;
+  std::unique_ptr<ShardedEngine> engine_;  // after metrics_: it meters them
   bool ran_ = false;
 };
 
