@@ -1,19 +1,70 @@
-// Internals shared by the GHS-style sleeping algorithms (Randomized-MST
-// and the Barenboim-Maimon-style spanning tree, which is the same engine
-// with a different edge-selection rule). Not part of the public API.
+// Internals shared by the MST programs: the run driver both
+// Randomized-MST and Deterministic-MST use, and the edge selection of the
+// GHS-style sleeping algorithms (Randomized-MST and the
+// Barenboim-Maimon-style spanning tree, which is the same engine with a
+// different edge-selection rule). Not part of the public API.
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <span>
+#include <vector>
 
 #include "smst/graph/graph.h"
 #include "smst/mst/options.h"
 #include "smst/mst/result.h"
 #include "smst/runtime/flat/program.h"
+#include "smst/runtime/metrics.h"
 #include "smst/sleeping/ldt.h"
 #include "smst/sleeping/procedures.h"
 
 namespace smst::detail {
+
+// What every node of an MST program reads and writes outside its own
+// record: the run's phase budget, and the outputs RunProgram assembles
+// the result from. Every field but the snapshots is written at disjoint
+// (node- or port-indexed) slots, so shard workers need no lock for them.
+struct Shared {
+  // `algorithm` names the program in the phase-cap error.
+  Shared(const WeightedGraph& graph, const MstOptions& options,
+         const char* algorithm, std::uint64_t phase_cap);
+
+  // Records node v's LDT at the end of `phase` when snapshots are on.
+  void Snapshot(std::uint64_t phase, NodeIndex v, const LdtState& ldt);
+  // The end of node v's program: throws NonTerminationError if an
+  // early-detect run used up its phases without finishing, else extends
+  // the run meter to `last_round` and records v's final LDT and last
+  // active phase. Returns kFlatDone.
+  Round Finish(NodeIndex v, bool finished, Round last_round,
+               const LdtState& ldt, std::uint64_t last_active_phase,
+               Metrics& metrics);
+
+  const WeightedGraph* g;
+  const char* algorithm;
+  TerminationMode termination;
+  std::uint64_t phase_cap;
+  bool record_snapshots;
+  // The MST marks, one byte per port (the graph's CSR port numbering):
+  // shard workers mark ports of different nodes at the same time, which
+  // bytes allow and a packed bit vector would not.
+  std::vector<std::uint8_t> port_marks;
+  std::vector<LdtState> final_ldt;
+  std::vector<std::uint64_t> phases_done;
+  std::vector<std::vector<LdtState>> snapshots;
+  // Snapshots grow lazily as phases complete; under K >= 2 shards nodes
+  // on different workers hit that growth concurrently, so the telemetry
+  // path takes a lock. The final contents are order-independent: cell
+  // (phase-1, v) is written by exactly one node.
+  std::mutex snapshot_mutex;
+};
+
+// Runs `program`, whose nodes write `shared`, on `g` under `options`, and
+// assembles the result: the tree from the port marks, the metrics, the
+// phases done, the final LDTs and the snapshots of those phases. A run
+// with a non-empty fault plan is classified into MstRunResult::outcome
+// (and its completed result refined) instead of throwing.
+MstRunResult RunProgram(const WeightedGraph& g, const MstOptions& options,
+                        FlatProgram& program, Shared& shared);
 
 enum class SelectionRule {
   kMinWeight,      // choose the minimum-weight outgoing edge -> MST

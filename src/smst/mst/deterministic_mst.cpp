@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <stdexcept>
-#include <string>
 
 #include "smst/mst/detail.h"
 #include "smst/runtime/flat/driver.h"
-#include "smst/runtime/simulator.h"
 #include "smst/sleeping/flat_procedures.h"
 
 namespace smst {
@@ -24,32 +21,6 @@ constexpr std::uint16_t kTagAllot = 113;        // a=token count for subtree
 constexpr std::uint16_t kTagVerdict = 114;      // a=weight, b=selected?
 constexpr std::uint16_t kTagValidity = 115;     // a=0 valid/1 invalid, b=target
 constexpr std::uint16_t kTagNbrInfo = 116;      // a=weight, b=frag, c=outgoing
-
-struct Shared {
-  const WeightedGraph* g = nullptr;
-  TerminationMode termination = TerminationMode::kEarlyDetect;
-  ColoringVariant coloring = ColoringVariant::kFastAwake;
-  std::uint64_t phase_cap = 0;
-  bool record_snapshots = false;
-  // The MST marks, one byte per port (CSR; see the randomized engine).
-  std::vector<std::uint8_t> port_marks;
-  std::vector<LdtState> final_ldt;
-  std::vector<std::uint64_t> phases_done;
-  std::vector<std::vector<LdtState>> snapshots;
-  // Lazy growth races across shard workers; the telemetry path locks
-  // (same rationale as the randomized engine's Shared — cell contents
-  // are order-independent, everything else is disjoint-slot writes).
-  std::mutex snapshot_mutex;
-
-  void Snapshot(std::uint64_t phase, NodeIndex v, const LdtState& ldt) {
-    if (!record_snapshots) return;
-    std::lock_guard<std::mutex> lock(snapshot_mutex);
-    if (snapshots.size() < phase) {
-      snapshots.resize(phase, std::vector<LdtState>(g->NumNodes()));
-    }
-    snapshots[phase - 1][v] = ldt;
-  }
-};
 
 // A valid-MOE edge incident to this node.
 struct LocalEntry {
@@ -125,10 +96,11 @@ struct FlatDetNode {
 
 class FlatDetProgram final : public FlatProgram {
  public:
-  FlatDetProgram(const WeightedGraph& g, Shared* sh)
+  FlatDetProgram(const WeightedGraph& g, detail::Shared* sh,
+                 ColoringVariant coloring)
       : g_(&g),
         sh_(sh),
-        log_star_(sh->coloring == ColoringVariant::kLogStar),
+        log_star_(coloring == ColoringVariant::kLogStar),
         cv_iters_(log_star_ ? LogStarCvIterations(g.MaxId()) : 0),
         coloring_blocks_(log_star_ ? LogStarColoringBlocks(g.NumNodes(),
                                                            g.MaxId())
@@ -160,7 +132,7 @@ class FlatDetProgram final : public FlatProgram {
                 SendBatch& sends);
 
   const WeightedGraph* g_;
-  Shared* sh_;
+  detail::Shared* sh_;
   // Per-run constants of the schedule, fixed by (n, N) and the coloring.
   const bool log_star_;
   const std::uint32_t cv_iters_;
@@ -391,15 +363,8 @@ Round FlatDetProgram::Advance(NodeIndex v, FlatEnv& env,
         sh_->Snapshot(st.phase, v, st.ldt);
       }
 
-      if (!st.finished && sh_->termination == TerminationMode::kEarlyDetect) {
-        throw NonTerminationError("Deterministic-MST: phase cap " +
-                                  std::to_string(sh_->phase_cap) +
-                                  " exceeded without termination");
-      }
-      metrics.ExtendRun(st.cursor.NextRound() - 1);
-      sh_->final_ldt[v] = st.ldt;
-      sh_->phases_done[v] = st.last_active_phase;
-      return kFlatDone;
+      return sh_->Finish(v, st.finished, st.cursor.NextRound() - 1, st.ldt,
+                         st.last_active_phase, metrics);
   }
   throw std::logic_error("flat program: unreachable");
 }
@@ -421,45 +386,17 @@ MstRunResult RunDeterministicMst(const WeightedGraph& g,
         "adaptive_blocks applies to the randomized engine (randomized, "
         "GHS-baseline, BM spanning tree), not to Deterministic-MST");
   }
-  Shared sh;
-  sh.g = &g;
-  sh.termination = options.termination;
-  sh.coloring = options.coloring;
-  sh.record_snapshots = options.record_forest_snapshots;
   // Each phase with >= 2 fragments retires at least one (every H
   // component loses its Blue fragments; every singleton merges), so n+1
   // phases always suffice; the paper's budget is the w.h.p.-style
   // worst-case constant-factor bound.
-  sh.phase_cap = options.termination == TerminationMode::kPaperPhaseCount
-                     ? DeterministicPaperPhaseCount(g.NumNodes())
-                     : g.NumNodes() + 1;
-  sh.port_marks.assign(g.NumPorts(), 0);
-  sh.final_ldt.resize(g.NumNodes());
-  sh.phases_done.resize(g.NumNodes(), 0);
-
-  SimulatorOptions sim_options;
-  sim_options.seed = options.seed;
-  sim_options.max_rounds = options.max_rounds;
-  sim_options.record_wake_times = options.record_wake_times;
-  sim_options.fault_plan = options.fault_plan;
-  sim_options.audit = options.audit;
-  sim_options.shards = options.shards;
-  sim_options.shard_policy = options.shard_policy;
-  const bool faulted =
-      options.fault_plan != nullptr && !options.fault_plan->Empty();
-  Simulator sim(g, sim_options);
-  FlatDetProgram program(g, &sh);
-  RunOutcome outcome = DriveProgram(sim, program, faulted);
-
-  std::uint64_t phases = 0;
-  for (auto p : sh.phases_done) phases = std::max(phases, p);
-  auto result = AssembleResult(g, sh.port_marks, sim.GetMetrics(), phases,
-                               std::move(sh.final_ldt));
-  sh.snapshots.resize(std::min<std::size_t>(sh.snapshots.size(), phases));
-  result.forest_per_phase = std::move(sh.snapshots);
-  result.outcome = std::move(outcome);
-  if (faulted) RefineOutcome(result, g.NumNodes());
-  return result;
+  const std::uint64_t phase_cap =
+      options.termination == TerminationMode::kPaperPhaseCount
+          ? DeterministicPaperPhaseCount(g.NumNodes())
+          : g.NumNodes() + 1;
+  detail::Shared sh(g, options, "Deterministic-MST", phase_cap);
+  FlatDetProgram program(g, &sh, options.coloring);
+  return detail::RunProgram(g, options, program, sh);
 }
 
 }  // namespace smst

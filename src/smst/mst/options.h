@@ -71,8 +71,9 @@ struct MstOptions {
   // Runtime invariant auditor (see faults/auditor.h); kDefault follows
   // the build configuration (on under SMST_AUDIT / Debug).
   AuditMode audit = AuditMode::kDefault;
-  // Sharded simulator backend: 0 = serial engine; K >= 1 runs the node
-  // programs on K worker threads with bit-identical results (DESIGN §12).
+  // Simulator shards: <= 1 runs one shard on the calling thread; K >= 2
+  // runs the node programs on K worker threads with bit-identical results
+  // (DESIGN §12).
   std::uint32_t shards = 0;
   ShardPolicy shard_policy = ShardPolicy::kContiguousBlocks;
   // No effect: every run steps on the one round loop (DESIGN §13). Kept

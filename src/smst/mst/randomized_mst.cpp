@@ -1,14 +1,11 @@
 #include "smst/mst/randomized_mst.h"
 
 #include <cmath>
-#include <mutex>
 #include <span>
 #include <stdexcept>
-#include <string>
 
 #include "smst/mst/detail.h"
 #include "smst/runtime/flat/driver.h"
-#include "smst/runtime/simulator.h"
 #include "smst/sleeping/flat_procedures.h"
 #include "smst/util/prng.h"
 
@@ -20,37 +17,6 @@ constexpr std::uint16_t kTagFragId = 100;
 constexpr std::uint16_t kTagPhaseCtl = 101;  // a=MOE weight, b=done, c=tails
 constexpr std::uint16_t kTagMoeCoin = 102;   // a=MOE weight, b=tails
 constexpr std::uint16_t kTagValidity = 103;
-
-struct Shared {
-  const WeightedGraph* g = nullptr;
-  detail::SelectionRule rule = detail::SelectionRule::kMinWeight;
-  TerminationMode termination = TerminationMode::kEarlyDetect;
-  std::uint64_t phase_cap = 0;
-  bool record_snapshots = false;
-  bool adaptive_blocks = false;
-  // The MST marks, one byte per port (the graph's CSR port numbering):
-  // shard workers mark ports of different nodes at the same time, which
-  // bytes allow and a packed bit vector would not.
-  std::vector<std::uint8_t> port_marks;
-  std::vector<LdtState> final_ldt;
-  std::vector<std::uint64_t> phases_done;
-  std::vector<std::vector<LdtState>> snapshots;
-  // Snapshots grow lazily as phases complete; under the sharded engine
-  // nodes on different workers hit that growth concurrently, so the
-  // telemetry path takes a lock. Every other Shared field is written at
-  // disjoint (node-indexed) slots and needs none. The final contents are
-  // order-independent: cell (phase-1, v) is written by exactly one node.
-  std::mutex snapshot_mutex;
-
-  void Snapshot(std::uint64_t phase, NodeIndex v, const LdtState& ldt) {
-    if (!record_snapshots) return;
-    std::lock_guard<std::mutex> lock(snapshot_mutex);
-    if (snapshots.size() < phase) {
-      snapshots.resize(phase, std::vector<LdtState>(g->NumNodes()));
-    }
-    snapshots[phase - 1][v] = ldt;
-  }
-};
 
 // ---------------------------------------------------------------------
 // Randomized-MST as a flat state machine (DESIGN §13): one resumable
@@ -84,11 +50,17 @@ struct FlatGhsNode {
 
 class FlatGhsProgram final : public FlatProgram {
  public:
-  FlatGhsProgram(const WeightedGraph& g, Shared* sh, std::uint64_t seed)
-      : g_(&g), sh_(sh), nodes_(g.NumNodes()), nbr_frag_(g.NumPorts(), 0) {
+  FlatGhsProgram(const WeightedGraph& g, detail::Shared* sh,
+                 const MstOptions& options, detail::SelectionRule rule)
+      : g_(&g),
+        sh_(sh),
+        rule_(rule),
+        adaptive_blocks_(options.adaptive_blocks),
+        nodes_(g.NumNodes()),
+        nbr_frag_(g.NumPorts(), 0) {
     // The same per-node PRNG split Simulator hands coroutine contexts
     // (NodeContext::Rng), so every node has its own seeded coin stream.
-    Xoshiro256 root(seed);
+    Xoshiro256 root(options.seed);
     for (NodeIndex v = 0; v < g.NumNodes(); ++v) {
       FlatGhsNode& st = nodes_[v];
       st.rng = root.Split(v);
@@ -112,7 +84,9 @@ class FlatGhsProgram final : public FlatProgram {
                 SendBatch& sends);
 
   const WeightedGraph* g_;
-  Shared* sh_;
+  detail::Shared* sh_;
+  const detail::SelectionRule rule_;
+  const bool adaptive_blocks_;
   std::vector<FlatGhsNode> nodes_;
   // Per port (CSR): the fragment ID last heard on it in B1.
   std::vector<NodeId> nbr_frag_;
@@ -138,7 +112,7 @@ Round FlatGhsProgram::Advance(NodeIndex v, FlatEnv& env,
         // Adaptive blocks: depth_bound bounds every fragment's depth at
         // the start of the phase (see MstOptions::adaptive_blocks). All
         // nodes advance it identically, so block boundaries stay agreed.
-        st.span = sh_->adaptive_blocks
+        st.span = adaptive_blocks_
                       ? static_cast<std::size_t>(
                             std::min<std::uint64_t>(st.depth_bound + 1, n))
                       : n;
@@ -162,7 +136,7 @@ Round FlatGhsProgram::Advance(NodeIndex v, FlatEnv& env,
         }
 
         // B2: fragment MOE converges at the root.
-        SMST_FLAT_SUB(st, st.umin, st.umin.Begin(node, st.ldt, st.cursor.TakeBlock(), detail::LocalMoe(node, st.ldt, nbr_frag, sh_->rule), sends, st.span));
+        SMST_FLAT_SUB(st, st.umin, st.umin.Begin(node, st.ldt, st.cursor.TakeBlock(), detail::LocalMoe(node, st.ldt, nbr_frag, rule_), sends, st.span));
 
         // B3: root announces (MOE edge weight, DONE, coin).
         st.ctl = Message{};
@@ -224,61 +198,24 @@ Round FlatGhsProgram::Advance(NodeIndex v, FlatEnv& env,
         sh_->Snapshot(st.phase, v, st.ldt);
       }
 
-      if (!st.finished && sh_->termination == TerminationMode::kEarlyDetect) {
-        throw NonTerminationError("Randomized-MST: phase cap " +
-                                  std::to_string(sh_->phase_cap) +
-                                  " exceeded without termination");
-      }
-      metrics.ExtendRun(st.cursor.NextRound() - 1);
-      sh_->final_ldt[v] = st.ldt;
-      sh_->phases_done[v] = st.last_active_phase;
-      return kFlatDone;
+      return sh_->Finish(v, st.finished, st.cursor.NextRound() - 1, st.ldt,
+                         st.last_active_phase, metrics);
   }
   throw std::logic_error("flat program: unreachable");
 }
 
 MstRunResult RunEngine(const WeightedGraph& g, const MstOptions& options,
                        detail::SelectionRule rule) {
-  Shared sh;
-  sh.g = &g;
-  sh.rule = rule;
-  sh.record_snapshots = options.record_forest_snapshots;
-  sh.adaptive_blocks = options.adaptive_blocks;
-  sh.termination = options.termination;
-  sh.phase_cap =
+  const std::uint64_t phase_cap =
       options.termination == TerminationMode::kPaperPhaseCount
           ? RandomizedPaperPhaseCount(g.NumNodes())
           : options.max_phase_factor *
                 (static_cast<std::uint64_t>(
                      std::ceil(std::log2(static_cast<double>(g.NumNodes())))) +
                  2);
-  sh.port_marks.assign(g.NumPorts(), 0);
-  sh.final_ldt.resize(g.NumNodes());
-  sh.phases_done.resize(g.NumNodes(), 0);
-
-  SimulatorOptions sim_options;
-  sim_options.seed = options.seed;
-  sim_options.max_rounds = options.max_rounds;
-  sim_options.record_wake_times = options.record_wake_times;
-  sim_options.fault_plan = options.fault_plan;
-  sim_options.audit = options.audit;
-  sim_options.shards = options.shards;
-  sim_options.shard_policy = options.shard_policy;
-  const bool faulted =
-      options.fault_plan != nullptr && !options.fault_plan->Empty();
-  Simulator sim(g, sim_options);
-  FlatGhsProgram program(g, &sh, options.seed);
-  RunOutcome outcome = DriveProgram(sim, program, faulted);
-
-  std::uint64_t phases = 0;
-  for (auto p : sh.phases_done) phases = std::max(phases, p);
-  auto result = AssembleResult(g, sh.port_marks, sim.GetMetrics(), phases,
-                               std::move(sh.final_ldt));
-  sh.snapshots.resize(std::min<std::size_t>(sh.snapshots.size(), phases));
-  result.forest_per_phase = std::move(sh.snapshots);
-  result.outcome = std::move(outcome);
-  if (faulted) RefineOutcome(result, g.NumNodes());
-  return result;
+  detail::Shared sh(g, options, "Randomized-MST", phase_cap);
+  FlatGhsProgram program(g, &sh, options, rule);
+  return detail::RunProgram(g, options, program, sh);
 }
 
 }  // namespace

@@ -1,12 +1,20 @@
 #include "smst/mst/result.h"
 
+#include <algorithm>
+#include <span>
 #include <string>
 
-#include "smst/faults/auditor.h"
+#include "smst/mst/detail.h"
 #include "smst/mst/options.h"
+#include "smst/runtime/simulator.h"
 
 namespace smst {
 
+namespace {
+
+// Turns per-port MST marks (one byte per port, indexed by the graph's CSR
+// port numbering; nonzero = marked) into an edge list, filling
+// `consistency_error` on endpoint mismatch.
 MstRunResult AssembleResult(const WeightedGraph& g,
                             std::span<const std::uint8_t> port_marks,
                             const Metrics& metrics, std::uint64_t phases,
@@ -54,25 +62,10 @@ MstRunResult AssembleResult(const WeightedGraph& g,
   return r;
 }
 
-RunOutcome DriveProgram(Simulator& sim, FlatProgram& program, bool faulted) {
-  if (!faulted) {
-    sim.Run(program);
-    // Run() already threw if the audit was not clean; surface the
-    // auditor's meters so callers can cross-check them like in faulted
-    // runs (all-zero when no auditor ran). Audit() covers both engines
-    // (serial auditor, or summed shard auditors).
-    RunOutcome out;
-    const Simulator::AuditSummary a = sim.Audit();
-    if (a.audited) {
-      out.audited_awake_node_rounds = a.awake_node_rounds;
-      out.audited_model_drops = a.model_drops;
-      out.audit_violations = a.violations;
-    }
-    return out;
-  }
-  return sim.RunToOutcome(program);
-}
-
+// Refines a faulted run's kCompleted outcome against the assembled
+// result: an endpoint inconsistency or a non-spanning edge set becomes
+// kWrongResult. (Exact weight verification is left to callers with a
+// reference MST, e.g. VerifyMst.)
 void RefineOutcome(MstRunResult& result, std::size_t num_nodes) {
   if (!result.outcome.Ok()) return;
   if (!result.consistency_error.empty()) {
@@ -89,4 +82,86 @@ void RefineOutcome(MstRunResult& result, std::size_t num_nodes) {
   }
 }
 
+}  // namespace
+
+namespace detail {
+
+Shared::Shared(const WeightedGraph& graph, const MstOptions& options,
+               const char* algorithm_name, std::uint64_t cap)
+    : g(&graph),
+      algorithm(algorithm_name),
+      termination(options.termination),
+      phase_cap(cap),
+      record_snapshots(options.record_forest_snapshots),
+      port_marks(graph.NumPorts(), 0),
+      final_ldt(graph.NumNodes()),
+      phases_done(graph.NumNodes(), 0) {}
+
+void Shared::Snapshot(std::uint64_t phase, NodeIndex v, const LdtState& ldt) {
+  if (!record_snapshots) return;
+  std::lock_guard<std::mutex> lock(snapshot_mutex);
+  if (snapshots.size() < phase) {
+    snapshots.resize(phase, std::vector<LdtState>(g->NumNodes()));
+  }
+  snapshots[phase - 1][v] = ldt;
+}
+
+Round Shared::Finish(NodeIndex v, bool finished, Round last_round,
+                     const LdtState& ldt, std::uint64_t last_active_phase,
+                     Metrics& metrics) {
+  if (!finished && termination == TerminationMode::kEarlyDetect) {
+    throw NonTerminationError(std::string(algorithm) + ": phase cap " +
+                              std::to_string(phase_cap) +
+                              " exceeded without termination");
+  }
+  metrics.ExtendRun(last_round);
+  final_ldt[v] = ldt;
+  phases_done[v] = last_active_phase;
+  return kFlatDone;
+}
+
+MstRunResult RunProgram(const WeightedGraph& g, const MstOptions& options,
+                        FlatProgram& program, Shared& shared) {
+  SimulatorOptions sim_options;
+  sim_options.seed = options.seed;
+  sim_options.max_rounds = options.max_rounds;
+  sim_options.record_wake_times = options.record_wake_times;
+  sim_options.fault_plan = options.fault_plan;
+  sim_options.audit = options.audit;
+  sim_options.shards = options.shards;
+  sim_options.shard_policy = options.shard_policy;
+  const bool faulted =
+      options.fault_plan != nullptr && !options.fault_plan->Empty();
+  Simulator sim(g, sim_options);
+  // The dual contract: a fault-free run throws on any failure, a faulted
+  // one is classified instead.
+  RunOutcome outcome;
+  if (faulted) {
+    outcome = sim.RunToOutcome(program);
+  } else {
+    sim.Run(program);
+    // Run() already threw if the audit was not clean; surface the
+    // auditor's meters so callers can cross-check them like in faulted
+    // runs (all-zero when no auditor ran).
+    const Simulator::AuditSummary a = sim.Audit();
+    if (a.audited) {
+      outcome.audited_awake_node_rounds = a.awake_node_rounds;
+      outcome.audited_model_drops = a.model_drops;
+      outcome.audit_violations = a.violations;
+    }
+  }
+
+  std::uint64_t phases = 0;
+  for (auto p : shared.phases_done) phases = std::max(phases, p);
+  auto result = AssembleResult(g, shared.port_marks, sim.GetMetrics(), phases,
+                               std::move(shared.final_ldt));
+  shared.snapshots.resize(
+      std::min<std::size_t>(shared.snapshots.size(), phases));
+  result.forest_per_phase = std::move(shared.snapshots);
+  result.outcome = std::move(outcome);
+  if (faulted) RefineOutcome(result, g.NumNodes());
+  return result;
+}
+
+}  // namespace detail
 }  // namespace smst

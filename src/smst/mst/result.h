@@ -2,14 +2,12 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "smst/faults/run_outcome.h"
 #include "smst/graph/graph.h"
 #include "smst/runtime/metrics.h"
-#include "smst/runtime/simulator.h"
 #include "smst/sleeping/ldt.h"
 
 namespace smst {
@@ -52,24 +50,5 @@ struct MstRunResult {
   // filled iff MstOptions::record_forest_snapshots.
   std::vector<std::vector<LdtState>> forest_per_phase;
 };
-
-// Shared by the algorithm harnesses: turns per-port MST marks (one byte
-// per port, indexed by the graph's CSR port numbering; nonzero = marked)
-// into an edge list, filling `consistency_error` on endpoint mismatch.
-MstRunResult AssembleResult(const WeightedGraph& g,
-                            std::span<const std::uint8_t> port_marks,
-                            const Metrics& metrics, std::uint64_t phases,
-                            std::vector<LdtState> final_ldt);
-
-// Shared by the algorithm harnesses: runs `program` under the dual
-// contract — the throwing Simulator::Run when `faulted` is false, the
-// classifying RunToOutcome when true.
-RunOutcome DriveProgram(Simulator& sim, FlatProgram& program, bool faulted);
-
-// Refines a faulted run's kCompleted outcome against the assembled
-// result: an endpoint inconsistency or a non-spanning edge set becomes
-// kWrongResult. (Exact weight verification is left to callers with a
-// reference MST, e.g. VerifyMst.)
-void RefineOutcome(MstRunResult& result, std::size_t num_nodes);
 
 }  // namespace smst
