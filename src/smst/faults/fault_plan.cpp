@@ -1,9 +1,10 @@
 #include "smst/faults/fault_plan.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
+#include "smst/util/parse.h"
 #include "smst/util/prng.h"
 
 namespace smst {
@@ -35,6 +36,19 @@ const char* FaultKindName(FaultKind k) {
   return "?";
 }
 
+namespace {
+
+// The shortest text that reads back as exactly `p` ("0.003", "1e-05"):
+// %g-style, so a short probability prints as it always did.
+std::string ProbabilityText(double p) {
+  char buf[32];
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof buf, p, std::chars_format::general);
+  return std::string(buf, end);
+}
+
+}  // namespace
+
 std::string FaultPlan::ToString() const {
   std::ostringstream out;
   bool first = true;
@@ -49,16 +63,16 @@ std::string FaultPlan::ToString() const {
     switch (r.kind) {
       case FaultKind::kDrop:
       case FaultKind::kDuplicate:
-        out << r.probability;
+        out << ProbabilityText(r.probability);
         break;
       case FaultKind::kDelay:
       case FaultKind::kWakeJitter:
         out << r.param;
-        if (r.probability != 1.0) out << ":" << r.probability;
+        if (r.probability != 1.0) out << ":" << ProbabilityText(r.probability);
         break;
       case FaultKind::kCrash:
         out << r.from_round;
-        if (r.probability != 1.0) out << ":" << r.probability;
+        if (r.probability != 1.0) out << ":" << ProbabilityText(r.probability);
         break;
     }
     if (r.node != kInvalidNode) out << "@" << r.node;
@@ -72,22 +86,21 @@ namespace {
   throw std::invalid_argument("bad fault-plan item '" + item + "': " + why);
 }
 
+// A probability: an unsigned finite decimal in [0, 1] ("-0" and NaN are
+// not probabilities).
 double ParseProb(const std::string& item, const std::string& s) {
-  char* end = nullptr;
-  const double p = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size() || p < 0.0 || p > 1.0) {
-    SpecError(item, "probability must be in [0, 1]");
+  const std::optional<double> p = ParseFiniteDecimal(s);
+  if (!p || s.front() == '-' || *p > 1.0) {
+    SpecError(item, "probability must be a decimal in [0, 1], got '" + s +
+                        "'");
   }
-  return p;
+  return *p;
 }
 
 std::uint64_t ParseUint(const std::string& item, const std::string& s) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (s.empty() || end != s.c_str() + s.size()) {
-    SpecError(item, "expected an unsigned integer, got '" + s + "'");
-  }
-  return v;
+  const std::optional<std::uint64_t> v = ParseDecimalUint(s);
+  if (!v) SpecError(item, "expected an unsigned integer, got '" + s + "'");
+  return *v;
 }
 
 }  // namespace
@@ -107,7 +120,12 @@ FaultPlan ParseFaultPlan(const std::string& spec) {
     // were written; @ binds last in the grammar).
     NodeIndex node = kInvalidNode;
     if (const auto at = value.find('@'); at != std::string::npos) {
-      node = static_cast<NodeIndex>(ParseUint(item, value.substr(at + 1)));
+      const std::uint64_t target = ParseUint(item, value.substr(at + 1));
+      // kInvalidNode, the top NodeIndex, stands for "every node".
+      if (target >= kInvalidNode) {
+        SpecError(item, "@NODE must be below " + std::to_string(kInvalidNode));
+      }
+      node = static_cast<NodeIndex>(target);
       value = value.substr(0, at);
     }
     double prob = 1.0;
@@ -120,6 +138,9 @@ FaultPlan ParseFaultPlan(const std::string& spec) {
     if (value.empty()) SpecError(item, "missing value");
 
     if (key == "salt") {
+      if (has_prob || node != kInvalidNode) {
+        SpecError(item, "salt takes no :P or @NODE");
+      }
       plan.salt = ParseUint(item, value);
       continue;
     }

@@ -90,6 +90,10 @@ struct FaultPlan {
 //                         per node; default 1 — with no @NODE filter and
 //                         P=1 every node halts at R)
 //   salt=S                adversary stream salt (integer)
+// Every number is one whole token: integers are unsigned decimals (no
+// sign, whitespace or hex form), probabilities finite decimals in [0, 1],
+// and NODE is below kInvalidNode, which stands for "every node".
+// ToString prints a plan this function reads back exactly.
 // Example: "drop=0.01,jitter=2". Throws std::invalid_argument on errors.
 FaultPlan ParseFaultPlan(const std::string& spec);
 

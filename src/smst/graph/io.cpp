@@ -1,12 +1,13 @@
 #include "smst/graph/io.h"
 
-#include <charconv>
 #include <fstream>
 #include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "smst/util/parse.h"
 
 namespace smst {
 
@@ -21,13 +22,9 @@ namespace {
 // fraction or trailing characters) and within uint64.
 std::uint64_t Number(std::size_t line, const std::string& tok,
                      const char* what) {
-  std::uint64_t value = 0;
-  const char* end = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
-    Fail(line, std::string("bad ") + what + " '" + tok + "'");
-  }
-  return value;
+  const std::optional<std::uint64_t> value = ParseDecimalUint(tok);
+  if (!value) Fail(line, std::string("bad ") + what + " '" + tok + "'");
+  return *value;
 }
 
 }  // namespace

@@ -1,27 +1,11 @@
 #include "smst/util/args.h"
 
-#include <cctype>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
+#include "smst/util/parse.h"
+
 namespace smst {
-
-namespace {
-
-// std::stoull happily parses "-1" (wrapping to 2^64-1), leading
-// whitespace, "+5", and "0x10" — all of which silently turn user typos
-// like `--seeds -1` into enormous values. A uint flag accepts plain
-// decimal digits only.
-bool IsPlainDecimal(const std::string& s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   // A repeated flag is an error, not "last one wins": `--n 64 --n 128`
@@ -69,53 +53,29 @@ std::uint64_t ArgParser::GetUint(const std::string& name,
   used_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  if (!IsPlainDecimal(it->second)) {
+  // Plain decimal digits only: "-1" must not wrap to 2^64-1, nor "0x10"
+  // or "+5" pass as numbers (util/parse.h).
+  const std::optional<std::uint64_t> v = ParseDecimalUint(it->second);
+  if (!v) {
     throw std::invalid_argument("--" + name + " expects an integer, got '" +
                                 it->second + "'");
   }
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(it->second, &pos);
-    if (pos != it->second.size()) {
-      throw std::invalid_argument("");
-    }
-    return v;
-  } catch (const std::exception&) {
-    // All-digit strings can still overflow uint64 (std::out_of_range).
-    throw std::invalid_argument("--" + name + " expects an integer, got '" +
-                                it->second + "'");
-  }
+  return *v;
 }
 
 double ArgParser::GetDouble(const std::string& name, double fallback) const {
   used_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  // std::stod accepts leading whitespace, "nan", "inf", and hex floats;
-  // none of those is a sensible flag value, and a NaN probability poisons
-  // every comparison downstream. Require the token to start with a digit,
-  // '-', or '.', and the parsed value to be finite.
-  const std::string& text = it->second;
-  const auto bad = [&]() -> std::invalid_argument {
-    return std::invalid_argument("--" + name + " expects a number, got '" +
-                                 text + "'");
-  };
-  if (text.empty()) throw bad();
-  const char first = text.front();
-  if (!std::isdigit(static_cast<unsigned char>(first)) && first != '-' &&
-      first != '.') {
-    throw bad();
+  // A finite decimal only: whitespace, '+', NaN, infinities and hex
+  // floats are no sensible flag value, and a NaN probability poisons
+  // every comparison downstream (util/parse.h).
+  const std::optional<double> v = ParseFiniteDecimal(it->second);
+  if (!v) {
+    throw std::invalid_argument("--" + name + " expects a number, got '" +
+                                it->second + "'");
   }
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(text, &pos);
-    if (pos != text.size() || !std::isfinite(v)) throw bad();
-    return v;
-  } catch (const std::invalid_argument&) {
-    throw bad();
-  } catch (const std::out_of_range&) {
-    throw bad();
-  }
+  return *v;
 }
 
 bool ArgParser::GetBool(const std::string& name, bool fallback) const {

@@ -14,6 +14,7 @@
 #include "smst/graph/generators.h"
 #include "smst/mst/api.h"
 #include "smst/runtime/parallel_runner.h"
+#include "smst/util/prng.h"
 
 namespace smst {
 namespace {
@@ -72,6 +73,69 @@ TEST(FaultPlanParseTest, ToStringRoundTrips) {
   const FaultPlan plan =
       ParseFaultPlan("salt=9,delay=3:0.5@7,drop=0.01,jitter=2,crash=40@5");
   EXPECT_EQ(ParseFaultPlan(plan.ToString()), plan);
+}
+
+// Every number is one whole token, read like every other input parser
+// reads it: no NaN, sign, whitespace or hex form, and no node index that
+// wraps into another one or into kInvalidNode ("every node").
+TEST(FaultPlanParseTest, RejectsNumbersOtherParsersReject) {
+  for (const char* bad :
+       {"drop=nan", "delay=2:nan", "crash=3@-1", "crash=3@4294967295",
+        "crash=3@4294967296", "salt=-5", "delay=-1:0.5", "crash=-1",
+        "jitter= 2", "drop=+0.5", "drop=0x1p-1", "drop=-0", "salt=5@3",
+        "salt=5:0.5"}) {
+    EXPECT_THROW(ParseFaultPlan(bad), std::invalid_argument) << bad;
+  }
+  // The largest node index a rule can name.
+  EXPECT_EQ(ParseFaultPlan("crash=3@4294967294").rules[0].node,
+            NodeIndex{4294967294u});
+}
+
+TEST(FaultPlanParseTest, ToStringPrintsProbabilitiesExactly) {
+  const FaultPlan plan = ParseFaultPlan("drop=0.0012345678,delay=2:1e-07");
+  EXPECT_EQ(plan.ToString(), "drop=0.0012345678,delay=2:1e-07");
+  EXPECT_EQ(ParseFaultPlan(plan.ToString()), plan);
+}
+
+// A seeded fuzz of the print -> parse round trip over random valid plans.
+TEST(FaultPlanParseTest, RandomPlansRoundTripThroughToString) {
+  Xoshiro256 rng(2024);
+  const auto probability = [&rng]() -> double {
+    switch (rng.NextBelow(4)) {
+      case 0: return rng.NextDouble();
+      case 1: return rng.NextDouble() * 1e-9;  // prints in e-notation
+      case 2: return static_cast<double>(rng.NextBelow(1001)) / 1000;
+      default: return 1.0;
+    }
+  };
+  for (int i = 0; i < 2000; ++i) {
+    FaultPlan plan;
+    if (rng.NextCoin()) plan.salt = rng.Next();
+    const std::uint64_t rules = rng.NextBelow(5);
+    for (std::uint64_t j = 0; j < rules; ++j) {
+      FaultRule r;
+      r.kind = static_cast<FaultKind>(rng.NextBelow(5));
+      r.probability = probability();
+      if (rng.NextCoin()) {
+        r.node = static_cast<NodeIndex>(rng.NextBelow(kInvalidNode));
+      }
+      switch (r.kind) {
+        case FaultKind::kDelay:
+        case FaultKind::kWakeJitter:
+          r.param = 1 + rng.NextBelow(rng.NextCoin() ? 8 : ~std::uint64_t{0});
+          break;
+        case FaultKind::kCrash:
+          r.from_round =
+              1 + rng.NextBelow(rng.NextCoin() ? 100 : ~std::uint64_t{0});
+          break;
+        default:
+          break;
+      }
+      plan.rules.push_back(r);
+    }
+    const std::string text = plan.ToString();
+    EXPECT_EQ(ParseFaultPlan(text), plan) << text;
+  }
 }
 
 // ---- FaultSession rule semantics --------------------------------------

@@ -121,7 +121,7 @@ TEST(ArgsTest, GetUintRejectsNegativeAndExoticForms) {
 
 TEST(ArgsTest, GetDoubleRejectsNonFiniteAndGarbage) {
   for (const char* bad : {"nan", "inf", "-inf", "1e999", "", " 1.5", "1.5 ",
-                          "0.5q", "--3"}) {
+                          "0.5q", "--3", "0x1p-3", "+0.5"}) {
     auto a = Parse({"--p", bad});
     EXPECT_THROW(a.GetDouble("p", 0), std::invalid_argument)
         << "'" << bad << "'";
