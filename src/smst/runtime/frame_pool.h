@@ -1,12 +1,14 @@
 // Size-bucketed recycling pool for coroutine frames.
 //
-// Every `co_await`ed sub-procedure (Task<T>) allocates one coroutine
-// frame; a single MST run performs millions of such awaits, and the
-// frames come in a handful of distinct sizes (one per coroutine
-// function). This pool intercepts Task's promise-level operator
-// new/delete and recycles freed frames through per-size free lists, so
-// after a brief warm-up the steady-state awake path performs zero heap
-// allocations for frames.
+// Every Task<T> coroutine allocates one frame. Library code awaits no
+// sub-tasks (the MST programs and the toolbox are flat state machines),
+// so a coroutine program (a user NodeProgram run through
+// CoroutineProgram) allocates one frame per node per run, in a handful
+// of distinct sizes. This pool intercepts Task's promise-level
+// operator new/delete and recycles freed frames through per-size free
+// lists, so repeated runs in one process reuse the frames of earlier
+// runs instead of returning their memory to the OS and faulting it
+// back in.
 //
 // Threading design (deliberate, verified by the TSan CI job's
 // oversubscribed parallel-runner sweep): the arena is *thread-local*.

@@ -9,9 +9,9 @@
 // awake node-round. Absolute counts would be brittle across standard
 // libraries; marginal counts are exact and portable.
 //
-// With SMST_NO_FRAME_POOL the coroutine frame pool is compiled out and
-// every sub-procedure await allocates; the steady-state assertions are
-// skipped in that configuration (the correctness tests still run).
+// A coroutine program allocates one frame per node, not per round, so
+// the marginal assertions hold with the frame pool compiled out
+// (SMST_NO_FRAME_POOL) too; only the pool's own recycling test skips.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -72,9 +72,6 @@ RunStats RunPing(const WeightedGraph& g, int rounds) {
 }
 
 TEST(AllocationRegressionTest, EngineSteadyStateIsAllocationFree) {
-#ifdef SMST_NO_FRAME_POOL
-  GTEST_SKIP() << "frame pool compiled out; steady state allocates";
-#endif
   Xoshiro256 rng(7);
   const auto g = MakeRing(64, rng);
   RunPing(g, 8);  // warm-up: frame pool, lazy library initialization
@@ -82,8 +79,8 @@ TEST(AllocationRegressionTest, EngineSteadyStateIsAllocationFree) {
   const std::uint64_t short_run = CountAllocs([&] { RunPing(g, 32); });
   const std::uint64_t long_run = CountAllocs([&] { RunPing(g, 128); });
   // The extra (128 - 32) * 64 = 6144 awake node-rounds must cost zero
-  // heap allocations: inline message batches, pooled coroutine frames,
-  // and a wake queue whose entries live in fixed per-node slots.
+  // heap allocations: inline message batches, one coroutine frame per
+  // node, and a wake queue whose entries live in fixed per-node slots.
   EXPECT_EQ(long_run, short_run)
       << "steady-state allocations now scale with awake node-rounds";
 }
@@ -137,9 +134,6 @@ std::uint64_t RunStar(const WeightedGraph& g, int rounds) {
 }
 
 TEST(AllocationRegressionTest, HighDegreeRegisterUsesScratchBitset) {
-#ifdef SMST_NO_FRAME_POOL
-  GTEST_SKIP() << "frame pool compiled out; steady state allocates";
-#endif
   const auto g = MakeHighDegreeStar(80);  // center degree 80 > 64
   RunStar(g, 4);  // warm-up
 
@@ -171,9 +165,6 @@ TEST(AllocationRegressionTest, HighDegreeDuplicatePortStillDetected) {
 // --- end-to-end budget on a real algorithm ----------------------------
 
 TEST(AllocationRegressionTest, RandomizedMstStaysWithinAllocationBudget) {
-#ifdef SMST_NO_FRAME_POOL
-  GTEST_SKIP() << "frame pool compiled out; steady state allocates";
-#endif
   Xoshiro256 rng(1);
   const auto g = MakeErdosRenyi(128, 8.0 / 128, rng);
   RunRandomizedMst(g, {.seed = 1});  // warm-up
