@@ -9,7 +9,8 @@
 //      --seeds K     override the bench's per-cell seed count
 //      --json PATH   write JSON-lines records (schema: DESIGN.md §8)
 //      --shards K    run every cell on the K-shard simulator backend
-//                    (0 = serial; results are bit-identical either way)
+//                    (<= 1: one shard on the calling thread; results
+//                    are bit-identical either way)
 //      --shard-policy block|rr   node-to-shard partition policy
 //  * parallel execution of the cells via smst::ParallelRunner, with
 //    results identical to the serial loops the benches used to run
@@ -87,7 +88,8 @@ class Harness {
     return seeds_override_ != 0 ? seeds_override_ : fallback;
   }
 
-  // Simulator shard count applied to every sweep cell (0 = serial).
+  // Simulator shard count applied to every sweep cell (<= 1: one shard
+  // on the calling thread).
   std::uint32_t Shards() const { return shards_; }
   ShardPolicy GetShardPolicy() const { return shard_policy_; }
 

@@ -60,8 +60,8 @@ flags:
              (completed / wrong-result / non-termination /
              crashed-partition) instead of verified-or-die.
   --audit    force the runtime invariant auditor on (Debug has it on)
-  --shards   simulator worker shards (0 = serial engine); results are
-             bit-identical for every value                           [0]
+  --shards   simulator worker shards (<= 1: one shard on the calling
+             thread); results are bit-identical for every value      [0]
   --shard-policy  block | rr — node-to-shard partition policy        [block]
   --energy   off | mote | wifi | ble (single runs only)              [off]
   --quiet    only the summary line
