@@ -25,14 +25,20 @@ std::vector<Weight> DrawWeights(std::size_t m, Xoshiro256& rng) {
 WeightedGraph BuildFrom(std::size_t n, const EdgeList& edges, Xoshiro256& rng,
                         const GeneratorOptions& opt) {
   GraphBuilder b(n);
-  auto weights = DrawWeights(edges.size(), rng);
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    b.AddEdge(edges[i].first, edges[i].second, weights[i]);
-  }
-  const NodeId max_id = opt.max_id == 0 ? n : opt.max_id;
-  if (max_id < n) throw std::invalid_argument("max_id must be >= n");
-  if (opt.shuffle_ids || max_id != n) {
-    b.SetIds(SampleIds(n, max_id, rng), max_id);
+  // Draws weights, then IDs. Both are sampled before the builder's edge
+  // list grows, so its growth reuses the samplers' freed scratch, and the
+  // weights are freed before Build() sizes the port tables: set-up's peak
+  // RSS stays at the builder's own.
+  {
+    const auto weights = DrawWeights(edges.size(), rng);
+    const NodeId max_id = opt.max_id == 0 ? n : opt.max_id;
+    if (max_id < n) throw std::invalid_argument("max_id must be >= n");
+    if (opt.shuffle_ids || max_id != n) {
+      b.SetIds(SampleIds(n, max_id, rng), max_id);
+    }
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      b.AddEdge(edges[i].first, edges[i].second, weights[i]);
+    }
   }
   return std::move(b).Build();
 }
@@ -65,6 +71,7 @@ void PatchConnectivity(std::size_t n, EdgeList& edges, Xoshiro256& rng) {
 
 WeightedGraph MakePath(std::size_t n, Xoshiro256& rng,
                        const GeneratorOptions& opt) {
+  CheckNodeCount(n, "path");
   EdgeList edges;
   for (NodeIndex v = 0; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
   return BuildFrom(n, edges, rng, opt);
@@ -73,6 +80,7 @@ WeightedGraph MakePath(std::size_t n, Xoshiro256& rng,
 WeightedGraph MakeRing(std::size_t n, Xoshiro256& rng,
                        const GeneratorOptions& opt) {
   if (n < 3) throw std::invalid_argument("ring needs n >= 3");
+  CheckNodeCount(n, "ring");
   EdgeList edges;
   for (NodeIndex v = 0; v < n; ++v) {
     edges.emplace_back(v, static_cast<NodeIndex>((v + 1) % n));
@@ -82,6 +90,7 @@ WeightedGraph MakeRing(std::size_t n, Xoshiro256& rng,
 
 WeightedGraph MakeStar(std::size_t n, Xoshiro256& rng,
                        const GeneratorOptions& opt) {
+  CheckNodeCount(n, "star");
   EdgeList edges;
   for (NodeIndex v = 1; v < n; ++v) edges.emplace_back(0, v);
   return BuildFrom(n, edges, rng, opt);
@@ -89,6 +98,7 @@ WeightedGraph MakeStar(std::size_t n, Xoshiro256& rng,
 
 WeightedGraph MakeComplete(std::size_t n, Xoshiro256& rng,
                            const GeneratorOptions& opt) {
+  CheckNodeCount(n, "complete graph");
   EdgeList edges;
   for (NodeIndex u = 0; u < n; ++u) {
     for (NodeIndex v = u + 1; v < n; ++v) edges.emplace_back(u, v);
@@ -98,6 +108,7 @@ WeightedGraph MakeComplete(std::size_t n, Xoshiro256& rng,
 
 WeightedGraph MakeBinaryTree(std::size_t n, Xoshiro256& rng,
                              const GeneratorOptions& opt) {
+  CheckNodeCount(n, "binary tree");
   EdgeList edges;
   for (NodeIndex v = 1; v < n; ++v) edges.emplace_back((v - 1) / 2, v);
   return BuildFrom(n, edges, rng, opt);
@@ -105,6 +116,7 @@ WeightedGraph MakeBinaryTree(std::size_t n, Xoshiro256& rng,
 
 WeightedGraph MakeGrid(std::size_t rows, std::size_t cols, Xoshiro256& rng,
                        const GeneratorOptions& opt) {
+  CheckNodeCount(rows, cols, "grid");
   auto at = [cols](std::size_t r, std::size_t c) {
     return static_cast<NodeIndex>(r * cols + c);
   };
@@ -121,6 +133,7 @@ WeightedGraph MakeGrid(std::size_t rows, std::size_t cols, Xoshiro256& rng,
 WeightedGraph MakeBarbell(std::size_t n, Xoshiro256& rng,
                           const GeneratorOptions& opt) {
   if (n < 4) throw std::invalid_argument("barbell needs n >= 4");
+  CheckNodeCount(n, "barbell");
   const std::size_t half = n / 2;
   EdgeList edges;
   auto clique = [&](NodeIndex lo, NodeIndex hi) {
@@ -154,6 +167,7 @@ WeightedGraph MakeHypercube(std::size_t dimensions, Xoshiro256& rng,
 WeightedGraph MakeCaterpillar(std::size_t spine, Xoshiro256& rng,
                               const GeneratorOptions& opt) {
   if (spine == 0) throw std::invalid_argument("caterpillar needs spine >= 1");
+  CheckNodeCount(2, spine, "caterpillar");
   EdgeList edges;
   for (NodeIndex v = 0; v + 1 < spine; ++v) edges.emplace_back(v, v + 1);
   for (NodeIndex v = 0; v < spine; ++v) {
@@ -165,6 +179,7 @@ WeightedGraph MakeCaterpillar(std::size_t spine, Xoshiro256& rng,
 WeightedGraph MakeLollipop(std::size_t n, Xoshiro256& rng,
                            const GeneratorOptions& opt) {
   if (n < 4) throw std::invalid_argument("lollipop needs n >= 4");
+  CheckNodeCount(n, "lollipop");
   const std::size_t head = n / 2;
   EdgeList edges;
   for (NodeIndex u = 0; u < head; ++u) {
@@ -182,6 +197,7 @@ WeightedGraph MakeErdosRenyi(std::size_t n, double p, Xoshiro256& rng,
     throw std::invalid_argument("Erdos-Renyi needs p >= 0, got " +
                                 std::to_string(p));
   }
+  CheckNodeCount(n, "Erdos-Renyi graph");
   EdgeList edges;
   for (NodeIndex u = 0; u < n; ++u) {
     for (NodeIndex v = u + 1; v < n; ++v) {
@@ -194,6 +210,7 @@ WeightedGraph MakeErdosRenyi(std::size_t n, double p, Xoshiro256& rng,
 
 WeightedGraph MakeRandomTree(std::size_t n, Xoshiro256& rng,
                              const GeneratorOptions& opt) {
+  CheckNodeCount(n, "random tree");
   EdgeList edges;
   for (NodeIndex v = 1; v < n; ++v) {
     edges.emplace_back(static_cast<NodeIndex>(rng.NextBelow(v)), v);
@@ -209,6 +226,7 @@ WeightedGraph MakeRandomGeometric(std::size_t n, double radius,
         "random geometric graph needs radius >= 0, got " +
         std::to_string(radius));
   }
+  CheckNodeCount(n, "random geometric graph");
   std::vector<std::pair<double, double>> pts(n);
   for (auto& [x, y] : pts) {
     x = rng.NextDouble();

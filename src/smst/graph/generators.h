@@ -3,6 +3,8 @@
 // Every generator draws distinct edge weights and (optionally shuffled)
 // node IDs from the supplied PRNG, so a (family, size, seed) triple pins
 // down one exact instance. All families are connected by construction.
+// A node count above kMaxNodeCount (graph.h) throws std::invalid_argument
+// on entry, before anything is drawn or allocated.
 #pragma once
 
 #include <cstdint>

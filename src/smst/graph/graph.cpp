@@ -4,8 +4,8 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+
+#include "smst/util/flat_key_set.h"
 
 namespace smst {
 
@@ -22,8 +22,33 @@ Weight WeightedGraph::TotalWeight(std::span<const EdgeIndex> edge_set) const {
   return total;
 }
 
+namespace {
+
+[[noreturn]] void ThrowTooManyNodes(const std::string& count,
+                                    std::string_view what) {
+  throw std::invalid_argument(
+      std::string(what) + " of " + count +
+      " nodes exceeds the node index range (at most " +
+      std::to_string(kMaxNodeCount) + " nodes)");
+}
+
+}  // namespace
+
+void CheckNodeCount(std::size_t count, std::string_view what) {
+  if (count > kMaxNodeCount) ThrowTooManyNodes(std::to_string(count), what);
+}
+
+void CheckNodeCount(std::size_t rows, std::size_t cols,
+                    std::string_view what) {
+  if (cols != 0 && rows > kMaxNodeCount / cols) {
+    ThrowTooManyNodes(std::to_string(rows) + " x " + std::to_string(cols),
+                      what);
+  }
+}
+
 GraphBuilder::GraphBuilder(std::size_t num_nodes) : num_nodes_(num_nodes) {
   if (num_nodes == 0) throw std::invalid_argument("graph must be non-empty");
+  CheckNodeCount(num_nodes, "graph");
 }
 
 GraphBuilder& GraphBuilder::AddEdge(NodeIndex u, NodeIndex v, Weight w) {
@@ -48,16 +73,23 @@ WeightedGraph GraphBuilder::Build() && {
   WeightedGraph g;
   g.edges_ = std::move(edges_);
 
-  // Determinism audit: the three unordered_sets below are membership-only
-  // duplicate detectors — nothing ever iterates them, so hash order cannot
-  // reach the built graph. smst_lint's det-unordered-iter rule guards this
-  // from regressing; port tables below are built in edge-insertion order.
+  // IDs: default 1..n; validated below, distinct and within [1, max_id].
+  if (ids_.empty()) {
+    ids_.resize(num_nodes_);
+    std::iota(ids_.begin(), ids_.end(), NodeId{1});
+    max_id_ = num_nodes_;
+  }
 
-  // Distinct weights (required: makes the MST unique), none of them a
-  // reserved sentinel.
+  // Determinism audit: `seen` is membership-only — FlatKeySet has no
+  // iteration at all — so hash order cannot reach the built graph, and
+  // each check names the first offender in insertion order. One table
+  // sized for max(m, n) keys serves all three checks, emptied between
+  // them, and is freed before the port tables are built; those follow
+  // edge-insertion order.
   {
-    std::unordered_set<Weight> seen;
-    seen.reserve(g.edges_.size() * 2);
+    FlatKeySet seen(std::max(g.edges_.size(), num_nodes_));
+    // Distinct weights (required: makes the MST unique), none of them a
+    // reserved sentinel.
     for (const Edge& e : g.edges_) {
       if (e.weight == 0 || e.weight == ~Weight{0}) {
         throw std::invalid_argument(
@@ -65,42 +97,30 @@ WeightedGraph GraphBuilder::Build() && {
             " has reserved weight " + std::to_string(e.weight) +
             " (weights must lie in [1, 2^64-2])");
       }
-      if (!seen.insert(e.weight).second) {
+      if (!seen.Insert(e.weight)) {
         throw std::invalid_argument("duplicate edge weight " +
                                     std::to_string(e.weight));
       }
     }
-  }
-  // Simple graph: no parallel edges.
-  {
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(g.edges_.size() * 2);
+    // Simple graph: no parallel edges.
+    seen.Clear();
     for (const Edge& e : g.edges_) {
       const std::uint64_t lo = std::min(e.u, e.v);
       const std::uint64_t hi = std::max(e.u, e.v);
-      if (!seen.insert((lo << 32) | hi).second) {
+      if (!seen.Insert((lo << 32) | hi)) {
         throw std::invalid_argument("parallel edge between " +
                                     std::to_string(e.u) + " and " +
                                     std::to_string(e.v));
       }
     }
-  }
-
-  // IDs: default 1..n; validate distinct and within [1, max_id].
-  if (ids_.empty()) {
-    ids_.resize(num_nodes_);
-    std::iota(ids_.begin(), ids_.end(), NodeId{1});
-    max_id_ = num_nodes_;
-  }
-  {
-    std::unordered_set<NodeId> seen;
-    seen.reserve(ids_.size() * 2);
+    // Distinct IDs in [1, N].
+    seen.Clear();
     for (NodeId id : ids_) {
       if (id == 0 || id > max_id_) {
         throw std::invalid_argument("node ID " + std::to_string(id) +
                                     " outside [1, N]");
       }
-      if (!seen.insert(id).second) {
+      if (!seen.Insert(id)) {
         throw std::invalid_argument("duplicate node ID " + std::to_string(id));
       }
     }

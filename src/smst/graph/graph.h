@@ -18,7 +18,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <string_view>
 #include <vector>
 
 namespace smst {
@@ -30,6 +32,18 @@ using Weight = std::uint64_t;
 
 inline constexpr NodeIndex kInvalidNode = static_cast<NodeIndex>(-1);
 inline constexpr EdgeIndex kInvalidEdge = static_cast<EdgeIndex>(-1);
+
+// Most nodes a graph can have: they are numbered 0..n-1 by NodeIndex,
+// whose top value is kInvalidNode.
+inline constexpr std::size_t kMaxNodeCount =
+    std::numeric_limits<NodeIndex>::max();
+
+// Throws std::invalid_argument naming `what`, the count and kMaxNodeCount
+// when a graph of `count` nodes, or of rows x cols nodes (a product taken
+// without overflow), cannot be numbered by NodeIndex. The generators call
+// it on entry, before they allocate anything.
+void CheckNodeCount(std::size_t count, std::string_view what);
+void CheckNodeCount(std::size_t rows, std::size_t cols, std::string_view what);
 
 struct Edge {
   NodeIndex u = kInvalidNode;
@@ -97,9 +111,11 @@ class WeightedGraph {
 // Builds a WeightedGraph and validates the model's preconditions:
 // simple (no loops / parallel edges), connected, distinct weights in
 // [1, 2^64-2], distinct IDs in [1, N]. Violations throw std::invalid_argument
-// with a message naming the offending edge/node.
+// with a message naming the offending edge/node (the first in insertion
+// order).
 class GraphBuilder {
  public:
+  // Throws std::invalid_argument for 0 nodes or more than kMaxNodeCount.
   explicit GraphBuilder(std::size_t num_nodes);
 
   GraphBuilder& AddEdge(NodeIndex u, NodeIndex v, Weight w);

@@ -22,6 +22,7 @@ GrcInstance BuildGrc(std::size_t rows, std::size_t cols, Xoshiro256& rng) {
   if (rows < 2 || cols < 4) {
     throw std::invalid_argument("G_rc needs rows >= 2 and cols >= 4");
   }
+  CheckNodeCount(rows, cols, "G_rc");
   GrcInstance inst;
   inst.rows = rows;
   inst.cols = cols;
@@ -50,6 +51,7 @@ GrcInstance BuildGrc(std::size_t rows, std::size_t cols, Xoshiro256& rng) {
   const std::size_t grid_nodes = rows * cols;
   const std::size_t internals = x_size - 1;
   const std::size_t n = grid_nodes + internals;
+  CheckNodeCount(n, "G_rc");
 
   inst.node_at.assign(rows, std::vector<NodeIndex>(cols));
   for (std::size_t r = 0; r < rows; ++r) {

@@ -41,7 +41,8 @@ struct GrcInstance {
 };
 
 // Builds G_rc with random distinct weights. Requires rows >= 2 and
-// cols >= 4. The network size is rows*cols + |I|.
+// cols >= 4. The network size is rows*cols + |I|; a size above
+// kMaxNodeCount (graph.h) throws std::invalid_argument on entry.
 GrcInstance BuildGrc(std::size_t rows, std::size_t cols, Xoshiro256& rng);
 
 // The paper's parameter regime for network size n: c = Theta(sqrt(n)

@@ -213,5 +213,35 @@ TEST(AllocationRegressionTest, MstRunAllocationsDoNotGrowWithNodeCount) {
   }
 }
 
+// Graph set-up's membership tests (SampleDistinct's Floyd loop and the
+// builder's distinct-weight, simple-graph and distinct-ID checks) use one
+// flat table per call, so generating a graph makes a fixed number of
+// allocations plus the edge list's geometric growth — not one or more per
+// edge, as node-based hash sets did (+61,444 for the ring pair below and
+// +21,292 for the ER pair). The marginal form again: four times the
+// nodes may add only a constant number of allocations.
+TEST(AllocationRegressionTest, GraphSetUpAllocationsDoNotGrowWithSize) {
+  auto ring = [](std::size_t n) {
+    Xoshiro256 rng(5);
+    return CountAllocs([&] { MakeRing(n, rng); });
+  };
+  auto er = [](std::size_t n) {
+    Xoshiro256 rng(5);
+    return CountAllocs(
+        [&] { MakeErdosRenyi(n, 8.0 / static_cast<double>(n), rng); });
+  };
+  ring(64);  // warm-up
+  er(64);
+  const std::uint64_t ring_small = ring(4096);
+  const std::uint64_t ring_large = ring(16384);
+  EXPECT_LT(ring_large, ring_small + 64)
+      << "ring 4096: " << ring_small << " allocations, ring 16384: "
+      << ring_large;
+  const std::uint64_t er_small = er(512);
+  const std::uint64_t er_large = er(2048);
+  EXPECT_LT(er_large, er_small + 64)
+      << "ER 512: " << er_small << " allocations, ER 2048: " << er_large;
+}
+
 }  // namespace
 }  // namespace smst

@@ -3,6 +3,9 @@
 // Theorem-3 ring experiment machinery.
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -82,6 +85,35 @@ TEST(GrcTest, RejectsDegenerateParams) {
   Xoshiro256 rng(4);
   EXPECT_THROW(BuildGrc(1, 40, rng), std::invalid_argument);
   EXPECT_THROW(BuildGrc(5, 2, rng), std::invalid_argument);
+}
+
+TEST(GrcTest, RejectsNodeCountPastIndexRange) {
+  // Refused on entry: rows * cols once wrapped its NodeIndex cast, after
+  // the row-major node grid was allocated in full.
+  Xoshiro256 rng(4);
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{65536, 65536},
+        {std::size_t{1} << 33, std::size_t{1} << 33}}) {
+    try {
+      BuildGrc(rows, cols, rng);
+      ADD_FAILURE() << "accepted " << rows << " x " << cols;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "G_rc of " + std::to_string(rows) + " x " +
+                    std::to_string(cols) +
+                    " nodes exceeds the node index range (at most "
+                    "4294967295 nodes)");
+    }
+  }
+  // rows * cols fits but the tree internals push the total past it.
+  try {
+    BuildGrc(65535, 65537, rng);
+    ADD_FAILURE() << "accepted 65535 x 65537 plus tree internals";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("G_rc of 42949673"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // --------------------------------------------------- SD / CSS / MST ----
