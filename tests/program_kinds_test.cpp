@@ -15,6 +15,7 @@
 
 #include "smst/faults/fault_plan.h"
 #include "smst/graph/generators.h"
+#include "smst/runtime/flat/driver.h"
 #include "smst/runtime/simulator.h"
 
 namespace smst {
@@ -304,6 +305,56 @@ TEST(ProgramKindsTest, AwakeAtRoundZeroFailsUnlessAFaultPlanClampsIt) {
     Simulator sim(g, opt);
     EXPECT_TRUE(sim.RunToOutcome(program).Ok());
     EXPECT_EQ(woke, want);
+  }
+}
+
+// A script whose first wake is conditional and unbraced: only the even
+// nodes wake in round 1, then every node wakes in round 2.
+class ConditionalWake final : public FlatProgram {
+ public:
+  explicit ConditionalWake(std::size_t n) : state_(n) {}
+
+  Round Start(NodeIndex v, FlatEnv&, SendBatch&) override {
+    return Advance(v);
+  }
+  Round Step(NodeIndex v, Round now, FlatEnv&, const InboxBatch&,
+             SendBatch&) override {
+    state_[v].woke.push_back(now);
+    return Advance(v);
+  }
+  const std::vector<Round>& Woke(NodeIndex v) const { return state_[v].woke; }
+
+ private:
+  struct State {
+    int pc = 0;
+    std::vector<Round> woke;
+  };
+
+  Round Advance(NodeIndex v) {
+    State& st = state_[v];
+    switch (st.pc) {
+      default:
+        throw std::logic_error("flat program: corrupt pc");
+      case 0:
+        if (v % 2 == 0) SMST_FLAT_AWAKE(st, 1);
+        SMST_FLAT_AWAKE(st, 2);
+        return kFlatDone;
+    }
+  }
+
+  std::vector<State> state_;
+};
+
+TEST(ProgramKindsTest, ConditionalWakeIsOneStatement) {
+  Xoshiro256 rng(5);
+  const WeightedGraph g = MakeRing(6, rng);
+  ConditionalWake program(g.NumNodes());
+  Simulator sim(g);
+  sim.Run(program);
+  for (NodeIndex v = 0; v < g.NumNodes(); ++v) {
+    EXPECT_EQ(program.Woke(v),
+              (v % 2 == 0 ? std::vector<Round>{1, 2} : std::vector<Round>{2}))
+        << "node " << v;
   }
 }
 
