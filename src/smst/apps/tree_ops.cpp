@@ -37,8 +37,7 @@ class TreeOpsProgram final : public FlatProgram {
   }
 
   Round Start(NodeIndex v, FlatEnv& /*env*/, SendBatch& sends) override {
-    const InboxBatch empty;
-    return Advance(v, empty, sends);
+    return Advance(v, kEmptyInbox, sends);
   }
   Round Step(NodeIndex v, Round /*now*/, FlatEnv& /*env*/,
              const InboxBatch& inbox, SendBatch& sends) override {

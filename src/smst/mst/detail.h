@@ -15,8 +15,8 @@
 #include "smst/mst/result.h"
 #include "smst/runtime/flat/program.h"
 #include "smst/runtime/metrics.h"
+#include "smst/sleeping/flat_procedures.h"
 #include "smst/sleeping/ldt.h"
-#include "smst/sleeping/procedures.h"
 
 namespace smst::detail {
 

@@ -118,8 +118,7 @@ class FlatDetProgram final : public FlatProgram {
   }
 
   Round Start(NodeIndex v, FlatEnv& env, SendBatch& sends) override {
-    const InboxBatch empty;
-    return Advance(v, env, empty, sends);
+    return Advance(v, env, kEmptyInbox, sends);
   }
 
   Round Step(NodeIndex v, Round /*now*/, FlatEnv& env, const InboxBatch& inbox,

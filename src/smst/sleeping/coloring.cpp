@@ -135,8 +135,7 @@ Round FlatExchange::Begin(const FlatNodeRef& node, const LdtState& l,
   own_value = value;
   announce = announce_in;
   pc = 0;
-  const InboxBatch empty;
-  return Resume(node, empty, sends);
+  return Resume(node, kEmptyInbox, sends);
 }
 
 Round FlatExchange::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
@@ -201,8 +200,7 @@ Round FlatLogStarColoring::Begin(const FlatNodeRef& node, const LdtState& l,
   h_ports = h_ports_in;
   cv_iters = iters;
   pc = 0;
-  const InboxBatch empty;
-  return Resume(node, empty, sends);
+  return Resume(node, kEmptyInbox, sends);
 }
 
 Round FlatLogStarColoring::Resume(const FlatNodeRef& node,

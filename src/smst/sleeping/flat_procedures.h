@@ -1,11 +1,18 @@
-// The paper's toolbox procedures (Appendix B) and colorings as flat
-// (coroutine-less) sub-machines.
+// The paper's toolbox (Appendix B) and both colorings, as flat
+// (coroutine-less) sub-machines: O(1)-awake, O(n)-round procedures on a
+// Forest of Labeled Distance Trees. Every procedure occupies whole
+// schedule blocks (2n+1 rounds each; schedule.h), and all fragments run
+// the same procedure in the same block, so cross-fragment Side rounds
+// line up globally.
 //
-// procedures.h / merging.h / coloring.h define the procedures' messages,
-// results and schedules; each struct here runs one procedure as a state
-// machine with an explicit resume protocol. A driver (the flat MST
-// programs in src/smst/mst/, apps/tree_ops, or ProcedureProgram below)
-// embeds one instance per node and runs it like this:
+// Every struct here runs its procedure as a script in the one form all
+// flat code uses (runtime/flat/driver.h): Begin captures its arguments,
+// sets pc = 0 and runs the script; Resume is one `switch (pc)` whose
+// resume points are SMST_FLAT_AWAKE / SMST_FLAT_SUB, with `case 0:` and a
+// throwing `default:`, so the flat-* lint rules check every procedure.
+// A driver (the flat MST programs in src/smst/mst/, apps/tree_ops, or
+// ProcedureProgram below) embeds one instance per node and runs it like
+// this:
 //
 //   Round r = sub.Begin(node, ..., sends);         // may push sends
 //   while (r != kFlatDone) {
@@ -14,13 +21,20 @@
 //   }
 //   <read the procedure's result fields>
 //
-// (SMST_FLAT_SUB in runtime/flat/driver.h is that loop.) Begin/Resume
-// return the next awake round with that round's sends already pushed
-// into the driver's out-parameter, or kFlatDone when the procedure has
-// finished — the exact contract of FlatProgram::Step, so a driver can
-// forward a sub-machine's round verbatim. A procedure that never needs
-// to wake (e.g. Upcast-Min at a childless root with nothing to send)
-// finishes inside Begin and the driver continues synchronously.
+// (SMST_FLAT_SUB is that loop.) Begin/Resume return the next awake round
+// with that round's sends already pushed into the driver's out-parameter,
+// or kFlatDone when the procedure has finished — the exact contract of
+// FlatProgram::Step, so a driver can forward a sub-machine's round
+// verbatim. A procedure that never needs to wake (e.g. Upcast-Min at a
+// childless root with nothing to send) finishes inside Begin and the
+// driver continues synchronously.
+//
+// Awake costs (asserted by tests):
+//   Fragment-Broadcast  <= 2 wakes (1 for root / leaves)   FlatBroadcast
+//   Upcast-Min          <= 2 wakes                         FlatUpcastMin
+//   Upcast-Sum          <= 2 wakes                         FlatUpcastSum
+//   Transmit-Adjacent   == 1 wake: the block's Side round,
+//                       TransmissionSchedule(block, level, n).side
 //
 // A sub-machine holds as little as it can, since every wake of its node
 // reads it: of the schedule it keeps one round and derives the others
@@ -34,19 +48,74 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "smst/runtime/flat/program.h"
+#include "smst/runtime/message.h"
 #include "smst/sleeping/coloring.h"
 #include "smst/sleeping/ldt.h"
-#include "smst/sleeping/merging.h"
-#include "smst/sleeping/procedures.h"
 #include "smst/sleeping/schedule.h"
 
 namespace smst {
+
+// Message tags used by the toolbox; algorithms use tags >= 100.
+enum ProcedureTag : std::uint16_t {
+  kTagBroadcast = 1,
+  kTagUpcastMin = 2,
+  kTagUpcastSum = 3,
+  kTagSide = 4,
+  kTagMergeSide = 5,
+  kTagMergeUp = 6,
+  kTagMergeDown = 7,
+};
+
+// A value offered to / aggregated by Upcast-Min. Ordered by (key, b, c);
+// key == kPlusInfinity means "no value".
+struct UpcastItem {
+  std::uint64_t key = kPlusInfinity;
+  std::uint64_t b = 0;
+  std::uint64_t c = 0;
+
+  bool Absent() const { return key == kPlusInfinity; }
+  friend bool operator<(const UpcastItem& x, const UpcastItem& y) {
+    if (x.key != y.key) return x.key < y.key;
+    if (x.b != y.b) return x.b < y.b;
+    return x.c < y.c;
+  }
+};
+
+struct UpcastSumResult {
+  std::uint64_t subtree_total = 0;  // own contribution + all descendants
+  // (child port, that child's subtree total) in child_ports order; kept
+  // so a later down-pass can split an allotment among subtrees. SmallVec:
+  // LDT fan-out is small, so this stays inside the node's state.
+  SmallVec<std::pair<std::uint32_t, std::uint64_t>, 4> child_totals;
+};
+
+// The message that arrived on `port`, if any.
+inline std::optional<Message> MessageFromPort(
+    std::span<const InMessage> inbox, std::uint32_t port) {
+  for (const InMessage& m : inbox) {
+    if (m.port == port) return m.msg;
+  }
+  return std::nullopt;
+}
+
+// A node's part in one Merging-Fragments wave.
+struct MergeRole {
+  // True iff this node's fragment merges into another fragment now.
+  bool is_tails = false;
+  // On exactly one node of a tails fragment (the node incident to the
+  // merge edge): the port of that edge. kNoPort elsewhere.
+  std::uint32_t attach_port = kNoPort;
+};
+
+// Number of schedule blocks one merge occupies (A, B, C).
+inline constexpr std::uint64_t kMergeBlocks = 3;
 
 // Fragment-Broadcast(n): the root's message reaches every fragment node.
 // The root passes its message in `root_msg` (ignored elsewhere); after
@@ -57,15 +126,12 @@ struct FlatBroadcast {
   Round down_send = 0;  // Down-Receive is the round before
   Message msg;
   const LdtState* ldt = nullptr;
-  std::uint8_t pc = 0;
+  std::uint16_t pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, Round block_start,
               Message root_msg, SendBatch& sends, std::size_t span = 0);
   Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
                SendBatch& sends);
-
- private:
-  Round SendDown(SendBatch& sends);
 };
 
 // Upcast-Min(n) (convergecast): the minimum of all offered values reaches
@@ -75,15 +141,12 @@ struct FlatUpcastMin {
   Round up_receive = 0;  // Up-Send is the round after
   UpcastItem best;
   const LdtState* ldt = nullptr;
-  std::uint8_t pc = 0;
+  std::uint16_t pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, Round block_start,
               UpcastItem own, SendBatch& sends, std::size_t span = 0);
   Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
                SendBatch& sends);
-
- private:
-  Round SendUp(SendBatch& sends);
 };
 
 // Upcast-Sum(n): after completion, `result` holds the subtree total and
@@ -92,21 +155,19 @@ struct FlatUpcastSum {
   Round up_receive = 0;  // Up-Send is the round after
   UpcastSumResult result;
   const LdtState* ldt = nullptr;
-  std::uint8_t pc = 0;
+  std::uint16_t pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, Round block_start,
               std::uint64_t own, SendBatch& sends, std::size_t span = 0);
   Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
                SendBatch& sends);
-
- private:
-  Round SendUp(SendBatch& sends);
 };
 
-// Merging-Fragments(n) (merging.h): one merge wave. Marks newly added
-// MST edges in `marks` (this node's ports, one byte each) during
-// sub-block A (both endpoints of a merge edge mark it) and updates `ldt`
-// in place when the procedure completes.
+// Merging-Fragments(n) (paper §2.2; the protocol is spelled out on the
+// script in flat_procedures.cpp): one merge wave over sub-blocks A, B
+// and C. Marks newly added MST edges in `marks` (this node's ports, one
+// byte each) during sub-block A (both endpoints of a merge edge mark it)
+// and updates `ldt` in place when the procedure completes.
 struct FlatMerge {
   std::size_t span = 0;
   Round block_a = 0;  // sub-blocks B and C are the next two blocks
@@ -115,7 +176,7 @@ struct FlatMerge {
   MergeRole role;
   std::uint32_t new_parent_port = kNoPort;
   bool have_new = false;
-  std::uint8_t pc = 0;
+  std::uint16_t pc = 0;
   NodeId new_frag = 0;
   std::uint64_t new_level = 0;
   ChildPortList new_children;
@@ -127,13 +188,8 @@ struct FlatMerge {
 
  private:
   // Sub-block k's schedule (0 = A, 1 = B, 2 = C) at this node's level,
-  // which stays fixed until Finalize.
+  // which stays fixed until the script's end.
   ScheduleRounds Sub(std::uint64_t k) const;
-  Round EnterB(const FlatNodeRef& node, SendBatch& sends);
-  Round MaybeUpSend(const FlatNodeRef& node, SendBatch& sends);
-  Round EnterC(const FlatNodeRef& node, SendBatch& sends);
-  Round SendDownC(SendBatch& sends);
-  Round Finalize();
 };
 
 // Fast-Awake-Coloring(n, N) (coloring.h): after completion, `result`
@@ -156,7 +212,7 @@ struct FlatColoring {
   ColoringResult result;
   FlatUpcastMin umin;
   FlatBroadcast bcast;
-  std::uint8_t pc = 0;
+  std::uint16_t pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, BlockCursor& cursor,
               std::span<const NbrEntry> nbr_in,
@@ -170,13 +226,6 @@ struct FlatColoring {
   Round StageBlock(std::uint64_t k) const {
     return stage_start + k * block_len;
   }
-  Round NextStage(const FlatNodeRef& node, SendBatch& sends);
-  Round OwnAfterUmin(const FlatNodeRef& node, SendBatch& sends);
-  Round OwnAfterBcast(const FlatNodeRef& node, SendBatch& sends);
-  Round ListenerAfterTransmit(const FlatNodeRef& node, SendBatch& sends);
-  Round ListenerAfterUmin(const FlatNodeRef& node, SendBatch& sends);
-  Round ListenerAfterBcast(const FlatNodeRef& node, SendBatch& sends);
-  Round EndStage(const FlatNodeRef& node, SendBatch& sends);
 };
 
 // One simultaneous "announce to H-neighbors + make it fragment-wide"
@@ -201,7 +250,7 @@ struct FlatExchange {
   int k = 0;
   FlatUpcastMin umin;
   FlatBroadcast bcast;
-  int pc = 0;
+  std::uint16_t pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, BlockCursor& c,
               std::span<const NodeId> sorted_ids,
@@ -243,7 +292,7 @@ struct FlatLogStarColoring {
   FlatExchange xchg;
   FlatUpcastMin umin;
   FlatBroadcast bcast;
-  int pc = 0;
+  std::uint16_t pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, BlockCursor& c,
               std::span<const NbrEntry> nbr_in,
