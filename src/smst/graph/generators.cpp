@@ -13,6 +13,11 @@ namespace {
 
 using EdgeList = std::vector<std::pair<NodeIndex, NodeIndex>>;
 
+// Edges of a clique on k nodes, k(k-1)/2, without overflow for any k.
+std::size_t CliqueEdges(std::size_t k) {
+  return k % 2 == 0 ? k / 2 * (k - 1) : (k - 1) / 2 * k;
+}
+
 // Weights are sampled distinct from a poly-sized range so they fit in the
 // O(log n)-bit messages the model allows.
 std::vector<Weight> DrawWeights(std::size_t m, Xoshiro256& rng) {
@@ -99,6 +104,7 @@ WeightedGraph MakeStar(std::size_t n, Xoshiro256& rng,
 WeightedGraph MakeComplete(std::size_t n, Xoshiro256& rng,
                            const GeneratorOptions& opt) {
   CheckNodeCount(n, "complete graph");
+  CheckEdgeCount(CliqueEdges(n), "complete graph");
   EdgeList edges;
   for (NodeIndex u = 0; u < n; ++u) {
     for (NodeIndex v = u + 1; v < n; ++v) edges.emplace_back(u, v);
@@ -117,6 +123,9 @@ WeightedGraph MakeBinaryTree(std::size_t n, Xoshiro256& rng,
 WeightedGraph MakeGrid(std::size_t rows, std::size_t cols, Xoshiro256& rng,
                        const GeneratorOptions& opt) {
   CheckNodeCount(rows, cols, "grid");
+  if (rows > 0 && cols > 0) {
+    CheckEdgeCount(rows * (cols - 1) + (rows - 1) * cols, "grid");
+  }
   auto at = [cols](std::size_t r, std::size_t c) {
     return static_cast<NodeIndex>(r * cols + c);
   };
@@ -135,6 +144,7 @@ WeightedGraph MakeBarbell(std::size_t n, Xoshiro256& rng,
   if (n < 4) throw std::invalid_argument("barbell needs n >= 4");
   CheckNodeCount(n, "barbell");
   const std::size_t half = n / 2;
+  CheckEdgeCount(CliqueEdges(half) + CliqueEdges(n - half) + 1, "barbell");
   EdgeList edges;
   auto clique = [&](NodeIndex lo, NodeIndex hi) {
     for (NodeIndex u = lo; u < hi; ++u) {
@@ -181,6 +191,7 @@ WeightedGraph MakeLollipop(std::size_t n, Xoshiro256& rng,
   if (n < 4) throw std::invalid_argument("lollipop needs n >= 4");
   CheckNodeCount(n, "lollipop");
   const std::size_t head = n / 2;
+  CheckEdgeCount(CliqueEdges(head) + (n - head), "lollipop");
   EdgeList edges;
   for (NodeIndex u = 0; u < head; ++u) {
     for (NodeIndex v = u + 1; v < head; ++v) edges.emplace_back(u, v);

@@ -4,7 +4,10 @@
 // node IDs from the supplied PRNG, so a (family, size, seed) triple pins
 // down one exact instance. All families are connected by construction.
 // A node count above kMaxNodeCount (graph.h) throws std::invalid_argument
-// on entry, before anything is drawn or allocated.
+// on entry, before anything is drawn or allocated; so does an edge count
+// above kMaxEdgeCount for the families whose size fixes it (complete,
+// grid, barbell, lollipop). The random families' edges meet
+// GraphBuilder::AddEdge's check of the same bound.
 #pragma once
 
 #include <cstdint>

@@ -45,6 +45,16 @@ inline constexpr std::size_t kMaxNodeCount =
 void CheckNodeCount(std::size_t count, std::string_view what);
 void CheckNodeCount(std::size_t rows, std::size_t cols, std::string_view what);
 
+// Most edges a graph can have: they are numbered 0..m-1 by EdgeIndex,
+// whose top value is kInvalidEdge.
+inline constexpr std::size_t kMaxEdgeCount =
+    std::numeric_limits<EdgeIndex>::max();
+
+// Throws std::invalid_argument naming `what`, the count and kMaxEdgeCount
+// when a graph of `count` edges cannot be numbered by EdgeIndex. The
+// dense generators call it on entry with their edge count.
+void CheckEdgeCount(std::size_t count, std::string_view what);
+
 struct Edge {
   NodeIndex u = kInvalidNode;
   NodeIndex v = kInvalidNode;
@@ -118,6 +128,8 @@ class GraphBuilder {
   // Throws std::invalid_argument for 0 nodes or more than kMaxNodeCount.
   explicit GraphBuilder(std::size_t num_nodes);
 
+  // Throws std::invalid_argument for an endpoint out of range, a
+  // self-loop, or an edge past kMaxEdgeCount.
   GraphBuilder& AddEdge(NodeIndex u, NodeIndex v, Weight w);
 
   // Assigns node IDs (defaults to 1..n in index order if never called).

@@ -287,6 +287,54 @@ TEST(GeneratorsTest, FromEdgeListRejectsNodeCountPastIndexRange) {
                      "4294967296");
 }
 
+// The first size of each dense family whose edges EdgeIndex cannot
+// number throws at once, naming the edge count and the limit.
+void ExpectTooManyEdges(const std::function<void()>& make,
+                        const std::string& count) {
+  try {
+    make();
+    ADD_FAILURE() << "accepted " << count << " edges";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" of " + count + " edges"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("at most 4294967295 edges"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(GeneratorsTest, CompleteRejectsEdgeCountPastIndexRange) {
+  Xoshiro256 rng(1);
+  // 92,682 nodes have 4,294,930,221 edges, which fit.
+  ExpectTooManyEdges([&] { MakeComplete(92683, rng); }, "4295022903");
+}
+
+TEST(GeneratorsTest, GridRejectsEdgeCountPastIndexRange) {
+  Xoshiro256 rng(1);
+  // 46,341 x 46,341 has 4,294,883,880 edges, which fit.
+  ExpectTooManyEdges([&] { MakeGrid(46342, 46342, rng); }, "4295069244");
+}
+
+TEST(GeneratorsTest, BarbellRejectsEdgeCountPastIndexRange) {
+  Xoshiro256 rng(1);
+  // 131,072 nodes have 4,294,901,761 edges, which fit.
+  ExpectTooManyEdges([&] { MakeBarbell(131073, rng); }, "4294967297");
+}
+
+TEST(GeneratorsTest, LollipopRejectsEdgeCountPastIndexRange) {
+  Xoshiro256 rng(1);
+  // 185,363 nodes have 4,294,930,222 edges, which fit.
+  ExpectTooManyEdges([&] { MakeLollipop(185364, rng); }, "4295022903");
+}
+
+TEST(GeneratorsTest, LargestEdgeCountPassesTheCheck) {
+  // Inclusive like the node bound: edge indices up to 2^32 - 2, below
+  // kInvalidEdge. Checked on the bound alone, not by building.
+  EXPECT_NO_THROW(CheckEdgeCount(kMaxEdgeCount, "graph"));
+  ExpectTooManyEdges([] { CheckEdgeCount(kMaxEdgeCount + 1, "graph"); },
+                     "4294967296");
+}
+
 TEST(GeneratorsTest, LargestNodeCountPassesTheCheck) {
   // The bound is inclusive: 2^32 - 1 nodes fit (indices up to 2^32 - 2,
   // below kInvalidNode). Checked on the bound alone, not by building.
