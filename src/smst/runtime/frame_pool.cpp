@@ -1,168 +1,80 @@
-#include "smst/runtime/frame_pool.h"
+// Per-thread free lists for coroutine frames (task.h).
+//
+// Library code awaits no sub-tasks (the MST programs and the toolbox are
+// flat state machines), so a coroutine program (a user NodeProgram run
+// through CoroutineProgram) allocates one frame per node per run, in a
+// handful of sizes. A freed frame goes onto the calling thread's list
+// for its size class, and that thread's next frame of the class takes it
+// back, so repeated runs on one thread reuse the frames of earlier runs
+// instead of faulting fresh pages in (DESIGN.md §9). There is no lock
+// and no sharing: engines free frames on the thread that allocated them
+// (a sharded run's workers free their own), and a thread's lists are
+// freed when it exits.
+#include "smst/runtime/task.h"
 
 #include <cstddef>
-#include <mutex>
 #include <new>
-#include <utility>
-#include <vector>
 
-namespace smst {
+namespace smst::detail {
 
 namespace {
 
-// Frames are rounded up to 64-byte size classes; anything above 8 KiB
-// bypasses the pool. The largest frame in this codebase today is the
-// randomized-MST NodeMain at ~4.7 KiB (inline message batches make
-// frames wide), so the cap leaves roughly 2x headroom.
-constexpr std::size_t kGranularity = 64;
+// One free list per 16-byte size class (malloc's own chunk step), so
+// rounding a frame up to its class wastes under 16 bytes. Frames above
+// 8 KiB skip the lists.
+constexpr std::size_t kClassBytes = 16;
 constexpr std::size_t kMaxPooledBytes = 8192;
-constexpr std::size_t kNumBuckets = kMaxPooledBytes / kGranularity;
-
-// Fresh blocks are carved from slabs this large. One slab allocation
-// amortizes the allocator's per-request cost over thousands of frames,
-// which matters on worker threads: glibc grows a thread's malloc arena
-// in small syscall-metered steps, and under sandboxed kernels a
-// per-frame 4 KiB arena extension costs microseconds — spawning 10^6
-// node coroutines that way took seconds, versus milliseconds from
-// slabs (large requests go straight to mmap, bypassing the arena).
-constexpr std::size_t kSlabBytes = std::size_t{1} << 20;
+constexpr std::size_t kNumClasses = kMaxPooledBytes / kClassBytes;
 
 struct FreeBlock {
   FreeBlock* next;
 };
 
-// Process-lifetime slab and orphan store. Slabs are deliberately
-// immortal: a frame allocated on a sharded-engine worker is released on
-// the main thread at engine teardown, after the worker has exited, so
-// slab memory must outlive the thread that carved it. The registry
-// object itself is heap-born and never destroyed (see Registry()) so
-// exiting threads can donate during any stage of shutdown.
-//
-// What exiting threads donate under the mutex:
-//  * their free lists (per size class), so the parallel runner's next
-//    wave of workers reuses blocks instead of carving new slabs, and
-//  * the unused tail of their current slab (when it can still serve the
-//    largest size class), so thread churn strands at most 8 KiB per
-//    exit rather than up to a whole slab.
-//
-// Donations are kept as a stack of whole lists per size class, one
-// entry per donating thread, never spliced: donating is O(buckets)
-// (no walk to a tail), and a refilling thread adopts exactly one
-// donated list per bucket. K symmetric donors therefore feed K later
-// workers evenly — splicing everything into one chain would instead
-// hand the whole pool to whichever worker refills first and leave the
-// rest carving fresh (fault-expensive) slab pages.
-struct SlabRegistry {
-  std::mutex mu;
-  std::vector<FreeBlock*> orphan_lists[kNumBuckets];
-  std::vector<std::pair<char*, char*>> partial_slabs;
-};
+struct FreeLists {
+  FreeBlock* heads[kNumClasses] = {};
 
-SlabRegistry& Registry() {
-  static SlabRegistry* r = new SlabRegistry;
-  return *r;
-}
-
-// One arena per thread: private free lists and a private bump region,
-// no synchronization on the allocate/release hot path. The registry
-// mutex is touched only when the bump region runs dry (once per slab,
-// i.e. once per ~16k small frames) and at thread exit.
-struct Arena {
-  FreeBlock* heads[kNumBuckets] = {};
-  char* slab_cur = nullptr;
-  char* slab_end = nullptr;
-  FramePoolStats stats;
-
-  ~Arena() {
-    SlabRegistry& reg = Registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    for (std::size_t b = 0; b < kNumBuckets; ++b) {
-      if (heads[b] != nullptr) reg.orphan_lists[b].push_back(heads[b]);
-    }
-    if (static_cast<std::size_t>(slab_end - slab_cur) >= kMaxPooledBytes) {
-      reg.partial_slabs.emplace_back(slab_cur, slab_end);
+  // Runs at thread exit. Each head is advanced as its blocks are freed,
+  // so every list ends empty rather than dangling: a frame freed on this
+  // thread afterwards (say, by a later thread_local destructor) joins a
+  // valid list.
+  ~FreeLists() {
+    for (FreeBlock*& head : heads) {
+      while (FreeBlock* block = head) {
+        head = block->next;
+        ::operator delete(block);
+      }
     }
   }
 };
 
-thread_local Arena t_arena;
+thread_local FreeLists t_lists;
 
-constexpr std::size_t BucketOf(std::size_t bytes) {
-  return (bytes + kGranularity - 1) / kGranularity - 1;
-}
-
-// Refills the calling thread's arena: adopts one donated free list per
-// empty size class (see the SlabRegistry comment for why one, not all),
-// then ensures the bump region can serve any pooled size class — from a
-// donated partial slab if one is waiting, else a fresh slab.
-void Refill(Arena& a) {
-  SlabRegistry& reg = Registry();
-  bool need_slab;
-  {
-    std::lock_guard<std::mutex> lock(reg.mu);
-    for (std::size_t b = 0; b < kNumBuckets; ++b) {
-      if (a.heads[b] != nullptr || reg.orphan_lists[b].empty()) continue;
-      a.heads[b] = reg.orphan_lists[b].back();
-      reg.orphan_lists[b].pop_back();
-    }
-    need_slab =
-        static_cast<std::size_t>(a.slab_end - a.slab_cur) < kMaxPooledBytes;
-    if (need_slab && !reg.partial_slabs.empty()) {
-      std::tie(a.slab_cur, a.slab_end) = reg.partial_slabs.back();
-      reg.partial_slabs.pop_back();
-      need_slab = false;
-    }
-  }
-  if (need_slab) {
-    char* slab = static_cast<char*>(::operator new(kSlabBytes));
-    a.slab_cur = slab;
-    a.slab_end = slab + kSlabBytes;
-  }
+constexpr std::size_t ClassOf(std::size_t bytes) {
+  return bytes == 0 ? 0 : (bytes - 1) / kClassBytes;
 }
 
 }  // namespace
 
 void* FrameAllocate(std::size_t bytes) {
-  if (bytes == 0) bytes = 1;
-  if (bytes > kMaxPooledBytes) {
-    ++t_arena.stats.oversized;
-    return ::operator new(bytes);
+  if (bytes > kMaxPooledBytes) return ::operator new(bytes);
+  const std::size_t c = ClassOf(bytes);
+  FreeBlock*& head = t_lists.heads[c];
+  if (FreeBlock* block = head) {
+    head = block->next;
+    return block;
   }
-  Arena& a = t_arena;
-  const std::size_t b = BucketOf(bytes);
-  const std::size_t block = (b + 1) * kGranularity;
-  for (;;) {
-    if (FreeBlock* head = a.heads[b]) {
-      a.heads[b] = head->next;
-      ++a.stats.pool_hits;
-      return head;
-    }
-    if (static_cast<std::size_t>(a.slab_end - a.slab_cur) >= block) {
-      void* p = a.slab_cur;
-      a.slab_cur += block;
-      ++a.stats.fresh_blocks;
-      return p;
-    }
-    // At most one Refill per allocation: afterwards the bump region
-    // holds at least kMaxPooledBytes, so the carve above succeeds.
-    Refill(a);
-  }
+  // Every block of a class has the class's full size, so any freed
+  // block can serve any later frame of that class.
+  return ::operator new((c + 1) * kClassBytes);
 }
 
 void FrameDeallocate(void* p, std::size_t bytes) noexcept {
-  if (p == nullptr) return;
-  if (bytes == 0) bytes = 1;
-  if (bytes <= kMaxPooledBytes) {
-    Arena& a = t_arena;
-    const std::size_t b = BucketOf(bytes);
-    FreeBlock* block = static_cast<FreeBlock*>(p);
-    block->next = a.heads[b];
-    a.heads[b] = block;
+  if (bytes > kMaxPooledBytes) {
+    ::operator delete(p);
     return;
   }
-  ::operator delete(p);
+  FreeBlock*& head = t_lists.heads[ClassOf(bytes)];
+  head = ::new (p) FreeBlock{head};
 }
 
-FramePoolStats GetFramePoolStats() { return t_arena.stats; }
-
-}  // namespace smst
+}  // namespace smst::detail

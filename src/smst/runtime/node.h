@@ -123,8 +123,9 @@ class NodeContext {
 using NodeProgram = std::function<Task<void>(NodeContext&)>;
 
 // Runs a coroutine NodeProgram as a FlatProgram. One instance serves the
-// nodes of one engine (all of them, or one shard's), and is driven from
-// one thread, which allocates the coroutine frames (frame_pool.h).
+// nodes of one engine (all of them, or one shard's), and is built, driven
+// and destroyed on one thread, so its coroutine frames are recycled
+// through that thread's free lists (frame_pool.cpp).
 class CoroutineProgram final : public FlatProgram {
  public:
   // Serves the nodes `partition` gives `shard` (every node when

@@ -72,27 +72,6 @@ ShardedEngine::ShardedEngine(const WeightedGraph& graph, Metrics& metrics,
   next_round_.assign(k, kMaxRound);
 }
 
-ShardedEngine::~ShardedEngine() {
-  // Tear shards down on their own threads (one per shard, K > 1 only).
-  // Destroying a shard releases ~n/K coroutine frames and context
-  // chunks into the destroying thread's pool arena; doing that on
-  // per-shard reaper threads both parallelizes teardown and — because
-  // each reaper donates its free lists to the pool registry on exit,
-  // one donation entry per shard — leaves the blocks where the *next*
-  // run's K workers each adopt an even share. Freeing on the main
-  // thread would instead strand every block in the main arena, and
-  // repeated sharded runs in one process would re-fault fresh slab
-  // pages every time.
-  if (shards_.size() > 1) {
-    std::vector<std::thread> reapers;
-    reapers.reserve(shards_.size());
-    for (auto& shard : shards_) {
-      if (shard) reapers.emplace_back([&shard] { shard.reset(); });
-    }
-    for (std::thread& t : reapers) t.join();
-  }
-}
-
 FlatProgram& ShardedEngine::ProgramOf(Shard& shard, std::uint32_t s,
                                       const NodeProgram* coroutine,
                                       FlatProgram* flat) {
@@ -168,22 +147,25 @@ void ShardedEngine::ShardMain(std::uint32_t s, const NodeProgram* coroutine,
     for (;;) {
       next_round_[s] = sched.queue_.NextRound();
       barrier_->arrive_and_wait();  // completion computes global_round_
-      if (abort_.load(std::memory_order_acquire)) return;
+      if (abort_.load(std::memory_order_acquire)) break;
       const Round r = global_round_;
-      if (r == kMaxRound) break;  // every shard idle: clean stop
+      if (r == kMaxRound) {
+        // Every shard idle: clean stop. Expire still-parked delayed
+        // messages so the model-drop books balance (mirrors
+        // Scheduler::Run's end-of-run drain).
+        sched.DrainDelayed(kMaxRound);
+        break;
+      }
       // Same trip point and message as a one-shard run; every shard
       // throws this identically.
       sched.CheckWatchdog(r);
       sched.StageRound(r);  // possibly zero local wakers
       CollectSends(s, r);
       barrier_->arrive_and_wait();  // all sends published
-      if (abort_.load(std::memory_order_acquire)) return;
+      if (abort_.load(std::memory_order_acquire)) break;
       Receive(s, r);
       sched.StepRound();
     }
-    // Clean stop: expire still-parked delayed messages so the model-drop
-    // books balance (mirrors Scheduler::Run's end-of-run drain).
-    sched.DrainDelayed(kMaxRound);
   } catch (...) {
     errors_[s] = std::current_exception();
     // Release the others: the drop counts as this shard's arrival for
@@ -192,6 +174,12 @@ void ShardedEngine::ShardMain(std::uint32_t s, const NodeProgram* coroutine,
     abort_.store(true, std::memory_order_release);
     barrier_->arrive_and_drop();
   }
+  // However the run ended, free the shard's coroutine frames on the
+  // thread that allocated them: they go back to this worker's free lists
+  // (frame_pool.cpp), which are released as it exits, so no frame crosses
+  // threads and no thread's lists grow across runs. The post-run views
+  // need only the scheduler, which holds every node failure.
+  if (shards_[s]) shards_[s]->coroutines.reset();
 }
 
 void ShardedEngine::CollectSends(std::uint32_t s, Round r) {

@@ -71,7 +71,6 @@ class ShardedEngine {
   // shards.
   ShardedEngine(const WeightedGraph& graph, Metrics& metrics,
                 const SimulatorOptions& options);
-  ~ShardedEngine();
 
   // Runs the program on every node to completion (or abort): exactly one
   // of `coroutine` (run through one CoroutineProgram per shard) and
@@ -115,8 +114,9 @@ class ShardedEngine {
     std::unique_ptr<Auditor> auditor;    // before scheduler: it borrows it
     std::unique_ptr<Scheduler> scheduler;
     // The shard's adapter for a coroutine program (null for a flat one).
-    // Built on the thread that runs the shard, so the coroutine frames
-    // come from that thread's pool arena (frame_pool.h).
+    // Built, run and destroyed on the thread that runs the shard (with
+    // K >= 2, destroyed as ShardMain ends), so its coroutine frames
+    // never leave that thread's free lists (frame_pool.cpp).
     std::unique_ptr<CoroutineProgram> coroutines;
     // K >= 2 only. Consumer-side scratch, reused every round: one inbound
     // buffer per producer shard (swapped with the exchange's pair

@@ -15,8 +15,6 @@
 #include <optional>
 #include <utility>
 
-#include "smst/runtime/frame_pool.h"
-
 namespace smst {
 
 template <typename T>
@@ -24,14 +22,18 @@ class [[nodiscard]] Task;
 
 namespace detail {
 
+// Coroutine frame storage: the calling thread's free list for the
+// frame's size class, else operator new (frame_pool.cpp). Deallocation
+// takes the size the frame was allocated with.
+void* FrameAllocate(std::size_t bytes);
+void FrameDeallocate(void* p, std::size_t bytes) noexcept;
+
 // Behaviour shared by Task<T> and Task<void> promises.
 struct PromiseBase {
-#ifndef SMST_NO_FRAME_POOL
-  // Coroutine frames are recycled through the thread-local frame pool:
-  // a run's millions of sub-procedure awaits reuse a handful of blocks
-  // instead of hitting the heap each time. Sized delete lets the pool
-  // recompute the size bucket without a per-block header. Disable with
-  // the SMST_NO_FRAME_POOL CMake option (see frame_pool.h).
+#ifndef __SANITIZE_ADDRESS__
+  // Frames are recycled through the calling thread's free lists, so a
+  // repeated run reuses the frames of the last one. ASan builds use
+  // plain new/delete, so ASan sees every frame.
   static void* operator new(std::size_t bytes) { return FrameAllocate(bytes); }
   static void operator delete(void* p, std::size_t bytes) noexcept {
     FrameDeallocate(p, bytes);

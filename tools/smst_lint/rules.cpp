@@ -77,7 +77,7 @@ const std::set<std::string_view> kUnorderedTypes = {
 // Per-shard state that must never travel in a WireEntry: these objects are
 // owned by one worker thread and poked without synchronization.
 const std::set<std::string_view> kShardLocalTypes = {
-    "Scheduler", "Metrics", "Auditor", "NodeMetrics", "FramePool", "Shard"};
+    "Scheduler", "Metrics", "Auditor", "NodeMetrics", "Shard"};
 
 bool IsMemberAccess(const Tokens& t, std::size_t i) {
   return i > 0 && (t[i - 1].Is(".") || t[i - 1].Is("->"));
