@@ -107,6 +107,7 @@ std::uint64_t ParseUint(const std::string& item, const std::string& s) {
 
 FaultPlan ParseFaultPlan(const std::string& spec) {
   FaultPlan plan;
+  bool has_salt = false;
   std::istringstream items(spec);
   std::string item;
   while (std::getline(items, item, ',')) {
@@ -141,6 +142,10 @@ FaultPlan ParseFaultPlan(const std::string& spec) {
       if (has_prob || node != kInvalidNode) {
         SpecError(item, "salt takes no :P or @NODE");
       }
+      // Rules add up, but a plan has one salt: a second one is an error,
+      // not "last one wins".
+      if (has_salt) SpecError(item, "salt given more than once");
+      has_salt = true;
       plan.salt = ParseUint(item, value);
       continue;
     }

@@ -89,7 +89,7 @@ struct FaultPlan {
 //   crash=R[:P][@NODE]    crash-stop at round R (probability drawn once
 //                         per node; default 1 — with no @NODE filter and
 //                         P=1 every node halts at R)
-//   salt=S                adversary stream salt (integer)
+//   salt=S                adversary stream salt (integer; at most once)
 // Every number is one whole token: integers are unsigned decimals (no
 // sign, whitespace or hex form), probabilities finite decimals in [0, 1],
 // and NODE is below kInvalidNode, which stands for "every node".

@@ -34,6 +34,7 @@ WeightedGraph ReadEdgeList(std::istream& in) {
   std::size_t n = 0;
   NodeId max_id = 0;
   std::vector<NodeId> ids;
+  std::vector<bool> has_id;  // per node: its 'id' line has been read
   bool has_ids = false;
 
   std::string line;
@@ -63,6 +64,7 @@ WeightedGraph ReadEdgeList(std::istream& in) {
       if (max_id < n) Fail(line_no, "max-id below node count");
       builder.emplace(n);
       ids.assign(n, 0);
+      has_id.assign(n, false);
       continue;
     }
     if (!builder.has_value()) Fail(line_no, "edges before the 'n' header");
@@ -70,6 +72,10 @@ WeightedGraph ReadEdgeList(std::istream& in) {
       if (tok.size() != 3) Fail(line_no, "expected 'id node id'");
       const std::uint64_t v = Number(line_no, tok[1], "node");
       if (v >= n) Fail(line_no, "bad id line");
+      if (has_id[v]) {
+        Fail(line_no, "second 'id' line for node " + std::to_string(v));
+      }
+      has_id[v] = true;
       ids[v] = Number(line_no, tok[2], "id");
       has_ids = true;
       continue;
@@ -90,7 +96,7 @@ WeightedGraph ReadEdgeList(std::istream& in) {
   if (!builder.has_value()) throw std::invalid_argument("empty edge list");
   if (has_ids) {
     for (std::size_t v = 0; v < n; ++v) {
-      if (ids[v] == 0) {
+      if (!has_id[v]) {
         throw std::invalid_argument("node " + std::to_string(v) +
                                     " has no 'id' line");
       }

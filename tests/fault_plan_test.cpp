@@ -91,6 +91,17 @@ TEST(FaultPlanParseTest, RejectsNumbersOtherParsersReject) {
             NodeIndex{4294967294u});
 }
 
+// A plan has one salt, so a second one is an error rather than
+// silently replacing the first (and vanishing from the echoed plan).
+// Rule keys may repeat: each adds a rule.
+TEST(FaultPlanParseTest, RejectsRepeatedSalt) {
+  for (const char* bad :
+       {"salt=1,salt=2,drop=0.01", "salt=0,drop=0.01,salt=0"}) {
+    EXPECT_THROW(ParseFaultPlan(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(ParseFaultPlan("salt=1,drop=0.01,drop=0.02").rules.size(), 2u);
+}
+
 TEST(FaultPlanParseTest, ToStringPrintsProbabilitiesExactly) {
   const FaultPlan plan = ParseFaultPlan("drop=0.0012345678,delay=2:1e-07");
   EXPECT_EQ(plan.ToString(), "drop=0.0012345678,delay=2:1e-07");

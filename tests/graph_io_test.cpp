@@ -128,6 +128,23 @@ TEST(EdgeListTest, RejectsNodeCountBeyondNodeIndex) {
   ExpectLineError("n 4294967297\n0 1 5\n", "line 1");
 }
 
+// One 'id' line per node: a second one for the same node fails on its
+// line instead of silently replacing the first.
+TEST(EdgeListTest, RejectsRepeatedIdLine) {
+  ExpectLineError("n 2 9\nid 0 5\nid 0 7\nid 1 3\n0 1 5\n", "line 3");
+}
+
+// ID 0 is an ID outside [1, N] like any other, not a missing 'id' line.
+TEST(EdgeListTest, IdZeroIsOutOfRange) {
+  std::istringstream in("n 2\nid 0 1\nid 1 0\n0 1 5\n");
+  try {
+    ReadEdgeList(in);
+    ADD_FAILURE() << "accepted ID 0";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "node ID 0 outside [1, N]");
+  }
+}
+
 TEST(EdgeListTest, BuilderValidationPropagates) {
   // Disconnected graph: the builder's connectivity check fires.
   std::istringstream in("n 4\n0 1 1\n2 3 2\n");
