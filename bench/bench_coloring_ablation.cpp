@@ -27,14 +27,10 @@ int main() {
       gopt.max_id = N;
       auto g = smst::MakeErdosRenyi(n, 8.0 / double(n), rng, gopt);
 
-      smst::MstOptions fast_opt;
-      fast_opt.seed = 1;
-      auto fast = smst::RunDeterministicMst(g, fast_opt);
-
-      smst::MstOptions star_opt;
-      star_opt.seed = 1;
-      star_opt.coloring = smst::ColoringVariant::kLogStar;
-      auto star = smst::RunDeterministicMst(g, star_opt);
+      smst::MstOptions opt;
+      opt.seed = 1;
+      auto fast = smst::RunDeterministicMst(g, opt);
+      auto star = smst::RunDeterministicLogStarMst(g, opt);
 
       for (const auto* r : {&fast, &star}) {
         auto check = smst::VerifyExactMst(g, r->tree_edges);

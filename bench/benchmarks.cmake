@@ -40,3 +40,10 @@ foreach(src ${SMST_BENCHES})
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endforeach()
+
+# The shared harness exits 2 on a flag it does not know, here the CLI's
+# --seed where the harness takes --seeds, instead of running the full
+# sweep as if the flag were absent.
+add_test(NAME bench_rejects_unknown_flag
+         COMMAND bench_fragment_decay --seeds 1 --seed 3)
+set_tests_properties(bench_rejects_unknown_flag PROPERTIES WILL_FAIL TRUE)

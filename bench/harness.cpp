@@ -26,6 +26,13 @@ Harness::Harness(std::string experiment, int argc, char** argv)
   shards_ = static_cast<std::uint32_t>(args.GetUint("shards", 0));
   shard_policy_ = ParseShardPolicy(args.GetString("shard-policy", "block"));
   const std::string json_path = args.GetString("json", "");
+  if (auto unused = args.UnusedFlags(); !unused.empty()) {
+    // A misspelled flag must not run the full sweep as if it were absent.
+    std::cerr << "error: unknown flag --" << unused.front()
+              << " (harness flags: --threads N, --seeds K, --json PATH, "
+                 "--shards K, --shard-policy block|rr)\n";
+    std::exit(2);
+  }
   if (!json_path.empty()) {
     json_.open(json_path);
     if (!json_) {
@@ -34,11 +41,6 @@ Harness::Harness(std::string experiment, int argc, char** argv)
       std::cerr << "error: cannot write --json file '" << json_path << "'\n";
       std::exit(2);
     }
-  }
-  if (auto unused = args.UnusedFlags(); !unused.empty()) {
-    std::cerr << "note: ignoring unknown flag --" << unused.front()
-              << " (harness flags: --threads N, --seeds K, --json PATH, "
-                 "--shards K, --shard-policy block|rr)\n";
   }
 }
 

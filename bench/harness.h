@@ -12,6 +12,7 @@
 //                    (<= 1: one shard on the calling thread; results
 //                    are bit-identical either way)
 //      --shard-policy block|rr   node-to-shard partition policy
+//    any other flag exits 2 before the sweep starts;
 //  * parallel execution of the cells via smst::ParallelRunner, with
 //    results identical to the serial loops the benches used to run
 //    (each cell's graph and randomness derive only from (n, seed));

@@ -27,11 +27,8 @@ MstRunResult ComputeMst(const WeightedGraph& g, MstAlgorithm algorithm,
       return RunRandomizedMst(g, options);
     case MstAlgorithm::kDeterministic:
       return RunDeterministicMst(g, options);
-    case MstAlgorithm::kDeterministicLogStar: {
-      MstOptions opt = options;
-      opt.coloring = ColoringVariant::kLogStar;
-      return RunDeterministicMst(g, opt);
-    }
+    case MstAlgorithm::kDeterministicLogStar:
+      return RunDeterministicLogStarMst(g, options);
     case MstAlgorithm::kGhsBaseline:
       return RunGhsBaseline(g, options);
     case MstAlgorithm::kBmSpanningTree:

@@ -96,11 +96,10 @@ struct FlatDetNode {
 
 class FlatDetProgram final : public FlatProgram {
  public:
-  FlatDetProgram(const WeightedGraph& g, detail::Shared* sh,
-                 ColoringVariant coloring)
+  FlatDetProgram(const WeightedGraph& g, detail::Shared* sh, bool log_star)
       : g_(&g),
         sh_(sh),
-        log_star_(coloring == ColoringVariant::kLogStar),
+        log_star_(log_star),
         cv_iters_(log_star_ ? LogStarCvIterations(g.MaxId()) : 0),
         coloring_blocks_(log_star_ ? LogStarColoringBlocks(g.NumNodes(),
                                                            g.MaxId())
@@ -368,16 +367,10 @@ Round FlatDetProgram::Advance(NodeIndex v, FlatEnv& env,
   throw std::logic_error("flat program: unreachable");
 }
 
-}  // namespace
-
-std::uint64_t DeterministicPaperPhaseCount(std::size_t n) {
-  const double base = 240000.0 / 239999.0;
-  const double phases = std::log(static_cast<double>(n)) / std::log(base);
-  return static_cast<std::uint64_t>(std::ceil(phases)) + 240000;
-}
-
-MstRunResult RunDeterministicMst(const WeightedGraph& g,
-                                 const MstOptions& options) {
+// Both colorings share the schedule and the merge; `log_star` swaps
+// Fast-Awake-Coloring for the Corollary-1 log* coloring.
+MstRunResult RunDeterministic(const WeightedGraph& g,
+                              const MstOptions& options, bool log_star) {
   if (options.adaptive_blocks) {
     // The deterministic schedule has no depth-bounded blocks to shrink;
     // running without them would silently ignore the option.
@@ -394,8 +387,26 @@ MstRunResult RunDeterministicMst(const WeightedGraph& g,
           ? DeterministicPaperPhaseCount(g.NumNodes())
           : g.NumNodes() + 1;
   detail::Shared sh(g, options, "Deterministic-MST", phase_cap);
-  FlatDetProgram program(g, &sh, options.coloring);
+  FlatDetProgram program(g, &sh, log_star);
   return detail::RunProgram(g, options, program, sh);
+}
+
+}  // namespace
+
+std::uint64_t DeterministicPaperPhaseCount(std::size_t n) {
+  const double base = 240000.0 / 239999.0;
+  const double phases = std::log(static_cast<double>(n)) / std::log(base);
+  return static_cast<std::uint64_t>(std::ceil(phases)) + 240000;
+}
+
+MstRunResult RunDeterministicMst(const WeightedGraph& g,
+                                 const MstOptions& options) {
+  return RunDeterministic(g, options, /*log_star=*/false);
+}
+
+MstRunResult RunDeterministicLogStarMst(const WeightedGraph& g,
+                                        const MstOptions& options) {
+  return RunDeterministic(g, options, /*log_star=*/true);
 }
 
 }  // namespace smst

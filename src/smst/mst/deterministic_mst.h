@@ -30,8 +30,8 @@
 //
 // Each phase costs O(1) awake rounds and O(nN) rounds; O(log n) phases
 // suffice (Lemmas 4-6), giving O(log n) awake and O(nN log n) round
-// complexity (Theorem 2). With ColoringVariant::kLogStar the coloring is
-// replaced by the Corollary-1 log*-round variant: O(log n log* n) awake,
+// complexity (Theorem 2). RunDeterministicLogStarMst replaces the
+// coloring by the Corollary-1 log*-round variant: O(log n log* n) awake,
 // O(n log n log* n) rounds.
 #pragma once
 
@@ -50,9 +50,12 @@ inline constexpr std::uint64_t kDeterministicFixedBlocksPerPhase = 23;
 // and the bench that explains why we run kEarlyDetect instead.
 std::uint64_t DeterministicPaperPhaseCount(std::size_t n);
 
-// Throws std::invalid_argument for options.adaptive_blocks, which only the
-// randomized engine's schedule has.
+// Both throw std::invalid_argument for options.adaptive_blocks, which
+// only the randomized engine's schedule has.
 MstRunResult RunDeterministicMst(const WeightedGraph& g,
                                  const MstOptions& options = {});
+// Corollary 1: the same algorithm with the log* coloring.
+MstRunResult RunDeterministicLogStarMst(const WeightedGraph& g,
+                                        const MstOptions& options = {});
 
 }  // namespace smst

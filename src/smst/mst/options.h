@@ -32,20 +32,11 @@ enum class TerminationMode {
   kPaperPhaseCount,
 };
 
-enum class ColoringVariant {
-  kFastAwake,  // paper §2.3: N stages, O(1) awake, O(nN) rounds/phase
-  kLogStar,    // Corollary 1: O(log* n) awake, O(n log* n) rounds/phase
-};
-
 struct MstOptions {
   std::uint64_t seed = 1;
   TerminationMode termination = TerminationMode::kEarlyDetect;
-  ColoringVariant coloring = ColoringVariant::kFastAwake;
   // Watchdog passed to the simulator.
   Round max_rounds = std::uint64_t{1} << 62;
-  // Safety cap on phases in kEarlyDetect mode (generous multiple of the
-  // w.h.p. bound; exceeded only on algorithmic bugs).
-  std::uint64_t max_phase_factor = 64;
   // Record per-node awake round numbers into MstRunResult::wake_times
   // (the ring lower-bound experiment's information-propagation analysis).
   bool record_wake_times = false;

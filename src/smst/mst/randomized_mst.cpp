@@ -18,6 +18,11 @@ constexpr std::uint16_t kTagPhaseCtl = 101;  // a=MOE weight, b=done, c=tails
 constexpr std::uint16_t kTagMoeCoin = 102;   // a=MOE weight, b=tails
 constexpr std::uint16_t kTagValidity = 103;
 
+// Safety cap on phases in kEarlyDetect mode, as a multiple of
+// ceil(log2 n) + 2: a generous multiple of the w.h.p. bound, exceeded
+// only on algorithmic bugs.
+constexpr std::uint64_t kMaxPhaseFactor = 64;
+
 // ---------------------------------------------------------------------
 // Randomized-MST as a flat state machine (DESIGN §13): one resumable
 // script per node, each awake round and toolbox call a (return round,
@@ -208,7 +213,7 @@ MstRunResult RunEngine(const WeightedGraph& g, const MstOptions& options,
   const std::uint64_t phase_cap =
       options.termination == TerminationMode::kPaperPhaseCount
           ? RandomizedPaperPhaseCount(g.NumNodes())
-          : options.max_phase_factor *
+          : kMaxPhaseFactor *
                 (static_cast<std::uint64_t>(
                      std::ceil(std::log2(static_cast<double>(g.NumNodes())))) +
                  2);

@@ -29,7 +29,6 @@ Scheduler::Scheduler(const WeightedGraph& graph, Metrics& metrics,
   inbox_.resize(lanes);
   status_.assign(lanes, Status::kRunning);
   errors_.resize(lanes);
-  acc_.resize(lanes);
 
   std::size_t max_degree = 0;
   for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
@@ -66,32 +65,24 @@ void Scheduler::Run(FlatProgram& program) {
   // Nothing observes the event stream: all-awake rounds may fuse, and
   // the delivery step runs without its hooks.
   const bool observed = faults_.Active() || auditor_ != nullptr || trace_;
-  try {
-    Start(program);
-    while (!queue_.Empty()) {
-      const Round r = queue_.NextRound();
-      CheckWatchdog(r);
-      StageRound(r);
-      if (observed) {
-        DeliverRound<true>();
-      } else if (staged_.size() == graph_.NumNodes()) {
-        FusedRound();
-        continue;
-      } else {
-        DeliverRound<false>();
-      }
-      StepRound();
+  Start(program);
+  while (!queue_.Empty()) {
+    const Round r = queue_.NextRound();
+    CheckWatchdog(r);
+    StageRound(r);
+    if (observed) {
+      DeliverRound<true>();
+    } else if (staged_.size() == graph_.NumNodes()) {
+      FusedRound();
+      continue;
+    } else {
+      DeliverRound<false>();
     }
-    // Delayed messages still parked when every node is done (or crashed)
-    // can never be delivered; expire them so the model-drop books balance.
-    if (!delayed_.empty()) DrainDelayed(kMaxRound);
-  } catch (...) {
-    // The watchdog throw must leave the meters exactly as they stood at
-    // that point: fold what accumulated, then let the exception continue.
-    FoldMetrics();
-    throw;
+    StepRound();
   }
-  FoldMetrics();
+  // Delayed messages still parked when every node is done (or crashed)
+  // can never be delivered; expire them so the model-drop books balance.
+  if (!delayed_.empty()) DrainDelayed(kMaxRound);
 }
 
 void Scheduler::Start(FlatProgram& program) {
@@ -333,23 +324,6 @@ void Scheduler::FusedRound() {
   }
   for (NodeIndex v = 0; v < n; ++v) {
     if (next_round_[v] != 0) queue_.Push(v, next_round_[v]);
-  }
-}
-
-void Scheduler::FoldMetrics() {
-  for (std::size_t i = 0; i < acc_.size(); ++i) {
-    MeterAcc& acc = acc_[i];
-    if (acc.awake == 0 && acc.msgs == 0) continue;
-    NodeMetrics& nm = metrics_.Node(NodeOfLane(i));
-    nm.awake_rounds += acc.awake;
-    nm.messages_sent += acc.msgs;
-    nm.bits_sent += acc.bits;
-    nm.messages_dropped += acc.drops;
-    acc = MeterAcc{};
-  }
-  if (max_bits_ > 0) {
-    metrics_.RecordMessageBits(max_bits_);
-    max_bits_ = 0;
   }
 }
 

@@ -15,10 +15,11 @@
 //    at most 63 O(1) queue moves per wake.
 //
 // Node state lives in per-node lanes (struct-of-arrays: send batch,
-// inbox, status, failure, and a dense meter record folded into Metrics
-// at the end of the run and on the watchdog throw). A round with every
-// node awake and nothing observing the run is one fused delivery-and-
-// step sweep (DESIGN.md §13). Otherwise a round is a delivery sweep and
+// inbox, status, failure). The delivery step meters each node straight
+// into its NodeMetrics record, so the meters are exact at every point
+// of a run, the watchdog throw included. A round with every node awake
+// and nothing observing the run is one fused delivery-and-step sweep
+// (DESIGN.md §13). Otherwise a round is a delivery sweep and
 // a step sweep, and the observers hook into that same code: a FaultPlan
 // (drop / delay / duplicate verdicts per message at delivery time,
 // jitter and crash-stop at wake registration, DESIGN.md §10), an
@@ -134,18 +135,6 @@ class Scheduler {
     std::uint32_t injected_dups = 0;
   };
 
-  // Dense meter record (32-byte stride, one hardware-prefetched stream)
-  // for the hot per-round accounting; FoldMetrics adds it into the
-  // 64-byte NodeMetrics records. Sums are associative, so the totals are
-  // bit-identical to metering NodeMetrics directly. Wake times, when
-  // recorded, go to NodeMetrics at once (they need the round, not a sum).
-  struct MeterAcc {
-    std::uint64_t awake = 0;
-    std::uint64_t msgs = 0;
-    std::uint64_t bits = 0;
-    std::uint64_t drops = 0;
-  };
-
   // Lane of an owned node: its rank among the owned nodes, which is the
   // node itself on a one-shard run. Ranks ascend with node indices, so
   // lane order is canonical order.
@@ -182,12 +171,13 @@ class Scheduler {
   // the model drop. `tc` collects trace counts (null when not tracing).
   template <bool kObserved>
   void DeliverBatch(NodeIndex v, TraceCounts* tc);
-  // Meters one fresh send of awake node v into `meter` and returns its
-  // fault verdict (one with no effect when no plan is active); shared by
-  // the delivery step and the sharded engine's cross-shard publication.
+  // Meters one fresh send of awake node v into `meter` (v's record) and
+  // returns its fault verdict (one with no effect when no plan is
+  // active); shared by the delivery step and the sharded engine's
+  // cross-shard publication.
   template <bool kObserved>
   FaultSession::MessageVerdict Emit(NodeIndex v, const OutMessage& out,
-                                    MeterAcc& meter, TraceCounts* tc);
+                                    NodeMetrics& meter, TraceCounts* tc);
   // Appends a round-r message to dst's inbox if dst is awake this round;
   // returns false (and appends nothing) if it sleeps. The only place a
   // message reaches an inbox.
@@ -221,9 +211,6 @@ class Scheduler {
   Round Admit(NodeIndex v, Round requested, const SendBatch& sends);
   void ValidateSends(NodeIndex v, const SendBatch& sends);
   void Fail(std::size_t i);
-  // Adds the dense meter records into Metrics and resets them (so a
-  // second call is a no-op).
-  void FoldMetrics();
 
   const WeightedGraph& graph_;
   Metrics& metrics_;
@@ -248,8 +235,6 @@ class Scheduler {
   std::vector<InboxBatch> inbox_;
   std::vector<Status> status_;
   std::vector<std::exception_ptr> errors_;
-  std::vector<MeterAcc> acc_;
-  std::uint64_t max_bits_ = 0;
 
   // Indexed by node. A node is awake in round r iff it was popped in r:
   // it keeps that queue round until it steps and queues its next wake.
@@ -291,12 +276,12 @@ class Scheduler {
 template <bool kObserved>
 inline FaultSession::MessageVerdict Scheduler::Emit(NodeIndex v,
                                                     const OutMessage& out,
-                                                    MeterAcc& meter,
+                                                    NodeMetrics& meter,
                                                     TraceCounts* tc) {
   const std::uint64_t bits = out.msg.BitSize();
-  ++meter.msgs;
-  meter.bits += bits;
-  if (bits > max_bits_) max_bits_ = bits;
+  ++meter.messages_sent;
+  meter.bits_sent += bits;
+  metrics_.RecordMessageBits(bits);
   if (!kObserved) return {};
   const Round r = current_round_;
   if (auditor_ != nullptr) auditor_->OnSend(r, v, out.port, out.msg);
@@ -317,16 +302,15 @@ template <bool kObserved>
                                                            TraceCounts* tc) {
   const std::size_t i = kObserved ? Lane(v) : v;
   const Round r = current_round_;
-  MeterAcc& acc = acc_[i];
-  ++acc.awake;
-  if (metrics_.WakeTimesEnabled()) metrics_.Node(v).wake_times.push_back(r);
+  NodeMetrics& meter = metrics_.Node(v);
+  ++meter.awake_rounds;
+  if (metrics_.WakeTimesEnabled()) meter.wake_times.push_back(r);
   const SendBatch& sends = sends_[i];
   if (sends.empty()) return;
   // Hoist the per-node indirections out of the per-send loop: the port
   // table base and the precomputed receiver-port row.
   const Port* ports = graph_.PortsOf(v).data();
   const std::uint32_t* reverse = reverse_ports_.data() + graph_.PortOffset(v);
-  MeterAcc sent;  // this batch's meters, added to acc at the end
   for (std::uint32_t bp = 0; bp < sends.size(); ++bp) {
     const OutMessage& out = sends[bp];
     const NodeIndex dst = ports[out.port].neighbor;
@@ -339,7 +323,7 @@ template <bool kObserved>
       __builtin_prefetch(&inbox_[ports[sends[bp + 1].port].neighbor], 1);
     }
     const FaultSession::MessageVerdict verdict =
-        Emit<kObserved>(v, out, sent, tc);
+        Emit<kObserved>(v, out, meter, tc);
     if (kObserved) {
       if (verdict.drop) continue;
       if (verdict.delay != 0) {
@@ -361,7 +345,7 @@ template <bool kObserved>
     // for the shared edge (precomputed in reverse_ports_).
     if (!Deliver<kObserved>(v, dst, reverse[out.port], out.msg)) {
       // Sleeping-model loss: the receiver is not awake this round.
-      ++sent.drops;
+      ++meter.messages_dropped;
       if (kObserved) {
         if (tc != nullptr) ++tc->dropped;
         if (auditor_ != nullptr) auditor_->OnDrop(r, v, /*injected=*/false);
@@ -373,9 +357,6 @@ template <bool kObserved>
       if (tc != nullptr) ++tc->injected_dups;
     }
   }
-  acc.msgs += sent.msgs;
-  acc.bits += sent.bits;
-  acc.drops += sent.drops;
 }
 
 template <bool kObserved>

@@ -106,9 +106,6 @@ void ShardedEngine::Execute(const NodeProgram* coroutine, FlatProgram* flat) {
   // peaks are maxima, probes are key-summed, wake times are owner-only.
   for (const auto& shard : shards_) {
     if (!shard) continue;  // failed before constructing; see errors_
-    // Folds the shard's meter lanes whichever way its worker left the
-    // round loop (a clean stop, the watchdog, or another shard's abort).
-    shard->scheduler->FoldMetrics();
     metrics_.MergeFrom(shard->metrics);
   }
   // Run-level failures (watchdog, allocation failure) rethrow
@@ -199,8 +196,8 @@ void ShardedEngine::CollectSends(std::uint32_t s, Round r) {
   const std::vector<std::uint8_t>& cross_ports = shards_[s]->cross_ports;
   for (const NodeIndex v : sched.staged_) {
     if (!cross_ports[v]) continue;  // all ports internal
-    const std::size_t i = sched.Lane(v);
-    const SendBatch& sends = sched.sends_[i];
+    const SendBatch& sends = sched.sends_[sched.Lane(v)];
+    NodeMetrics& meter = sched.metrics_.Node(v);
     const Port* ports = graph_.PortsOf(v).data();
     const std::uint32_t* reverse =
         sched.reverse_ports_.data() + graph_.PortOffset(v);
@@ -210,7 +207,7 @@ void ShardedEngine::CollectSends(std::uint32_t s, Round r) {
       const std::uint32_t to = partition_->Owner(dst);
       if (to == s) continue;  // metered and delivered post-barrier
       const FaultSession::MessageVerdict verdict =
-          sched.Emit<true>(v, out, sched.acc_[i], nullptr);
+          sched.Emit<true>(v, out, meter, nullptr);
       if (verdict.drop) continue;
       // A delayed entry carries its absolute due round; the receiver
       // shard parks it. A duplicate is one extra adjacent copy, fresh or

@@ -75,9 +75,8 @@ TEST(ForestSnapshotTest, DeterministicLogStarHoldsEveryPhase) {
   auto g = MakeGrid(6, 8, rng);
   MstOptions opt;
   opt.seed = 4;
-  opt.coloring = ColoringVariant::kLogStar;
   opt.record_forest_snapshots = true;
-  CheckPhaseSnapshots(g, RunDeterministicMst(g, opt));
+  CheckPhaseSnapshots(g, RunDeterministicLogStarMst(g, opt));
 }
 
 TEST(ForestSnapshotTest, DisabledByDefault) {

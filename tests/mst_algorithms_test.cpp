@@ -236,8 +236,7 @@ TEST_P(LogStarMstTest, ComputesTheExactMst) {
   auto g = MakeFamily(family, n, rng);
   MstOptions opt;
   opt.seed = static_cast<std::uint64_t>(seed);
-  opt.coloring = ColoringVariant::kLogStar;
-  auto r = RunDeterministicMst(g, opt);
+  auto r = RunDeterministicLogStarMst(g, opt);
   ExpectExactMst(g, r);
 }
 
@@ -256,8 +255,7 @@ TEST(LogStarMstTest, RunTimeIndependentOfN) {
     auto g = MakeErdosRenyi(32, 0.15, rng, gopt);
     MstOptions opt;
     opt.seed = 31;
-    opt.coloring = ColoringVariant::kLogStar;
-    auto r = RunDeterministicMst(g, opt);
+    auto r = RunDeterministicLogStarMst(g, opt);
     ExpectExactMst(g, r);
     rounds.push_back(r.stats.rounds);
   }

@@ -1,9 +1,10 @@
 #include "baseline.h"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
-#include <set>
 #include <sstream>
+#include <string_view>
 
 namespace smst_lint {
 namespace {
@@ -15,12 +16,18 @@ constexpr std::string_view kHeader =
     "stripped>.\n"
     "# Regenerate with\n"
     "#   smst_lint --write-baseline tools/smst_lint/baseline.txt\n"
-    "# or drop fixed sites with\n"
-    "#   smst_lint --baseline tools/smst_lint/baseline.txt "
-    "--prune-baseline\n"
     "# Entries match on line *content*, not line numbers, so edits "
     "elsewhere\n"
     "# in a file do not invalidate them.\n";
+
+std::uint64_t Fnv1a64(std::string_view data) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (char c : data) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 std::string StripAllWhitespace(std::string_view s) {
   std::string out;
@@ -35,7 +42,7 @@ std::string HashTag(std::string_view norm_text) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "h:%016llx",
                 static_cast<unsigned long long>(
-                    Baseline::Fnv1a64(StripAllWhitespace(norm_text))));
+                    Fnv1a64(StripAllWhitespace(norm_text))));
   return buf;
 }
 
@@ -49,33 +56,8 @@ bool IsHashTag(std::string_view rest) {
 
 }  // namespace
 
-std::uint64_t Baseline::Fnv1a64(std::string_view data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::string Baseline::KeyFor(const Finding& f) {
   return f.file + "|" + f.rule + "|" + HashTag(f.norm_text);
-}
-
-std::string Baseline::LegacyKeyFor(const Finding& f) {
-  return f.file + "|" + f.rule + "|" + f.norm_text;
-}
-
-bool Baseline::Matches(const Finding& f) {
-  auto it = keys_.find(KeyFor(f));
-  if (it == keys_.end()) {
-    it = keys_.find(LegacyKeyFor(f));
-    if (it == keys_.end()) return false;
-    // Remember the v2 form so Serialize can migrate the entry.
-    legacy_rewrites_.emplace(it->first, KeyFor(f));
-  }
-  it->second = true;
-  return true;
 }
 
 Baseline Baseline::Parse(const std::string& text,
@@ -89,61 +71,27 @@ Baseline Baseline::Parse(const std::string& text,
     if (!line.empty() && line.back() == '\r') line.pop_back();
     std::size_t first = line.find_first_not_of(" \t");
     if (first == std::string::npos || line[first] == '#') continue;
-    // Two '|' separators minimum; a legacy line text may itself contain
-    // '|'.
     const std::size_t p1 = line.find('|');
     const std::size_t p2 =
         p1 == std::string::npos ? p1 : line.find('|', p1 + 1);
-    if (p2 == std::string::npos) {
+    if (p2 == std::string::npos || !IsHashTag(line.substr(p2 + 1))) {
       if (errors) {
         errors->push_back("baseline line " + std::to_string(lineno) +
-                          ": expected path|rule|h:<hash> (or legacy "
-                          "path|rule|line-text)");
+                          ": expected path|rule|h:<16 hex digits>");
       }
       continue;
     }
-    const std::string head = line.substr(0, p2 + 1);
-    const std::string rest = line.substr(p2 + 1);
-    if (IsHashTag(rest)) {
-      b.Insert(head + rest);
-    } else {
-      b.Insert(head + NormalizeLine(rest));  // legacy entry
-    }
+    b.Insert(line);
   }
   return b;
 }
 
 std::string Baseline::Serialize() const {
-  std::set<std::string> lines;
-  for (const auto& [key, used] : keys_) {
-    auto rw = legacy_rewrites_.find(key);
-    lines.insert(rw == legacy_rewrites_.end() ? key : rw->second);
-  }
   std::string out(kHeader);
-  for (const std::string& l : lines) {
-    out += l;
+  for (const std::string& key : keys_) {
+    out += key;
     out += '\n';
   }
-  return out;
-}
-
-std::string Baseline::SerializeUsed(std::size_t* dropped) const {
-  std::set<std::string> lines;
-  std::size_t removed = 0;
-  for (const auto& [key, used] : keys_) {
-    if (!used) {
-      ++removed;
-      continue;
-    }
-    auto rw = legacy_rewrites_.find(key);
-    lines.insert(rw == legacy_rewrites_.end() ? key : rw->second);
-  }
-  std::string out(kHeader);
-  for (const std::string& l : lines) {
-    out += l;
-    out += '\n';
-  }
-  if (dropped) *dropped = removed;
   return out;
 }
 

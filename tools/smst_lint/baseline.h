@@ -1,6 +1,6 @@
 // smst_lint baseline: pre-existing findings that don't block the build.
 //
-// v2 entries key on (file, rule, content hash of the normalized source
+// Entries key on (file, rule, content hash of the normalized source
 // line) rather than line numbers, so unrelated edits above a baselined
 // site don't invalidate the baseline and long lines don't bloat the file.
 // Format, one entry per line:
@@ -11,17 +11,12 @@
 // so reformatting alone doesn't unbaseline a finding (changing the code
 // does — which is the point).
 //
-// Legacy v1 entries (`path|rule-id|normalized line text`) are still
-// accepted for one release so existing baselines keep working; running
-// with --write-baseline or --prune-baseline rewrites them as v2 keys.
-//
-// `#` starts a comment; blank lines are ignored.
+// `#` starts a comment; blank lines are ignored. Any other line that is
+// not an entry of this form is a parse error.
 #pragma once
 
-#include <cstdint>
-#include <map>
+#include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "rules.h"
@@ -35,35 +30,17 @@ class Baseline {
   static Baseline Parse(const std::string& text,
                         std::vector<std::string>* errors);
 
-  static std::uint64_t Fnv1a64(std::string_view data);
-
-  // v2 key for a finding: path|rule|h:<hash of norm_text sans whitespace>.
+  // Key for a finding: path|rule|h:<hash of norm_text sans whitespace>.
   static std::string KeyFor(const Finding& f);
-  // v1 key, accepted for one release: path|rule|normalized line text.
-  static std::string LegacyKeyFor(const Finding& f);
 
-  bool Contains(const std::string& key) const {
-    return keys_.count(key) != 0;
-  }
-  void Insert(std::string key) { keys_.emplace(std::move(key), false); }
-
-  // True when the finding matches a v2 or legacy entry; the matching
-  // entry is marked used (the survivors of --prune-baseline).
-  bool Matches(const Finding& f);
+  bool Matches(const Finding& f) const { return keys_.count(KeyFor(f)) != 0; }
+  void Insert(std::string key) { keys_.insert(std::move(key)); }
 
   // Serialized, sorted, with a header comment — for --write-baseline.
-  // Legacy keys that matched a finding this run are rewritten as v2.
   std::string Serialize() const;
 
-  // Only the entries that matched a finding this run (v2 form) — the
-  // output of --prune-baseline. `dropped` reports how many entries the
-  // prune removed.
-  std::string SerializeUsed(std::size_t* dropped) const;
-
  private:
-  // key -> (used this run, v2 rewrite of the key if it was legacy)
-  std::map<std::string, bool> keys_;
-  std::map<std::string, std::string> legacy_rewrites_;
+  std::set<std::string> keys_;
 };
 
 }  // namespace smst_lint

@@ -7,17 +7,10 @@
 //   --root DIR             repo root; findings report DIR-relative paths
 //   --baseline FILE        filter findings through a baseline file
 //   --write-baseline FILE  write all current findings as the new baseline
-//   --prune-baseline       rewrite --baseline FILE keeping only entries
-//                          that still match a finding (migrates legacy
-//                          keys to the v2 hash form)
 //   --json                 machine-readable output on stdout
-//   --sarif FILE           write a SARIF 2.1.0 log to FILE
-//   --jobs N               analyze files on N worker threads (default 1);
-//                          output is byte-identical for any N
-//   --cache DIR            incremental cache: reuse per-file results when
-//                          mtime or content hash is unchanged
 //   --list-rules           print rule ids and summaries
 //
+// Every file is read and analyzed once, serially, in sorted path order.
 // Directory walks skip subdirectories named lint_fixtures (the test
 // corpus of intentional findings); pass such a directory explicitly to
 // lint it.
@@ -26,35 +19,26 @@
 // 2 usage or I/O error.
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baseline.h"
-#include "cache.h"
 #include "lexer.h"
 #include "rules.h"
-#include "sarif.h"
 
 namespace fs = std::filesystem;
 using smst_lint::AllRules;
 using smst_lint::AnalyzeFile;
 using smst_lint::Baseline;
-using smst_lint::FileAnalysis;
 using smst_lint::Finding;
 using smst_lint::Lex;
-using smst_lint::LexedFile;
-using smst_lint::SarifReport;
 
 namespace {
-
-constexpr std::string_view kVersion = "2.0.0";
 
 bool HasSourceExtension(const fs::path& p) {
   const std::string ext = p.extension().string();
@@ -109,35 +93,18 @@ void WalkDir(const fs::path& dir, std::vector<fs::path>* out) {
   }
 }
 
-std::int64_t MtimeNs(const fs::path& p) {
-  std::error_code ec;
-  const auto t = fs::last_write_time(p, ec);
-  if (ec) return 0;
-  return static_cast<std::int64_t>(t.time_since_epoch().count());
-}
-
 struct Options {
   fs::path root = fs::current_path();
   std::vector<std::string> paths;
   std::optional<fs::path> baseline_path;
   std::optional<fs::path> write_baseline_path;
-  std::optional<fs::path> sarif_path;
-  std::optional<fs::path> cache_dir;
-  bool prune_baseline = false;
   bool json = false;
-  int jobs = 1;
 };
 
 int Fail(const std::string& message) {
   std::cerr << "smst_lint: " << message << "\n";
   return 2;
 }
-
-struct Slot {
-  FileAnalysis analysis;
-  bool from_cache = false;
-  std::string error;  // non-empty: I/O failure for this file
-};
 
 }  // namespace
 
@@ -159,15 +126,6 @@ int main(int argc, char** argv) {
       opt.baseline_path = value("--baseline");
     } else if (arg == "--write-baseline") {
       opt.write_baseline_path = value("--write-baseline");
-    } else if (arg == "--prune-baseline") {
-      opt.prune_baseline = true;
-    } else if (arg == "--sarif") {
-      opt.sarif_path = value("--sarif");
-    } else if (arg == "--cache") {
-      opt.cache_dir = value("--cache");
-    } else if (arg == "--jobs") {
-      opt.jobs = std::atoi(value("--jobs"));
-      if (opt.jobs < 1) return Fail("--jobs needs a positive integer");
     } else if (arg == "--json") {
       opt.json = true;
     } else if (arg == "--list-rules") {
@@ -177,9 +135,8 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: smst_lint [--root DIR] [--baseline FILE] "
-                   "[--write-baseline FILE] [--prune-baseline] "
-                   "[--sarif FILE] [--jobs N] [--cache DIR] [--json] "
-                   "[--list-rules] [path...]\n";
+                   "[--write-baseline FILE] [--json] [--list-rules] "
+                   "[path...]\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       return Fail("unknown option " + arg);
@@ -190,9 +147,6 @@ int main(int argc, char** argv) {
   if (opt.paths.empty()) {
     opt.paths = {"src", "tools", "tests", "bench"};
     paths_defaulted = true;
-  }
-  if (opt.prune_baseline && !opt.baseline_path) {
-    return Fail("--prune-baseline needs --baseline FILE");
   }
 
   std::error_code ec;
@@ -226,80 +180,16 @@ int main(int argc, char** argv) {
     if (!errors.empty()) return 2;
   }
 
-  // Per-file analysis, optionally parallel: an atomic cursor over the
-  // sorted file list (the parallel runner's ForEach idiom), results
-  // land in file order, everything downstream is serial — so output is
-  // byte-identical for any --jobs value.
-  std::vector<Slot> slots(files.size());
-  std::atomic<std::size_t> cursor{0};
-  auto work = [&] {
-    for (std::size_t idx = cursor.fetch_add(1); idx < files.size();
-         idx = cursor.fetch_add(1)) {
-      const fs::path& file = files[idx];
-      Slot& slot = slots[idx];
-      std::error_code rec;
-      const std::string rel =
-          fs::relative(file, opt.root, rec).generic_string();
-      const std::string path = rec ? file.generic_string() : rel;
-
-      std::int64_t mtime = 0;
-      if (opt.cache_dir) {
-        mtime = MtimeNs(file);
-        if (auto hit = smst_lint::cache::LoadByMtime(*opt.cache_dir, path,
-                                                     mtime)) {
-          slot.analysis = std::move(*hit);
-          slot.from_cache = true;
-          continue;
-        }
-      }
-      auto source = ReadFile(file);
-      if (!source) {
-        slot.error = "cannot read " + file.string();
-        continue;
-      }
-      std::uint64_t hash = 0;
-      if (opt.cache_dir) {
-        hash = Baseline::Fnv1a64(*source);
-        if (auto hit = smst_lint::cache::LoadByContent(*opt.cache_dir, path,
-                                                       mtime, hash)) {
-          slot.analysis = std::move(*hit);
-          slot.from_cache = true;
-          continue;
-        }
-      }
-      slot.analysis = AnalyzeFile(Lex(path, *source));
-      if (opt.cache_dir) {
-        smst_lint::cache::Store(*opt.cache_dir, path, mtime, hash,
-                                slot.analysis);
-      }
-    }
-  };
-  const std::size_t jobs =
-      std::min<std::size_t>(static_cast<std::size_t>(opt.jobs),
-                            std::max<std::size_t>(files.size(), 1));
-  if (jobs <= 1) {
-    work();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (std::size_t w = 0; w < jobs; ++w) pool.emplace_back(work);
-    for (std::thread& th : pool) th.join();
-  }
-
-  std::size_t analyzed = 0, cached = 0;
-  std::vector<FileAnalysis> analyses;
-  analyses.reserve(slots.size());
-  for (Slot& slot : slots) {
-    if (!slot.error.empty()) return Fail(slot.error);
-    (slot.from_cache ? cached : analyzed)++;
-    analyses.push_back(std::move(slot.analysis));
-  }
-
-  // Baseline matching and aggregation, in file order (serial).
+  // Analysis and baseline matching, one file at a time in file order.
   std::vector<Finding> findings;
   Baseline next_baseline;
-  for (FileAnalysis& fa : analyses) {
-    for (Finding& f : fa.findings) {
+  for (const fs::path& file : files) {
+    auto source = ReadFile(file);
+    if (!source) return Fail("cannot read " + file.string());
+    std::error_code rec;
+    const std::string rel = fs::relative(file, opt.root, rec).generic_string();
+    for (Finding& f :
+         AnalyzeFile(Lex(rec ? file.generic_string() : rel, *source))) {
       f.baselined = baseline.Matches(f);
       next_baseline.Insert(Baseline::KeyFor(f));
       findings.push_back(std::move(f));
@@ -313,28 +203,10 @@ int main(int argc, char** argv) {
     }
     out << next_baseline.Serialize();
   }
-  if (opt.prune_baseline) {
-    std::size_t dropped = 0;
-    const std::string pruned = baseline.SerializeUsed(&dropped);
-    std::ofstream out(*opt.baseline_path, std::ios::trunc);
-    if (!out) {
-      return Fail("cannot write " + opt.baseline_path->string());
-    }
-    out << pruned;
-    std::cerr << "smst_lint: pruned " << dropped
-              << " stale baseline entr" << (dropped == 1 ? "y" : "ies")
-              << "\n";
-  }
 
   std::size_t active = 0, baselined = 0;
   for (const Finding& f : findings) {
     (f.baselined ? baselined : active)++;
-  }
-
-  if (opt.sarif_path) {
-    std::ofstream out(*opt.sarif_path, std::ios::trunc);
-    if (!out) return Fail("cannot write " + opt.sarif_path->string());
-    out << SarifReport(findings, kVersion);
   }
 
   if (opt.json) {
@@ -350,18 +222,15 @@ int main(int argc, char** argv) {
     }
     out << "  ],\n  \"counts\": {\"active\": " << active
         << ", \"baselined\": " << baselined
-        << ", \"files_scanned\": " << files.size()
-        << ", \"files_analyzed\": " << analyzed
-        << ", \"files_cached\": " << cached << "}\n}\n";
+        << ", \"files_scanned\": " << files.size() << "}\n}\n";
   } else {
     for (const Finding& f : findings) {
       if (f.baselined) continue;
       std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
                 << f.message << "\n";
     }
-    std::cerr << "smst_lint: " << files.size() << " files ("
-              << analyzed << " analyzed, " << cached << " cached), "
-              << active << " finding(s), " << baselined << " baselined\n";
+    std::cerr << "smst_lint: " << files.size() << " files, " << active
+              << " finding(s), " << baselined << " baselined\n";
   }
   return active == 0 ? 0 : 1;
 }

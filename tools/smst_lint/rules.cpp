@@ -101,26 +101,23 @@ class Analysis {
     }
   }
 
-  FileAnalysis Run() {
+  std::vector<Finding> Run() {
     DeterminismPack();
     CongestPack();
     CoroutinePack();
     FlatPack();
     ShardPack();
 
-    FileAnalysis out;
-    out.path = file_.path;
+    std::vector<Finding> out;
     for (Finding& f : findings_) {
       if (!file_.suppressions.Suppressed(f.line, f.rule)) {
-        out.findings.push_back(std::move(f));
+        out.push_back(std::move(f));
       }
     }
-    std::sort(out.findings.begin(), out.findings.end(),
-              [](const Finding& a, const Finding& b) {
-                return a.line != b.line ? a.line < b.line : a.rule < b.rule;
-              });
-    out.findings.erase(std::unique(out.findings.begin(), out.findings.end()),
-                       out.findings.end());
+    std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
+      return a.line != b.line ? a.line < b.line : a.rule < b.rule;
+    });
+    out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
   }
 
@@ -683,7 +680,7 @@ const std::vector<RuleDesc>& AllRules() {
   return kRules;
 }
 
-FileAnalysis AnalyzeFile(const LexedFile& file) {
+std::vector<Finding> AnalyzeFile(const LexedFile& file) {
   return Analysis(file).Run();
 }
 

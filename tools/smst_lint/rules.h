@@ -42,8 +42,7 @@ struct Finding {
   std::string rule;
   std::string message;
   // Whitespace-collapsed text of the source line, captured at analysis
-  // time — baseline keys hash this (baseline.h), and the cache stores it
-  // so cached findings re-key correctly without the source.
+  // time — baseline keys hash this (baseline.h).
   std::string norm_text;
   bool baselined = false;
 
@@ -61,15 +60,9 @@ struct RuleDesc {
 // All rules, for --list-rules and docs.
 const std::vector<RuleDesc>& AllRules();
 
-// Per-file analysis result: every rule's findings for one file.
-struct FileAnalysis {
-  std::string path;
-  std::vector<Finding> findings;
-};
-
 // Runs every single-TU rule pack over one lexed file. Findings are sorted
 // by (line, rule) and already filtered through the file's inline
 // suppressions; baseline filtering happens later (baseline.h).
-FileAnalysis AnalyzeFile(const LexedFile& file);
+std::vector<Finding> AnalyzeFile(const LexedFile& file);
 
 }  // namespace smst_lint
