@@ -8,11 +8,13 @@
 #include <iostream>
 #include <vector>
 
+#include "harness.h"
 #include "smst/graph/generators.h"
 #include "smst/mst/deterministic_mst.h"
 #include "smst/util/table.h"
 
-int main() {
+int main(int argc, char** argv) {
+  smst::bench::RejectArguments(argc, argv);
   std::cout << "== L4-blue: Lemmas 4/5 — Blue fragments per phase "
                "(Deterministic-MST) ==\n\n";
 

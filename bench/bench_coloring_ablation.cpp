@@ -8,12 +8,14 @@
 #include <cmath>
 #include <iostream>
 
+#include "harness.h"
 #include "smst/graph/generators.h"
 #include "smst/graph/mst_verify.h"
 #include "smst/mst/deterministic_mst.h"
 #include "smst/util/table.h"
 
-int main() {
+int main(int argc, char** argv) {
+  smst::bench::RejectArguments(argc, argv);
   std::cout << "== C1-ablation: Fast-Awake-Coloring vs log* coloring "
                "(Corollary 1) ==\n\n";
 

@@ -6,11 +6,13 @@
 #include <cmath>
 #include <iostream>
 
+#include "harness.h"
 #include "smst/graph/properties.h"
 #include "smst/lower_bounds/grc.h"
 #include "smst/util/table.h"
 
-int main() {
+int main(int argc, char** argv) {
+  smst::bench::RejectArguments(argc, argv);
   std::cout << "== F1-grc: Figure 1 — the lower-bound family G_rc ==\n\n";
   smst::Table t({"n", "r (rows)", "c (cols)", "|X|", "|I|", "m",
                  "diameter D", "c/log2(n)", "D / (c/log2 n)"});

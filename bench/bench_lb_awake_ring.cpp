@@ -11,13 +11,15 @@
 #include <iostream>
 #include <vector>
 
+#include "harness.h"
 #include "smst/graph/generators.h"
 #include "smst/lower_bounds/ring_experiment.h"
 #include "smst/mst/randomized_mst.h"
 #include "smst/mst/deterministic_mst.h"
 #include "smst/util/table.h"
 
-int main() {
+int main(int argc, char** argv) {
+  smst::bench::RejectArguments(argc, argv);
   std::cout << "== T1-lb-awake: Theorem 3 — Omega(log n) awake lower bound "
                "on rings ==\n\n";
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <iostream>
 
+#include "harness.h"
 #include "smst/graph/mst_reference.h"
 #include "smst/lower_bounds/grc.h"
 #include "smst/lower_bounds/set_disjointness.h"
@@ -16,7 +17,8 @@
 #include "smst/mst/randomized_mst.h"
 #include "smst/util/table.h"
 
-int main() {
+int main(int argc, char** argv) {
+  smst::bench::RejectArguments(argc, argv);
   std::cout << "== T1-lb-product: Theorem 4 — awake x rounds = Omega~(n) on "
                "G_rc ==\n\n";
 

@@ -7,6 +7,7 @@
 #include <iostream>
 #include <vector>
 
+#include "harness.h"
 #include "smst/graph/generators.h"
 #include "smst/mst/deterministic_mst.h"
 #include "smst/mst/randomized_mst.h"
@@ -77,7 +78,8 @@ RunStats RunSide(const WeightedGraph& g, const States& states) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  smst::bench::RejectArguments(argc, argv);
   std::cout << "== L7-phase: Lemmas 3/7 — O(1) awake rounds per procedure "
                "and per phase ==\n\n";
 

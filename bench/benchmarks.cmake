@@ -47,3 +47,11 @@ endforeach()
 add_test(NAME bench_rejects_unknown_flag
          COMMAND bench_fragment_decay --seeds 1 --seed 3)
 set_tests_properties(bench_rejects_unknown_flag PROPERTIES WILL_FAIL TRUE)
+
+# The fixed sweeps read no flags at all; each exits 2 on any argument
+# (here the harness's --seeds) before its sweep starts.
+foreach(name bench_blue_fraction bench_coloring_ablation bench_grc_structure
+             bench_lb_awake_ring bench_lb_product_grc bench_phase_cost)
+  add_test(NAME ${name}_rejects_flags COMMAND ${name} --seeds 1)
+  set_tests_properties(${name}_rejects_flags PROPERTIES WILL_FAIL TRUE)
+endforeach()

@@ -18,6 +18,13 @@ std::string JsonNum(double v) { return smst::JsonNum(v); }
 
 std::string JsonStr(const std::string& s) { return smst::JsonStr(s); }
 
+void RejectArguments(int argc, char** argv) {
+  if (argc <= 1) return;
+  std::cerr << "usage: " << argv[0] << " (a fixed sweep: takes no flags, got '"
+            << argv[1] << "')\n";
+  std::exit(2);
+}
+
 Harness::Harness(std::string experiment, int argc, char** argv)
     : experiment_(std::move(experiment)) {
   ArgParser args(argc, argv);

@@ -69,6 +69,11 @@ struct SweepAggregate {
   double allocs_per_awake_round = 0;
 };
 
+// For the fixed sweeps that read no flags: exits 2 with a one-line usage
+// if any argument is given, so a flag meant for the harness sweeps (or a
+// misspelled one) fails before the sweep instead of being ignored.
+void RejectArguments(int argc, char** argv);
+
 struct SweepOutput {
   // Row-major: sizes × seeds (cells[i * seeds + s] is sizes[i], seed s+1).
   std::vector<SweepCell> cells;

@@ -87,21 +87,15 @@ WeightedGraph GraphBuilder::Build() && {
   WeightedGraph g;
   g.edges_ = std::move(edges_);
 
-  // IDs: default 1..n; validated below, distinct and within [1, max_id].
-  if (ids_.empty()) {
-    ids_.resize(num_nodes_);
-    std::iota(ids_.begin(), ids_.end(), NodeId{1});
-    max_id_ = num_nodes_;
-  }
-
   // Determinism audit: `seen` is membership-only — FlatKeySet has no
   // iteration at all — so hash order cannot reach the built graph, and
   // each check names the first offender in insertion order. One table
-  // sized for max(m, n) keys serves all three checks, emptied between
-  // them, and is freed before the port tables are built; those follow
-  // edge-insertion order.
+  // sized for max(m, given IDs) keys serves all three checks, emptied
+  // between them, and is freed before the port tables are built; those
+  // follow edge-insertion order. Nothing sized by n is allocated until
+  // the edge count could connect n nodes.
   {
-    FlatKeySet seen(std::max(g.edges_.size(), num_nodes_));
+    FlatKeySet seen(std::max(g.edges_.size(), ids_.size()));
     // Distinct weights (required: makes the MST unique), none of them a
     // reserved sentinel.
     for (const Edge& e : g.edges_) {
@@ -127,7 +121,7 @@ WeightedGraph GraphBuilder::Build() && {
                                     std::to_string(e.v));
       }
     }
-    // Distinct IDs in [1, N].
+    // Distinct IDs in [1, N] (the default 1..n are).
     seen.Clear();
     for (NodeId id : ids_) {
       if (id == 0 || id > max_id_) {
@@ -138,6 +132,16 @@ WeightedGraph GraphBuilder::Build() && {
         throw std::invalid_argument("duplicate node ID " + std::to_string(id));
       }
     }
+  }
+  // Connectivity needs n - 1 edges: fewer fail here, before the n-sized
+  // tables below (an edge list's header alone can name 2^32 - 1 nodes).
+  if (g.edges_.size() + 1 < num_nodes_) {
+    throw std::invalid_argument("graph is not connected");
+  }
+  if (ids_.empty()) {
+    ids_.resize(num_nodes_);
+    std::iota(ids_.begin(), ids_.end(), NodeId{1});
+    max_id_ = num_nodes_;
   }
   g.ids_ = std::move(ids_);
   g.max_id_ = max_id_;

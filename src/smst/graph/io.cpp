@@ -1,5 +1,6 @@
 #include "smst/graph/io.h"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -27,15 +28,53 @@ std::uint64_t Number(std::size_t line, const std::string& tok,
   return *value;
 }
 
+// The 'id' lines as read, checked once the input ends: nothing n-sized
+// is allocated before the edges are in, so a header naming billions of
+// nodes costs nothing until the builder's edge count rejects it.
+struct IdLine {
+  NodeIndex node;
+  NodeId id;
+  std::size_t line;
+};
+
+// One ID per node: throws on a node named twice (at the later line of
+// the earliest such repeat) or missing; otherwise the IDs by node.
+std::vector<NodeId> CollectIds(std::vector<IdLine> lines, std::size_t n) {
+  std::stable_sort(lines.begin(), lines.end(),
+                   [](const IdLine& x, const IdLine& y) {
+                     return x.node < y.node;
+                   });
+  const IdLine* repeat = nullptr;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    if (lines[i].node == lines[i - 1].node &&
+        (repeat == nullptr || lines[i].line < repeat->line)) {
+      repeat = &lines[i];
+    }
+  }
+  if (repeat != nullptr) {
+    Fail(repeat->line,
+         "second 'id' line for node " + std::to_string(repeat->node));
+  }
+  // Sorted by node and distinct, so the first missing node is the first
+  // v that lines[v] does not name (found within lines.size() + 1 steps).
+  for (std::size_t v = 0; v < n; ++v) {
+    if (v == lines.size() || lines[v].node != v) {
+      throw std::invalid_argument("node " + std::to_string(v) +
+                                  " has no 'id' line");
+    }
+  }
+  std::vector<NodeId> ids(n);
+  for (const IdLine& l : lines) ids[l.node] = l.id;
+  return ids;
+}
+
 }  // namespace
 
 WeightedGraph ReadEdgeList(std::istream& in) {
   std::optional<GraphBuilder> builder;
   std::size_t n = 0;
   NodeId max_id = 0;
-  std::vector<NodeId> ids;
-  std::vector<bool> has_id;  // per node: its 'id' line has been read
-  bool has_ids = false;
+  std::vector<IdLine> id_lines;
 
   std::string line;
   std::size_t line_no = 0;
@@ -63,8 +102,6 @@ WeightedGraph ReadEdgeList(std::istream& in) {
       max_id = tok.size() == 3 ? Number(line_no, tok[2], "max-id") : n;
       if (max_id < n) Fail(line_no, "max-id below node count");
       builder.emplace(n);
-      ids.assign(n, 0);
-      has_id.assign(n, false);
       continue;
     }
     if (!builder.has_value()) Fail(line_no, "edges before the 'n' header");
@@ -72,12 +109,8 @@ WeightedGraph ReadEdgeList(std::istream& in) {
       if (tok.size() != 3) Fail(line_no, "expected 'id node id'");
       const std::uint64_t v = Number(line_no, tok[1], "node");
       if (v >= n) Fail(line_no, "bad id line");
-      if (has_id[v]) {
-        Fail(line_no, "second 'id' line for node " + std::to_string(v));
-      }
-      has_id[v] = true;
-      ids[v] = Number(line_no, tok[2], "id");
-      has_ids = true;
+      id_lines.push_back({static_cast<NodeIndex>(v),
+                          Number(line_no, tok[2], "id"), line_no});
       continue;
     }
     // Edge line: u v w.
@@ -94,14 +127,8 @@ WeightedGraph ReadEdgeList(std::istream& in) {
     }
   }
   if (!builder.has_value()) throw std::invalid_argument("empty edge list");
-  if (has_ids) {
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!has_id[v]) {
-        throw std::invalid_argument("node " + std::to_string(v) +
-                                    " has no 'id' line");
-      }
-    }
-    builder->SetIds(std::move(ids), max_id);
+  if (!id_lines.empty()) {
+    builder->SetIds(CollectIds(std::move(id_lines), n), max_id);
   }
   return std::move(*builder).Build();
 }

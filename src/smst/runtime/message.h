@@ -5,11 +5,20 @@
 // fields); BitSize() reports the information content actually used so
 // tests can assert the O(log n) budget. Field values are IDs, levels,
 // weights, counts — all poly(n), i.e. O(log n) bits each.
+//
+// Layout (DESIGN.md §9). The tag is declared after the three fields, so a
+// Message holds 26 bytes of data in 32; the wrappers below place their
+// port in those 6 tail bytes ([[no_unique_address]]), so a queued or
+// received message is 32 bytes, not 40, and a batch of four is 144. The
+// compiler's own copies of a Message subobject leave that tail alone;
+// nothing may memcpy sizeof(Message) bytes over an InMessage's or
+// OutMessage's `msg`, which would overwrite its port.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "smst/util/small_vec.h"
 
@@ -22,10 +31,18 @@ inline constexpr std::uint64_t kMinusInfinity = 0;
 inline constexpr std::uint64_t kPlusInfinity = ~std::uint64_t{0};
 
 struct Message {
-  std::uint16_t type = 0;  // algorithm-defined tag
   std::uint64_t a = 0;
   std::uint64_t b = 0;
   std::uint64_t c = 0;
+  std::uint16_t type = 0;  // algorithm-defined tag
+
+  Message() = default;
+  // Positional, tag first: Message{type, a, b, c}. (Declaring a
+  // constructor also makes the tail padding reusable by the wrappers.)
+  explicit constexpr Message(std::uint16_t tag, std::uint64_t first = 0,
+                             std::uint64_t second = 0,
+                             std::uint64_t third = 0) noexcept
+      : a(first), b(second), c(third), type(tag) {}
 
   // Bits needed to encode this message: tag byte + the occupied widths.
   // (An exact wire format would add field delimiters; this is the
@@ -43,15 +60,29 @@ struct Message {
 // A message queued for sending, addressed by local port number (CONGEST
 // nodes address neighbors only through ports).
 struct OutMessage {
+  [[no_unique_address]] Message msg;
   std::uint32_t port = 0;
-  Message msg;
+
+  OutMessage() = default;
+  constexpr OutMessage(std::uint32_t p, const Message& m) noexcept
+      : msg(m), port(p) {}
 };
 
 // A received message, tagged with the local port it arrived on.
 struct InMessage {
+  [[no_unique_address]] Message msg;
   std::uint32_t port = 0;
-  Message msg;
+
+  InMessage() = default;
+  constexpr InMessage(std::uint32_t p, const Message& m) noexcept
+      : msg(m), port(p) {}
 };
+
+static_assert(sizeof(Message) == 32);
+static_assert(sizeof(OutMessage) == 32 && sizeof(InMessage) == 32,
+              "the port must sit in Message's tail padding");
+static_assert(std::is_trivially_copyable_v<OutMessage> &&
+              std::is_trivially_copyable_v<InMessage>);
 
 // Per-awake message batches. Typical degrees in the model workloads are
 // small, so batches of up to kInlineMessageCapacity messages live inside
@@ -60,5 +91,6 @@ struct InMessage {
 inline constexpr std::size_t kInlineMessageCapacity = 4;
 using SendBatch = SmallVec<OutMessage, kInlineMessageCapacity>;
 using InboxBatch = SmallVec<InMessage, kInlineMessageCapacity>;
+static_assert(sizeof(SendBatch) == 144 && sizeof(InboxBatch) == 144);
 
 }  // namespace smst

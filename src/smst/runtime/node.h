@@ -50,13 +50,11 @@ class NodeContext {
   NodeContext& operator=(const NodeContext&) = delete;
 
   // --- the paper's initial knowledge -----------------------------------
-  NodeId Id() const { return graph_.IdOf(index_); }
-  std::size_t NumNodesKnown() const { return graph_.NumNodes(); }  // n
-  NodeId MaxIdKnown() const { return graph_.MaxId(); }             // N
-  std::size_t Degree() const { return graph_.DegreeOf(index_); }
-  Weight WeightAtPort(std::uint32_t port) const {
-    return graph_.PortsOf(index_)[port].weight;
-  }
+  NodeId Id() const;
+  std::size_t NumNodesKnown() const;  // n
+  NodeId MaxIdKnown() const;          // N
+  std::size_t Degree() const;
+  Weight WeightAtPort(std::uint32_t port) const;
   // 0 before the first wake, then the round the node is awake in.
   Round CurrentRound() const;
   Xoshiro256& Rng() { return rng_; }
@@ -96,12 +94,10 @@ class NodeContext {
   // Declares the round in which this node's program terminates locally;
   // extends the run-time meter past trailing sleeping rounds (run time
   // counts sleeping rounds too, per the model).
-  void ReportTermination(Round round) { metrics_.ExtendRun(round); }
+  void ReportTermination(Round round);
 
   // --- out-of-band telemetry (benches only; no effect on execution) ----
-  void Probe(std::uint32_t kind, std::uint64_t key, std::int64_t delta = 1) {
-    metrics_.Probe(kind, key, delta);
-  }
+  void Probe(std::uint32_t kind, std::uint64_t key, std::int64_t delta = 1);
 
   // Simulation-internal identity (used by algorithms only to index their
   // own output arrays; carries no model information a node lacks, since
@@ -111,9 +107,9 @@ class NodeContext {
  private:
   friend class CoroutineProgram;
 
+  // The graph and the metrics are reached through the host, which
+  // outlives every context: one reference per node instead of three.
   CoroutineProgram& host_;
-  const WeightedGraph& graph_;
-  Metrics& metrics_;
   NodeIndex index_;
   Xoshiro256 rng_;
   std::coroutine_handle<> suspended_;  // the frame waiting in Awake
@@ -170,13 +166,28 @@ class CoroutineProgram final : public FlatProgram {
 
 inline NodeContext::NodeContext(CoroutineProgram& host, NodeIndex index,
                                 Xoshiro256 rng)
-    : host_(host),
-      graph_(host.graph_),
-      metrics_(host.metrics_),
-      index_(index),
-      rng_(std::move(rng)) {}
+    : host_(host), index_(index), rng_(std::move(rng)) {}
 
+inline NodeId NodeContext::Id() const { return host_.graph_.IdOf(index_); }
+inline std::size_t NodeContext::NumNodesKnown() const {
+  return host_.graph_.NumNodes();
+}
+inline NodeId NodeContext::MaxIdKnown() const { return host_.graph_.MaxId(); }
+inline std::size_t NodeContext::Degree() const {
+  return host_.graph_.DegreeOf(index_);
+}
+inline Weight NodeContext::WeightAtPort(std::uint32_t port) const {
+  return host_.graph_.PortsOf(index_)[port].weight;
+}
 inline Round NodeContext::CurrentRound() const { return host_.now_; }
+
+inline void NodeContext::ReportTermination(Round round) {
+  host_.metrics_.ExtendRun(round);
+}
+inline void NodeContext::Probe(std::uint32_t kind, std::uint64_t key,
+                               std::int64_t delta) {
+  host_.metrics_.Probe(kind, key, delta);
+}
 
 inline NodeContext::AwakeAwaiter NodeContext::Awake(Round round,
                                                     SendBatch&& sends) {

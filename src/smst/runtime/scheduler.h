@@ -108,16 +108,18 @@ class Scheduler {
   // so the drain order (hence duplicate inbox order and drop
   // attribution) is deterministic *and* independent of which shard
   // parked the message. With the canonical ascending-node round order,
-  // this key sorts exactly like the serial insertion order did.
+  // this key sorts exactly like the serial insertion order did. `copy`
+  // sits in the message's tail padding (message.h): 64 bytes, built with
+  // designated initializers.
   struct DelayedMessage {
     Round due;
     Round birth_round;  // the round the message was sent in
     NodeIndex src;
     std::uint32_t batch_pos;  // index within the sender's send batch
-    std::uint8_t copy;        // 0 = original, 1 = adversary duplicate
     NodeIndex dst;
     std::uint32_t dst_port;
-    Message msg;
+    [[no_unique_address]] Message msg;
+    std::uint8_t copy;  // 0 = original, 1 = adversary duplicate
     bool operator>(const DelayedMessage& o) const {
       if (due != o.due) return due > o.due;
       if (birth_round != o.birth_round) return birth_round > o.birth_round;
@@ -126,6 +128,8 @@ class Scheduler {
       return copy > o.copy;
     }
   };
+
+  static_assert(sizeof(DelayedMessage) <= 64);
 
   // Per-waker trace scratch for one round (allocated only when tracing).
   struct TraceCounts {
@@ -327,8 +331,14 @@ template <bool kObserved>
     if (kObserved) {
       if (verdict.drop) continue;
       if (verdict.delay != 0) {
-        DelayedMessage m{r + verdict.delay, r, v, bp, /*copy=*/0,
-                         dst, reverse[out.port], out.msg};
+        DelayedMessage m{.due = r + verdict.delay,
+                         .birth_round = r,
+                         .src = v,
+                         .batch_pos = bp,
+                         .dst = dst,
+                         .dst_port = reverse[out.port],
+                         .msg = out.msg,
+                         .copy = 0};
         Park(m);
         if (tc != nullptr) ++tc->injected_delays;
         if (verdict.duplicate) {

@@ -213,9 +213,14 @@ void ShardedEngine::CollectSends(std::uint32_t s, Round r) {
       // shard parks it. A duplicate is one extra adjacent copy, fresh or
       // delayed alongside its original — exactly the delivery step's
       // behaviour.
-      WireEntry e{v, dst, reverse[out.port], bp,
-                  /*due=*/verdict.delay != 0 ? r + verdict.delay : 0,
-                  /*birth_round=*/r, /*copy=*/0, out.msg};
+      WireEntry e{.src = v,
+                  .dst = dst,
+                  .dst_port = reverse[out.port],
+                  .batch_pos = bp,
+                  .due = verdict.delay != 0 ? r + verdict.delay : 0,
+                  .birth_round = r,
+                  .msg = out.msg,
+                  .copy = 0};
       exchange_->Push(s, to, e);
       if (verdict.duplicate) {
         e.copy = 1;
@@ -269,9 +274,14 @@ void ShardedEngine::Receive(std::uint32_t s, Round r) {
     const WireEntry& e = shard.inbound[pick][pos[pick]++];
     if (e.due != 0) {
       // Adversary-delayed: park at the receiver under the canonical key.
-      sched.Park(Scheduler::DelayedMessage{e.due, e.birth_round, e.src,
-                                           e.batch_pos, e.copy, e.dst,
-                                           e.dst_port, e.msg});
+      sched.Park(Scheduler::DelayedMessage{.due = e.due,
+                                           .birth_round = e.birth_round,
+                                           .src = e.src,
+                                           .batch_pos = e.batch_pos,
+                                           .dst = e.dst,
+                                           .dst_port = e.dst_port,
+                                           .msg = e.msg,
+                                           .copy = e.copy});
       continue;
     }
     // Sleeping-model loss, charged to the sender. The charge lands in the

@@ -38,7 +38,9 @@ using Round = std::uint64_t;
 // the message's canonical identity: the round it was sent, its sender,
 // its position in the sender's send batch, and 0/1 for original versus
 // adversary duplicate. The delayed heap orders by exactly this key, so
-// drain order is shard-count-invariant.
+// drain order is shard-count-invariant. `copy` sits in the message's
+// tail padding (message.h), so an entry is one 64-byte line; build it
+// with designated initializers.
 struct WireEntry {
   NodeIndex src = kInvalidNode;
   NodeIndex dst = kInvalidNode;
@@ -46,9 +48,10 @@ struct WireEntry {
   std::uint32_t batch_pos = 0;
   Round due = 0;
   Round birth_round = 0;
+  [[no_unique_address]] Message msg;
   std::uint8_t copy = 0;
-  Message msg;
 };
+static_assert(sizeof(WireEntry) <= 64);
 
 // K x K (producer, consumer) pairs. Producer s pushes to (s, t) during its
 // collect phase; consumer t drains column t during its receive phase.

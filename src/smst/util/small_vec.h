@@ -16,14 +16,22 @@
 // Growth gives the strong exception guarantee: if moving T can throw,
 // elements are copied into the new buffer instead (move_if_noexcept),
 // and a throwing copy leaves the original vector untouched.
+//
+// Layout: a 16-byte header (data pointer, 32-bit size and capacity) in
+// front of the inline slots, so a batch's first elements share the
+// header's cache line; a SmallVec therefore holds at most 2^32 - 1
+// elements, and growing past that throws std::length_error.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -32,6 +40,8 @@ namespace smst {
 template <typename T, std::size_t N>
 class SmallVec {
   static_assert(N > 0, "SmallVec needs at least one inline slot");
+  static_assert(N <= std::numeric_limits<std::uint32_t>::max());
+  static constexpr auto kInline = static_cast<std::uint32_t>(N);
 
  public:
   using value_type = T;
@@ -83,6 +93,9 @@ class SmallVec {
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
   std::size_t capacity() const noexcept { return capacity_; }
+  static constexpr std::size_t max_size() noexcept {
+    return std::numeric_limits<std::uint32_t>::max();
+  }
   bool is_inline() const noexcept { return data_ == InlineData(); }
 
   T* data() noexcept { return data_; }
@@ -111,7 +124,7 @@ class SmallVec {
 
   template <typename... Args>
   T& emplace_back(Args&&... args) {
-    if (size_ == capacity_) Grow(size_ + 1);
+    if (size_ == capacity_) Grow(std::size_t{size_} + 1);
     T* slot = data_ + size_;
     std::construct_at(slot, std::forward<Args>(args)...);
     ++size_;
@@ -131,7 +144,7 @@ class SmallVec {
     assert(begin() <= first && first <= last && last <= end());
     iterator tail = std::move(last, end(), first);
     std::destroy(tail, end());
-    size_ = static_cast<std::size_t>(tail - begin());
+    size_ = static_cast<std::uint32_t>(tail - begin());
     return first;
   }
 
@@ -145,7 +158,7 @@ class SmallVec {
   void resize(std::size_t count) {
     if (count < size_) {
       std::destroy(data_ + count, data_ + size_);
-      size_ = count;
+      size_ = static_cast<std::uint32_t>(count);
       return;
     }
     reserve(count);
@@ -174,7 +187,7 @@ class SmallVec {
     if (!is_inline()) {
       std::allocator<T>{}.deallocate(data_, capacity_);
       data_ = InlineData();
-      capacity_ = N;
+      capacity_ = kInline;
     }
   }
 
@@ -189,7 +202,7 @@ class SmallVec {
       capacity_ = other.capacity_;
       other.data_ = other.InlineData();
       other.size_ = 0;
-      other.capacity_ = N;
+      other.capacity_ = kInline;
       return;
     }
     for (std::size_t i = 0; i < other.size_; ++i) {
@@ -201,8 +214,11 @@ class SmallVec {
   }
 
   void Grow(std::size_t want) {
-    std::size_t new_cap = capacity_ * 2;
-    if (new_cap < want) new_cap = want;
+    if (want > max_size()) {
+      throw std::length_error("SmallVec: more than 2^32 - 1 elements");
+    }
+    const std::size_t new_cap =
+        std::clamp(std::size_t{capacity_} * 2, want, max_size());
     T* new_data = std::allocator<T>{}.allocate(new_cap);
     std::size_t moved = 0;
     try {
@@ -218,13 +234,13 @@ class SmallVec {
     DestroyAll();
     ReleaseHeap();
     data_ = new_data;
-    capacity_ = new_cap;
+    capacity_ = static_cast<std::uint32_t>(new_cap);
   }
 
-  alignas(T) unsigned char inline_storage_[N * sizeof(T)];
   T* data_;
-  std::size_t size_ = 0;
-  std::size_t capacity_ = N;
+  std::uint32_t size_ = 0;
+  std::uint32_t capacity_ = kInline;
+  alignas(T) unsigned char inline_storage_[N * sizeof(T)];
 };
 
 }  // namespace smst

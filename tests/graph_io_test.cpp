@@ -1,5 +1,12 @@
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -149,6 +156,210 @@ TEST(EdgeListTest, BuilderValidationPropagates) {
   // Disconnected graph: the builder's connectivity check fires.
   std::istringstream in("n 4\n0 1 1\n2 3 2\n");
   EXPECT_THROW(ReadEdgeList(in), std::invalid_argument);
+}
+
+// A header may name up to 2^32 - 1 nodes, but nothing n-sized is
+// allocated before the edges are in: fewer than n - 1 edges fail as a
+// disconnected graph at once (the first file once asked for 32 GiB of
+// IDs), and so do id lines for some of the nodes only.
+TEST(EdgeListTest, HugeHeaderFailsBeforeAnyNodeSizedAllocation) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"n 4294967295\n", "graph is not connected"},
+      {"n 4294967295\n0 1 5\n1 2 6\n", "graph is not connected"},
+      {"n 4294967295 4294967295\nid 0 1\nid 1 2\n0 1 5\n",
+       "node 2 has no 'id' line"}};
+  for (const auto& [text, error] : cases) {
+    std::istringstream in(text);
+    try {
+      ReadEdgeList(in);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), error);
+    }
+  }
+}
+
+// ------------------------------------------------ seeded parser fuzzing --
+// Mutants of valid edge lists, drawn from one fixed seed: each must end in
+// std::invalid_argument or in a graph that writes back to a list that
+// reads as the same graph. Any other exception fails the test; a crash or
+// a hang fails the suite (the ASan/UBSan job runs it too).
+
+using Lines = std::vector<std::vector<std::string>>;  // tokens per line
+
+Lines Tokenize(const std::string& text) {
+  Lines lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream ls(line);
+    std::vector<std::string>& tokens = lines.emplace_back();
+    for (std::string t; ls >> t;) tokens.push_back(std::move(t));
+  }
+  return lines;
+}
+
+std::string Join(const Lines& lines) {
+  std::string text;
+  for (const std::vector<std::string>& tokens : lines) {
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      if (i > 0) text += ' ';
+      text += tokens[i];
+    }
+    text += '\n';
+  }
+  return text;
+}
+
+// A random token of a random non-empty line, or null if there is none.
+std::string* PickToken(Lines& lines, Xoshiro256& rng) {
+  std::size_t total = 0;
+  for (const auto& tokens : lines) total += tokens.size();
+  if (total == 0) return nullptr;
+  std::size_t k = rng.NextBelow(total);
+  for (auto& tokens : lines) {
+    if (k < tokens.size()) return &tokens[k];
+    k -= tokens.size();
+  }
+  return nullptr;
+}
+
+// A random line whose first token is `head` ("n" or "id"), or null.
+const std::vector<std::string>* PickLine(const Lines& lines,
+                                         const std::string& head,
+                                         Xoshiro256& rng) {
+  std::vector<const std::vector<std::string>*> found;
+  for (const auto& tokens : lines) {
+    if (!tokens.empty() && tokens[0] == head) found.push_back(&tokens);
+  }
+  return found.empty() ? nullptr : found[rng.NextBelow(found.size())];
+}
+
+void MutateOnce(Lines& lines, Xoshiro256& rng) {
+  static const char* const kHuge[] = {
+      "0",          "4294967295",           "4294967296",
+      "2147483648", "18446744073709551615", "18446744073709551616",
+      "99999999999999999999999"};
+  const std::size_t at = rng.NextBelow(lines.size() + 1);
+  switch (rng.NextBelow(9)) {
+    case 0:  // drop a token
+      if (std::string* t = PickToken(lines, rng)) t->clear();
+      break;
+    case 1:  // duplicate a token
+      if (std::string* t = PickToken(lines, rng)) *t = *t + " " + *t;
+      break;
+    case 2:  // swap two tokens
+      if (std::string* x = PickToken(lines, rng)) {
+        std::swap(*x, *PickToken(lines, rng));
+      }
+      break;
+    case 3:  // flip, insert or delete one character
+      if (std::string* t = PickToken(lines, rng); t != nullptr) {
+        static const char kChars[] = "0123456789-+.x#";
+        const std::size_t pos = rng.NextBelow(t->size() + 1);
+        const char c = kChars[rng.NextBelow(sizeof kChars - 1)];
+        switch (rng.NextBelow(3)) {
+          case 0:
+            if (pos < t->size()) (*t)[pos] = c;
+            break;
+          case 1:
+            t->insert(t->begin() + static_cast<std::ptrdiff_t>(pos), c);
+            break;
+          default:
+            if (pos < t->size()) t->erase(pos, 1);
+        }
+      }
+      break;
+    case 4:  // a huge (or reserved) number
+      if (std::string* t = PickToken(lines, rng)) {
+        *t = kHuge[rng.NextBelow(std::size(kHuge))];
+      }
+      break;
+    case 5:  // repeat the 'n' header
+      if (const auto* n = PickLine(lines, "n", rng)) {
+        const std::vector<std::string> copy = *n;
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at), copy);
+      }
+      break;
+    case 6:  // repeat an 'id' line, or add one for a random node
+      if (const auto* id = PickLine(lines, "id", rng)) {
+        const std::vector<std::string> copy = *id;
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at), copy);
+      } else {
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                     {"id", std::to_string(rng.NextBelow(8)),
+                      std::to_string(1 + rng.NextBelow(8))});
+      }
+      break;
+    case 7:  // comment out the rest of a line, or add a comment line
+      if (std::string* t = PickToken(lines, rng); t != nullptr &&
+                                                  rng.NextBelow(2) == 0) {
+        *t = "#" + *t;
+      } else {
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                     {"#", "n", "1"});
+      }
+      break;
+    default:  // drop or repeat a whole line
+      if (lines.empty()) break;
+      if (const std::size_t i = rng.NextBelow(lines.size());
+          rng.NextBelow(2) == 0) {
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        const std::vector<std::string> copy = lines[i];
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at), copy);
+      }
+  }
+}
+
+TEST(EdgeListFuzzTest, MutantsEndInRejectionOrARoundTrip) {
+  std::vector<std::string> corpus = {
+      "# default IDs\nn 4\n0 1 3\n1 2 5\n2 3 7\n0 3 11\n",
+      "n 1\n",
+      "n 3 9\nid 0 4\nid 1 9\nid 2 1\n0 1 2   # c\n1 2 3\n",
+  };
+  Xoshiro256 gen(24);
+  GeneratorOptions sparse;
+  sparse.max_id = 60;
+  for (const WeightedGraph& g :
+       {MakeRing(6, gen), MakeRandomTree(8, gen),
+        MakeErdosRenyi(10, 0.4, gen, sparse)}) {
+    std::ostringstream out;
+    WriteEdgeList(g, out);
+    corpus.push_back(out.str());
+  }
+
+  Xoshiro256 rng(2024);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < 2000; ++i) {
+    Lines lines = Tokenize(corpus[i % corpus.size()]);
+    for (std::uint64_t k = 1 + rng.NextBelow(3); k > 0; --k) {
+      MutateOnce(lines, rng);
+    }
+    const std::string text = Join(lines);
+    std::istringstream in(text);
+    std::optional<WeightedGraph> g;
+    try {
+      g.emplace(ReadEdgeList(in));
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw '" << e.what() << "':\n"
+                    << text;
+      continue;
+    }
+    ++accepted;
+    std::ostringstream first;
+    WriteEdgeList(*g, first);
+    std::istringstream back(first.str());
+    std::ostringstream second;
+    WriteEdgeList(ReadEdgeList(back), second);
+    EXPECT_EQ(first.str(), second.str()) << "mutant " << i << ":\n" << text;
+  }
+  // Both outcomes are exercised, not just the parser's first checks.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 TEST(DotTest, HighlightsTreeEdges) {

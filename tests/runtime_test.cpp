@@ -1,6 +1,8 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -363,6 +365,78 @@ TEST(MessageTest, BitSizeGrowsWithContent) {
   EXPECT_EQ(big.BitSize(), 8u + 192u);
   Message zero{0, 0, 0, 0};
   EXPECT_EQ(zero.BitSize(), 8u + 3u);  // empty fields still cost one bit
+}
+
+// ------------------------------------------------------ message layout --
+// message.h packs the port into the message's tail padding and the batch
+// header in front of its inline slots; these pin the sizes and the one
+// hazard the packing brings: a copy of `msg` must not reach the port.
+
+TEST(MessageLayoutTest, SizesArePinned) {
+  EXPECT_EQ(sizeof(Message), 32u);
+  EXPECT_EQ(sizeof(InMessage), 32u);
+  EXPECT_EQ(sizeof(OutMessage), 32u);
+  EXPECT_EQ(sizeof(SendBatch), 144u);
+  EXPECT_EQ(sizeof(InboxBatch), 144u);
+  // The header comes first: the first inline slot follows its 16 bytes.
+  const SendBatch batch;
+  EXPECT_EQ(reinterpret_cast<const char*>(batch.data()) -
+                reinterpret_cast<const char*>(&batch),
+            16);
+  EXPECT_TRUE(std::is_trivially_copyable_v<InMessage>);
+  EXPECT_TRUE(std::is_trivially_copyable_v<OutMessage>);
+}
+
+// Out of line, so the copy cannot be specialised for the caller's object:
+// through a plain Message& it must still write only the message's data.
+[[gnu::noinline]] void AssignThroughReference(Message& to, const Message& from) {
+  to = from;
+}
+
+TEST(MessageLayoutTest, AssigningOrSwappingMsgLeavesThePort) {
+  const std::uint64_t ones = ~std::uint64_t{0};
+  const Message full{0xFFFF, ones, ones, ones};
+  const Message other{3, 4, 5, 6};
+
+  InMessage in{7, Message{1, 2, 3, 4}};
+  in.msg = full;
+  EXPECT_EQ(in.port, 7u);
+  EXPECT_EQ(in.msg, full);
+
+  OutMessage out{9, other};
+  AssignThroughReference(out.msg, full);
+  EXPECT_EQ(out.port, 9u);
+  EXPECT_EQ(out.msg, full);
+
+  out.msg = other;
+  std::swap(in.msg, out.msg);
+  EXPECT_EQ(in.port, 7u);
+  EXPECT_EQ(out.port, 9u);
+  EXPECT_EQ(in.msg, other);
+  EXPECT_EQ(out.msg, full);
+
+  InboxBatch inbox;
+  inbox.push_back(InMessage{11, other});
+  inbox.push_back(InMessage{12, other});
+  std::swap(inbox[0].msg, inbox[1].msg);
+  inbox[1].msg = full;
+  EXPECT_EQ(inbox[0].port, 11u);
+  EXPECT_EQ(inbox[1].port, 12u);
+}
+
+TEST(MessageLayoutTest, PositionalConstructorKeepsItsMeaning) {
+  const Message m{5, 6, 0, std::uint64_t{1} << 20};
+  EXPECT_EQ(m.type, 5u);
+  EXPECT_EQ(m.a, 6u);
+  EXPECT_EQ(m.b, 0u);
+  EXPECT_EQ(m.c, std::uint64_t{1} << 20);
+  EXPECT_EQ(m.BitSize(), 8u + 3u + 1u + 21u);
+  // Omitted trailing fields are zero, as in the aggregate it replaced.
+  EXPECT_EQ((Message{9, 7}), (Message{9, 7, 0, 0}));
+  EXPECT_EQ(Message{}, (Message{0, 0, 0, 0}));
+  const OutMessage out{3, m};
+  EXPECT_EQ(out.port, 3u);
+  EXPECT_EQ(out.msg, m);
 }
 
 }  // namespace

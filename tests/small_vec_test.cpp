@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -124,6 +125,21 @@ TEST(SmallVecTest, PopBackAndResize) {
   v.resize(1);
   EXPECT_EQ(v.size(), 1u);
   EXPECT_EQ(v[0], 1);
+}
+
+// The header keeps 32-bit counts: growing past 2^32 - 1 elements throws
+// before anything is allocated, and leaves the vector as it was.
+TEST(SmallVecTest, GrowthPastThe32BitCountThrows) {
+  SmallVec<int, 4> v{1, 2};
+  const std::size_t too_many = std::size_t{1} << 32;
+  EXPECT_EQ((SmallVec<int, 4>::max_size()), too_many - 1);
+  EXPECT_THROW(v.reserve(too_many), std::length_error);
+  EXPECT_THROW(v.resize(too_many), std::length_error);
+  EXPECT_THROW(v.reserve(~std::size_t{0}), std::length_error);
+  EXPECT_EQ(v.size(), 2u);
+  EXPECT_EQ(v.capacity(), 4u);
+  EXPECT_TRUE(v.is_inline());
+  EXPECT_EQ(v[1], 2);
 }
 
 TEST(SmallVecTest, WorksAsContiguousRangeForSpan) {
