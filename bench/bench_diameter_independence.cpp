@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
               smst::Table::Num(rnd.stats.max_awake),
               smst::Table::Num(det.stats.max_awake),
               smst::Table::Num(rnd.stats.rounds)});
-    h.JsonRecord("run", "\"family\":" + smst::bench::JsonStr(fam.name) +
+    h.JsonRecord("run", "\"family\":" + smst::JsonStr(fam.name) +
                             ",\"n\":" + std::to_string(fam.g.NumNodes()) +
                             ",\"diameter\":" + std::to_string(d) +
                             ",\"awake_randomized\":" +

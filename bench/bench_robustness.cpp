@@ -153,25 +153,25 @@ int main(int argc, char** argv) {
 
         h.JsonRecord(
             "robustness",
-            "\"algo\":" + smst::bench::JsonStr(algo_name) +
-                ",\"n\":" + smst::bench::JsonNum(double(ac.n)) +
-                ",\"axis\":" + smst::bench::JsonStr(axis_name) +
-                ",\"drop\":" + smst::bench::JsonNum(drop) +
-                ",\"jitter\":" + smst::bench::JsonNum(double(jitter)) +
-                ",\"seeds\":" + smst::bench::JsonNum(double(seeds)) +
-                ",\"completed\":" + smst::bench::JsonNum(double(c.completed)) +
-                ",\"wrong_result\":" + smst::bench::JsonNum(double(c.wrong)) +
+            "\"algo\":" + smst::JsonStr(algo_name) +
+                ",\"n\":" + smst::JsonNum(double(ac.n)) +
+                ",\"axis\":" + smst::JsonStr(axis_name) +
+                ",\"drop\":" + smst::JsonNum(drop) +
+                ",\"jitter\":" + smst::JsonNum(double(jitter)) +
+                ",\"seeds\":" + smst::JsonNum(double(seeds)) +
+                ",\"completed\":" + smst::JsonNum(double(c.completed)) +
+                ",\"wrong_result\":" + smst::JsonNum(double(c.wrong)) +
                 ",\"non_termination\":" +
-                smst::bench::JsonNum(double(c.nonterm)) +
+                smst::JsonNum(double(c.nonterm)) +
                 ",\"crashed_partition\":" +
-                smst::bench::JsonNum(double(c.crashed)) +
+                smst::JsonNum(double(c.crashed)) +
                 ",\"mst_correct_fraction\":" +
-                smst::bench::JsonNum(double(c.mst_correct) / double(seeds)) +
+                smst::JsonNum(double(c.mst_correct) / double(seeds)) +
                 ",\"mean_awake_completed\":" +
-                smst::bench::JsonNum(c.mean_awake_completed) +
-                ",\"awake_inflation\":" + smst::bench::JsonNum(inflation) +
+                smst::JsonNum(c.mean_awake_completed) +
+                ",\"awake_inflation\":" + smst::JsonNum(inflation) +
                 ",\"mean_injected_events\":" +
-                smst::bench::JsonNum(c.mean_injected));
+                smst::JsonNum(c.mean_injected));
       }
     }
     t.Print(std::cout);

@@ -14,10 +14,6 @@
 
 namespace smst::bench {
 
-std::string JsonNum(double v) { return smst::JsonNum(v); }
-
-std::string JsonStr(const std::string& s) { return smst::JsonStr(s); }
-
 void RejectArguments(int argc, char** argv) {
   if (argc <= 1) return;
   std::cerr << "usage: " << argv[0] << " (a fixed sweep: takes no flags, got '"

@@ -121,8 +121,4 @@ class Harness {
   std::ofstream json_;
 };
 
-// JSON field formatting helpers shared with the CLI.
-std::string JsonNum(double v);
-std::string JsonStr(const std::string& s);
-
 }  // namespace smst::bench

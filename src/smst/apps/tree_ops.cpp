@@ -36,10 +36,10 @@ class TreeOpsProgram final : public FlatProgram {
     for (TreeOpsNode& st : nodes_) st.cursor = BlockCursor(1, g.NumNodes());
   }
 
-  Round Start(NodeIndex v, FlatEnv& /*env*/, SendBatch& sends) override {
+  Round Start(NodeIndex v, Metrics& /*metrics*/, SendBatch& sends) override {
     return Advance(v, kEmptyInbox, sends);
   }
-  Round Step(NodeIndex v, Round /*now*/, FlatEnv& /*env*/,
+  Round Step(NodeIndex v, Round /*now*/, Metrics& /*metrics*/,
              const InboxBatch& inbox, SendBatch& sends) override {
     return Advance(v, inbox, sends);
   }

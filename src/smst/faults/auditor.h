@@ -15,8 +15,8 @@
 //                   scheduler's Metrics meter (CheckAwakeMeter)
 //   forest          fragment structure stays a forest: parent/child
 //                   symmetry, level = parent level + 1, no parent cycles
-//                   (CheckForest, fed LDT snapshots by the algorithms or
-//                   tests)
+//                   (CheckForest, fed whole-graph LDT snapshots by its
+//                   caller; only tests call it — no run feeds it)
 //
 // Violations are recorded with round + node attribution (up to
 // Config::max_recorded, counted beyond that). The hooks sit on the

@@ -98,13 +98,6 @@ class WeightedGraph {
   // Inverse of IdOf; kInvalidNode if no node has that ID.
   NodeIndex IndexOfId(NodeId id) const;
 
-  // The endpoint of edge `e` that is not `v`. Precondition: v is an
-  // endpoint of e.
-  NodeIndex OtherEndpoint(EdgeIndex e, NodeIndex v) const {
-    const Edge& edge = edges_[e];
-    return edge.u == v ? edge.v : edge.u;
-  }
-
   // Sum of weights over an edge set (used to compare MSTs by value).
   Weight TotalWeight(std::span<const EdgeIndex> edge_set) const;
 

@@ -116,17 +116,17 @@ class FlatDetProgram final : public FlatProgram {
     }
   }
 
-  Round Start(NodeIndex v, FlatEnv& env, SendBatch& sends) override {
-    return Advance(v, env, kEmptyInbox, sends);
+  Round Start(NodeIndex v, Metrics& metrics, SendBatch& sends) override {
+    return Advance(v, metrics, kEmptyInbox, sends);
   }
 
-  Round Step(NodeIndex v, Round /*now*/, FlatEnv& env, const InboxBatch& inbox,
-             SendBatch& sends) override {
-    return Advance(v, env, inbox, sends);
+  Round Step(NodeIndex v, Round /*now*/, Metrics& metrics,
+             const InboxBatch& inbox, SendBatch& sends) override {
+    return Advance(v, metrics, inbox, sends);
   }
 
  private:
-  Round Advance(NodeIndex v, FlatEnv& env, const InboxBatch& inbox,
+  Round Advance(NodeIndex v, Metrics& metrics, const InboxBatch& inbox,
                 SendBatch& sends);
 
   const WeightedGraph* g_;
@@ -141,7 +141,7 @@ class FlatDetProgram final : public FlatProgram {
   std::vector<NodeId> nbr_frag_;
 };
 
-Round FlatDetProgram::Advance(NodeIndex v, FlatEnv& env,
+Round FlatDetProgram::Advance(NodeIndex v, Metrics& metrics,
                               const InboxBatch& inbox, SendBatch& sends) {
   FlatDetNode& st = nodes_[v];
   const FlatNodeRef node{g_, v};
@@ -151,7 +151,6 @@ Round FlatDetProgram::Advance(NodeIndex v, FlatEnv& env,
                                    node.Degree());
   const std::span<std::uint8_t> mark(sh_->port_marks.data() + first_port,
                                      node.Degree());
-  Metrics& metrics = *env.metrics;
 
   switch (st.pc) {
     default:

@@ -9,8 +9,8 @@
 //
 //   coroutine                      flat
 //   ---------                      ----
-//   program(ctx) + Start()         Start(v, env, sends) -> first round
-//   resume with inbox              Step(v, now, env, inbox, sends)
+//   program(ctx) + Start()         Start(v, metrics, sends) -> first round
+//   resume with inbox              Step(v, now, metrics, inbox, sends)
 //   co_await Awake(r, sends)       return r (sends already pushed)
 //   co_return                      return kFlatDone
 //
@@ -40,18 +40,14 @@ using Round = std::uint64_t;
 // real request, even an invalid round 0, reaches the scheduler's checks.
 inline constexpr Round kFlatDone = ~Round{0};
 
-// What a flat program may touch besides its own state: the run's metrics
-// sink (for Probe / ExtendRun — the out-of-band telemetry NodeContext
-// exposes). Per-node randomness is the program's own concern: drivers
-// split a root PRNG per node exactly like Simulator does for contexts.
-struct FlatEnv {
-  Metrics* metrics = nullptr;
-};
-
 // A node program lowered to a batched state machine over all nodes.
-// One instance serves every node of a run (sharded engines share it
-// across worker threads; implementations keep per-node state in
-// disjoint per-node slots and touch nothing else from Step).
+// One instance serves every node of a run (K-shard runs share it across
+// worker threads; implementations keep per-node state in disjoint
+// per-node slots and touch nothing else from Step). Besides its own
+// state a program may touch only `metrics`, the meters of the shard
+// that runs v, for out-of-band probes (Metrics::Probe). Per-node
+// randomness is the program's own concern: drivers split a root PRNG
+// per node exactly like Simulator does for contexts.
 class FlatProgram {
  public:
   virtual ~FlatProgram() = default;
@@ -59,13 +55,13 @@ class FlatProgram {
   // Runs node v up to its first suspension. Returns the node's first
   // awake round with that round's sends pushed into `sends`, or
   // kFlatDone if the node finishes without ever waking.
-  virtual Round Start(NodeIndex v, FlatEnv& env, SendBatch& sends) = 0;
+  virtual Round Start(NodeIndex v, Metrics& metrics, SendBatch& sends) = 0;
 
   // Advances node v through its awake round `now`: `inbox` holds the
   // round's delivered messages; the implementation pushes the *next*
   // requested round's sends into `sends` and returns that round, or
   // kFlatDone when the node terminates.
-  virtual Round Step(NodeIndex v, Round now, FlatEnv& env,
+  virtual Round Step(NodeIndex v, Round now, Metrics& metrics,
                      const InboxBatch& inbox, SendBatch& sends) = 0;
 };
 

@@ -64,8 +64,7 @@ class Metrics {
   // Out-of-band bench telemetry: counters keyed by (kind, key). Stored as
   // a flat sorted vector — probe keys are few (one per phase per kind) and
   // hot in the algorithms' phase loops, where the sorted-array lower_bound
-  // beats the node-per-entry std::map this replaced; iteration via
-  // Probes() stays in ascending (kind, key) order.
+  // beats the node-per-entry std::map this replaced.
   using ProbeKey = std::pair<std::uint32_t, std::uint64_t>;
   using ProbeEntry = std::pair<ProbeKey, std::int64_t>;
   void Probe(std::uint32_t kind, std::uint64_t key, std::int64_t delta = 1) {
@@ -88,9 +87,6 @@ class Metrics {
                                });
     return it != probes_.end() && it->first == k ? it->second : 0;
   }
-  // Sorted ascending by (kind, key); same iteration order as the old map.
-  const std::vector<ProbeEntry>& Probes() const { return probes_; }
-
   RunStats Summarize() const;
 
   // Adds `other`'s meters into this object (sharded backend: one full-

@@ -6,12 +6,10 @@
 namespace smst {
 
 CoroutineProgram::CoroutineProgram(const WeightedGraph& graph,
-                                   Metrics& metrics, NodeProgram program,
-                                   std::uint64_t seed,
+                                   NodeProgram program, std::uint64_t seed,
                                    const ShardPartition* partition,
                                    std::uint32_t shard)
     : graph_(graph),
-      metrics_(metrics),
       program_(std::move(program)),
       root_rng_(seed),
       partition_(partition) {
@@ -22,7 +20,7 @@ CoroutineProgram::CoroutineProgram(const WeightedGraph& graph,
   runners_.resize(slots);
 }
 
-Round CoroutineProgram::Start(NodeIndex v, FlatEnv& /*env*/,
+Round CoroutineProgram::Start(NodeIndex v, Metrics& /*metrics*/,
                               SendBatch& sends) {
   const std::size_t i = Slot(v);
   // Each node's private randomness is a substream keyed by its index, so
@@ -34,7 +32,7 @@ Round CoroutineProgram::Start(NodeIndex v, FlatEnv& /*env*/,
   return Suspended(v, i);
 }
 
-Round CoroutineProgram::Step(NodeIndex v, Round now, FlatEnv& /*env*/,
+Round CoroutineProgram::Step(NodeIndex v, Round now, Metrics& /*metrics*/,
                              const InboxBatch& inbox, SendBatch& sends) {
   const std::size_t i = Slot(v);
   now_ = now;

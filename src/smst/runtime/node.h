@@ -91,14 +91,6 @@ class NodeContext {
     return Awake(round, std::move(sends));
   }
 
-  // Declares the round in which this node's program terminates locally;
-  // extends the run-time meter past trailing sleeping rounds (run time
-  // counts sleeping rounds too, per the model).
-  void ReportTermination(Round round);
-
-  // --- out-of-band telemetry (benches only; no effect on execution) ----
-  void Probe(std::uint32_t kind, std::uint64_t key, std::int64_t delta = 1);
-
   // Simulation-internal identity (used by algorithms only to index their
   // own output arrays; carries no model information a node lacks, since
   // outputs could equally be keyed by ID).
@@ -107,8 +99,8 @@ class NodeContext {
  private:
   friend class CoroutineProgram;
 
-  // The graph and the metrics are reached through the host, which
-  // outlives every context: one reference per node instead of three.
+  // The graph is reached through the host, which outlives every
+  // context: one reference per node instead of two.
   CoroutineProgram& host_;
   NodeIndex index_;
   Xoshiro256 rng_;
@@ -119,22 +111,22 @@ class NodeContext {
 using NodeProgram = std::function<Task<void>(NodeContext&)>;
 
 // Runs a coroutine NodeProgram as a FlatProgram. One instance serves the
-// nodes of one engine (all of them, or one shard's), and is built, driven
-// and destroyed on one thread, so its coroutine frames are recycled
-// through that thread's free lists (frame_pool.cpp).
+// nodes of one shard (every node on a one-shard run), and is built,
+// driven and destroyed on one thread, so its coroutine frames are
+// recycled through that thread's free lists (frame_pool.cpp).
 class CoroutineProgram final : public FlatProgram {
  public:
   // Serves the nodes `partition` gives `shard` (every node when
   // `partition` is null). Node v's randomness is Xoshiro256(seed).Split(v)
   // either way.
-  CoroutineProgram(const WeightedGraph& graph, Metrics& metrics,
-                   NodeProgram program, std::uint64_t seed,
+  CoroutineProgram(const WeightedGraph& graph, NodeProgram program,
+                   std::uint64_t seed,
                    const ShardPartition* partition = nullptr,
                    std::uint32_t shard = 0);
 
-  Round Start(NodeIndex v, FlatEnv& env, SendBatch& sends) override;
-  Round Step(NodeIndex v, Round now, FlatEnv& env, const InboxBatch& inbox,
-             SendBatch& sends) override;
+  Round Start(NodeIndex v, Metrics& metrics, SendBatch& sends) override;
+  Round Step(NodeIndex v, Round now, Metrics& metrics,
+             const InboxBatch& inbox, SendBatch& sends) override;
 
  private:
   friend class NodeContext;
@@ -147,7 +139,6 @@ class CoroutineProgram final : public FlatProgram {
   Round Suspended(NodeIndex v, std::size_t i);
 
   const WeightedGraph& graph_;
-  Metrics& metrics_;
   NodeProgram program_;
   Xoshiro256 root_rng_;
   const ShardPartition* partition_;
@@ -180,14 +171,6 @@ inline Weight NodeContext::WeightAtPort(std::uint32_t port) const {
   return host_.graph_.PortsOf(index_)[port].weight;
 }
 inline Round NodeContext::CurrentRound() const { return host_.now_; }
-
-inline void NodeContext::ReportTermination(Round round) {
-  host_.metrics_.ExtendRun(round);
-}
-inline void NodeContext::Probe(std::uint32_t kind, std::uint64_t key,
-                               std::int64_t delta) {
-  host_.metrics_.Probe(kind, key, delta);
-}
 
 inline NodeContext::AwakeAwaiter NodeContext::Awake(Round round,
                                                     SendBatch&& sends) {

@@ -87,12 +87,11 @@ void Scheduler::Run(FlatProgram& program) {
 
 void Scheduler::Start(FlatProgram& program) {
   program_ = &program;
-  env_.metrics = &metrics_;
   for (std::size_t i = 0; i < status_.size(); ++i) {
     const NodeIndex v = NodeOfLane(i);
     try {
       const Round first =
-          Settle(v, i, program.Start(v, env_, sends_[i]));
+          Settle(v, i, program.Start(v, metrics_, sends_[i]));
       if (first != 0) queue_.Push(v, first);
     } catch (...) {
       Fail(i);
@@ -127,14 +126,14 @@ void Scheduler::DeliverRound() {
   // a late message and a fresh same-round message arrive in age order.
   if (kObserved && !delayed_.empty()) DrainDelayed(current_round_);
   const bool tracing = kObserved && trace_;
-  if (tracing) round_trace_.assign(staged_.size(), TraceCounts{});
+  if (tracing) round_trace_.assign(staged_.size(), TraceEvent{});
   for (std::size_t wi = 0; wi < staged_.size(); ++wi) {
     DeliverBatch<kObserved>(staged_[wi],
                             tracing ? &round_trace_[wi] : nullptr);
   }
 }
 
-void Scheduler::Park(const DelayedMessage& m) {
+void Scheduler::Park(const WireEntry& m) {
   delayed_.push_back(m);
   std::push_heap(delayed_.begin(), delayed_.end(), std::greater<>{});
 }
@@ -142,7 +141,7 @@ void Scheduler::Park(const DelayedMessage& m) {
 void Scheduler::DrainDelayed(Round r) {
   while (!delayed_.empty() && delayed_.front().due <= r) {
     std::pop_heap(delayed_.begin(), delayed_.end(), std::greater<>{});
-    const DelayedMessage m = delayed_.back();
+    const WireEntry m = delayed_.back();
     delayed_.pop_back();
     if (m.due == r && Deliver<true>(m.src, m.dst, m.dst_port, m.msg)) {
       // The receiver happens to be awake in the deferred round: the
@@ -168,11 +167,12 @@ void Scheduler::StepRound() {
     const NodeIndex v = staged_[wi];
     const std::size_t i = Lane(v);
     if (tracing) {
-      const TraceCounts& tc = round_trace_[wi];
-      trace_(TraceEvent{r, v, static_cast<std::uint32_t>(sends_[i].size()),
-                        static_cast<std::uint32_t>(inbox_[i].size()),
-                        tc.dropped, tc.injected_drops, tc.injected_delays,
-                        tc.injected_dups});
+      TraceEvent& e = round_trace_[wi];
+      e.round = r;
+      e.node = v;
+      e.sent = static_cast<std::uint32_t>(sends_[i].size());
+      e.received = static_cast<std::uint32_t>(inbox_[i].size());
+      trace_(e);
     }
     // Steps push only strictly later rounds, and this round's deliveries
     // are complete, so queueing right away cannot disturb round r.
@@ -190,7 +190,7 @@ Round Scheduler::StepNode(NodeIndex v, std::size_t i) {
   sends_[i].clear();
   try {
     const Round next =
-        program_->Step(v, current_round_, env_, inbox_[i], sends_[i]);
+        program_->Step(v, current_round_, metrics_, inbox_[i], sends_[i]);
     inbox_[i].clear();
     return Settle(v, i, next);
   } catch (...) {

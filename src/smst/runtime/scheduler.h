@@ -26,7 +26,7 @@
 // Auditor, and a TraceSink. With no observer each hook compiles out of
 // the delivery step.
 //
-// The engine above it (runtime/sharded/engine.h) runs one Scheduler
+// The Simulator above it (runtime/simulator.h) runs one Scheduler
 // through Run on a one-shard run; with K >= 2 shards it runs one
 // Scheduler per shard over that shard's own nodes and drives the same
 // staging, delivery and step code phase by phase across worker threads.
@@ -43,13 +43,14 @@
 #include "smst/runtime/flat/program.h"
 #include "smst/runtime/message.h"
 #include "smst/runtime/metrics.h"
+#include "smst/runtime/sharded/exchange.h"
 #include "smst/runtime/sharded/partition.h"
 #include "smst/runtime/trace.h"
 #include "smst/runtime/wake_queue.h"
 
 namespace smst {
 
-class ShardedEngine;
+class Simulator;
 
 struct SchedulerOptions {
   // Watchdog: abort (NonTerminationError) if the round clock passes this.
@@ -77,7 +78,7 @@ class Scheduler {
   // rounds until no node is pending. Throws NonTerminationError when the
   // watchdog trips; a node whose program throws, or asks for an invalid
   // wake, is marked failed and the run goes on without it. One-shard
-  // runs only (with K >= 2 the engine drives the phases itself).
+  // runs only (with K >= 2 the Simulator drives the phases itself).
   // `program` must outlive the scheduler's use of it.
   void Run(FlatProgram& program);
 
@@ -94,50 +95,13 @@ class Scheduler {
   std::pair<NodeIndex, std::exception_ptr> FirstFailure() const;
 
  private:
-  // With K >= 2 shards the engine (runtime/sharded/engine.cpp) drives
+  // With K >= 2 shards the Simulator (runtime/sharded/rounds.cpp) drives
   // the same staging / delivery / step machinery phase by phase across
   // worker threads; it is the one sanctioned out-of-module user of these
   // internals (DESIGN.md §12).
-  friend class ShardedEngine;
+  friend class Simulator;
 
   enum class Status : std::uint8_t { kRunning, kDone, kFailed };
-
-  // An adversary-delayed message parked until its due round. Ordered by
-  // the canonical key (due, birth_round, src, batch_pos, copy) — the
-  // message's invariant coordinates rather than an insertion counter —
-  // so the drain order (hence duplicate inbox order and drop
-  // attribution) is deterministic *and* independent of which shard
-  // parked the message. With the canonical ascending-node round order,
-  // this key sorts exactly like the serial insertion order did. `copy`
-  // sits in the message's tail padding (message.h): 64 bytes, built with
-  // designated initializers.
-  struct DelayedMessage {
-    Round due;
-    Round birth_round;  // the round the message was sent in
-    NodeIndex src;
-    std::uint32_t batch_pos;  // index within the sender's send batch
-    NodeIndex dst;
-    std::uint32_t dst_port;
-    [[no_unique_address]] Message msg;
-    std::uint8_t copy;  // 0 = original, 1 = adversary duplicate
-    bool operator>(const DelayedMessage& o) const {
-      if (due != o.due) return due > o.due;
-      if (birth_round != o.birth_round) return birth_round > o.birth_round;
-      if (src != o.src) return src > o.src;
-      if (batch_pos != o.batch_pos) return batch_pos > o.batch_pos;
-      return copy > o.copy;
-    }
-  };
-
-  static_assert(sizeof(DelayedMessage) <= 64);
-
-  // Per-waker trace scratch for one round (allocated only when tracing).
-  struct TraceCounts {
-    std::uint32_t dropped = 0;         // model drops (receiver asleep)
-    std::uint32_t injected_drops = 0;  // adversary-destroyed sends
-    std::uint32_t injected_delays = 0;
-    std::uint32_t injected_dups = 0;
-  };
 
   // Lane of an owned node: its rank among the owned nodes, which is the
   // node itself on a one-shard run. Ranks ascend with node indices, so
@@ -170,31 +134,33 @@ class Scheduler {
   void DeliverRound();
   // The delivery step of awake node v, run once per round for every
   // awake node: meters its awake round, then, for each send whose
-  // receiver this scheduler owns (the sharded engine publishes the
+  // receiver this scheduler owns (the K-shard collect phase publishes the
   // others), the fault verdict, delayed parking, and the inbox append or
-  // the model drop. `tc` collects trace counts (null when not tracing).
+  // the model drop. `te` collects v's drop, delay and duplicate counts
+  // for its trace event (null when not tracing).
   template <bool kObserved>
-  void DeliverBatch(NodeIndex v, TraceCounts* tc);
+  void DeliverBatch(NodeIndex v, TraceEvent* te);
   // Meters one fresh send of awake node v into `meter` (v's record) and
   // returns its fault verdict (one with no effect when no plan is
-  // active); shared by the delivery step and the sharded engine's
-  // cross-shard publication.
+  // active); shared by the delivery step and the K-shard cross-shard
+  // publication.
   template <bool kObserved>
   FaultSession::MessageVerdict Emit(NodeIndex v, const OutMessage& out,
-                                    NodeMetrics& meter, TraceCounts* tc);
+                                    NodeMetrics& meter, TraceEvent* te);
   // Appends a round-r message to dst's inbox if dst is awake this round;
   // returns false (and appends nothing) if it sleeps. The only place a
   // message reaches an inbox.
   template <bool kObserved>
   bool Deliver(NodeIndex src, NodeIndex dst, std::uint32_t dst_port,
                const Message& msg);
-  void Park(const DelayedMessage& m);
+  // Parks an adversary-delayed message (due != 0) in the delayed heap.
+  void Park(const WireEntry& m);
   // Delivers or expires delayed messages with due <= r; called after
   // StageRound(r) (and with r = kMaxRound at the end of the run,
   // expiring everything still parked).
   void DrainDelayed(Round r);
-  // The step sweep: emits each staged node's trace event, steps it, and
-  // queues its next wake.
+  // The step sweep: completes and emits each staged node's trace event,
+  // steps it, and queues its next wake.
   void StepRound();
   // One all-awake, unobserved round as a single fused sweep (see the
   // definition).
@@ -228,7 +194,6 @@ class Scheduler {
   const NodeIndex* nodes_ = nullptr;  // lane -> node; null = identity
 
   FlatProgram* program_ = nullptr;
-  FlatEnv env_;
 
   // Lanes, indexed by Lane(v): sends_[i] is the batch the node queued
   // for its next awake round, inbox_[i] what this round delivered to it.
@@ -244,12 +209,12 @@ class Scheduler {
   // it keeps that queue round until it steps and queues its next wake.
   WakeQueue queue_;
   // Scratch reused every round: the current round's wakers and (when
-  // tracing) their fault/drop counts.
+  // tracing) their trace events, filled by the delivery and step sweeps.
   std::vector<NodeIndex> staged_;
-  std::vector<TraceCounts> round_trace_;
+  std::vector<TraceEvent> round_trace_;
   // Min-heap of adversary-delayed messages (std::*_heap with
-  // std::greater); empty for a null plan.
-  std::vector<DelayedMessage> delayed_;
+  // std::greater, so by the canonical key); empty for a null plan.
+  std::vector<WireEntry> delayed_;
   // Indexed by the graph's CSR port numbering (WeightedGraph::PortOffset):
   // reverse_ports_[PortOffset(v) + p] is the port index *at the
   // neighbor* for node v's port p. Precomputed so delivery resolves the
@@ -281,7 +246,7 @@ template <bool kObserved>
 inline FaultSession::MessageVerdict Scheduler::Emit(NodeIndex v,
                                                     const OutMessage& out,
                                                     NodeMetrics& meter,
-                                                    TraceCounts* tc) {
+                                                    TraceEvent* te) {
   const std::uint64_t bits = out.msg.BitSize();
   ++meter.messages_sent;
   meter.bits_sent += bits;
@@ -295,7 +260,7 @@ inline FaultSession::MessageVerdict Scheduler::Emit(NodeIndex v,
   if (verdict.drop) {
     // Adversary drop: distinct from the sleeping-model loss — it does
     // NOT count towards messages_dropped.
-    if (tc != nullptr) ++tc->injected_drops;
+    if (te != nullptr) ++te->injected_drops;
     if (auditor_ != nullptr) auditor_->OnDrop(r, v, /*injected=*/true);
   }
   return verdict;
@@ -303,7 +268,7 @@ inline FaultSession::MessageVerdict Scheduler::Emit(NodeIndex v,
 
 template <bool kObserved>
 [[gnu::always_inline]] inline void Scheduler::DeliverBatch(NodeIndex v,
-                                                           TraceCounts* tc) {
+                                                           TraceEvent* te) {
   const std::size_t i = kObserved ? Lane(v) : v;
   const Round r = current_round_;
   NodeMetrics& meter = metrics_.Node(v);
@@ -327,26 +292,26 @@ template <bool kObserved>
       __builtin_prefetch(&inbox_[ports[sends[bp + 1].port].neighbor], 1);
     }
     const FaultSession::MessageVerdict verdict =
-        Emit<kObserved>(v, out, meter, tc);
+        Emit<kObserved>(v, out, meter, te);
     if (kObserved) {
       if (verdict.drop) continue;
       if (verdict.delay != 0) {
-        DelayedMessage m{.due = r + verdict.delay,
-                         .birth_round = r,
-                         .src = v,
-                         .batch_pos = bp,
-                         .dst = dst,
-                         .dst_port = reverse[out.port],
-                         .msg = out.msg,
-                         .copy = 0};
+        WireEntry m{.src = v,
+                    .dst = dst,
+                    .dst_port = reverse[out.port],
+                    .batch_pos = bp,
+                    .due = r + verdict.delay,
+                    .birth_round = r,
+                    .msg = out.msg,
+                    .copy = 0};
         Park(m);
-        if (tc != nullptr) ++tc->injected_delays;
+        if (te != nullptr) ++te->injected_delays;
         if (verdict.duplicate) {
           // The duplicate of a delayed message is also delayed (one
           // extra copy in the same deferred round).
           m.copy = 1;
           Park(m);
-          if (tc != nullptr) ++tc->injected_dups;
+          if (te != nullptr) ++te->injected_dups;
         }
         continue;
       }
@@ -357,14 +322,14 @@ template <bool kObserved>
       // Sleeping-model loss: the receiver is not awake this round.
       ++meter.messages_dropped;
       if (kObserved) {
-        if (tc != nullptr) ++tc->dropped;
+        if (te != nullptr) ++te->dropped;
         if (auditor_ != nullptr) auditor_->OnDrop(r, v, /*injected=*/false);
       }
       continue;
     }
     if (kObserved && verdict.duplicate) {
       Deliver<kObserved>(v, dst, reverse[out.port], out.msg);
-      if (tc != nullptr) ++tc->injected_dups;
+      if (te != nullptr) ++te->injected_dups;
     }
   }
 }

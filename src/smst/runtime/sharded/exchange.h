@@ -31,16 +31,19 @@ namespace smst {
 // pulling the whole scheduler header into the wire format.
 using Round = std::uint64_t;
 
-// One message on the wire between shards. `due` = 0 means fresh (deliver
+// One message taken off its sender's batch: on the wire between shards,
+// or parked in a Scheduler's delayed heap. `due` = 0 means fresh (deliver
 // in the current round iff the destination is awake); otherwise it is the
-// absolute round an adversary-delayed message falls due, and the consumer
-// parks it in its delayed heap. (birth_round, src, batch_pos, copy) is
-// the message's canonical identity: the round it was sent, its sender,
-// its position in the sender's send batch, and 0/1 for original versus
-// adversary duplicate. The delayed heap orders by exactly this key, so
-// drain order is shard-count-invariant. `copy` sits in the message's
-// tail padding (message.h), so an entry is one 64-byte line; build it
-// with designated initializers.
+// absolute round an adversary-delayed message falls due, and the owner
+// of `dst` parks the entry as it is. (birth_round, src, batch_pos, copy)
+// is the message's canonical identity: the round it was sent, its
+// sender, its position in the sender's send batch, and 0/1 for original
+// versus adversary duplicate. The delayed heap orders by (due, identity)
+// — invariant coordinates, not an insertion counter — so its drain order
+// (hence duplicate inbox order and drop attribution) does not depend on
+// which shard parked the entry. `copy` sits in the message's tail
+// padding (message.h), so an entry is one 64-byte line; build it with
+// designated initializers.
 struct WireEntry {
   NodeIndex src = kInvalidNode;
   NodeIndex dst = kInvalidNode;
@@ -50,6 +53,15 @@ struct WireEntry {
   Round birth_round = 0;
   [[no_unique_address]] Message msg;
   std::uint8_t copy = 0;
+
+  // The delayed heap's order (a min-heap under std::greater).
+  bool operator>(const WireEntry& o) const {
+    if (due != o.due) return due > o.due;
+    if (birth_round != o.birth_round) return birth_round > o.birth_round;
+    if (src != o.src) return src > o.src;
+    if (batch_pos != o.batch_pos) return batch_pos > o.batch_pos;
+    return copy > o.copy;
+  }
 };
 static_assert(sizeof(WireEntry) <= 64);
 

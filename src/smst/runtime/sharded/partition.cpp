@@ -29,11 +29,10 @@ std::uint32_t ShardPartition::ClampShards(std::size_t num_nodes,
 ShardPartition::ShardPartition(std::size_t num_nodes, std::uint32_t shards,
                                ShardPolicy policy)
     : shards_(ClampShards(num_nodes, shards)),
-      policy_(policy),
       owner_(num_nodes),
       local_index_(num_nodes),
       nodes_(shards_) {
-  if (policy_ == ShardPolicy::kRoundRobin) {
+  if (policy == ShardPolicy::kRoundRobin) {
     for (NodeIndex v = 0; v < num_nodes; ++v) owner_[v] = v % shards_;
   } else {
     // Balanced contiguous blocks: the first n % K shards get one extra

@@ -45,7 +45,6 @@ class ShardPartition {
                  ShardPolicy policy);
 
   std::uint32_t NumShards() const { return shards_; }
-  ShardPolicy Policy() const { return policy_; }
   std::uint32_t Owner(NodeIndex v) const { return owner_[v]; }
   // Position of `v` within its owner's NodesOf list (nodes are listed in
   // ascending index order, so local order mirrors global order).
@@ -56,7 +55,6 @@ class ShardPartition {
 
  private:
   std::uint32_t shards_;
-  ShardPolicy policy_;
   std::vector<std::uint32_t> owner_;        // node -> shard
   std::vector<std::uint32_t> local_index_;  // node -> rank within shard
   std::vector<std::vector<NodeIndex>> nodes_;

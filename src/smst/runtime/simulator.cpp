@@ -1,19 +1,57 @@
 #include "smst/runtime/simulator.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 
-#include "smst/runtime/sharded/engine.h"
+#include "smst/faults/auditor.h"
 
 namespace smst {
 
+namespace {
+
+bool WantAuditor(AuditMode mode) {
+  switch (mode) {
+    case AuditMode::kOn: return true;
+    case AuditMode::kOff: return false;
+    case AuditMode::kDefault:
+#ifdef SMST_AUDIT_DEFAULT_ON
+      return true;
+#else
+      return false;
+#endif
+  }
+  return false;
+}
+
+}  // namespace
+
+Simulator::Shard::Shard(const WeightedGraph& graph, Metrics* run_metrics,
+                        const SimulatorOptions& options,
+                        const ShardPartition* partition, std::uint32_t s)
+    : own_metrics(run_metrics == nullptr
+                      ? std::make_unique<Metrics>(graph.NumNodes())
+                      : nullptr),
+      metrics(run_metrics == nullptr ? *own_metrics : *run_metrics),
+      auditor(WantAuditor(options.audit) ? std::make_unique<Auditor>(graph)
+                                         : nullptr),
+      scheduler(std::make_unique<Scheduler>(
+          graph, metrics,
+          SchedulerOptions{options.max_rounds, options.fault_plan,
+                           options.seed, auditor.get()},
+          partition, s)) {
+  if (own_metrics && options.record_wake_times) own_metrics->EnableWakeTimes();
+}
+
 Simulator::Simulator(const WeightedGraph& graph, SimulatorOptions options)
-    : metrics_(graph.NumNodes()) {
-  if (options.record_wake_times) metrics_.EnableWakeTimes();
-  if (options.fault_plan != nullptr) {
+    : graph_(graph), options_(std::move(options)), metrics_(graph.NumNodes()) {
+  if (options_.record_wake_times) metrics_.EnableWakeTimes();
+  if (options_.fault_plan != nullptr) {
     // A @NODE filter naming no node of this graph would match nothing and
     // silently run the rule as a no-op.
-    for (const FaultRule& rule : options.fault_plan->rules) {
+    for (const FaultRule& rule : options_.fault_plan->rules) {
       if (rule.node != kInvalidNode && rule.node >= graph.NumNodes()) {
         throw std::invalid_argument(
             "fault rule '" + FaultPlan{0, {rule}}.ToString() +
@@ -23,31 +61,130 @@ Simulator::Simulator(const WeightedGraph& graph, SimulatorOptions options)
       }
     }
   }
-  engine_ = std::make_unique<ShardedEngine>(graph, metrics_, options);
+  const std::uint32_t k =
+      ShardPartition::ClampShards(graph.NumNodes(), options_.shards);
+  if (k == 1) {
+    shards_.push_back(
+        std::make_unique<Shard>(graph_, &metrics_, options_, nullptr, 0));
+    if (options_.trace) shards_[0]->scheduler->SetTraceSink(options_.trace);
+    return;
+  }
+  if (options_.trace) {
+    // A sender's model-drop counts are only known receiver-side after
+    // the exchange barrier, so exact per-sender trace events cannot be
+    // emitted shard-locally. Tracing is a debugging feature; run it on
+    // one shard.
+    throw std::invalid_argument(
+        "tracing requires one shard (shards <= 1); it is not supported "
+        "with shards >= 2");
+  }
+  partition_.emplace(graph.NumNodes(), k, options_.shard_policy);
+  exchange_.emplace(k);
+  // Slots only; each worker constructs its own Shard in ShardMain so
+  // the per-shard O(n) state is built in parallel, owner-thread-local.
+  shards_.resize(k);
+  errors_.resize(k);
+  next_round_.assign(k, kMaxRound);
 }
 
 Simulator::~Simulator() = default;
 
-FaultStats Simulator::InjectedFaults() const {
-  return engine_->InjectedFaults();
+FlatProgram& Simulator::ProgramOf(Shard& shard, std::uint32_t s,
+                                  const NodeProgram* coroutine,
+                                  FlatProgram* flat) {
+  if (coroutine == nullptr) return *flat;
+  shard.coroutines = std::make_unique<CoroutineProgram>(
+      graph_, *coroutine, options_.seed,
+      partition_ ? &*partition_ : nullptr, s);
+  return *shard.coroutines;
 }
 
 void Simulator::Execute(const NodeProgram* coroutine, FlatProgram* flat) {
   if (ran_) throw std::logic_error("Simulator may run only once");
   ran_ = true;
-  // The engine completes metrics_ before it rethrows a run-level failure.
-  engine_->Execute(coroutine, flat);
+  if (!partition_) {
+    // One shard: the round loop itself, on the calling thread.
+    Shard& shard = *shards_[0];
+    shard.scheduler->Run(ProgramOf(shard, 0, coroutine, flat));
+  } else {
+    const std::uint32_t k = partition_->NumShards();
+    barrier_.emplace(static_cast<std::ptrdiff_t>(k), RoundReduce{this});
+    std::vector<std::thread> workers;
+    workers.reserve(k);
+    for (std::uint32_t s = 0; s < k; ++s) {
+      workers.emplace_back(
+          [this, s, coroutine, flat] { ShardMain(s, coroutine, flat); });
+    }
+    for (std::thread& t : workers) t.join();
+    // Merge in fixed shard order so the result is a pure function of the
+    // per-shard states: every counter is a sum, round and message-bit
+    // peaks are maxima, probes are key-summed, wake times are owner-only.
+    for (const auto& shard : shards_) {
+      if (shard) metrics_.MergeFrom(shard->metrics);
+    }
+    // Run-level failures (watchdog, allocation failure) rethrow
+    // lowest-shard-first — deterministic, and for the watchdog identical
+    // on every shard anyway.
+    for (const std::exception_ptr& e : errors_) {
+      if (e) std::rethrow_exception(e);
+    }
+  }
   // Rethrow failures before the never-finished check: a node that threw
   // (e.g. an Awake request the scheduler rejected) is the root cause, and
   // peers it stranded mid-protocol must not mask it with the generic
-  // error below.
-  engine_->RethrowFirstNodeFailure();
+  // error in FinishRun.
+  std::pair<NodeIndex, std::exception_ptr> first{kInvalidNode, nullptr};
+  for (const auto& shard : shards_) {
+    if (!shard) continue;
+    const auto failure = shard->scheduler->FirstFailure();
+    if (failure.first < first.first) first = failure;
+  }
+  if (first.second) std::rethrow_exception(first.second);
 }
 
-Simulator::AuditSummary Simulator::Audit() const { return engine_->Audit(); }
+FaultStats Simulator::InjectedFaults() const {
+  FaultStats total;
+  for (const auto& shard : shards_) {
+    if (shard) total.MergeFrom(shard->scheduler->InjectedFaults());
+  }
+  return total;
+}
+
+Simulator::AuditSummary Simulator::Audit() const {
+  AuditSummary summary;
+  for (const auto& shard : shards_) {
+    const Auditor* a = shard ? shard->auditor.get() : nullptr;
+    if (a == nullptr) continue;
+    summary.audited = true;
+    summary.awake_node_rounds += a->AwakeNodeRounds();
+    summary.model_drops += a->ModelDrops();
+    summary.violations += a->ViolationCount();
+    summary.report += a->Report();
+  }
+  return summary;
+}
+
+Simulator::AuditSummary Simulator::CheckAudit() {
+  for (const auto& shard : shards_) {
+    if (shard && shard->auditor) {
+      shard->auditor->CheckAwakeMeter(shard->metrics);
+    }
+  }
+  return Audit();
+}
 
 void Simulator::FinishRun() {
-  const NodeIndex unfinished = engine_->FirstUnfinishedNode();
+  NodeIndex unfinished = kInvalidNode;
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    // A shard that failed before constructing (K >= 2 only) leaves every
+    // node unfinished.
+    if (shards_[s]) {
+      unfinished =
+          std::min(unfinished, shards_[s]->scheduler->FirstUnfinishedNode());
+    } else if (!partition_->NodesOf(s).empty()) {
+      unfinished = std::min(unfinished, partition_->NodesOf(s).front());
+    }
+  }
   if (unfinished != kInvalidNode) {
     throw std::runtime_error(
         "node " + std::to_string(unfinished) +
@@ -56,8 +193,7 @@ void Simulator::FinishRun() {
   // Model conformance is part of the fault-free contract: a clean run
   // must also be a clean audit (builds with SMST_AUDIT make every
   // existing test a conformance test this way).
-  engine_->CheckAwakeMeters();
-  const AuditSummary audit = Audit();
+  const AuditSummary audit = CheckAudit();
   if (audit.violations != 0) throw std::runtime_error(audit.report);
 }
 
@@ -91,7 +227,11 @@ void Simulator::ClassifyFailure(RunOutcome& out) {
 }
 
 RunOutcome Simulator::FinishOutcome(RunOutcome out) {
-  const std::uint64_t unfinished = engine_->CountUnfinished();
+  std::uint64_t unfinished = 0;
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    unfinished += shards_[s] ? shards_[s]->scheduler->CountUnfinished()
+                             : partition_->NodesOf(s).size();
+  }
   out.unfinished_nodes = unfinished;
   if (out.status == RunStatus::kCompleted && unfinished > 0) {
     out.status = RunStatus::kCrashedPartition;
@@ -101,8 +241,7 @@ RunOutcome Simulator::FinishOutcome(RunOutcome out) {
   }
   out.last_round = metrics_.LastRound();
   out.faults = InjectedFaults();
-  engine_->CheckAwakeMeters();
-  const AuditSummary audit = Audit();
+  const AuditSummary audit = CheckAudit();
   if (audit.audited) {
     out.audited_awake_node_rounds = audit.awake_node_rounds;
     out.audited_model_drops = audit.model_drops;

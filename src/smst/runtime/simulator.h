@@ -2,15 +2,21 @@
 // the run's metrics. Deterministic under a fixed seed — including under a
 // fault plan, whose adversary stream is derived from (plan salt ^ seed).
 //
-// Every run takes one path: the Simulator holds one ShardedEngine
-// (runtime/sharded/engine.h), which with one shard is the Scheduler's own
-// round loop on the calling thread and with K >= 2 shards runs that loop's
-// phases on K worker threads. Results are the same either way.
+// Every run takes one path over K shards, each a Scheduler over its own
+// nodes. One shard is the Scheduler's own round loop on the calling
+// thread; with K >= 2 shards the Simulator runs that loop's phases on K
+// worker threads (runtime/sharded/rounds.cpp). Results are the same
+// either way.
 #pragma once
 
+#include <atomic>
+#include <barrier>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "smst/faults/fault_plan.h"
 #include "smst/faults/run_outcome.h"
@@ -19,11 +25,10 @@
 #include "smst/runtime/metrics.h"
 #include "smst/runtime/node.h"
 #include "smst/runtime/scheduler.h"
+#include "smst/runtime/sharded/exchange.h"
 #include "smst/runtime/sharded/partition.h"
 
 namespace smst {
-
-class ShardedEngine;
 
 // Whether this run gets a runtime invariant auditor (see faults/auditor.h).
 // kDefault = on in builds configured with SMST_AUDIT (all Debug builds),
@@ -95,17 +100,95 @@ class Simulator {
   AuditSummary Audit() const;
 
  private:
-  // Shared body of Run/RunToOutcome: run the program (a coroutine
-  // NodeProgram through its CoroutineProgram adapter) until idle, then
-  // rethrow the first failed node program.
+  struct Shard {
+    // `run_metrics` is the run's Metrics for the one shard of a
+    // one-shard run, null for a shard of K >= 2.
+    Shard(const WeightedGraph& graph, Metrics* run_metrics,
+          const SimulatorOptions& options, const ShardPartition* partition,
+          std::uint32_t s);
+
+    // K >= 2: this shard's own full-size meters, merged into the run's
+    // after the run. Null on a one-shard run.
+    std::unique_ptr<Metrics> own_metrics;
+    Metrics& metrics;                    // *own_metrics, or the run's
+    std::unique_ptr<Auditor> auditor;    // before scheduler: it borrows it
+    std::unique_ptr<Scheduler> scheduler;
+    // The shard's adapter for a coroutine program (null for a flat one).
+    // Built, run and destroyed on the thread that runs the shard (with
+    // K >= 2, destroyed as ShardMain ends), so its coroutine frames
+    // never leave that thread's free lists (frame_pool.cpp).
+    std::unique_ptr<CoroutineProgram> coroutines;
+    // K >= 2 only. Consumer-side scratch, reused every round: one inbound
+    // buffer per producer shard (swapped with the exchange's pair
+    // buffer), plus the merge cursors over those buffers.
+    std::vector<std::vector<WireEntry>> inbound;
+    std::vector<std::size_t> merge_pos;
+    // cross_ports[v] != 0 iff local node v has at least one neighbor
+    // owned by another shard. CollectSends skips a waker's whole batch
+    // on this bit, so the pre-barrier sweep touches only boundary
+    // nodes — on a block-partitioned ring that is ~2 nodes per shard
+    // instead of all of them. Indexed by global node; only local
+    // entries are ever written or read.
+    std::vector<std::uint8_t> cross_ports;
+  };
+
+  // Barrier completion: reduce the published per-shard next rounds to
+  // the global round. Runs exactly once per barrier phase, on the last
+  // arriving thread; the barrier sequences it against all shard reads.
+  struct RoundReduce {
+    Simulator* sim;
+    void operator()() noexcept;
+  };
+
+  // Shared body of Run/RunToOutcome: runs the program on every node to
+  // completion (or abort) — exactly one of `coroutine` (through one
+  // CoroutineProgram per shard) and `flat` is non-null — then rethrows
+  // the first failed node program in node-index order. A flat program
+  // instance is shared across worker threads: shards own disjoint node
+  // sets and flat programs keep all mutable state in per-node slots
+  // (runtime/flat/program.h). Run-level failures (the round watchdog)
+  // rethrow lowest shard first; metrics_ is complete before any rethrow.
   void Execute(const NodeProgram* coroutine, FlatProgram* flat);
+  // The program `shard` runs: `flat`, or a new coroutine adapter for
+  // `coroutine` over the shard's nodes.
+  FlatProgram& ProgramOf(Shard& shard, std::uint32_t s,
+                         const NodeProgram* coroutine, FlatProgram* flat);
+  // The K >= 2 phases, each run by shard s's worker thread
+  // (runtime/sharded/rounds.cpp).
+  void ShardMain(std::uint32_t s, const NodeProgram* coroutine,
+                 FlatProgram* flat);
+  void CollectSends(std::uint32_t s, Round r);
+  void Receive(std::uint32_t s, Round r);
+
   void FinishRun();
   RunOutcome FinishOutcome(RunOutcome out);
+  // Runs each shard auditor's CheckAwakeMeter against its shard's
+  // metrics (per-shard books balance: awakes are metered at the owner,
+  // model drops at the receiver), then returns Audit(). Once per run.
+  AuditSummary CheckAudit();
   // Classifies the in-flight exception into `out` (rethrows logic_error).
   static void ClassifyFailure(RunOutcome& out);
 
+  const WeightedGraph& graph_;
+  SimulatorOptions options_;
   Metrics metrics_;
-  std::unique_ptr<ShardedEngine> engine_;  // after metrics_: it meters them
+  // Both engaged iff K >= 2.
+  std::optional<ShardPartition> partition_;
+  std::optional<ShardExchange> exchange_;
+  // One slot per shard. A one-shard run builds its shard in the
+  // constructor; with K >= 2, slot s is constructed by worker s itself
+  // (ShardMain), so the Metrics and Scheduler arrays are built in
+  // parallel and first-touched by their owner thread. Null after the run
+  // only if that shard failed before constructing; its exception is in
+  // errors_[s]. The join in Execute orders every slot's write before the
+  // main thread's reads.
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::exception_ptr> errors_;  // K >= 2 run-level failures
+
+  std::vector<Round> next_round_;  // written by shard s before barrier
+  Round global_round_ = 0;         // written by the barrier completion
+  std::optional<std::barrier<RoundReduce>> barrier_;
+  std::atomic<bool> abort_{false};
   bool ran_ = false;
 };
 

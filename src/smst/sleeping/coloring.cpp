@@ -33,18 +33,6 @@ FragColor ColoringCheckedColor(std::uint64_t raw) {
   return static_cast<FragColor>(raw);
 }
 
-const char* FragColorName(FragColor c) {
-  switch (c) {
-    case FragColor::kNone: return "None";
-    case FragColor::kBlue: return "Blue";
-    case FragColor::kRed: return "Red";
-    case FragColor::kOrange: return "Orange";
-    case FragColor::kBlack: return "Black";
-    case FragColor::kGreen: return "Green";
-  }
-  return "?";
-}
-
 // ======================================================================
 // Corollary 1: log* coloring (see header for the pipeline overview).
 // ======================================================================

@@ -44,8 +44,6 @@ enum class FragColor : std::uint8_t {
   kGreen = 5,
 };
 
-const char* FragColorName(FragColor c);
-
 // One H-neighbor of this node's fragment. The list is identical at every
 // node of a fragment (assembled fragment-wide before coloring).
 struct NbrEntry {

@@ -320,10 +320,10 @@ class ProcedureProgram final : public FlatProgram {
   ProcedureProgram(const WeightedGraph& g, BeginFn begin)
       : g_(&g), begin_(std::move(begin)), procs_(g.NumNodes()) {}
 
-  Round Start(NodeIndex v, FlatEnv& /*env*/, SendBatch& sends) override {
+  Round Start(NodeIndex v, Metrics& /*metrics*/, SendBatch& sends) override {
     return begin_(FlatNodeRef{g_, v}, procs_[v], sends);
   }
-  Round Step(NodeIndex v, Round /*now*/, FlatEnv& /*env*/,
+  Round Step(NodeIndex v, Round /*now*/, Metrics& /*metrics*/,
              const InboxBatch& inbox, SendBatch& sends) override {
     return procs_[v].Resume(FlatNodeRef{g_, v}, inbox, sends);
   }

@@ -41,12 +41,13 @@ struct LdtState {
   }
 };
 
-// Whole-forest invariant check used by tests and (in debug builds) the
-// algorithms between phases. Views every node's local state globally and
-// verifies: parent/child pointers are symmetric tree edges, levels equal
-// the hop distance to a unique root per fragment, and fragment IDs equal
-// the root's node ID. Returns an empty string when the forest is valid,
-// else a description of the first violation.
+// Whole-forest invariant check, called only by tests: on final forests
+// and on the per-phase snapshots a run records when asked to
+// (MstOptions::record_forest_snapshots). Views every node's local state
+// globally and verifies: parent/child pointers are symmetric tree edges,
+// levels equal the hop distance to a unique root per fragment, and
+// fragment IDs equal the root's node ID. Returns an empty string when the
+// forest is valid, else a description of the first violation.
 std::string CheckForestInvariant(const WeightedGraph& g,
                                  const std::vector<LdtState>& states);
 

@@ -68,9 +68,4 @@ std::vector<ScalingFit> FitAll(const std::vector<double>& x,
   return fits;
 }
 
-std::string BestFitName(const std::vector<double>& x,
-                        const std::vector<double>& y) {
-  return FitAll(x, y, StandardModels()).front().model;
-}
-
 }  // namespace smst

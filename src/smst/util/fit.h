@@ -37,8 +37,4 @@ std::vector<ScalingFit> FitAll(const std::vector<double>& x,
                                const std::vector<double>& y,
                                const std::vector<ScalingModel>& models);
 
-// Convenience: best-fit name among StandardModels().
-std::string BestFitName(const std::vector<double>& x,
-                        const std::vector<double>& y);
-
 }  // namespace smst

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <stdexcept>
-#include <string>
 
 namespace smst {
 
@@ -37,20 +35,6 @@ double Quantile(std::vector<double> values, double q) {
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-double GeometricMean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double v : values) {
-    if (!(v > 0.0)) {  // also catches NaN
-      throw std::domain_error(
-          "GeometricMean requires strictly positive values, got " +
-          std::to_string(v));
-    }
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 }  // namespace smst

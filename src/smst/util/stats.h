@@ -23,13 +23,4 @@ Summary Summarize(const std::vector<double>& values);
 // sample. Precondition: values non-empty.
 double Quantile(std::vector<double> values, double q);
 
-// Geometric mean of strictly positive values (ratios across sweeps).
-// Empty input yields 0. A value <= 0 (or NaN) throws std::domain_error in
-// every build type: the Release builds used to slide through
-// log(0) = -inf and silently return 0, which reads as "ratio collapsed
-// to zero" in a sweep table — a loud failure beats a fabricated number,
-// and callers averaging ratios that can legitimately be zero should
-// filter (and count) those first.
-double GeometricMean(const std::vector<double>& values);
-
 }  // namespace smst

@@ -199,12 +199,6 @@ TEST(GraphTest, PortsCoverIncidentEdges) {
   EXPECT_EQ(ports[1].weight, 20u);
 }
 
-TEST(GraphTest, OtherEndpoint) {
-  auto g = Triangle();
-  EXPECT_EQ(g.OtherEndpoint(0, 0), 1u);
-  EXPECT_EQ(g.OtherEndpoint(0, 1), 0u);
-}
-
 TEST(GraphTest, TotalWeight) {
   auto g = Triangle();
   std::vector<EdgeIndex> set{0, 2};

@@ -1,10 +1,11 @@
 // Golden records for the five MST algorithms. Each cell's row was
 // recorded on the coroutine engine when every algorithm still had a
 // coroutine script next to its flat state machine; the flat form is now
-// the only source, and each cell must still reproduce its row on the
-// serial engine and on the sharded backend (2 shards). The at-scale rows
-// came later, from the flat programs as they were before their
-// per-node lists moved inline.
+// the only source, and each cell must still reproduce its row serially
+// and on 2 and 4 shards under both partition policies — the contract
+// that a run's every observable is the same at every shard count. The
+// at-scale rows came later, from the flat programs as they were before
+// their per-node lists moved inline.
 //
 // A row keeps the readable Table-1 numbers plus one digest over every
 // observable of the run (tree, per-node metrics, wake times, telemetry,
@@ -24,6 +25,7 @@
 #include "smst/graph/generators.h"
 #include "smst/lower_bounds/grc.h"
 #include "smst/mst/api.h"
+#include "smst/runtime/sharded/partition.h"
 
 namespace smst {
 namespace {
@@ -553,29 +555,43 @@ std::string RowOf(const std::string& cell, const MstRunResult& r) {
 }
 
 struct Replay {
-  const char* name;
-  std::uint32_t shards;
+  std::uint32_t shards;  // 0 = serial
+  ShardPolicy policy;
 };
+
+void ExpectReplayMatches(const Cell& c, const Replay& replay) {
+  SCOPED_TRACE(c.name + " on " +
+               (replay.shards == 0
+                    ? std::string("serial")
+                    : std::to_string(replay.shards) + " shards, " +
+                          ShardPolicyName(replay.policy)));
+  MstOptions opt = c.options;
+  opt.shards = replay.shards;
+  opt.shard_policy = replay.policy;
+  const MstRunResult r = ComputeMst(*c.graph, c.algo, opt);
+  const std::string row = RowOf(c.name, r);
+  const Golden* want = FindGolden(c.name);
+  if (want == nullptr) {
+    ADD_FAILURE() << "no golden row; actual:\n" << row;
+    return;
+  }
+  EXPECT_EQ(r.stats.rounds, want->rounds) << row;
+  EXPECT_EQ(r.stats.awake_node_rounds, want->awake_node_rounds) << row;
+  EXPECT_EQ(r.stats.total_messages, want->messages) << row;
+  EXPECT_EQ(r.phases, want->phases) << row;
+  EXPECT_STREQ(RunStatusName(r.outcome.status), want->outcome) << row;
+  EXPECT_EQ(DigestOf(r), want->digest) << row;
+}
 
 void ExpectCellsMatch(const std::vector<Cell>& cells) {
   for (const Cell& c : cells) {
-    const Golden* want = FindGolden(c.name);
-    for (const Replay& replay : {Replay{"serial", 0}, Replay{"2 shards", 2}}) {
-      SCOPED_TRACE(c.name + " on " + replay.name);
-      MstOptions opt = c.options;
-      opt.shards = replay.shards;
-      const MstRunResult r = ComputeMst(*c.graph, c.algo, opt);
-      const std::string row = RowOf(c.name, r);
-      if (want == nullptr) {
-        ADD_FAILURE() << "no golden row; actual:\n" << row;
-        continue;
-      }
-      EXPECT_EQ(r.stats.rounds, want->rounds) << row;
-      EXPECT_EQ(r.stats.awake_node_rounds, want->awake_node_rounds) << row;
-      EXPECT_EQ(r.stats.total_messages, want->messages) << row;
-      EXPECT_EQ(r.phases, want->phases) << row;
-      EXPECT_STREQ(RunStatusName(r.outcome.status), want->outcome) << row;
-      EXPECT_EQ(DigestOf(r), want->digest) << row;
+    for (const Replay& replay :
+         {Replay{0, ShardPolicy::kContiguousBlocks},
+          Replay{2, ShardPolicy::kContiguousBlocks},
+          Replay{2, ShardPolicy::kRoundRobin},
+          Replay{4, ShardPolicy::kContiguousBlocks},
+          Replay{4, ShardPolicy::kRoundRobin}}) {
+      ExpectReplayMatches(c, replay);
     }
   }
 }
@@ -619,6 +635,19 @@ TEST(MstGoldenTest, SeedSweptGraphsMatchTheRecords) {
 
 TEST(MstGoldenTest, AtScaleRunsMatchTheRecords) {
   ExpectCellsMatch(AtScaleCells());
+}
+
+TEST(ShardedIdentityTest, OverProvisionedShardCountClamps) {
+  // More shards than nodes: clamped to one node per shard, and still the
+  // 6-node cell's record.
+  const std::string name = "fuzz0-n6/randomized/seed1";
+  bool found = false;
+  for (const Cell& c : SeedSweptCells()) {
+    if (c.name != name) continue;
+    found = true;
+    ExpectReplayMatches(c, {64, ShardPolicy::kRoundRobin});
+  }
+  EXPECT_TRUE(found) << name;
 }
 
 }  // namespace

@@ -91,7 +91,7 @@ class FlatNode final : public FlatProgram {
     }
   }
 
-  Round Start(NodeIndex v, FlatEnv&, SendBatch& sends) override {
+  Round Start(NodeIndex v, Metrics&, SendBatch& sends) override {
     run_->rounds_seen[v].push_back(0);
     if (v == proto_.quiet) return kFlatDone;
     State& st = state_[v];
@@ -101,7 +101,7 @@ class FlatNode final : public FlatProgram {
     return proto_.First(v);
   }
 
-  Round Step(NodeIndex v, Round now, FlatEnv&, const InboxBatch& inbox,
+  Round Step(NodeIndex v, Round now, Metrics&, const InboxBatch& inbox,
              SendBatch& sends) override {
     State& st = state_[v];
     run_->rounds_seen[v].push_back(now);
@@ -314,10 +314,10 @@ class ConditionalWake final : public FlatProgram {
  public:
   explicit ConditionalWake(std::size_t n) : state_(n) {}
 
-  Round Start(NodeIndex v, FlatEnv&, SendBatch&) override {
+  Round Start(NodeIndex v, Metrics&, SendBatch&) override {
     return Advance(v);
   }
-  Round Step(NodeIndex v, Round now, FlatEnv&, const InboxBatch&,
+  Round Step(NodeIndex v, Round now, Metrics&, const InboxBatch&,
              SendBatch&) override {
     state_[v].woke.push_back(now);
     return Advance(v);

@@ -5,7 +5,9 @@
 //  * awake metering is consistent (sum of wake times == awake rounds);
 //  * termination modes agree on the output;
 //  * the awake-rounds distribution is balanced (no hot node).
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +34,23 @@ WeightedGraph MakeFamily(int family, std::size_t n, Xoshiro256& rng) {
     case 2: return MakeGrid(6, n / 6, rng);
     default: return MakeRandomGeometric(n, 0.25, rng);
   }
+}
+
+// A cell's test name, e.g. "randomized_er_seed1": the algorithm, the
+// graph family and the seed, in characters a gtest name may hold.
+std::string CellName(const ::testing::TestParamInfo<Combo>& cell) {
+  const Combo& c = cell.param;
+  std::string algo;
+  switch (c.algo) {
+    case MstAlgorithm::kRandomized: algo = "randomized"; break;
+    case MstAlgorithm::kDeterministic: algo = "deterministic"; break;
+    case MstAlgorithm::kDeterministicLogStar: algo = "logstar"; break;
+    case MstAlgorithm::kGhsBaseline: algo = "ghs"; break;
+    case MstAlgorithm::kBmSpanningTree: algo = "spanning"; break;
+  }
+  static const char* const kFamilies[] = {"er", "ring", "grid", "geometric"};
+  return algo + "_" + kFamilies[std::min(c.family, 3)] + "_seed" +
+         std::to_string(c.seed);
 }
 
 TEST_P(ProtocolPropertyTest, HoldsOnEveryRun) {
@@ -94,7 +113,8 @@ INSTANTIATE_TEST_SUITE_P(
         Combo{MstAlgorithm::kDeterministicLogStar, 0, 1},
         Combo{MstAlgorithm::kDeterministicLogStar, 1, 2},
         Combo{MstAlgorithm::kBmSpanningTree, 0, 1},
-        Combo{MstAlgorithm::kBmSpanningTree, 3, 2}));
+        Combo{MstAlgorithm::kBmSpanningTree, 3, 2}),
+    CellName);
 
 TEST(TerminationModeTest, EarlyDetectAndPaperBudgetAgreeOnTheTree) {
   Xoshiro256 rng(9);

@@ -1,6 +1,4 @@
 // Tests for stats, args, and the extra graph generators.
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 #include "smst/graph/generators.h"
@@ -36,20 +34,6 @@ TEST(StatsTest, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(Quantile(v, 1.0), 40.0);
   EXPECT_DOUBLE_EQ(Quantile(v, 0.5), 25.0);
   EXPECT_DOUBLE_EQ(Quantile(v, 1.0 / 3.0), 20.0);
-}
-
-TEST(StatsTest, GeometricMean) {
-  EXPECT_NEAR(GeometricMean({1, 4, 16}), 4.0, 1e-12);
-  EXPECT_NEAR(GeometricMean({2, 2, 2}), 2.0, 1e-12);
-  EXPECT_EQ(GeometricMean({}), 0.0);
-}
-
-TEST(StatsTest, GeometricMeanRejectsNonPositiveInEveryBuild) {
-  // Historically an assert (vanished in Release and silently produced
-  // NaN/-inf ratios in bench tables); now a thrown contract violation.
-  EXPECT_THROW(GeometricMean({1.0, 0.0, 4.0}), std::domain_error);
-  EXPECT_THROW(GeometricMean({-2.0}), std::domain_error);
-  EXPECT_THROW(GeometricMean({std::nan("")}), std::domain_error);
 }
 
 // -------------------------------------------------------------- args ---

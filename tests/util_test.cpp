@@ -246,7 +246,7 @@ TEST(FitTest, RecoversLinearScaling) {
   std::vector<double> x{100, 200, 400, 800, 1600};
   std::vector<double> y;
   for (double v : x) y.push_back(3.5 * v);
-  EXPECT_EQ(BestFitName(x, y), "n");
+  EXPECT_EQ(FitAll(x, y, StandardModels()).front().model, "n");
   auto fit = FitOne(x, y, {"n", [](double n) { return n; }});
   EXPECT_NEAR(fit.constant, 3.5, 1e-9);
   EXPECT_NEAR(fit.r_squared, 1.0, 1e-9);
@@ -256,14 +256,14 @@ TEST(FitTest, RecoversLogScaling) {
   std::vector<double> x{64, 256, 1024, 4096, 16384};
   std::vector<double> y;
   for (double v : x) y.push_back(2.0 * std::log2(v) + 0.01);
-  EXPECT_EQ(BestFitName(x, y), "log n");
+  EXPECT_EQ(FitAll(x, y, StandardModels()).front().model, "log n");
 }
 
 TEST(FitTest, RecoversNLogN) {
   std::vector<double> x{64, 256, 1024, 4096};
   std::vector<double> y;
   for (double v : x) y.push_back(0.7 * v * std::log2(v));
-  EXPECT_EQ(BestFitName(x, y), "n log n");
+  EXPECT_EQ(FitAll(x, y, StandardModels()).front().model, "n log n");
 }
 
 TEST(FitTest, AllModelsSortedByR2) {
