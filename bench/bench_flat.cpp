@@ -56,12 +56,7 @@ class FlatChatterProgram final : public FlatProgram {
  public:
   explicit FlatChatterProgram(const WeightedGraph& g) : g_(&g) {}
 
-  Round Start(NodeIndex v, Metrics&, SendBatch& sends) override {
-    PushAll(v, sends);
-    return 1;
-  }
-
-  Round Step(NodeIndex v, Round now, Metrics&, const InboxBatch&,
+  Round Step(NodeIndex v, Round now, const InboxBatch&,
              SendBatch& sends) override {
     if (now >= static_cast<Round>(kRounds)) return kFlatDone;
     PushAll(v, sends);

@@ -101,12 +101,7 @@ class FlatPingProgram final : public FlatProgram {
   FlatPingProgram(const WeightedGraph& g, int rounds)
       : g_(&g), rounds_(rounds) {}
 
-  Round Start(NodeIndex v, Metrics&, SendBatch& sends) override {
-    PushAll(v, sends);
-    return 1;
-  }
-
-  Round Step(NodeIndex v, Round now, Metrics&, const InboxBatch&,
+  Round Step(NodeIndex v, Round now, const InboxBatch&,
              SendBatch& sends) override {
     if (now >= static_cast<Round>(rounds_)) return kFlatDone;
     PushAll(v, sends);

@@ -47,6 +47,11 @@ endforeach()
 add_test(NAME bench_rejects_unknown_flag
          COMMAND bench_fragment_decay --seeds 1 --seed 3)
 set_tests_properties(bench_rejects_unknown_flag PROPERTIES WILL_FAIL TRUE)
+# Thread and shard counts are 32-bit: 2^32 + 1 threads must not wrap to 1.
+add_test(NAME bench_rejects_threads_past_32_bits
+         COMMAND bench_fragment_decay --seeds 1 --threads 4294967297)
+set_tests_properties(bench_rejects_threads_past_32_bits
+                     PROPERTIES WILL_FAIL TRUE)
 
 # The fixed sweeps read no flags at all; each exits 2 on any argument
 # (here the harness's --seeds) before its sweep starts.

@@ -23,24 +23,31 @@ void RejectArguments(int argc, char** argv) {
 
 Harness::Harness(std::string experiment, int argc, char** argv)
     : experiment_(std::move(experiment)) {
-  ArgParser args(argc, argv);
-  runner_ = ParallelRunner(static_cast<unsigned>(args.GetUint("threads", 0)));
-  seeds_override_ = args.GetUint("seeds", 0);
-  shards_ = static_cast<std::uint32_t>(args.GetUint("shards", 0));
-  shard_policy_ = ParseShardPolicy(args.GetString("shard-policy", "block"));
-  const std::string json_path = args.GetString("json", "");
-  if (auto unused = args.UnusedFlags(); !unused.empty()) {
-    // A misspelled flag must not run the full sweep as if it were absent.
-    std::cerr << "error: unknown flag --" << unused.front()
-              << " (harness flags: --threads N, --seeds K, --json PATH, "
-                 "--shards K, --shard-policy block|rr)\n";
+  std::string json_path;
+  try {
+    ArgParser args(argc, argv);
+    runner_ = ParallelRunner(args.GetUint32("threads", 0));
+    seeds_override_ = args.GetUint("seeds", 0);
+    shards_ = args.GetUint32("shards", 0);
+    shard_policy_ = ParseShardPolicy(args.GetString("shard-policy", "block"));
+    json_path = args.GetString("json", "");
+    if (auto unused = args.UnusedFlags(); !unused.empty()) {
+      // A misspelled flag must not run the full sweep as if it were
+      // absent.
+      throw std::invalid_argument(
+          "unknown flag --" + unused.front() +
+          " (harness flags: --threads N, --seeds K, --json PATH, "
+          "--shards K, --shard-policy block|rr)");
+    }
+  } catch (const std::invalid_argument& e) {
+    // Bad user input, not a bug: exit cleanly instead of letting the
+    // exception abort the bench with a terminate() backtrace.
+    std::cerr << "error: " << e.what() << "\n";
     std::exit(2);
   }
   if (!json_path.empty()) {
     json_.open(json_path);
     if (!json_) {
-      // Bad user input, not a bug: exit cleanly instead of letting the
-      // exception abort the bench with a terminate() backtrace.
       std::cerr << "error: cannot write --json file '" << json_path << "'\n";
       std::exit(2);
     }

@@ -36,17 +36,10 @@ class TreeOpsProgram final : public FlatProgram {
     for (TreeOpsNode& st : nodes_) st.cursor = BlockCursor(1, g.NumNodes());
   }
 
-  Round Start(NodeIndex v, Metrics& /*metrics*/, SendBatch& sends) override {
-    return Advance(v, kEmptyInbox, sends);
-  }
-  Round Step(NodeIndex v, Round /*now*/, Metrics& /*metrics*/,
-             const InboxBatch& inbox, SendBatch& sends) override {
-    return Advance(v, inbox, sends);
-  }
+  Round Step(NodeIndex v, Round now, const InboxBatch& inbox,
+             SendBatch& sends) override;
 
  private:
-  Round Advance(NodeIndex v, const InboxBatch& inbox, SendBatch& sends);
-
   // Records node v's answer to request i.
   void Answer(std::size_t i, NodeIndex v, std::uint64_t value) {
     TreeOpOutcome& out = (*outcomes_)[i];
@@ -61,8 +54,8 @@ class TreeOpsProgram final : public FlatProgram {
   std::vector<TreeOpsNode> nodes_;
 };
 
-Round TreeOpsProgram::Advance(NodeIndex v, const InboxBatch& inbox,
-                              SendBatch& sends) {
+Round TreeOpsProgram::Step(NodeIndex v, Round /*now*/,
+                           const InboxBatch& inbox, SendBatch& sends) {
   TreeOpsNode& st = nodes_[v];
   const FlatNodeRef node{g_, v};
   const LdtState& ldt = (*forest_)[v];

@@ -14,7 +14,6 @@
 #include "smst/mst/options.h"
 #include "smst/mst/result.h"
 #include "smst/runtime/flat/program.h"
-#include "smst/runtime/metrics.h"
 #include "smst/sleeping/flat_procedures.h"
 #include "smst/sleeping/ldt.h"
 
@@ -22,22 +21,24 @@ namespace smst::detail {
 
 // What every node of an MST program reads and writes outside its own
 // record: the run's phase budget, and the outputs RunProgram assembles
-// the result from. Every field but the snapshots is written at disjoint
-// (node- or port-indexed) slots, so shard workers need no lock for them.
+// the result from. The port marks, final LDTs and phases done are
+// written at disjoint (node- or port-indexed) slots, so shard workers
+// need no lock for them; the fields after them take `mutex`.
 struct Shared {
   // `algorithm` names the program in the phase-cap error.
   Shared(const WeightedGraph& graph, const MstOptions& options,
          const char* algorithm, std::uint64_t phase_cap);
 
+  // Adds one to `counts[phase]` (fragments_at or blue_at).
+  void Count(std::vector<std::uint64_t>& counts, std::uint64_t phase);
   // Records node v's LDT at the end of `phase` when snapshots are on.
   void Snapshot(std::uint64_t phase, NodeIndex v, const LdtState& ldt);
   // The end of node v's program: throws NonTerminationError if an
   // early-detect run used up its phases without finishing, else extends
-  // the run meter to `last_round` and records v's final LDT and last
-  // active phase. Returns kFlatDone.
+  // run_end to `last_round` and records v's final LDT and last active
+  // phase. Returns kFlatDone.
   Round Finish(NodeIndex v, bool finished, Round last_round,
-               const LdtState& ldt, std::uint64_t last_active_phase,
-               Metrics& metrics);
+               const LdtState& ldt, std::uint64_t last_active_phase);
 
   const WeightedGraph* g;
   const char* algorithm;
@@ -50,19 +51,28 @@ struct Shared {
   std::vector<std::uint8_t> port_marks;
   std::vector<LdtState> final_ldt;
   std::vector<std::uint64_t> phases_done;
+  // Under `mutex`: every node writes these, from every shard's worker at
+  // once, and the vectors grow as phases come. The contents are order-
+  // independent: a snapshot cell (phase-1, v) has one writer, the counts
+  // are sums and run_end is a maximum.
   std::vector<std::vector<LdtState>> snapshots;
-  // Snapshots grow lazily as phases complete; under K >= 2 shards nodes
-  // on different workers hit that growth concurrently, so the telemetry
-  // path takes a lock. The final contents are order-independent: cell
-  // (phase-1, v) is written by exactly one node.
-  std::mutex snapshot_mutex;
+  // Fragment roots alive at each phase's start, and Blue fragment roots
+  // (Deterministic-MST); index 0 unused.
+  std::vector<std::uint64_t> fragments_at;
+  std::vector<std::uint64_t> blue_at;
+  // The latest round any node's program ended in. A paper-phase run
+  // sleeps through its unused phases but still takes them, so this is
+  // past its last awake round.
+  Round run_end = 0;
+  std::mutex mutex;
 };
 
 // Runs `program`, whose nodes write `shared`, on `g` under `options`, and
-// assembles the result: the tree from the port marks, the metrics, the
-// phases done, the final LDTs and the snapshots of those phases. A run
-// with a non-empty fault plan is classified into MstRunResult::outcome
-// (and its completed result refined) instead of throwing.
+// assembles the result: the tree from the port marks, the metrics (their
+// round count extended to run_end), the phases done, the final LDTs, and
+// the per-phase counts and snapshots of those phases. A run with a
+// non-empty fault plan is classified into MstRunResult::outcome (and its
+// completed result refined) instead of throwing.
 MstRunResult RunProgram(const WeightedGraph& g, const MstOptions& options,
                         FlatProgram& program, Shared& shared);
 

@@ -116,19 +116,10 @@ class FlatDetProgram final : public FlatProgram {
     }
   }
 
-  Round Start(NodeIndex v, Metrics& metrics, SendBatch& sends) override {
-    return Advance(v, metrics, kEmptyInbox, sends);
-  }
-
-  Round Step(NodeIndex v, Round /*now*/, Metrics& metrics,
-             const InboxBatch& inbox, SendBatch& sends) override {
-    return Advance(v, metrics, inbox, sends);
-  }
+  Round Step(NodeIndex v, Round now, const InboxBatch& inbox,
+             SendBatch& sends) override;
 
  private:
-  Round Advance(NodeIndex v, Metrics& metrics, const InboxBatch& inbox,
-                SendBatch& sends);
-
   const WeightedGraph* g_;
   detail::Shared* sh_;
   // Per-run constants of the schedule, fixed by (n, N) and the coloring.
@@ -141,8 +132,8 @@ class FlatDetProgram final : public FlatProgram {
   std::vector<NodeId> nbr_frag_;
 };
 
-Round FlatDetProgram::Advance(NodeIndex v, Metrics& metrics,
-                              const InboxBatch& inbox, SendBatch& sends) {
+Round FlatDetProgram::Step(NodeIndex v, Round /*now*/,
+                           const InboxBatch& inbox, SendBatch& sends) {
   FlatDetNode& st = nodes_[v];
   const FlatNodeRef node{g_, v};
   const std::size_t n = node.NumNodesKnown();
@@ -162,7 +153,7 @@ Round FlatDetProgram::Advance(NodeIndex v, Metrics& metrics,
           continue;
         }
         st.last_active_phase = st.phase;
-        if (st.ldt.IsRoot()) metrics.Probe(kProbeFragmentsAtPhase, st.phase);
+        if (st.ldt.IsRoot()) sh_->Count(sh_->fragments_at, st.phase);
 
         // ---- step (i): find the fragment MOE -------------------------
         // B1: learn adjacent fragment IDs.
@@ -322,9 +313,7 @@ Round FlatDetProgram::Advance(NodeIndex v, Metrics& metrics,
           SMST_FLAT_SUB(st, *st.logstar, st.logstar->Begin(node, st.ldt, st.cursor, st.nbr_info, st.h_ports, cv_iters_, sends));
           st.is_blue = st.logstar->result.IsMover();
         }
-        if (st.ldt.IsRoot() && st.is_blue) {
-          metrics.Probe(kProbeBlueAtPhase, st.phase);
-        }
+        if (st.ldt.IsRoot() && st.is_blue) sh_->Count(sh_->blue_at, st.phase);
 
         // Merge wave 1: Blue fragments with H-neighbors pick the
         // lowest-ID neighbor (any choice works; all its neighbors are
@@ -342,9 +331,6 @@ Round FlatDetProgram::Advance(NodeIndex v, Metrics& metrics,
           for (const LocalEntry& e : st.locals) {
             if (e.weight == chosen.weight) st.role.attach_port = e.port;
           }
-          if (st.role.is_tails && st.ldt.IsRoot()) {
-            metrics.Probe(kProbeMergesAtPhase, st.phase);
-          }
         }
         SMST_FLAT_SUB(st, st.merge, st.merge.Begin(node, st.ldt, st.cursor, st.role, mark, sends));
 
@@ -354,14 +340,13 @@ Round FlatDetProgram::Advance(NodeIndex v, Metrics& metrics,
         if (st.is_blue && st.nbr_info.empty()) {
           st.role.is_tails = true;
           if (st.moe_port != kNoPort) st.role.attach_port = st.moe_port;
-          if (st.ldt.IsRoot()) metrics.Probe(kProbeMergesAtPhase, st.phase);
         }
         SMST_FLAT_SUB(st, st.merge, st.merge.Begin(node, st.ldt, st.cursor, st.role, mark, sends));
         sh_->Snapshot(st.phase, v, st.ldt);
       }
 
       return sh_->Finish(v, st.finished, st.cursor.NextRound() - 1, st.ldt,
-                         st.last_active_phase, metrics);
+                         st.last_active_phase);
   }
   throw std::logic_error("flat program: unreachable");
 }

@@ -73,11 +73,4 @@ struct MstOptions {
   EngineMode engine = EngineMode::kCoroutine;
 };
 
-// Probe kinds recorded out-of-band for the benches.
-enum ProbeKind : std::uint32_t {
-  kProbeFragmentsAtPhase = 1,  // key: phase; delta: +1 per fragment root
-  kProbeBlueAtPhase = 2,       // key: phase; +1 per Blue fragment root
-  kProbeMergesAtPhase = 3,     // key: phase; +1 per merging fragment
-};
-
 }  // namespace smst

@@ -74,19 +74,10 @@ class FlatGhsProgram final : public FlatProgram {
     }
   }
 
-  Round Start(NodeIndex v, Metrics& metrics, SendBatch& sends) override {
-    return Advance(v, metrics, kEmptyInbox, sends);
-  }
-
-  Round Step(NodeIndex v, Round /*now*/, Metrics& metrics,
-             const InboxBatch& inbox, SendBatch& sends) override {
-    return Advance(v, metrics, inbox, sends);
-  }
+  Round Step(NodeIndex v, Round now, const InboxBatch& inbox,
+             SendBatch& sends) override;
 
  private:
-  Round Advance(NodeIndex v, Metrics& metrics, const InboxBatch& inbox,
-                SendBatch& sends);
-
   const WeightedGraph* g_;
   detail::Shared* sh_;
   const detail::SelectionRule rule_;
@@ -96,8 +87,8 @@ class FlatGhsProgram final : public FlatProgram {
   std::vector<NodeId> nbr_frag_;
 };
 
-Round FlatGhsProgram::Advance(NodeIndex v, Metrics& metrics,
-                              const InboxBatch& inbox, SendBatch& sends) {
+Round FlatGhsProgram::Step(NodeIndex v, Round /*now*/,
+                           const InboxBatch& inbox, SendBatch& sends) {
   FlatGhsNode& st = nodes_[v];
   const FlatNodeRef node{g_, v};
   const std::size_t n = node.NumNodesKnown();
@@ -127,7 +118,7 @@ Round FlatGhsProgram::Advance(NodeIndex v, Metrics& metrics,
           continue;
         }
         st.last_active_phase = st.phase;
-        if (st.ldt.IsRoot()) metrics.Probe(kProbeFragmentsAtPhase, st.phase);
+        if (st.ldt.IsRoot()) sh_->Count(sh_->fragments_at, st.phase);
 
         // B1: learn adjacent fragment IDs.
         for (std::uint32_t p = 0; p < node.Degree(); ++p) {
@@ -194,15 +185,12 @@ Round FlatGhsProgram::Advance(NodeIndex v, Metrics& metrics,
         if (st.role.is_tails && st.moe_port != kNoPort) {
           st.role.attach_port = st.moe_port;
         }
-        if (st.role.is_tails && st.ldt.IsRoot()) {
-          metrics.Probe(kProbeMergesAtPhase, st.phase);
-        }
         SMST_FLAT_SUB(st, st.merge, st.merge.Begin(node, st.ldt, st.cursor, st.role, mark, sends));
         sh_->Snapshot(st.phase, v, st.ldt);
       }
 
       return sh_->Finish(v, st.finished, st.cursor.NextRound() - 1, st.ldt,
-                         st.last_active_phase, metrics);
+                         st.last_active_phase);
   }
   throw std::logic_error("flat program: unreachable");
 }

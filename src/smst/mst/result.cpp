@@ -50,15 +50,6 @@ MstRunResult AssembleResult(const WeightedGraph& g,
       r.wake_times.push_back(metrics.Node(v).wake_times);
     }
   }
-
-  r.fragments_per_phase.assign(phases + 1, 0);
-  r.blue_per_phase.assign(phases + 1, 0);
-  for (std::uint64_t phase = 1; phase <= phases; ++phase) {
-    r.fragments_per_phase[phase] = static_cast<std::uint64_t>(
-        metrics.ProbeValue(kProbeFragmentsAtPhase, phase));
-    r.blue_per_phase[phase] = static_cast<std::uint64_t>(
-        metrics.ProbeValue(kProbeBlueAtPhase, phase));
-  }
   return r;
 }
 
@@ -97,9 +88,15 @@ Shared::Shared(const WeightedGraph& graph, const MstOptions& options,
       final_ldt(graph.NumNodes()),
       phases_done(graph.NumNodes(), 0) {}
 
+void Shared::Count(std::vector<std::uint64_t>& counts, std::uint64_t phase) {
+  std::lock_guard<std::mutex> lock(mutex);
+  if (counts.size() <= phase) counts.resize(phase + 1, 0);
+  ++counts[phase];
+}
+
 void Shared::Snapshot(std::uint64_t phase, NodeIndex v, const LdtState& ldt) {
   if (!record_snapshots) return;
-  std::lock_guard<std::mutex> lock(snapshot_mutex);
+  std::lock_guard<std::mutex> lock(mutex);
   if (snapshots.size() < phase) {
     snapshots.resize(phase, std::vector<LdtState>(g->NumNodes()));
   }
@@ -107,14 +104,16 @@ void Shared::Snapshot(std::uint64_t phase, NodeIndex v, const LdtState& ldt) {
 }
 
 Round Shared::Finish(NodeIndex v, bool finished, Round last_round,
-                     const LdtState& ldt, std::uint64_t last_active_phase,
-                     Metrics& metrics) {
+                     const LdtState& ldt, std::uint64_t last_active_phase) {
   if (!finished && termination == TerminationMode::kEarlyDetect) {
     throw NonTerminationError(std::string(algorithm) + ": phase cap " +
                               std::to_string(phase_cap) +
                               " exceeded without termination");
   }
-  metrics.ExtendRun(last_round);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    run_end = std::max(run_end, last_round);
+  }
   final_ldt[v] = ldt;
   phases_done[v] = last_active_phase;
   return kFlatDone;
@@ -155,6 +154,16 @@ MstRunResult RunProgram(const WeightedGraph& g, const MstOptions& options,
   for (auto p : shared.phases_done) phases = std::max(phases, p);
   auto result = AssembleResult(g, shared.port_marks, sim.GetMetrics(), phases,
                                std::move(shared.final_ldt));
+  // The run ends when its last node's program does, which may be past
+  // the last round any node was awake in.
+  result.stats.rounds = std::max(result.stats.rounds, shared.run_end);
+  if (faulted) {
+    outcome.last_round = std::max(outcome.last_round, shared.run_end);
+  }
+  shared.fragments_at.resize(phases + 1);
+  shared.blue_at.resize(phases + 1);
+  result.fragments_per_phase = std::move(shared.fragments_at);
+  result.blue_per_phase = std::move(shared.blue_at);
   shared.snapshots.resize(
       std::min<std::size_t>(shared.snapshots.size(), phases));
   result.forest_per_phase = std::move(shared.snapshots);

@@ -30,7 +30,7 @@ struct MstRunResult {
   RunOutcome outcome;
 
   // Telemetry: fragments alive at the start of each phase (1-indexed by
-  // phase; entry 0 unused), from root probes.
+  // phase; entry 0 unused), counted by each fragment's root.
   std::vector<std::uint64_t> fragments_per_phase;
   // Deterministic algorithm only: Blue fragments per phase.
   std::vector<std::uint64_t> blue_per_phase;

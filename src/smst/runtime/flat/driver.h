@@ -40,9 +40,9 @@
 
 namespace smst {
 
-// The inbox a script's `case 0:` runs with: nothing arrives before a
-// node's first wake. Every program's Start and every sub-machine's Begin
-// pass this one instead of constructing their own.
+// The inbox a sub-machine's `case 0:` runs with: nothing arrives before
+// its first wake. Every sub-machine's Begin passes this one instead of
+// constructing its own.
 inline const InboxBatch kEmptyInbox{};
 
 }  // namespace smst

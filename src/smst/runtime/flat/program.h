@@ -9,26 +9,26 @@
 //
 //   coroutine                      flat
 //   ---------                      ----
-//   program(ctx) + Start()         Start(v, metrics, sends) -> first round
-//   resume with inbox              Step(v, now, metrics, inbox, sends)
+//   program(ctx) + Start()         Step(v, 0, {}, sends) -> first round
+//   resume with inbox              Step(v, now, inbox, sends)
 //   co_await Awake(r, sends)       return r (sends already pushed)
 //   co_return                      return kFlatDone
 //
-// The Scheduler (runtime/scheduler.h), the one round loop, calls Start
-// once per node (before round 1) and then Step each time the node's
-// requested round comes due, in canonical ascending-node order (DESIGN.md
-// §13). It steps nothing else: coroutine NodePrograms reach it through
-// the CoroutineProgram adapter (runtime/node.h), so a flat program and a
-// coroutine of the same protocol give bit-identical runs. An exception
-// thrown by Start/Step marks the node failed, exactly like a coroutine
-// exception reaching its promise.
+// The Scheduler (runtime/scheduler.h), the one round loop, calls Step
+// once per node with now == 0 and an empty inbox (before round 1) and
+// then each time the node's requested round comes due, in canonical
+// ascending-node order (DESIGN.md §13). It steps nothing else: coroutine
+// NodePrograms reach it through the CoroutineProgram adapter
+// (runtime/node.h), so a flat program and a coroutine of the same
+// protocol give bit-identical runs. An exception thrown by Step marks
+// the node failed, exactly like a coroutine exception reaching its
+// promise.
 #pragma once
 
 #include <cstdint>
 
 #include "smst/graph/graph.h"
 #include "smst/runtime/message.h"
-#include "smst/runtime/metrics.h"
 
 namespace smst {
 
@@ -43,26 +43,21 @@ inline constexpr Round kFlatDone = ~Round{0};
 // A node program lowered to a batched state machine over all nodes.
 // One instance serves every node of a run (K-shard runs share it across
 // worker threads; implementations keep per-node state in disjoint
-// per-node slots and touch nothing else from Step). Besides its own
-// state a program may touch only `metrics`, the meters of the shard
-// that runs v, for out-of-band probes (Metrics::Probe). Per-node
-// randomness is the program's own concern: drivers split a root PRNG
-// per node exactly like Simulator does for contexts.
+// per-node slots and touch nothing else from Step). Per-node randomness
+// is the program's own concern: drivers split a root PRNG per node
+// exactly like Simulator does for contexts.
 class FlatProgram {
  public:
   virtual ~FlatProgram() = default;
 
-  // Runs node v up to its first suspension. Returns the node's first
-  // awake round with that round's sends pushed into `sends`, or
-  // kFlatDone if the node finishes without ever waking.
-  virtual Round Start(NodeIndex v, Metrics& metrics, SendBatch& sends) = 0;
-
   // Advances node v through its awake round `now`: `inbox` holds the
   // round's delivered messages; the implementation pushes the *next*
   // requested round's sends into `sends` and returns that round, or
-  // kFlatDone when the node terminates.
-  virtual Round Step(NodeIndex v, Round now, Metrics& metrics,
-                     const InboxBatch& inbox, SendBatch& sends) = 0;
+  // kFlatDone when the node terminates. The first call for each node has
+  // now == 0 and an empty inbox: it runs the node up to its first
+  // suspension (kFlatDone if the node finishes without ever waking).
+  virtual Round Step(NodeIndex v, Round now, const InboxBatch& inbox,
+                     SendBatch& sends) = 0;
 };
 
 // The node-local graph view a flat program sees: the same ID / degree /

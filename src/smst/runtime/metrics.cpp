@@ -23,9 +23,6 @@ void Metrics::MergeFrom(const Metrics& other) {
   if (other.max_message_bits_ > max_message_bits_) {
     max_message_bits_ = other.max_message_bits_;
   }
-  for (const ProbeEntry& e : other.probes_) {
-    Probe(e.first.first, e.first.second, e.second);
-  }
 }
 
 RunStats Metrics::Summarize() const {

@@ -20,26 +20,26 @@ CoroutineProgram::CoroutineProgram(const WeightedGraph& graph,
   runners_.resize(slots);
 }
 
-Round CoroutineProgram::Start(NodeIndex v, Metrics& /*metrics*/,
-                              SendBatch& sends) {
-  const std::size_t i = Slot(v);
-  // Each node's private randomness is a substream keyed by its index, so
-  // runs are reproducible whatever the engine or shard count.
-  NodeContext& ctx = contexts_[i].emplace(*this, v, root_rng_.Split(v));
-  runners_[i] = TaskRunner(program_(ctx));
-  sends_ = &sends;
-  runners_[i].Start();
-  return Suspended(v, i);
-}
-
-Round CoroutineProgram::Step(NodeIndex v, Round now, Metrics& /*metrics*/,
-                             const InboxBatch& inbox, SendBatch& sends) {
+Round CoroutineProgram::Step(NodeIndex v, Round now, const InboxBatch& inbox,
+                             SendBatch& sends) {
   const std::size_t i = Slot(v);
   now_ = now;
   inbox_ = &inbox;
   sends_ = &sends;
-  contexts_[i]->suspended_.resume();
+  if (now == 0) {
+    Launch(v, i);
+  } else {
+    contexts_[i]->suspended_.resume();
+  }
   return Suspended(v, i);
+}
+
+void CoroutineProgram::Launch(NodeIndex v, std::size_t i) {
+  // Each node's private randomness is a substream keyed by its index, so
+  // runs are reproducible whatever the shard count.
+  NodeContext& ctx = contexts_[i].emplace(*this, v, root_rng_.Split(v));
+  runners_[i] = TaskRunner(program_(ctx));
+  runners_[i].Start();
 }
 
 Round CoroutineProgram::Suspended(NodeIndex v, std::size_t i) {

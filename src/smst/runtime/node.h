@@ -18,9 +18,10 @@
 // any global state, other nodes' metrics.
 //
 // Coroutine programs run on the one round loop (runtime/scheduler.h)
-// through CoroutineProgram, the FlatProgram adapter below: Start creates
-// and starts a node's task, Step resumes the frame suspended in Awake,
-// and Awake hands its sends straight to the engine's send lane.
+// through CoroutineProgram, the FlatProgram adapter below: its round-0
+// Step creates and starts a node's task, every later Step resumes the
+// frame suspended in Awake, and Awake hands its sends straight to the
+// engine's send lane.
 #pragma once
 
 #include <coroutine>
@@ -33,7 +34,6 @@
 #include "smst/graph/graph.h"
 #include "smst/runtime/flat/program.h"
 #include "smst/runtime/message.h"
-#include "smst/runtime/metrics.h"
 #include "smst/runtime/sharded/partition.h"
 #include "smst/runtime/task.h"
 #include "smst/util/prng.h"
@@ -124,9 +124,10 @@ class CoroutineProgram final : public FlatProgram {
                    const ShardPartition* partition = nullptr,
                    std::uint32_t shard = 0);
 
-  Round Start(NodeIndex v, Metrics& metrics, SendBatch& sends) override;
-  Round Step(NodeIndex v, Round now, Metrics& metrics,
-             const InboxBatch& inbox, SendBatch& sends) override;
+  // now == 0 creates node v's task and runs it to its first Awake;
+  // later calls resume the frame suspended there.
+  Round Step(NodeIndex v, Round now, const InboxBatch& inbox,
+             SendBatch& sends) override;
 
  private:
   friend class NodeContext;
@@ -134,6 +135,10 @@ class CoroutineProgram final : public FlatProgram {
   std::size_t Slot(NodeIndex v) const {
     return partition_ == nullptr ? v : partition_->LocalIndex(v);
   }
+  // Creates node v's context and task in slot i and runs the task to its
+  // first suspension. Out of line: inlined, its locals cost every later
+  // Step two more saved registers.
+  [[gnu::noinline]] void Launch(NodeIndex v, std::size_t i);
   // The round node slot i's frame now waits for, or kFlatDone once its
   // task finished (rethrowing the exception the task ended with).
   Round Suspended(NodeIndex v, std::size_t i);

@@ -46,7 +46,16 @@ void ParallelRunner::ForEach(
     };
     std::vector<std::thread> pool;
     pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
+    try {
+      for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
+    } catch (...) {
+      // A worker could not start (the host is out of threads or address
+      // space): stop the started ones after their current job, join
+      // them and rethrow.
+      cursor.store(count, std::memory_order_relaxed);
+      for (std::thread& t : pool) t.join();
+      throw;
+    }
     for (std::thread& t : pool) t.join();
   }
 

@@ -87,15 +87,11 @@ void Scheduler::Run(FlatProgram& program) {
 
 void Scheduler::Start(FlatProgram& program) {
   program_ = &program;
+  // Round 0: the clock reads 0 and every inbox lane is empty.
   for (std::size_t i = 0; i < status_.size(); ++i) {
     const NodeIndex v = NodeOfLane(i);
-    try {
-      const Round first =
-          Settle(v, i, program.Start(v, metrics_, sends_[i]));
-      if (first != 0) queue_.Push(v, first);
-    } catch (...) {
-      Fail(i);
-    }
+    const Round first = StepNode(v, i);
+    if (first != 0) queue_.Push(v, first);
   }
 }
 
@@ -189,24 +185,17 @@ Round Scheduler::StepNode(NodeIndex v, std::size_t i) {
   // allocated once.
   sends_[i].clear();
   try {
-    const Round next =
-        program_->Step(v, current_round_, metrics_, inbox_[i], sends_[i]);
+    const Round next = program_->Step(v, current_round_, inbox_[i], sends_[i]);
     inbox_[i].clear();
-    return Settle(v, i, next);
+    if (next != kFlatDone) return Admit(v, next, sends_[i]);
+    status_[i] = Status::kDone;
+    sends_[i].clear();
+    return 0;
   } catch (...) {
     inbox_[i].clear();
     Fail(i);
     return 0;
   }
-}
-
-Round Scheduler::Settle(NodeIndex v, std::size_t i, Round requested) {
-  if (requested == kFlatDone) {
-    status_[i] = Status::kDone;
-    sends_[i].clear();
-    return 0;
-  }
-  return Admit(v, requested, sends_[i]);
 }
 
 Round Scheduler::Admit(NodeIndex v, Round requested, const SendBatch& sends) {

@@ -116,8 +116,9 @@ class Scheduler {
     return partition_ == nullptr || partition_->Owner(v) == shard_;
   }
 
-  // Start pass: every owned node to its first request, ascending — the
-  // first wakes are all registered before round 1 runs.
+  // Start pass: round 0, every owned node stepped to its first request
+  // in ascending order — the first wakes are all registered before
+  // round 1 runs.
   void Start(FlatProgram& program);
   // Throws NonTerminationError if round r is past the watchdog.
   void CheckWatchdog(Round r) const;
@@ -168,11 +169,9 @@ class Scheduler {
   void BuildFusedOrder();
   // Steps node v (lane i) through the current round; returns the round
   // to queue it for, or 0 if it finished, failed or was crash-stopped.
-  // Inline: both sweeps that call it are in scheduler.cpp.
+  // Inline: the start pass and both sweeps that call it are in
+  // scheduler.cpp.
   inline Round StepNode(NodeIndex v, std::size_t i);
-  // Turns a program's request into the round to queue: kFlatDone marks
-  // the node done (0); otherwise Admit.
-  Round Settle(NodeIndex v, std::size_t i, Round requested);
   // The registration contract for node v's next wake with `sends` for
   // that round. Under an active fault plan the round may be jittered or
   // clamped (to current + 1), and a crash-stopped node's wake is

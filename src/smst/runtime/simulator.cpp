@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -111,14 +112,27 @@ void Simulator::Execute(const NodeProgram* coroutine, FlatProgram* flat) {
     barrier_.emplace(static_cast<std::ptrdiff_t>(k), RoundReduce{this});
     std::vector<std::thread> workers;
     workers.reserve(k);
-    for (std::uint32_t s = 0; s < k; ++s) {
-      workers.emplace_back(
-          [this, s, coroutine, flat] { ShardMain(s, coroutine, flat); });
+    try {
+      for (std::uint32_t s = 0; s < k; ++s) {
+        workers.emplace_back(
+            [this, s, coroutine, flat] { ShardMain(s, coroutine, flat); });
+      }
+    } catch (...) {
+      // A worker could not start (the host is out of threads or address
+      // space). Release the started ones: the flag stops them at their
+      // first barrier exit, where one drop per missing worker stands in
+      // for its arrival. Then join them and rethrow.
+      abort_.store(true, std::memory_order_release);
+      for (std::size_t s = workers.size(); s < k; ++s) {
+        barrier_->arrive_and_drop();
+      }
+      for (std::thread& t : workers) t.join();
+      throw;
     }
     for (std::thread& t : workers) t.join();
     // Merge in fixed shard order so the result is a pure function of the
     // per-shard states: every counter is a sum, round and message-bit
-    // peaks are maxima, probes are key-summed, wake times are owner-only.
+    // peaks are maxima, wake times are owner-only.
     for (const auto& shard : shards_) {
       if (shard) metrics_.MergeFrom(shard->metrics);
     }
@@ -218,6 +232,8 @@ void Simulator::ClassifyFailure(RunOutcome& out) {
     out.detail = e.what();
   } catch (const std::logic_error&) {
     throw;  // a programming bug, not a fault effect
+  } catch (const std::system_error&) {
+    throw;  // the host (a worker thread that could not start), not the run
   } catch (const std::exception& e) {
     // Any other failure a fault drove the algorithm into (defensive
     // checks on malformed protocol state) counts as a crashed run.

@@ -302,9 +302,9 @@ struct FlatLogStarColoring {
                SendBatch& sends);
 };
 
-// A whole FlatProgram running one sub-machine per node: Start calls
-// `begin` on node v's instance, every later Step resumes it until it
-// finishes. Tests and benches drive single procedures with it:
+// A whole FlatProgram running one sub-machine per node: the round-0
+// Step calls `begin` on node v's instance, every later Step resumes it
+// until it finishes. Tests and benches drive single procedures with it:
 //
 //   ProcedureProgram<FlatUpcastMin> program(g, [&](const FlatNodeRef& node,
 //       FlatUpcastMin& proc, SendBatch& sends) {
@@ -320,12 +320,11 @@ class ProcedureProgram final : public FlatProgram {
   ProcedureProgram(const WeightedGraph& g, BeginFn begin)
       : g_(&g), begin_(std::move(begin)), procs_(g.NumNodes()) {}
 
-  Round Start(NodeIndex v, Metrics& /*metrics*/, SendBatch& sends) override {
-    return begin_(FlatNodeRef{g_, v}, procs_[v], sends);
-  }
-  Round Step(NodeIndex v, Round /*now*/, Metrics& /*metrics*/,
-             const InboxBatch& inbox, SendBatch& sends) override {
-    return procs_[v].Resume(FlatNodeRef{g_, v}, inbox, sends);
+  Round Step(NodeIndex v, Round now, const InboxBatch& inbox,
+             SendBatch& sends) override {
+    const FlatNodeRef node{g_, v};
+    return now == 0 ? begin_(node, procs_[v], sends)
+                    : procs_[v].Resume(node, inbox, sends);
   }
 
   const Proc& operator[](NodeIndex v) const { return procs_[v]; }

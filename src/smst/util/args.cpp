@@ -1,5 +1,6 @@
 #include "smst/util/args.h"
 
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -61,6 +62,17 @@ std::uint64_t ArgParser::GetUint(const std::string& name,
                                 it->second + "'");
   }
   return *v;
+}
+
+std::uint32_t ArgParser::GetUint32(const std::string& name,
+                                   std::uint32_t fallback) const {
+  const std::uint64_t v = GetUint(name, fallback);
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("--" + name +
+                                " expects at most 4294967295, got " +
+                                std::to_string(v));
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
 double ArgParser::GetDouble(const std::string& name, double fallback) const {

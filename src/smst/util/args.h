@@ -22,6 +22,10 @@ class ArgParser {
   std::string GetString(const std::string& name,
                         const std::string& fallback) const;
   std::uint64_t GetUint(const std::string& name, std::uint64_t fallback) const;
+  // GetUint for a 32-bit setting (a shard or thread count): a value past
+  // 2^32 - 1 is refused rather than wrapped.
+  std::uint32_t GetUint32(const std::string& name,
+                          std::uint32_t fallback) const;
   double GetDouble(const std::string& name, double fallback) const;
   bool GetBool(const std::string& name, bool fallback) const;
 

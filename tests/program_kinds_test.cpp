@@ -91,20 +91,17 @@ class FlatNode final : public FlatProgram {
     }
   }
 
-  Round Start(NodeIndex v, Metrics&, SendBatch& sends) override {
-    run_->rounds_seen[v].push_back(0);
-    if (v == proto_.quiet) return kFlatDone;
-    State& st = state_[v];
-    st.acc = g_->IdOf(v);
-    st.left = Protocol::Wakes(v);
-    sends = AllPorts(g_->DegreeOf(v), st.acc, st.left);
-    return proto_.First(v);
-  }
-
-  Round Step(NodeIndex v, Round now, Metrics&, const InboxBatch& inbox,
+  Round Step(NodeIndex v, Round now, const InboxBatch& inbox,
              SendBatch& sends) override {
     State& st = state_[v];
     run_->rounds_seen[v].push_back(now);
+    if (now == 0) {
+      if (v == proto_.quiet) return kFlatDone;
+      st.acc = g_->IdOf(v);
+      st.left = Protocol::Wakes(v);
+      sends = AllPorts(g_->DegreeOf(v), st.acc, st.left);
+      return proto_.First(v);
+    }
     st.acc = Protocol::Absorb(st.acc, inbox);
     const Round next = Protocol::Next(now, st.acc, inbox, st.rng);
     if (--st.left == 0) {
@@ -308,30 +305,64 @@ TEST(ProgramKindsTest, AwakeAtRoundZeroFailsUnlessAFaultPlanClampsIt) {
   }
 }
 
+// Node 0 throws on its round-0 step; every other node wakes in round 1,
+// sends on every port and finishes.
+class ThrowAtStart final : public FlatProgram {
+ public:
+  explicit ThrowAtStart(const WeightedGraph& g) : g_(&g) {}
+
+  Round Step(NodeIndex v, Round now, const InboxBatch&,
+             SendBatch& sends) override {
+    if (now != 0) return kFlatDone;
+    if (v == 0) throw std::runtime_error("node 0 failed at start");
+    sends = AllPorts(g_->DegreeOf(v), v, 1);
+    return 1;
+  }
+
+ private:
+  const WeightedGraph* g_;
+};
+
+TEST(ProgramKindsTest, StartFailureFailsOnlyItsNode) {
+  Xoshiro256 rng(8);
+  const WeightedGraph g = MakeRing(8, rng);
+  for (const std::uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    SimulatorOptions opt;
+    opt.shards = shards;
+    ThrowAtStart program(g);
+    {
+      Simulator sim(g, opt);
+      try {
+        sim.Run(program);
+        ADD_FAILURE() << "the start failure did not surface";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "node 0 failed at start");
+      }
+    }
+    Simulator sim(g, opt);
+    const RunOutcome out = sim.RunToOutcome(program);
+    EXPECT_EQ(out.status, RunStatus::kCrashedPartition);
+    EXPECT_EQ(out.detail, "node 0 failed at start");
+    EXPECT_EQ(out.unfinished_nodes, 0u);
+    // The peers still ran: one metered wake each, and their sends to the
+    // failed node are model drops.
+    const RunStats stats = sim.Stats();
+    EXPECT_EQ(stats.awake_node_rounds, 7u);
+    EXPECT_EQ(sim.GetMetrics().Node(0).awake_rounds, 0u);
+    EXPECT_EQ(stats.dropped_messages, 2u);
+  }
+}
+
 // A script whose first wake is conditional and unbraced: only the even
 // nodes wake in round 1, then every node wakes in round 2.
 class ConditionalWake final : public FlatProgram {
  public:
   explicit ConditionalWake(std::size_t n) : state_(n) {}
 
-  Round Start(NodeIndex v, Metrics&, SendBatch&) override {
-    return Advance(v);
-  }
-  Round Step(NodeIndex v, Round now, Metrics&, const InboxBatch&,
-             SendBatch&) override {
-    state_[v].woke.push_back(now);
-    return Advance(v);
-  }
-  const std::vector<Round>& Woke(NodeIndex v) const { return state_[v].woke; }
-
- private:
-  struct State {
-    int pc = 0;
-    std::vector<Round> woke;
-  };
-
-  Round Advance(NodeIndex v) {
+  Round Step(NodeIndex v, Round now, const InboxBatch&, SendBatch&) override {
     State& st = state_[v];
+    if (now != 0) st.woke.push_back(now);
     switch (st.pc) {
       default:
         throw std::logic_error("flat program: corrupt pc");
@@ -341,6 +372,13 @@ class ConditionalWake final : public FlatProgram {
         return kFlatDone;
     }
   }
+  const std::vector<Round>& Woke(NodeIndex v) const { return state_[v].woke; }
+
+ private:
+  struct State {
+    int pc = 0;
+    std::vector<Round> woke;
+  };
 
   std::vector<State> state_;
 };

@@ -274,6 +274,43 @@ TEST(SimulatorTest, MidRunRegisterFailureDoesNotStrandPeers) {
   EXPECT_EQ(finished[0], 1);
 }
 
+Task<void> ThrowBeforeFirstWake(NodeContext& ctx) {
+  if (ctx.Index() == 0) throw std::runtime_error("node 0 failed at start");
+  co_await ctx.Awake(1);
+}
+
+TEST(SimulatorTest, StartFailureFailsOnlyItsNode) {
+  // Node 0's program throws on its round-0 step, before its first wake;
+  // the other seven nodes wake once each and finish.
+  Xoshiro256 rng(8);
+  const auto g = MakeRing(8, rng);
+  const NodeProgram program = [](NodeContext& ctx) {
+    return ThrowBeforeFirstWake(ctx);
+  };
+  for (const std::uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    SimulatorOptions opt;
+    opt.shards = shards;
+    {
+      Simulator sim(g, opt);
+      try {
+        sim.Run(program);
+        ADD_FAILURE() << "the start failure did not surface";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "node 0 failed at start");
+      }
+      EXPECT_EQ(sim.Stats().awake_node_rounds, 7u);
+    }
+    Simulator sim(g, opt);
+    const RunOutcome out = sim.RunToOutcome(program);
+    EXPECT_EQ(out.status, RunStatus::kCrashedPartition);
+    EXPECT_EQ(out.detail, "node 0 failed at start");
+    EXPECT_EQ(out.unfinished_nodes, 0u);
+    EXPECT_EQ(sim.Stats().awake_node_rounds, 7u);
+    EXPECT_EQ(sim.GetMetrics().Node(0).awake_rounds, 0u);
+  }
+}
+
 Task<void> Runaway(NodeContext& ctx) {
   for (Round r = 1;; r += 1) co_await ctx.Awake(r);
 }

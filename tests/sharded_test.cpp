@@ -167,13 +167,9 @@ class ThreadProbe final : public FlatProgram {
  public:
   explicit ThreadProbe(const WeightedGraph& g) : g_(&g), steps_(g.NumNodes()) {}
 
-  Round Start(NodeIndex v, Metrics& /*metrics*/, SendBatch& sends) override {
-    SendAll(v, sends);
-    return 1;
-  }
-  Round Step(NodeIndex v, Round now, Metrics& /*metrics*/,
-             const InboxBatch& /*inbox*/, SendBatch& sends) override {
-    steps_[v].push_back(std::this_thread::get_id());
+  Round Step(NodeIndex v, Round now, const InboxBatch& /*inbox*/,
+             SendBatch& sends) override {
+    if (now != 0) steps_[v].push_back(std::this_thread::get_id());
     if (now == 3) return kFlatDone;
     SendAll(v, sends);
     return now + 1;

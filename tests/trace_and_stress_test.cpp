@@ -32,14 +32,14 @@ class FlatChatter final : public FlatProgram {
  public:
   explicit FlatChatter(const WeightedGraph& g) : g_(&g) {}
 
-  Round Start(NodeIndex v, Metrics& /*metrics*/, SendBatch& sends) override {
-    for (std::uint32_t p = 0; p < g_->DegreeOf(v); ++p) {
-      sends.push_back({p, Message{1, g_->IdOf(v), 0, 0}});
+  Round Step(NodeIndex v, Round now, const InboxBatch& /*inbox*/,
+             SendBatch& sends) override {
+    if (now == 0) {
+      for (std::uint32_t p = 0; p < g_->DegreeOf(v); ++p) {
+        sends.push_back({p, Message{1, g_->IdOf(v), 0, 0}});
+      }
+      return 1;
     }
-    return 1;
-  }
-  Round Step(NodeIndex v, Round now, Metrics& /*metrics*/,
-             const InboxBatch& /*inbox*/, SendBatch& /*sends*/) override {
     return v == 0 && now == 1 ? 2 : kFlatDone;
   }
 

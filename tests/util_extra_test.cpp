@@ -103,6 +103,22 @@ TEST(ArgsTest, GetUintRejectsNegativeAndExoticForms) {
   EXPECT_EQ(zero.GetUint("n", 1), 0u);
 }
 
+TEST(ArgsTest, GetUint32RejectsValuesPast32Bits) {
+  // 2^32 + 2 must not wrap to 2.
+  auto wide = Parse({"--shards", "4294967298"});
+  try {
+    wide.GetUint32("shards", 0);
+    ADD_FAILURE() << "2^32 + 2 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--shards"), std::string::npos)
+        << e.what();
+  }
+  auto max = Parse({"--shards", "4294967295"});  // == 2^32-1: fine
+  EXPECT_EQ(max.GetUint32("shards", 0), 4294967295u);
+  auto absent = Parse({});
+  EXPECT_EQ(absent.GetUint32("shards", 7), 7u);
+}
+
 TEST(ArgsTest, GetDoubleRejectsNonFiniteAndGarbage) {
   for (const char* bad : {"nan", "inf", "-inf", "1e999", "", " 1.5", "1.5 ",
                           "0.5q", "--3", "0x1p-3", "+0.5"}) {

@@ -198,10 +198,10 @@ int main(int argc, char** argv) {
     }
     const bool faulted = !fault_plan.Empty();
     if (args.GetBool("audit", false)) opt.audit = smst::AuditMode::kOn;
-    opt.shards = static_cast<std::uint32_t>(args.GetUint("shards", 0));
+    opt.shards = args.GetUint32("shards", 0);
     opt.shard_policy =
         smst::ParseShardPolicy(args.GetString("shard-policy", "block"));
-    const auto threads = static_cast<unsigned>(args.GetUint("threads", 0));
+    const unsigned threads = args.GetUint32("threads", 0);
     if (auto unused = args.UnusedFlags(); !unused.empty()) {
       std::cerr << "unknown flag --" << unused.front() << " (see --help)\n";
       return 2;
