@@ -56,15 +56,15 @@ class FlatChatterProgram final : public FlatProgram {
  public:
   explicit FlatChatterProgram(const WeightedGraph& g) : g_(&g) {}
 
-  Round Step(NodeIndex v, Round now, const InboxBatch&,
-             SendBatch& sends) override {
+  Round Step(NodeIndex v, Round now, std::span<const InMessage>,
+             SendLane& sends) override {
     if (now >= static_cast<Round>(kRounds)) return kFlatDone;
     PushAll(v, sends);
     return now + 1;
   }
 
  private:
-  void PushAll(NodeIndex v, SendBatch& sends) const {
+  void PushAll(NodeIndex v, SendLane& sends) const {
     const FlatNodeRef node{g_, v};
     for (std::uint32_t p = 0; p < node.Degree(); ++p) {
       sends.push_back({p, Message{1, node.Id(), 0, 0}});

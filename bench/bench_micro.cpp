@@ -101,15 +101,15 @@ class FlatPingProgram final : public FlatProgram {
   FlatPingProgram(const WeightedGraph& g, int rounds)
       : g_(&g), rounds_(rounds) {}
 
-  Round Step(NodeIndex v, Round now, const InboxBatch&,
-             SendBatch& sends) override {
+  Round Step(NodeIndex v, Round now, std::span<const InMessage>,
+             SendLane& sends) override {
     if (now >= static_cast<Round>(rounds_)) return kFlatDone;
     PushAll(v, sends);
     return now + 1;
   }
 
  private:
-  void PushAll(NodeIndex v, SendBatch& sends) const {
+  void PushAll(NodeIndex v, SendLane& sends) const {
     const FlatNodeRef node{g_, v};
     for (std::uint32_t p = 0; p < node.Degree(); ++p) {
       sends.push_back({p, Message{1, node.Id(), 0, 0}});
@@ -170,7 +170,7 @@ void BM_FragmentBroadcast(benchmark::State& state) {
   for (auto _ : state) {
     ProcedureProgram<FlatBroadcast> program(
         pf.g, [&pf](const FlatNodeRef& node, FlatBroadcast& proc,
-                    SendBatch& sends) {
+                    SendLane& sends) {
           return proc.Begin(node, pf.states[node.v], 1, Message{1, 7, 0, 0},
                             sends);
         });
@@ -190,7 +190,7 @@ void BM_UpcastMin(benchmark::State& state) {
   for (auto _ : state) {
     ProcedureProgram<FlatUpcastMin> program(
         pf.g, [&pf](const FlatNodeRef& node, FlatUpcastMin& proc,
-                    SendBatch& sends) {
+                    SendLane& sends) {
           return proc.Begin(node, pf.states[node.v], 1,
                             UpcastItem{node.Id(), 0, 0}, sends);
         });

@@ -39,34 +39,34 @@ RunStats RunProcedure(const WeightedGraph& g,
 
 // Transmit-Adjacent: the block's Side round, nothing after it.
 struct SideRound {
-  Round Resume(const FlatNodeRef&, const InboxBatch&, SendBatch&) {
+  Round Resume(const FlatNodeRef&, std::span<const InMessage>, SendLane&) {
     return kFlatDone;
   }
 };
 
 RunStats RunBroadcast(const WeightedGraph& g, const States& states) {
   return RunProcedure<FlatBroadcast>(
-      g, [&](const FlatNodeRef& node, FlatBroadcast& proc, SendBatch& sends) {
+      g, [&](const FlatNodeRef& node, FlatBroadcast& proc, SendLane& sends) {
         return proc.Begin(node, states[node.v], 1, Message{1, 99, 0, 0},
                           sends);
       });
 }
 RunStats RunUpcast(const WeightedGraph& g, const States& states) {
   return RunProcedure<FlatUpcastMin>(
-      g, [&](const FlatNodeRef& node, FlatUpcastMin& proc, SendBatch& sends) {
+      g, [&](const FlatNodeRef& node, FlatUpcastMin& proc, SendLane& sends) {
         return proc.Begin(node, states[node.v], 1,
                           UpcastItem{node.Id(), 0, 0}, sends);
       });
 }
 RunStats RunUpcastSum(const WeightedGraph& g, const States& states) {
   return RunProcedure<FlatUpcastSum>(
-      g, [&](const FlatNodeRef& node, FlatUpcastSum& proc, SendBatch& sends) {
+      g, [&](const FlatNodeRef& node, FlatUpcastSum& proc, SendLane& sends) {
         return proc.Begin(node, states[node.v], 1, 1, sends);
       });
 }
 RunStats RunSide(const WeightedGraph& g, const States& states) {
   return RunProcedure<SideRound>(
-      g, [&](const FlatNodeRef& node, SideRound&, SendBatch& sends) {
+      g, [&](const FlatNodeRef& node, SideRound&, SendLane& sends) {
         for (std::uint32_t p = 0; p < node.Degree(); ++p) {
           sends.push_back({p, Message{2, node.Id(), 0, 0}});
         }

@@ -36,8 +36,8 @@ class TreeOpsProgram final : public FlatProgram {
     for (TreeOpsNode& st : nodes_) st.cursor = BlockCursor(1, g.NumNodes());
   }
 
-  Round Step(NodeIndex v, Round now, const InboxBatch& inbox,
-             SendBatch& sends) override;
+  Round Step(NodeIndex v, Round now, std::span<const InMessage> inbox,
+             SendLane& sends) override;
 
  private:
   // Records node v's answer to request i.
@@ -55,7 +55,7 @@ class TreeOpsProgram final : public FlatProgram {
 };
 
 Round TreeOpsProgram::Step(NodeIndex v, Round /*now*/,
-                           const InboxBatch& inbox, SendBatch& sends) {
+                           std::span<const InMessage> inbox, SendLane& sends) {
   TreeOpsNode& st = nodes_[v];
   const FlatNodeRef node{g_, v};
   const LdtState& ldt = (*forest_)[v];

@@ -116,8 +116,8 @@ class FlatDetProgram final : public FlatProgram {
     }
   }
 
-  Round Step(NodeIndex v, Round now, const InboxBatch& inbox,
-             SendBatch& sends) override;
+  Round Step(NodeIndex v, Round now, std::span<const InMessage> inbox,
+             SendLane& sends) override;
 
  private:
   const WeightedGraph* g_;
@@ -133,7 +133,7 @@ class FlatDetProgram final : public FlatProgram {
 };
 
 Round FlatDetProgram::Step(NodeIndex v, Round /*now*/,
-                           const InboxBatch& inbox, SendBatch& sends) {
+                           std::span<const InMessage> inbox, SendLane& sends) {
   FlatDetNode& st = nodes_[v];
   const FlatNodeRef node{g_, v};
   const std::size_t n = node.NumNodesKnown();

@@ -74,8 +74,8 @@ class FlatGhsProgram final : public FlatProgram {
     }
   }
 
-  Round Step(NodeIndex v, Round now, const InboxBatch& inbox,
-             SendBatch& sends) override;
+  Round Step(NodeIndex v, Round now, std::span<const InMessage> inbox,
+             SendLane& sends) override;
 
  private:
   const WeightedGraph* g_;
@@ -88,7 +88,7 @@ class FlatGhsProgram final : public FlatProgram {
 };
 
 Round FlatGhsProgram::Step(NodeIndex v, Round /*now*/,
-                           const InboxBatch& inbox, SendBatch& sends) {
+                           std::span<const InMessage> inbox, SendLane& sends) {
   FlatGhsNode& st = nodes_[v];
   const FlatNodeRef node{g_, v};
   const std::size_t n = node.NumNodesKnown();

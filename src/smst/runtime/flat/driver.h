@@ -25,8 +25,8 @@
 //    case key), inside the driver's `switch (st.pc)`, and `pc` is an
 //    integer wide enough for every line of the file (the macros
 //    static_assert it; the toolbox keeps a std::uint16_t);
-//  - `node` (FlatNodeRef), `inbox` (const InboxBatch&) and `sends`
-//    (SendBatch&) are in scope at every invocation — SMST_FLAT_SUB
+//  - `node` (FlatNodeRef), `inbox` (std::span<const InMessage>) and
+//    `sends` (SendLane&) are in scope at every invocation — SMST_FLAT_SUB
 //    resumes the sub-machine with exactly those names;
 //  - no local variable with an initializer may be in scope at a macro
 //    invocation (jumping to its case label would skip the
@@ -35,15 +35,15 @@
 #pragma once
 
 #include <limits>
+#include <span>
 
 #include "smst/runtime/flat/program.h"
 
 namespace smst {
 
 // The inbox a sub-machine's `case 0:` runs with: nothing arrives before
-// its first wake. Every sub-machine's Begin passes this one instead of
-// constructing its own.
-inline const InboxBatch kEmptyInbox{};
+// its first wake. Every sub-machine's Begin passes this one.
+inline constexpr std::span<const InMessage> kEmptyInbox{};
 
 }  // namespace smst
 

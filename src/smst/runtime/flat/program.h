@@ -14,6 +14,10 @@
 //   co_await Awake(r, sends)       return r (sends already pushed)
 //   co_return                      return kFlatDone
 //
+// `inbox` is a read-only view of the node's inbox lane and `sends` its
+// send lane (runtime/lane.h): deg(v) slots each, in the engine's own
+// arrays, so a step copies no batch.
+//
 // The Scheduler (runtime/scheduler.h), the one round loop, calls Step
 // once per node with now == 0 and an empty inbox (before round 1) and
 // then each time the node's requested round comes due, in canonical
@@ -22,12 +26,15 @@
 // (runtime/node.h), so a flat program and a coroutine of the same
 // protocol give bit-identical runs. An exception thrown by Step marks
 // the node failed, exactly like a coroutine exception reaching its
-// promise.
+// promise, except for std::bad_alloc: the host is out of memory, and the
+// run ends with it (Simulator::Run and RunToOutcome rethrow it).
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "smst/graph/graph.h"
+#include "smst/runtime/lane.h"
 #include "smst/runtime/message.h"
 
 namespace smst {
@@ -52,12 +59,14 @@ class FlatProgram {
 
   // Advances node v through its awake round `now`: `inbox` holds the
   // round's delivered messages; the implementation pushes the *next*
-  // requested round's sends into `sends` and returns that round, or
-  // kFlatDone when the node terminates. The first call for each node has
-  // now == 0 and an empty inbox: it runs the node up to its first
-  // suspension (kFlatDone if the node finishes without ever waking).
-  virtual Round Step(NodeIndex v, Round now, const InboxBatch& inbox,
-                     SendBatch& sends) = 0;
+  // requested round's sends into `sends` (empty on entry; at most one per
+  // port, deg(v) in all) and returns that round, or kFlatDone when the
+  // node terminates. The first call for each node has now == 0 and an
+  // empty inbox: it runs the node up to its first suspension (kFlatDone
+  // if the node finishes without ever waking). `inbox` is valid only
+  // during the call.
+  virtual Round Step(NodeIndex v, Round now, std::span<const InMessage> inbox,
+                     SendLane& sends) = 0;
 };
 
 // The node-local graph view a flat program sees: the same ID / degree /

@@ -84,10 +84,12 @@ static_assert(sizeof(OutMessage) == 32 && sizeof(InMessage) == 32,
 static_assert(std::is_trivially_copyable_v<OutMessage> &&
               std::is_trivially_copyable_v<InMessage>);
 
-// Per-awake message batches. Typical degrees in the model workloads are
-// small, so batches of up to kInlineMessageCapacity messages live inside
-// the coroutine frame and never touch the heap; larger batches (high-
-// degree nodes) fall back to a heap buffer transparently.
+// The batches a coroutine program builds and receives (runtime/node.h).
+// Typical degrees in the model workloads are small, so batches of up to
+// kInlineMessageCapacity messages live inside the coroutine frame and
+// never touch the heap; larger batches (high-degree nodes) fall back to a
+// heap buffer transparently. The engine itself keeps messages in lanes
+// sized by degree (runtime/lane.h), not in batches.
 inline constexpr std::size_t kInlineMessageCapacity = 4;
 using SendBatch = SmallVec<OutMessage, kInlineMessageCapacity>;
 using InboxBatch = SmallVec<InMessage, kInlineMessageCapacity>;

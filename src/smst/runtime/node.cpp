@@ -20,11 +20,12 @@ CoroutineProgram::CoroutineProgram(const WeightedGraph& graph,
   runners_.resize(slots);
 }
 
-Round CoroutineProgram::Step(NodeIndex v, Round now, const InboxBatch& inbox,
-                             SendBatch& sends) {
+Round CoroutineProgram::Step(NodeIndex v, Round now,
+                             std::span<const InMessage> inbox,
+                             SendLane& sends) {
   const std::size_t i = Slot(v);
   now_ = now;
-  inbox_ = &inbox;
+  inbox_ = inbox;
   sends_ = &sends;
   if (now == 0) {
     Launch(v, i);

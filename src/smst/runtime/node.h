@@ -20,14 +20,16 @@
 // Coroutine programs run on the one round loop (runtime/scheduler.h)
 // through CoroutineProgram, the FlatProgram adapter below: its round-0
 // Step creates and starts a node's task, every later Step resumes the
-// frame suspended in Awake, and Awake hands its sends straight to the
-// engine's send lane.
+// frame suspended in Awake. Awake copies its batch into the node's send
+// lane (runtime/lane.h) and clears it, and the resumed Awake returns a
+// copy of the node's inbox lane as an InboxBatch.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -61,7 +63,7 @@ class NodeContext {
 
   // --- the model primitive ---------------------------------------------
   // Holds no batch: the sends are already in the engine's send lane, and
-  // the inbox is read from the engine's inbox lane on resume.
+  // the inbox is copied out of the engine's inbox lane on resume.
   struct AwakeAwaiter {
     NodeContext* ctx;
     Round round;
@@ -75,10 +77,10 @@ class NodeContext {
   // and send `sends` (at most one message per port). The batches are
   // SmallVecs (message.h): up to kInlineMessageCapacity sends/receipts
   // stay inline, so a typical awake allocates nothing. The batch is taken
-  // by reference and moved into the engine at once, so the coroutine
-  // frame holds no second copy of it across the suspension. An invalid
-  // request fails the node from the round loop once the frame has
-  // suspended; it cannot be caught inside the program.
+  // by reference, copied into the node's send lane at once and cleared,
+  // so the coroutine frame holds no second copy of its messages across
+  // the suspension. An invalid request fails the node from the round loop
+  // once the frame has suspended; it cannot be caught inside the program.
   AwakeAwaiter Awake(Round round, SendBatch&& sends);
   AwakeAwaiter Awake(Round round) { return AwakeAwaiter{this, round}; }
 
@@ -126,8 +128,8 @@ class CoroutineProgram final : public FlatProgram {
 
   // now == 0 creates node v's task and runs it to its first Awake;
   // later calls resume the frame suspended there.
-  Round Step(NodeIndex v, Round now, const InboxBatch& inbox,
-             SendBatch& sends) override;
+  Round Step(NodeIndex v, Round now, std::span<const InMessage> inbox,
+             SendLane& sends) override;
 
  private:
   friend class NodeContext;
@@ -155,8 +157,8 @@ class CoroutineProgram final : public FlatProgram {
   // The call in progress: the node's clock, its engine lanes, and the
   // round its Awake asked for.
   Round now_ = 0;
-  const InboxBatch* inbox_ = nullptr;
-  SendBatch* sends_ = nullptr;
+  std::span<const InMessage> inbox_;
+  SendLane* sends_ = nullptr;
   Round requested_ = kFlatDone;
 };
 
@@ -179,7 +181,8 @@ inline Round NodeContext::CurrentRound() const { return host_.now_; }
 
 inline NodeContext::AwakeAwaiter NodeContext::Awake(Round round,
                                                     SendBatch&& sends) {
-  *host_.sends_ = std::move(sends);
+  for (const OutMessage& out : sends) host_.sends_->push_back(out);
+  sends.clear();
   return AwakeAwaiter{this, round};
 }
 
@@ -190,7 +193,11 @@ inline void NodeContext::AwakeAwaiter::await_suspend(
 }
 
 inline InboxBatch NodeContext::AwakeAwaiter::await_resume() const {
-  return *ctx->host_.inbox_;
+  const std::span<const InMessage> lane = ctx->host_.inbox_;
+  InboxBatch inbox;
+  inbox.reserve(lane.size());
+  for (const InMessage& in : lane) inbox.push_back(in);
+  return inbox;
 }
 
 }  // namespace smst

@@ -1,6 +1,7 @@
 #include "smst/runtime/scheduler.h"
 
 #include <algorithm>
+#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -25,8 +26,21 @@ Scheduler::Scheduler(const WeightedGraph& graph, Metrics& metrics,
     nodes_ = owned.data();
     lanes = owned.size();
   }
-  sends_.resize(lanes);
-  inbox_.resize(lanes);
+  // deg(v) send and inbox slots per owned node, in lane order.
+  std::size_t slots = 0;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    slots += graph_.DegreeOf(NodeOfLane(i));
+  }
+  send_slots_.resize(slots);
+  inbox_slots_.resize(slots);
+  sends_.reserve(lanes);
+  inbox_.reserve(lanes);
+  for (std::size_t i = 0, first = 0; i < lanes; ++i) {
+    const std::size_t degree = graph_.DegreeOf(NodeOfLane(i));
+    sends_.emplace_back(send_slots_.data() + first, degree);
+    inbox_.emplace_back(inbox_slots_.data() + first, degree);
+    first += degree;
+  }
   status_.assign(lanes, Status::kRunning);
   errors_.resize(lanes);
 
@@ -178,11 +192,9 @@ void Scheduler::StepRound() {
 }
 
 Round Scheduler::StepNode(NodeIndex v, std::size_t i) {
-  // The node's inbox lane is handed to Step directly (programs take it by
-  // const reference and only ever write into their own send lane) and
-  // cleared afterwards, so the inline buffer is never copied; the send
-  // lane is reused round over round, so its heap spill (if any) is
-  // allocated once.
+  // Step reads the node's inbox lane in place, through a read-only span,
+  // and pushes straight into its send lane; both are cleared, not freed,
+  // so a lane that once spilled keeps its heap buffer.
   sends_[i].clear();
   try {
     const Round next = program_->Step(v, current_round_, inbox_[i], sends_[i]);
@@ -191,6 +203,11 @@ Round Scheduler::StepNode(NodeIndex v, std::size_t i) {
     status_[i] = Status::kDone;
     sends_[i].clear();
     return 0;
+  } catch (const std::bad_alloc&) {
+    // The host is out of memory: end the run rather than fail the node.
+    // Failing nodes one by one would keep an exception per node alive in
+    // errors_ until the runtime cannot allocate one more and terminates.
+    throw;
   } catch (...) {
     inbox_[i].clear();
     Fail(i);
@@ -198,7 +215,7 @@ Round Scheduler::StepNode(NodeIndex v, std::size_t i) {
   }
 }
 
-Round Scheduler::Admit(NodeIndex v, Round requested, const SendBatch& sends) {
+Round Scheduler::Admit(NodeIndex v, Round requested, const SendLane& sends) {
   Round r = requested;
   if (faults_.Active()) {
     // Jitter may move the wake in either direction; clamping (rather than
@@ -217,7 +234,7 @@ Round Scheduler::Admit(NodeIndex v, Round requested, const SendBatch& sends) {
   return r;
 }
 
-void Scheduler::ValidateSends(NodeIndex v, const SendBatch& sends) {
+void Scheduler::ValidateSends(NodeIndex v, const SendLane& sends) {
   // CONGEST: at most one message per port per round. In a fault-free run
   // a double-send is a programming bug (logic_error, never classified);
   // under an active adversary a duplicated or delayed inbox can trick a

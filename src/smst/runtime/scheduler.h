@@ -14,8 +14,9 @@
 //    O(nN log n)) costs only Σ awake node-rounds of simulation work, plus
 //    at most 63 O(1) queue moves per wake.
 //
-// Node state lives in per-node lanes (struct-of-arrays: send batch,
-// inbox, status, failure). The delivery step meters each node straight
+// Node state lives in per-node arrays (struct-of-arrays: send lane, inbox
+// lane, status, failure); the two message lanes hold deg(v) slots each
+// (runtime/lane.h). The delivery step meters each node straight
 // into its NodeMetrics record, so the meters are exact at every point
 // of a run, the watchdog throw included. A round with every node awake
 // and nothing observing the run is one fused delivery-and-step sweep
@@ -41,6 +42,7 @@
 #include "smst/faults/fault_plan.h"
 #include "smst/graph/graph.h"
 #include "smst/runtime/flat/program.h"
+#include "smst/runtime/lane.h"
 #include "smst/runtime/message.h"
 #include "smst/runtime/metrics.h"
 #include "smst/runtime/sharded/exchange.h"
@@ -77,7 +79,8 @@ class Scheduler {
   // Starts `program` on every owned node in ascending order and runs
   // rounds until no node is pending. Throws NonTerminationError when the
   // watchdog trips; a node whose program throws, or asks for an invalid
-  // wake, is marked failed and the run goes on without it. One-shard
+  // wake, is marked failed and the run goes on without it, except that
+  // std::bad_alloc (the host, not the node) ends the run. One-shard
   // runs only (with K >= 2 the Simulator drives the phases itself).
   // `program` must outlive the scheduler's use of it.
   void Run(FlatProgram& program);
@@ -128,9 +131,9 @@ class Scheduler {
   // no wakers (the shard has nothing due in a global round) is legal.
   void StageRound(Round r);
   // The delivery sweep of a one-shard round: delayed messages due now,
-  // then every staged sender's batch in ascending order. kObserved = false
-  // is a one-shard run with nothing observing it: no hooks, and every
-  // node is owned (K >= 2 shards always run the observed form).
+  // then every staged sender's send lane in ascending order. kObserved =
+  // false is a one-shard run with nothing observing it: no hooks, and
+  // every node is owned (K >= 2 shards always run the observed form).
   template <bool kObserved>
   void DeliverRound();
   // The delivery step of awake node v, run once per round for every
@@ -169,16 +172,16 @@ class Scheduler {
   void BuildFusedOrder();
   // Steps node v (lane i) through the current round; returns the round
   // to queue it for, or 0 if it finished, failed or was crash-stopped.
-  // Inline: the start pass and both sweeps that call it are in
-  // scheduler.cpp.
+  // Rethrows std::bad_alloc. Inline: the start pass and both sweeps that
+  // call it are in scheduler.cpp.
   inline Round StepNode(NodeIndex v, std::size_t i);
   // The registration contract for node v's next wake with `sends` for
   // that round. Under an active fault plan the round may be jittered or
   // clamped (to current + 1), and a crash-stopped node's wake is
   // swallowed (returns 0). Throws on a round not after the clock (fault-
   // free), a nonexistent port, or two sends on one port.
-  Round Admit(NodeIndex v, Round requested, const SendBatch& sends);
-  void ValidateSends(NodeIndex v, const SendBatch& sends);
+  Round Admit(NodeIndex v, Round requested, const SendLane& sends);
+  void ValidateSends(NodeIndex v, const SendLane& sends);
   void Fail(std::size_t i);
 
   const WeightedGraph& graph_;
@@ -194,13 +197,18 @@ class Scheduler {
 
   FlatProgram* program_ = nullptr;
 
-  // Lanes, indexed by Lane(v): sends_[i] is the batch the node queued
-  // for its next awake round, inbox_[i] what this round delivered to it.
-  // Two arrays, not one record per node: interleaved, the fused sweep ran
-  // ~30 % slower at ring n = 2^18. A node's pending round lives only in
-  // its wake-queue slot.
-  std::vector<SendBatch> sends_;
-  std::vector<InboxBatch> inbox_;
+  // Lanes, indexed by Lane(v): sends_[i] holds what the node queued for
+  // its next awake round, inbox_[i] what this round delivered to it. Each
+  // is a 16-byte header over deg(v) slots of send_slots_ / inbox_slots_,
+  // which hold the owned nodes' slots in lane order, port by port (on a
+  // one-shard run lane v's slots start at PortOffset(v)). Separate send
+  // and inbox arrays, not one record per node: interleaved, the fused
+  // sweep ran ~30 % slower at ring n = 2^18. A node's pending round lives
+  // only in its wake-queue slot.
+  std::vector<OutMessage> send_slots_;
+  std::vector<InMessage> inbox_slots_;
+  std::vector<SendLane> sends_;
+  std::vector<InboxLane> inbox_;
   std::vector<Status> status_;
   std::vector<std::exception_ptr> errors_;
 
@@ -273,7 +281,7 @@ template <bool kObserved>
   NodeMetrics& meter = metrics_.Node(v);
   ++meter.awake_rounds;
   if (metrics_.WakeTimesEnabled()) meter.wake_times.push_back(r);
-  const SendBatch& sends = sends_[i];
+  const SendLane& sends = sends_[i];
   if (sends.empty()) return;
   // Hoist the per-node indirections out of the per-send loop: the port
   // table base and the precomputed receiver-port row.

@@ -122,7 +122,7 @@ void Simulator::CollectSends(std::uint32_t s, Round r) {
   const std::vector<std::uint8_t>& cross_ports = shards_[s]->cross_ports;
   for (const NodeIndex v : sched.staged_) {
     if (!cross_ports[v]) continue;  // all ports internal
-    const SendBatch& sends = sched.sends_[sched.Lane(v)];
+    const SendLane& sends = sched.sends_[sched.Lane(v)];
     NodeMetrics& meter = sched.metrics_.Node(v);
     const Port* ports = graph_.PortsOf(v).data();
     const std::uint32_t* reverse =

@@ -1,6 +1,7 @@
 #include "smst/runtime/simulator.h"
 
 #include <algorithm>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -234,6 +235,8 @@ void Simulator::ClassifyFailure(RunOutcome& out) {
     throw;  // a programming bug, not a fault effect
   } catch (const std::system_error&) {
     throw;  // the host (a worker thread that could not start), not the run
+  } catch (const std::bad_alloc&) {
+    throw;  // the host is out of memory, not a fault effect
   } catch (const std::exception& e) {
     // Any other failure a fault drove the algorithm into (defensive
     // checks on malformed protocol state) counts as a crashed run.

@@ -75,9 +75,10 @@ class Simulator {
   // classifies what happened into a RunOutcome (completed /
   // non-termination / crashed-partition; callers that can verify the
   // result refine kCompleted into kWrongResult). std::logic_error —
-  // programming bugs, not fault effects — still propagates, and so does
-  // std::system_error from a worker thread that could not start (the
-  // host, not the run). May be called once per Simulator, instead of Run.
+  // programming bugs, not fault effects — still propagates, and so do
+  // std::system_error from a worker thread that could not start and
+  // std::bad_alloc (the host, not the run). May be called once per
+  // Simulator, instead of Run.
   RunOutcome RunToOutcome(const NodeProgram& program);
 
   // The same for a flat state-machine program. The caller owns `program`
@@ -167,8 +168,8 @@ class Simulator {
   // metrics (per-shard books balance: awakes are metered at the owner,
   // model drops at the receiver), then returns Audit(). Once per run.
   AuditSummary CheckAudit();
-  // Classifies the in-flight exception into `out` (rethrows logic_error
-  // and system_error).
+  // Classifies the in-flight exception into `out` (rethrows logic_error,
+  // system_error and bad_alloc).
   static void ClassifyFailure(RunOutcome& out);
 
   const WeightedGraph& graph_;

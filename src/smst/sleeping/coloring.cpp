@@ -115,7 +115,7 @@ Round FlatExchange::Begin(const FlatNodeRef& node, const LdtState& l,
                           BlockCursor& c, std::span<const NodeId> sorted_ids,
                           std::span<const HPort> h_ports_in,
                           std::uint64_t value, bool announce_in,
-                          SendBatch& sends) {
+                          SendLane& sends) {
   ldt = &l;
   cursor = &c;
   sorted_nbr_ids = sorted_ids;
@@ -126,8 +126,9 @@ Round FlatExchange::Begin(const FlatNodeRef& node, const LdtState& l,
   return Resume(node, kEmptyInbox, sends);
 }
 
-Round FlatExchange::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
-                           SendBatch& sends) {
+Round FlatExchange::Resume(const FlatNodeRef& node,
+                           std::span<const InMessage> inbox,
+                           SendLane& sends) {
   switch (pc) {
     default:
       throw std::logic_error("flat program: corrupt pc");
@@ -181,7 +182,7 @@ Round FlatLogStarColoring::Begin(const FlatNodeRef& node, const LdtState& l,
                                  BlockCursor& c,
                                  std::span<const NbrEntry> nbr_in,
                                  std::span<const HPort> h_ports_in,
-                                 std::uint32_t iters, SendBatch& sends) {
+                                 std::uint32_t iters, SendLane& sends) {
   ldt = &l;
   cursor = &c;
   nbr = nbr_in;
@@ -192,7 +193,8 @@ Round FlatLogStarColoring::Begin(const FlatNodeRef& node, const LdtState& l,
 }
 
 Round FlatLogStarColoring::Resume(const FlatNodeRef& node,
-                                  const InboxBatch& inbox, SendBatch& sends) {
+                                  std::span<const InMessage> inbox,
+                                  SendLane& sends) {
   switch (pc) {
     default:
       throw std::logic_error("flat program: corrupt pc");

@@ -28,7 +28,7 @@ constexpr auto FromPort = MessageFromPort;
 
 Round FlatBroadcast::Begin(const FlatNodeRef& node, const LdtState& l,
                            Round block_start, Message root_msg,
-                           SendBatch& sends, std::size_t span) {
+                           SendLane& sends, std::size_t span) {
   ldt = &l;
   down_send = TransmissionSchedule(block_start, l.level,
                                    span == 0 ? node.NumNodesKnown() : span)
@@ -38,8 +38,9 @@ Round FlatBroadcast::Begin(const FlatNodeRef& node, const LdtState& l,
   return Resume(node, kEmptyInbox, sends);
 }
 
-Round FlatBroadcast::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
-                            SendBatch& sends) {
+Round FlatBroadcast::Resume(const FlatNodeRef& node,
+                            std::span<const InMessage> inbox,
+                            SendLane& sends) {
   switch (pc) {
     default:
       throw std::logic_error("flat program: corrupt pc");
@@ -67,7 +68,7 @@ Round FlatBroadcast::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
 // --- Upcast-Min --------------------------------------------------------
 
 Round FlatUpcastMin::Begin(const FlatNodeRef& node, const LdtState& l,
-                           Round block_start, UpcastItem own, SendBatch& sends,
+                           Round block_start, UpcastItem own, SendLane& sends,
                            std::size_t span) {
   ldt = &l;
   up_receive = TransmissionSchedule(block_start, l.level,
@@ -79,7 +80,7 @@ Round FlatUpcastMin::Begin(const FlatNodeRef& node, const LdtState& l,
 }
 
 Round FlatUpcastMin::Resume(const FlatNodeRef& /*node*/,
-                            const InboxBatch& inbox, SendBatch& sends) {
+                            std::span<const InMessage> inbox, SendLane& sends) {
   switch (pc) {
     default:
       throw std::logic_error("flat program: corrupt pc");
@@ -106,7 +107,7 @@ Round FlatUpcastMin::Resume(const FlatNodeRef& /*node*/,
 
 Round FlatUpcastSum::Begin(const FlatNodeRef& node, const LdtState& l,
                            Round block_start, std::uint64_t own,
-                           SendBatch& sends, std::size_t span) {
+                           SendLane& sends, std::size_t span) {
   ldt = &l;
   up_receive = TransmissionSchedule(block_start, l.level,
                                     span == 0 ? node.NumNodesKnown() : span)
@@ -118,7 +119,7 @@ Round FlatUpcastSum::Begin(const FlatNodeRef& node, const LdtState& l,
 }
 
 Round FlatUpcastSum::Resume(const FlatNodeRef& /*node*/,
-                            const InboxBatch& inbox, SendBatch& sends) {
+                            std::span<const InMessage> inbox, SendLane& sends) {
   switch (pc) {
     default:
       throw std::logic_error("flat program: corrupt pc");
@@ -145,7 +146,7 @@ Round FlatUpcastSum::Resume(const FlatNodeRef& /*node*/,
 
 Round FlatMerge::Begin(const FlatNodeRef& node, LdtState& l,
                        BlockCursor& cursor, MergeRole r,
-                       std::span<std::uint8_t> marks, SendBatch& sends) {
+                       std::span<std::uint8_t> marks, SendLane& sends) {
   ldt = &l;
   mark = marks.data();
   role = r;
@@ -174,8 +175,9 @@ ScheduleRounds FlatMerge::Sub(std::uint64_t k) const {
 // the down pass; taken literally that would corrupt the path computed in
 // sub-block B, and Appendix C's figures show the intent: only the
 // still-empty nodes adopt. We implement the figures. See DESIGN.md §2.)
-Round FlatMerge::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
-                        SendBatch& sends) {
+Round FlatMerge::Resume(const FlatNodeRef& node,
+                        std::span<const InMessage> inbox,
+                        SendLane& sends) {
   switch (pc) {
     default:
       throw std::logic_error("flat program: corrupt pc");
@@ -309,7 +311,7 @@ Round FlatColoring::Begin(const FlatNodeRef& node, const LdtState& l,
                           BlockCursor& cursor,
                           std::span<const NbrEntry> nbr_in,
                           std::span<const HPort> h_ports_in,
-                          SendBatch& sends) {
+                          SendLane& sends) {
   ldt = &l;
   h_ports = h_ports_in;
   n = node.NumNodesKnown();
@@ -329,8 +331,9 @@ Round FlatColoring::Begin(const FlatNodeRef& node, const LdtState& l,
   return Resume(node, kEmptyInbox, sends);
 }
 
-Round FlatColoring::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
-                           SendBatch& sends) {
+Round FlatColoring::Resume(const FlatNodeRef& node,
+                           std::span<const InMessage> inbox,
+                           SendLane& sends) {
   switch (pc) {
     default:
       throw std::logic_error("flat program: corrupt pc");

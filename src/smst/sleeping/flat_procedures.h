@@ -129,9 +129,9 @@ struct FlatBroadcast {
   std::uint16_t pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, Round block_start,
-              Message root_msg, SendBatch& sends, std::size_t span = 0);
-  Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
-               SendBatch& sends);
+              Message root_msg, SendLane& sends, std::size_t span = 0);
+  Round Resume(const FlatNodeRef& node, std::span<const InMessage> inbox,
+               SendLane& sends);
 };
 
 // Upcast-Min(n) (convergecast): the minimum of all offered values reaches
@@ -144,9 +144,9 @@ struct FlatUpcastMin {
   std::uint16_t pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, Round block_start,
-              UpcastItem own, SendBatch& sends, std::size_t span = 0);
-  Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
-               SendBatch& sends);
+              UpcastItem own, SendLane& sends, std::size_t span = 0);
+  Round Resume(const FlatNodeRef& node, std::span<const InMessage> inbox,
+               SendLane& sends);
 };
 
 // Upcast-Sum(n): after completion, `result` holds the subtree total and
@@ -158,9 +158,9 @@ struct FlatUpcastSum {
   std::uint16_t pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, Round block_start,
-              std::uint64_t own, SendBatch& sends, std::size_t span = 0);
-  Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
-               SendBatch& sends);
+              std::uint64_t own, SendLane& sends, std::size_t span = 0);
+  Round Resume(const FlatNodeRef& node, std::span<const InMessage> inbox,
+               SendLane& sends);
 };
 
 // Merging-Fragments(n) (paper §2.2; the protocol is spelled out on the
@@ -182,9 +182,9 @@ struct FlatMerge {
   ChildPortList new_children;
 
   Round Begin(const FlatNodeRef& node, LdtState& l, BlockCursor& cursor,
-              MergeRole r, std::span<std::uint8_t> marks, SendBatch& sends);
-  Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
-               SendBatch& sends);
+              MergeRole r, std::span<std::uint8_t> marks, SendLane& sends);
+  Round Resume(const FlatNodeRef& node, std::span<const InMessage> inbox,
+               SendLane& sends);
 
  private:
   // Sub-block k's schedule (0 = A, 1 = B, 2 = C) at this node's level,
@@ -216,9 +216,9 @@ struct FlatColoring {
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, BlockCursor& cursor,
               std::span<const NbrEntry> nbr_in,
-              std::span<const HPort> h_ports_in, SendBatch& sends);
-  Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
-               SendBatch& sends);
+              std::span<const HPort> h_ports_in, SendLane& sends);
+  Round Resume(const FlatNodeRef& node, std::span<const InMessage> inbox,
+               SendLane& sends);
 
  private:
   // Start of block k of the current stage (0 = Upcast-Min of the choice,
@@ -255,9 +255,9 @@ struct FlatExchange {
   Round Begin(const FlatNodeRef& node, const LdtState& l, BlockCursor& c,
               std::span<const NodeId> sorted_ids,
               std::span<const HPort> h_ports_in, std::uint64_t value,
-              bool announce_in, SendBatch& sends);
-  Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
-               SendBatch& sends);
+              bool announce_in, SendLane& sends);
+  Round Resume(const FlatNodeRef& node, std::span<const InMessage> inbox,
+               SendLane& sends);
 };
 
 // The Corollary-1 log* coloring (coloring.h): after completion, `result`
@@ -297,9 +297,9 @@ struct FlatLogStarColoring {
   Round Begin(const FlatNodeRef& node, const LdtState& l, BlockCursor& c,
               std::span<const NbrEntry> nbr_in,
               std::span<const HPort> h_ports_in, std::uint32_t iters,
-              SendBatch& sends);
-  Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
-               SendBatch& sends);
+              SendLane& sends);
+  Round Resume(const FlatNodeRef& node, std::span<const InMessage> inbox,
+               SendLane& sends);
 };
 
 // A whole FlatProgram running one sub-machine per node: the round-0
@@ -307,7 +307,7 @@ struct FlatLogStarColoring {
 // until it finishes. Tests and benches drive single procedures with it:
 //
 //   ProcedureProgram<FlatUpcastMin> program(g, [&](const FlatNodeRef& node,
-//       FlatUpcastMin& proc, SendBatch& sends) {
+//       FlatUpcastMin& proc, SendLane& sends) {
 //     return proc.Begin(node, states[node.v], 1, own[node.v], sends);
 //   });
 //   sim.Run(program);  // then read program[v].best
@@ -315,13 +315,13 @@ template <typename Proc>
 class ProcedureProgram final : public FlatProgram {
  public:
   using BeginFn =
-      std::function<Round(const FlatNodeRef&, Proc&, SendBatch& sends)>;
+      std::function<Round(const FlatNodeRef&, Proc&, SendLane& sends)>;
 
   ProcedureProgram(const WeightedGraph& g, BeginFn begin)
       : g_(&g), begin_(std::move(begin)), procs_(g.NumNodes()) {}
 
-  Round Step(NodeIndex v, Round now, const InboxBatch& inbox,
-             SendBatch& sends) override {
+  Round Step(NodeIndex v, Round now, std::span<const InMessage> inbox,
+             SendLane& sends) override {
     const FlatNodeRef node{g_, v};
     return now == 0 ? begin_(node, procs_[v], sends)
                     : procs_[v].Resume(node, inbox, sends);

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -205,6 +206,53 @@ TEST(AllocationRegressionTest, HighDegreeDuplicatePortStillDetected) {
       std::logic_error);
 }
 
+// --- message lanes sized by degree -----------------------------------
+
+// A flat program that sends on every port in rounds 1..rounds.
+class FloodEveryPort final : public FlatProgram {
+ public:
+  FloodEveryPort(const WeightedGraph& g, Round rounds)
+      : g_(&g), rounds_(rounds) {}
+
+  Round Step(NodeIndex v, Round now, std::span<const InMessage>,
+             SendLane& sends) override {
+    if (now == rounds_) return kFlatDone;
+    const auto degree = static_cast<std::uint32_t>(g_->DegreeOf(v));
+    for (std::uint32_t p = 0; p < degree; ++p) {
+      sends.push_back({p, Message{1, v, now}});
+    }
+    return now + 1;
+  }
+
+ private:
+  const WeightedGraph* g_;
+  Round rounds_;
+};
+
+std::uint64_t RunFlood(const WeightedGraph& g) {
+  FloodEveryPort program(g, 8);
+  return CountAllocs([&] {
+    Simulator sim(g);
+    sim.Run(program);
+  });
+}
+
+// Each node's send and inbox lanes hold one slot per port, so a node of
+// degree ~8 sending on every port fills its lanes without spilling: four
+// times the nodes may add only the engine's geometric vector growth, not
+// an allocation per node (inline batches of 4 spilled twice per node of
+// degree > 4 here).
+TEST(AllocationRegressionTest, HighDegreeLanesDoNotAllocatePerNode) {
+  Xoshiro256 rng_small(9), rng_large(9);
+  const auto small = MakeErdosRenyi(256, 8.0 / 256, rng_small);
+  const auto large = MakeErdosRenyi(1024, 8.0 / 1024, rng_large);
+  RunFlood(small);  // warm-up
+  const std::uint64_t small_run = RunFlood(small);
+  const std::uint64_t large_run = RunFlood(large);
+  EXPECT_LT(large_run, small_run + 64)
+      << "n=256: " << small_run << " allocations, n=1024: " << large_run;
+}
+
 // --- end-to-end budget on a real algorithm ----------------------------
 
 TEST(AllocationRegressionTest, RandomizedMstStaysWithinAllocationBudget) {
@@ -218,13 +266,13 @@ TEST(AllocationRegressionTest, RandomizedMstStaysWithinAllocationBudget) {
   });
   ASSERT_GT(awake_rounds, 0u);
   // Whole-run budget. The engine's steady state is allocation-free (see
-  // EngineSteadyStateIsAllocationFree); what remains here is (a) run
-  // setup, amortized, and (b) message batches spilling past their inline
-  // capacity of 4 on this average-degree-8 graph — inherent to the
-  // workload, not per-round engine cost. Measured 0.031 on this
-  // workload (386 allocations over 12,651 awake node-rounds); the pin
-  // catches any regression back toward the old ~3-5 allocations
-  // per awake node-round.
+  // EngineSteadyStateIsAllocationFree), and its message lanes hold deg(v)
+  // slots each, so they never spill on a fault-free run at any degree
+  // (HighDegreeLanesDoNotAllocatePerNode); what remains here is run
+  // setup: the graph-sized arrays of the engine and the MST program, and
+  // the geometric growth of the run's few vectors. The pin catches any
+  // regression back toward the old ~3-5 allocations per awake
+  // node-round.
   const double per_awake_round =
       static_cast<double>(allocs) / static_cast<double>(awake_rounds);
   EXPECT_LT(per_awake_round, 1.0)

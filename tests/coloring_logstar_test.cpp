@@ -48,7 +48,7 @@ std::vector<LogStarResult> RunLogStar(
   const std::uint32_t iters = LogStarCvIterations(g.MaxId());
   ProcedureProgram<FlatLogStarColoring> program(
       g, [&](const FlatNodeRef& node, FlatLogStarColoring& proc,
-             SendBatch& sends) -> Round {
+             SendLane& sends) -> Round {
         if (nbr[node.v].empty()) return kFlatDone;
         return proc.Begin(node, states[node.v], cursors[node.v], nbr[node.v],
                           h_ports[node.v], iters, sends);
@@ -207,7 +207,7 @@ TEST(LogStarColoringTest, RejectsIsolatedFragment) {
   BlockCursor cursor(1, h.g.NumNodes());
   ProcedureProgram<FlatLogStarColoring> program(
       h.g, [&](const FlatNodeRef& node, FlatLogStarColoring& proc,
-               SendBatch& sends) {
+               SendLane& sends) {
         return proc.Begin(node, h.states[node.v], cursor, h.nbr[node.v],
                           h.h_ports[node.v], 1, sends);
       });
@@ -264,7 +264,7 @@ TEST(LogStarColoringTest, ExchangeRejectsAnIndexPastItsNeighborList) {
   h_ports[2] = {{PortTo(g, 2, 0), g.IdOf(0)}};
   std::vector<BlockCursor> cursors(3, BlockCursor(1, 3));
   ProcedureProgram<FlatExchange> program(
-      g, [&](const FlatNodeRef& node, FlatExchange& proc, SendBatch& sends) {
+      g, [&](const FlatNodeRef& node, FlatExchange& proc, SendLane& sends) {
         return proc.Begin(node, states[node.v], cursors[node.v],
                           node.v == 2 ? frag_a : none, h_ports[node.v], 5,
                           true, sends);

@@ -115,7 +115,7 @@ TEST_P(MergingPropertyTest, RandomScenarioPreservesAllInvariants) {
     marks.emplace_back(sc.g.DegreeOf(v), 0);
   }
   ProcedureProgram<FlatMerge> program(
-      sc.g, [&](const FlatNodeRef& node, FlatMerge& proc, SendBatch& sends) {
+      sc.g, [&](const FlatNodeRef& node, FlatMerge& proc, SendLane& sends) {
         BlockCursor cursor(1, node.NumNodesKnown());
         return proc.Begin(node, sc.states[node.v], cursor, sc.roles[node.v],
                           marks[node.v], sends);

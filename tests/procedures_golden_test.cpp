@@ -383,7 +383,7 @@ struct Logged {
   Proc proc;
   Digest log;
 
-  Round Note(Round r, const SendBatch& sends) {
+  Round Note(Round r, const SendLane& sends) {
     log.Word(r);
     log.Word(sends.size());
     for (const OutMessage& out : sends) {
@@ -392,15 +392,15 @@ struct Logged {
     }
     return r;
   }
-  Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
-               SendBatch& sends) {
+  Round Resume(const FlatNodeRef& node, std::span<const InMessage> inbox,
+               SendLane& sends) {
     return Note(proc.Resume(node, inbox, sends), sends);
   }
 };
 
 template <typename Proc>
 using BeginFn =
-    std::function<Round(const FlatNodeRef&, Proc&, SendBatch& sends)>;
+    std::function<Round(const FlatNodeRef&, Proc&, SendLane& sends)>;
 template <typename Proc>
 using ResultFn = std::function<void(Digest&, NodeIndex, const Proc&)>;
 
@@ -415,7 +415,7 @@ template <typename Proc>
 Pin DigestRun(const WeightedGraph& g, const BeginFn<Proc>& begin,
               const ResultFn<Proc>& result) {
   ProcedureProgram<Logged<Proc>> program(
-      g, [&](const FlatNodeRef& node, Logged<Proc>& p, SendBatch& sends) {
+      g, [&](const FlatNodeRef& node, Logged<Proc>& p, SendLane& sends) {
         return p.Note(begin(node, p.proc, sends), sends);
       });
   SimulatorOptions opt;
@@ -446,7 +446,7 @@ std::size_t SpanOf(const Shape& s) {
 Pin Broadcast(const Shape& s) {
   return DigestRun<FlatBroadcast>(
       s.g,
-      [&](const FlatNodeRef& node, FlatBroadcast& proc, SendBatch& sends) {
+      [&](const FlatNodeRef& node, FlatBroadcast& proc, SendLane& sends) {
         const NodeId id = node.Id();
         return proc.Begin(node, s.forest[node.v], 1,
                           Message{100, 4000 + id, id, 7}, sends, s.span);
@@ -459,7 +459,7 @@ Pin Broadcast(const Shape& s) {
 Pin UpcastMin(const Shape& s) {
   return DigestRun<FlatUpcastMin>(
       s.g,
-      [&](const FlatNodeRef& node, FlatUpcastMin& proc, SendBatch& sends) {
+      [&](const FlatNodeRef& node, FlatUpcastMin& proc, SendLane& sends) {
         // Every fourth ID offers nothing; keys collide now and then.
         const NodeId id = node.Id();
         const UpcastItem own = id % 4 == 0
@@ -477,7 +477,7 @@ Pin UpcastMin(const Shape& s) {
 Pin UpcastSum(const Shape& s) {
   return DigestRun<FlatUpcastSum>(
       s.g,
-      [&](const FlatNodeRef& node, FlatUpcastSum& proc, SendBatch& sends) {
+      [&](const FlatNodeRef& node, FlatUpcastSum& proc, SendLane& sends) {
         return proc.Begin(node, s.forest[node.v], 3, node.Id() % 3, sends,
                           s.span);
       },
@@ -499,7 +499,7 @@ Pin Merge(const Shape& s) {
   }
   return DigestRun<FlatMerge>(
       s.g,
-      [&](const FlatNodeRef& node, FlatMerge& proc, SendBatch& sends) {
+      [&](const FlatNodeRef& node, FlatMerge& proc, SendLane& sends) {
         BlockCursor cursor(1, SpanOf(s));
         return proc.Begin(node, ldt[node.v], cursor, s.roles[node.v],
                           marks[node.v], sends);
@@ -517,7 +517,7 @@ Pin Merge(const Shape& s) {
 Pin Coloring(const Shape& s) {
   return DigestRun<FlatColoring>(
       s.g,
-      [&](const FlatNodeRef& node, FlatColoring& proc, SendBatch& sends) {
+      [&](const FlatNodeRef& node, FlatColoring& proc, SendLane& sends) {
         BlockCursor cursor(1, node.NumNodesKnown());
         return proc.Begin(node, s.forest[node.v], cursor, s.nbr[node.v],
                           s.h_ports[node.v], sends);
@@ -607,7 +607,7 @@ std::string MergeThrows(Shape& s, NodeIndex late = kInvalidNode) {
     marks.emplace_back(s.g.DegreeOf(v), 0);
   }
   return ThrownBy<FlatMerge>(
-      s.g, [&](const FlatNodeRef& node, FlatMerge& proc, SendBatch& sends) {
+      s.g, [&](const FlatNodeRef& node, FlatMerge& proc, SendLane& sends) {
         BlockCursor cursor(node.v == late ? 1000 : 1, node.NumNodesKnown());
         return proc.Begin(node, s.forest[node.v], cursor, s.roles[node.v],
                           marks[node.v], sends);
@@ -623,7 +623,7 @@ TEST(ProcedureStallTest, BroadcastParentSilent) {
   EXPECT_EQ(ThrownBy<FlatBroadcast>(
                 s.g,
                 [&](const FlatNodeRef& node, FlatBroadcast& proc,
-                    SendBatch& sends) {
+                    SendLane& sends) {
                   return proc.Begin(node, s.forest[node.v], 1,
                                     Message{100, 9, 0, 0}, sends);
                 }),
@@ -689,7 +689,7 @@ TEST(ProcedureStallTest, ColoringInvalidColorValue) {
   EXPECT_EQ(ThrownBy<FlatColoring>(
                 s.g,
                 [&](const FlatNodeRef& node, FlatColoring& proc,
-                    SendBatch& sends) {
+                    SendLane& sends) {
                   BlockCursor cursor(1, node.NumNodesKnown());
                   return proc.Begin(node, s.forest[node.v], cursor,
                                     s.nbr[node.v], s.h_ports[node.v], sends);

@@ -78,7 +78,7 @@ TEST_P(ProcedureSweep, UpcastMinMatchesOracleEverywhere) {
   }
   ProcedureProgram<FlatUpcastMin> program(
       fx.g, [&](const FlatNodeRef& node, FlatUpcastMin& proc,
-                SendBatch& sends) {
+                SendLane& sends) {
         return proc.Begin(node, fx.states[node.v], 1, own[node.v], sends);
       });
   Simulator sim(fx.g);
@@ -108,7 +108,7 @@ TEST_P(ProcedureSweep, UpcastSumMatchesOracleEverywhere) {
   for (auto& v : own) v = rng.NextBelow(5);
   ProcedureProgram<FlatUpcastSum> program(
       fx.g, [&](const FlatNodeRef& node, FlatUpcastSum& proc,
-                SendBatch& sends) {
+                SendLane& sends) {
         return proc.Begin(node, fx.states[node.v], 1, own[node.v], sends);
       });
   Simulator sim(fx.g);
@@ -135,7 +135,7 @@ TEST_P(ProcedureSweep, BroadcastReachesAllAtO1Awake) {
 
   ProcedureProgram<FlatBroadcast> program(
       fx.g, [&](const FlatNodeRef& node, FlatBroadcast& proc,
-                SendBatch& sends) {
+                SendLane& sends) {
         return proc.Begin(node, fx.states[node.v], 1, Message{9, 7777, 0, 0},
                           sends);
       });
@@ -167,7 +167,7 @@ TEST(ProcedureSpanTest, SmallerSpanSameResultsFewerRounds) {
   for (std::size_t span : {2u, 40u}) {
     ProcedureProgram<FlatBroadcast> program(
         g, [&](const FlatNodeRef& node, FlatBroadcast& proc,
-               SendBatch& sends) {
+               SendLane& sends) {
           return proc.Begin(node, states[node.v], 1, Message{9, 123, 0, 0},
                             sends, span);
         });

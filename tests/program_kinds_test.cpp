@@ -43,23 +43,26 @@ struct Protocol {
                          std::uint32_t port) {
     return Message{7, acc, static_cast<std::uint64_t>(wakes_left), port};
   }
-  static std::uint64_t Absorb(std::uint64_t acc, const InboxBatch& inbox) {
+  static std::uint64_t Absorb(std::uint64_t acc,
+                              std::span<const InMessage> inbox) {
     for (const InMessage& m : inbox) acc = acc * 31 + (m.msg.a ^ m.port);
     return acc;
   }
   // Depends on the clock, the inbox and the node's private randomness.
-  static Round Next(Round now, std::uint64_t acc, const InboxBatch& inbox,
-                    Xoshiro256& rng) {
+  static Round Next(Round now, std::uint64_t acc,
+                    std::span<const InMessage> inbox, Xoshiro256& rng) {
     return now + 1 + acc % 3 + inbox.size() % 2 + rng.Next() % 2;
   }
 };
 
-SendBatch AllPorts(std::size_t degree, std::uint64_t acc, int wakes_left) {
-  SendBatch sends;
+// Pushes one message on every port: into a coroutine's SendBatch or a
+// flat program's SendLane.
+template <typename Sends>
+void PushAllPorts(Sends& sends, std::size_t degree, std::uint64_t acc,
+                  int wakes_left) {
   for (std::uint32_t p = 0; p < degree; ++p) {
     sends.push_back({p, Protocol::Payload(acc, wakes_left, p)});
   }
-  return sends;
 }
 
 Task<void> CoroutineNode(NodeContext& ctx, Protocol proto, Outcomes* run) {
@@ -70,7 +73,8 @@ Task<void> CoroutineNode(NodeContext& ctx, Protocol proto, Outcomes* run) {
   std::uint64_t acc = ctx.Id();
   Round next = proto.First(v);
   for (int left = Protocol::Wakes(v); left > 0; --left) {
-    SendBatch sends = AllPorts(ctx.Degree(), acc, left);
+    SendBatch sends;
+    PushAllPorts(sends, ctx.Degree(), acc, left);
     const InboxBatch inbox = co_await ctx.Awake(next, std::move(sends));
     const Round now = ctx.CurrentRound();
     run->rounds_seen[v].push_back(now);
@@ -91,15 +95,15 @@ class FlatNode final : public FlatProgram {
     }
   }
 
-  Round Step(NodeIndex v, Round now, const InboxBatch& inbox,
-             SendBatch& sends) override {
+  Round Step(NodeIndex v, Round now, std::span<const InMessage> inbox,
+             SendLane& sends) override {
     State& st = state_[v];
     run_->rounds_seen[v].push_back(now);
     if (now == 0) {
       if (v == proto_.quiet) return kFlatDone;
       st.acc = g_->IdOf(v);
       st.left = Protocol::Wakes(v);
-      sends = AllPorts(g_->DegreeOf(v), st.acc, st.left);
+      PushAllPorts(sends, g_->DegreeOf(v), st.acc, st.left);
       return proto_.First(v);
     }
     st.acc = Protocol::Absorb(st.acc, inbox);
@@ -108,7 +112,7 @@ class FlatNode final : public FlatProgram {
       run_->acc[v] = st.acc;
       return kFlatDone;
     }
-    sends = AllPorts(g_->DegreeOf(v), st.acc, st.left);
+    PushAllPorts(sends, g_->DegreeOf(v), st.acc, st.left);
     return next;
   }
 
@@ -311,11 +315,11 @@ class ThrowAtStart final : public FlatProgram {
  public:
   explicit ThrowAtStart(const WeightedGraph& g) : g_(&g) {}
 
-  Round Step(NodeIndex v, Round now, const InboxBatch&,
-             SendBatch& sends) override {
+  Round Step(NodeIndex v, Round now, std::span<const InMessage>,
+             SendLane& sends) override {
     if (now != 0) return kFlatDone;
     if (v == 0) throw std::runtime_error("node 0 failed at start");
-    sends = AllPorts(g_->DegreeOf(v), v, 1);
+    PushAllPorts(sends, g_->DegreeOf(v), v, 1);
     return 1;
   }
 
@@ -360,7 +364,8 @@ class ConditionalWake final : public FlatProgram {
  public:
   explicit ConditionalWake(std::size_t n) : state_(n) {}
 
-  Round Step(NodeIndex v, Round now, const InboxBatch&, SendBatch&) override {
+  Round Step(NodeIndex v, Round now, std::span<const InMessage>,
+             SendLane&) override {
     State& st = state_[v];
     if (now != 0) st.woke.push_back(now);
     switch (st.pc) {

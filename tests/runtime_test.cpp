@@ -1,4 +1,7 @@
+#include <array>
 #include <cstdint>
+#include <new>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -7,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include "smst/faults/fault_plan.h"
 #include "smst/graph/generators.h"
 #include "smst/graph/graph.h"
+#include "smst/mst/api.h"
+#include "smst/runtime/lane.h"
 #include "smst/runtime/simulator.h"
 #include "smst/runtime/task.h"
 
@@ -415,6 +421,9 @@ TEST(MessageLayoutTest, SizesArePinned) {
   EXPECT_EQ(sizeof(OutMessage), 32u);
   EXPECT_EQ(sizeof(SendBatch), 144u);
   EXPECT_EQ(sizeof(InboxBatch), 144u);
+  // An engine lane is a header over its node's slots (runtime/lane.h).
+  EXPECT_EQ(sizeof(SendLane), 16u);
+  EXPECT_EQ(sizeof(InboxLane), 16u);
   // The header comes first: the first inline slot follows its 16 bytes.
   const SendBatch batch;
   EXPECT_EQ(reinterpret_cast<const char*>(batch.data()) -
@@ -474,6 +483,263 @@ TEST(MessageLayoutTest, PositionalConstructorKeepsItsMeaning) {
   const OutMessage out{3, m};
   EXPECT_EQ(out.port, 3u);
   EXPECT_EQ(out.msg, m);
+}
+
+// ------------------------------------------------------- message lanes --
+// The engine gives each node deg(v) send and inbox slots (runtime/lane.h);
+// a lane that outgrows them moves to a heap buffer of its own.
+
+TEST(MessageLaneTest, SpillsPastItsSlotsInOrderAndWorksAfterClear) {
+  std::array<OutMessage, 3> slots{};
+  SendLane lane(slots.data(), slots.size());
+  for (std::uint32_t p = 0; p < 3; ++p) {
+    lane.push_back({p, Message{1, p}});
+  }
+  // Filled to its port count, in place.
+  EXPECT_EQ(lane.data(), slots.data());
+  EXPECT_EQ(lane.capacity(), 3u);
+  // One more spills, keeping the order.
+  lane.emplace_back(9u, Message{2, 9});
+  EXPECT_NE(lane.data(), slots.data());
+  EXPECT_GT(lane.capacity(), 3u);
+  std::vector<std::uint32_t> ports;
+  for (const OutMessage& out : lane) ports.push_back(out.port);
+  EXPECT_EQ(ports, (std::vector<std::uint32_t>{0, 1, 2, 9}));
+  EXPECT_EQ(lane[3].msg, (Message{2, 9}));
+
+  // clear() keeps the buffer; the lane fills it and spills again.
+  lane.clear();
+  EXPECT_TRUE(lane.empty());
+  const OutMessage* buffer = lane.data();
+  const std::size_t capacity = lane.capacity();
+  for (std::uint32_t p = 0; p < capacity; ++p) {
+    lane.push_back({p, Message{3, p}});
+  }
+  EXPECT_EQ(lane.data(), buffer);
+  lane.push_back({100, Message{4}});
+  EXPECT_GT(lane.capacity(), capacity);
+  ASSERT_EQ(lane.size(), capacity + 1);
+  for (std::uint32_t p = 0; p < capacity; ++p) {
+    EXPECT_EQ(lane[p].port, p);
+    EXPECT_EQ(lane[p].msg, (Message{3, p}));
+  }
+  EXPECT_EQ(lane[capacity].port, 100u);
+
+  // A lane reads as a span, which is how a program sees its inbox.
+  const std::span<const OutMessage> view = lane;
+  EXPECT_EQ(view.size(), lane.size());
+  EXPECT_EQ(view.data(), lane.data());
+
+  // A degree-0 node's lane has no slots: its first push spills.
+  InboxLane none(nullptr, 0);
+  EXPECT_TRUE(std::span<const InMessage>(none).empty());
+  none.push_back({0, Message{5}});
+  ASSERT_EQ(none.size(), 1u);
+  EXPECT_EQ(none[0].msg, Message{5});
+}
+
+// Every node pushes one send per port and then a second on port 0:
+// deg(v) + 1 sends, one more than its send lane has slots.
+class OneSendTooMany final : public FlatProgram {
+ public:
+  explicit OneSendTooMany(const WeightedGraph& g) : g_(&g) {}
+
+  Round Step(NodeIndex v, Round now, std::span<const InMessage>,
+             SendLane& sends) override {
+    if (now != 0) return kFlatDone;
+    const auto degree = static_cast<std::uint32_t>(g_->DegreeOf(v));
+    for (std::uint32_t p = 0; p < degree; ++p) {
+      sends.push_back({p, Message{1, v}});
+    }
+    sends.push_back({0, Message{2, v}});
+    return 1;
+  }
+
+ private:
+  const WeightedGraph* g_;
+};
+
+TEST(MessageLaneTest, OneSendPastThePortsFailsTheNode) {
+  Xoshiro256 rng(4);
+  // Degrees 1-2, 2, and a degree-80 center (past the 64-port bitset).
+  const std::vector<WeightedGraph> graphs = {
+      MakePath(6, rng), MakeRing(8, rng), MakeStar(81, rng)};
+  const FaultPlan plan = ParseFaultPlan("salt=1,drop=0.0001");
+  for (const WeightedGraph& g : graphs) {
+    for (const std::uint32_t shards : {1u, 2u}) {
+      SCOPED_TRACE("n=" + std::to_string(g.NumNodes()) + " shards " +
+                   std::to_string(shards));
+      OneSendTooMany program(g);
+      SimulatorOptions opt;
+      opt.shards = shards;
+      {
+        Simulator sim(g, opt);
+        try {
+          sim.Run(program);
+          ADD_FAILURE() << "the extra send was accepted";
+        } catch (const std::logic_error& e) {
+          EXPECT_STREQ(e.what(), "two messages on one port in one round");
+        }
+      }
+      // Under an adversary the same violation is a fault effect.
+      opt.fault_plan = &plan;
+      Simulator sim(g, opt);
+      const RunOutcome out = sim.RunToOutcome(program);
+      EXPECT_EQ(out.status, RunStatus::kCrashedPartition);
+      EXPECT_EQ(out.detail,
+                "node 0 sent two messages on one port in one round "
+                "(fault-corrupted protocol state)");
+      Simulator again(g, opt);
+      EXPECT_THROW(again.Run(program), std::runtime_error);
+    }
+  }
+}
+
+// `--graph path --n 8 --algo randomized --seed 1 --fault-plan dup=1`:
+// every message is duplicated, so a degree-1 endpoint gets two messages
+// on its one port and its inbox lane spills, on the fresh and cross-shard
+// paths alike. The run ends in a crashed-partition once a duplicate
+// tricks a node into a double send; every shard layout must replay it
+// field for field, and the audit must stay clean.
+MstRunResult DuplicatedPathRun(std::uint32_t shards, ShardPolicy policy) {
+  Xoshiro256 rng(1);
+  const WeightedGraph g = MakePath(8, rng);
+  const FaultPlan plan = ParseFaultPlan("dup=1");
+  MstOptions opt;
+  opt.seed = 1;
+  opt.fault_plan = &plan;
+  opt.audit = AuditMode::kOn;
+  opt.shards = shards;
+  opt.shard_policy = policy;
+  return ComputeMst(g, MstAlgorithm::kRandomized, opt);
+}
+
+TEST(MessageLaneTest, OverfullInboxesReplayOnEveryShardLayout) {
+  const MstRunResult serial =
+      DuplicatedPathRun(0, ShardPolicy::kContiguousBlocks);
+  EXPECT_EQ(serial.outcome.status, RunStatus::kCrashedPartition);
+  EXPECT_EQ(serial.outcome.detail,
+            "node 0 sent two messages on one port in one round "
+            "(fault-corrupted protocol state)");
+  EXPECT_EQ(serial.outcome.faults.injected_duplicates, 161u);
+  EXPECT_EQ(serial.stats.total_messages, 161u);
+  EXPECT_EQ(serial.outcome.audit_violations, 0u);
+  EXPECT_GT(serial.outcome.audited_awake_node_rounds, 0u);
+  for (const std::uint32_t shards : {2u, 4u}) {
+    for (const ShardPolicy policy :
+         {ShardPolicy::kContiguousBlocks, ShardPolicy::kRoundRobin}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                   ShardPolicyName(policy));
+      const MstRunResult sharded = DuplicatedPathRun(shards, policy);
+      EXPECT_EQ(sharded.outcome, serial.outcome);
+      EXPECT_EQ(sharded.tree_edges, serial.tree_edges);
+      EXPECT_EQ(sharded.phases, serial.phases);
+      EXPECT_EQ(sharded.fragments_per_phase, serial.fragments_per_phase);
+      EXPECT_EQ(sharded.stats.rounds, serial.stats.rounds);
+      EXPECT_EQ(sharded.stats.max_awake, serial.stats.max_awake);
+      EXPECT_EQ(sharded.stats.avg_awake, serial.stats.avg_awake);
+      EXPECT_EQ(sharded.stats.total_messages, serial.stats.total_messages);
+      EXPECT_EQ(sharded.stats.total_bits, serial.stats.total_bits);
+      EXPECT_EQ(sharded.stats.max_message_bits,
+                serial.stats.max_message_bits);
+      EXPECT_EQ(sharded.stats.dropped_messages,
+                serial.stats.dropped_messages);
+      EXPECT_EQ(sharded.stats.awake_node_rounds,
+                serial.stats.awake_node_rounds);
+      ASSERT_EQ(sharded.node_metrics.size(), serial.node_metrics.size());
+      for (std::size_t v = 0; v < serial.node_metrics.size(); ++v) {
+        const NodeMetrics& a = serial.node_metrics[v];
+        const NodeMetrics& b = sharded.node_metrics[v];
+        EXPECT_EQ(b.awake_rounds, a.awake_rounds) << "node " << v;
+        EXPECT_EQ(b.messages_sent, a.messages_sent) << "node " << v;
+        EXPECT_EQ(b.bits_sent, a.bits_sent) << "node " << v;
+        EXPECT_EQ(b.messages_dropped, a.messages_dropped) << "node " << v;
+      }
+    }
+  }
+}
+
+// n = 1: a node of degree 0 has no slots at all.
+WeightedGraph OneNode() {
+  GraphBuilder b(1);
+  return std::move(b).Build();
+}
+
+Task<void> LonelyNode(NodeContext& ctx, std::size_t* received) {
+  *received += (co_await ctx.Awake(1)).size();
+  *received += (co_await ctx.Awake(2)).size();
+}
+
+class LonelyFlatNode final : public FlatProgram {
+ public:
+  Round Step(NodeIndex, Round now, std::span<const InMessage> inbox,
+             SendLane& sends) override {
+    received += inbox.size();
+    EXPECT_TRUE(sends.empty());
+    return now < 2 ? now + 1 : kFlatDone;
+  }
+  std::size_t received = 0;
+};
+
+TEST(MessageLaneTest, ADegreeZeroNodeRunsUnderBothProgramKinds) {
+  const WeightedGraph g = OneNode();
+  ASSERT_EQ(g.DegreeOf(0), 0u);
+  std::size_t received = 0;
+  Simulator coroutine(g);
+  coroutine.Run([&received](NodeContext& ctx) {
+    return LonelyNode(ctx, &received);
+  });
+  EXPECT_EQ(received, 0u);
+  EXPECT_EQ(coroutine.Stats().awake_node_rounds, 2u);
+  EXPECT_EQ(coroutine.Stats().rounds, 2u);
+
+  LonelyFlatNode flat;
+  Simulator sim(g);
+  sim.Run(flat);
+  EXPECT_EQ(flat.received, 0u);
+  EXPECT_EQ(sim.Stats().awake_node_rounds, 2u);
+  EXPECT_EQ(sim.Stats().rounds, 2u);
+}
+
+// ------------------------------------------------ host allocation failure --
+// std::bad_alloc from a node's step is the host running out of memory,
+// not the node failing: the run ends with it on every path.
+
+class OutOfMemoryAt final : public FlatProgram {
+ public:
+  explicit OutOfMemoryAt(NodeIndex victim) : victim_(victim) {}
+
+  Round Step(NodeIndex v, Round now, std::span<const InMessage>,
+             SendLane&) override {
+    if (v == victim_ && now == 2) throw std::bad_alloc();
+    return now < 3 ? now + 1 : kFlatDone;
+  }
+
+ private:
+  NodeIndex victim_;
+};
+
+TEST(SimulatorTest, AllocationFailureEndsTheRun) {
+  Xoshiro256 rng(6);
+  const WeightedGraph g = MakeRing(16, rng);
+  const FaultPlan plan = ParseFaultPlan("salt=2,drop=0.0001");
+  for (const std::uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    OutOfMemoryAt program(5);
+    SimulatorOptions opt;
+    opt.shards = shards;
+    {
+      Simulator sim(g, opt);
+      EXPECT_THROW(sim.Run(program), std::bad_alloc);
+    }
+    {
+      Simulator sim(g, opt);
+      EXPECT_THROW(sim.RunToOutcome(program), std::bad_alloc);
+    }
+    opt.fault_plan = &plan;
+    Simulator sim(g, opt);
+    EXPECT_THROW(sim.RunToOutcome(program), std::bad_alloc);
+  }
 }
 
 }  // namespace

@@ -167,8 +167,8 @@ class ThreadProbe final : public FlatProgram {
  public:
   explicit ThreadProbe(const WeightedGraph& g) : g_(&g), steps_(g.NumNodes()) {}
 
-  Round Step(NodeIndex v, Round now, const InboxBatch& /*inbox*/,
-             SendBatch& sends) override {
+  Round Step(NodeIndex v, Round now, std::span<const InMessage> /*inbox*/,
+             SendLane& sends) override {
     if (now != 0) steps_[v].push_back(std::this_thread::get_id());
     if (now == 3) return kFlatDone;
     SendAll(v, sends);
@@ -180,7 +180,7 @@ class ThreadProbe final : public FlatProgram {
   }
 
  private:
-  void SendAll(NodeIndex v, SendBatch& sends) const {
+  void SendAll(NodeIndex v, SendLane& sends) const {
     for (std::uint32_t p = 0; p < g_->DegreeOf(v); ++p) {
       sends.push_back({p, Message{1, v, 0, 0}});
     }

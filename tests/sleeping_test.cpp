@@ -109,7 +109,7 @@ TEST(FragmentBroadcastTest, ReachesEveryNodeInO1Awake) {
   ASSERT_EQ(CheckForestInvariant(fx.g, fx.states), "");
   ProcedureProgram<FlatBroadcast> program(
       fx.g, [&](const FlatNodeRef& node, FlatBroadcast& proc,
-                SendBatch& sends) {
+                SendLane& sends) {
         return proc.Begin(node, fx.states[node.v], 1, Message{100, 4242, 0, 0},
                           sends);
       });
@@ -126,7 +126,7 @@ ProcedureProgram<FlatUpcastMin> UpcastProgram(
     const SingleTreeFixture& fx, const std::vector<UpcastItem>& own) {
   return ProcedureProgram<FlatUpcastMin>(
       fx.g, [&](const FlatNodeRef& node, FlatUpcastMin& proc,
-                SendBatch& sends) {
+                SendLane& sends) {
         return proc.Begin(node, fx.states[node.v], 1, own[node.v], sends);
       });
 }
@@ -167,7 +167,7 @@ TEST(UpcastSumTest, TotalsAndPerChildBreakdown) {
   std::vector<std::uint64_t> own{1, 0, 2, 0, 5, 3};
   ProcedureProgram<FlatUpcastSum> program(
       fx.g, [&](const FlatNodeRef& node, FlatUpcastSum& proc,
-                SendBatch& sends) {
+                SendLane& sends) {
         return proc.Begin(node, fx.states[node.v], 1, own[node.v], sends);
       });
   Simulator sim(fx.g);
@@ -202,10 +202,10 @@ struct TwoFragmentFixture {
 // Transmit-Adjacent is one awake round in the block's Side slot; this
 // sub-machine keeps what arrived.
 struct SideRound {
-  InboxBatch got;
-  Round Resume(const FlatNodeRef& /*node*/, const InboxBatch& inbox,
-               SendBatch& /*sends*/) {
-    got = inbox;
+  std::vector<InMessage> got;
+  Round Resume(const FlatNodeRef& /*node*/, std::span<const InMessage> inbox,
+               SendLane& /*sends*/) {
+    got.assign(inbox.begin(), inbox.end());
     return kFlatDone;
   }
 };
@@ -215,7 +215,7 @@ TEST(TransmitAdjacentTest, CrossFragmentExchangeInOneAwakeRound) {
   ASSERT_EQ(CheckForestInvariant(fx.g, fx.states), "");
   ProcedureProgram<SideRound> program(
       fx.g, [&](const FlatNodeRef& node, SideRound& /*proc*/,
-                SendBatch& sends) {
+                SendLane& sends) {
         // Everyone announces its fragment ID on every port.
         const LdtState& ldt = fx.states[node.v];
         for (std::uint32_t p = 0; p < node.Degree(); ++p) {
@@ -253,7 +253,7 @@ struct MergeHarness {
   void Run() {
     ProcedureProgram<FlatMerge> program(
         g, [this](const FlatNodeRef& node, FlatMerge& proc,
-                  SendBatch& sends) {
+                  SendLane& sends) {
           BlockCursor cursor(1, node.NumNodesKnown());
           return proc.Begin(node, states[node.v], cursor, roles[node.v],
                             mst_marks[node.v], sends);
@@ -393,7 +393,7 @@ struct ColoringHarness {
   void Run() {
     ProcedureProgram<FlatColoring> program(
         g, [this](const FlatNodeRef& node, FlatColoring& proc,
-                  SendBatch& sends) {
+                  SendLane& sends) {
           BlockCursor cursor(1, node.NumNodesKnown());
           return proc.Begin(node, states[node.v], cursor, nbr[node.v],
                             h_ports[node.v], sends);

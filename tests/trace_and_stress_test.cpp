@@ -32,8 +32,8 @@ class FlatChatter final : public FlatProgram {
  public:
   explicit FlatChatter(const WeightedGraph& g) : g_(&g) {}
 
-  Round Step(NodeIndex v, Round now, const InboxBatch& /*inbox*/,
-             SendBatch& sends) override {
+  Round Step(NodeIndex v, Round now, std::span<const InMessage> /*inbox*/,
+             SendLane& sends) override {
     if (now == 0) {
       for (std::uint32_t p = 0; p < g_->DegreeOf(v); ++p) {
         sends.push_back({p, Message{1, g_->IdOf(v), 0, 0}});
@@ -177,7 +177,7 @@ TEST(FailureDetectionTest, SilentParentIsAProtocolError) {
   // protocol violation instead of silently misbehaving.
   ProcedureProgram<FlatBroadcast> program(
       g, [&states](const FlatNodeRef& node, FlatBroadcast& proc,
-                   SendBatch& sends) {
+                   SendLane& sends) {
         const LdtState& ldt = states[node.v];
         return ldt.IsRoot() ? kFlatDone
                             : proc.Begin(node, ldt, 1, Message{}, sends);
