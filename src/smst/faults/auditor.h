@@ -13,15 +13,14 @@
 //   asleep-receive  no message is delivered to a sleeping node
 //   awake-meter     the auditor's own awake-node-round count matches the
 //                   scheduler's Metrics meter (CheckAwakeMeter)
-//   forest          fragment structure stays a forest: parent/child
-//                   symmetry, level = parent level + 1, no parent cycles
-//                   (CheckForest, fed whole-graph LDT snapshots by its
-//                   caller; only tests call it — no run feeds it)
 //
-// Violations are recorded with round + node attribution (up to
-// Config::max_recorded, counted beyond that). The hooks sit on the
-// scheduler's observed path, behind a null-pointer check; a run with no
-// auditor, fault plan or trace never reaches them. Debug builds (and any
+// The forest invariant of the fragment structure is not a run-time hook:
+// CheckForestInvariant (sleeping/ldt.h) checks whole-graph LDT snapshots.
+//
+// Violations are recorded with round + node attribution (the first
+// kMaxRecorded, counted beyond that). The hooks sit on the scheduler's
+// observed path, behind a null-pointer check; a run with no auditor,
+// fault plan or trace never reaches them. Debug builds (and any
 // build configured with -DSMST_AUDIT=ON) install an auditor on every
 // Simulator by default, making every existing test a model-conformance
 // test. The auditor never changes execution — it only observes.
@@ -34,7 +33,6 @@
 #include "smst/graph/graph.h"
 #include "smst/runtime/message.h"
 #include "smst/runtime/metrics.h"
-#include "smst/sleeping/ldt.h"
 
 namespace smst {
 
@@ -42,26 +40,19 @@ using Round = std::uint64_t;  // same alias as runtime/scheduler.h
 
 struct AuditViolation {
   std::string check;  // "congest-bits" | "asleep-send" | ... (see above)
-  Round round = 0;    // for "forest" fed from phase snapshots: the phase
+  Round round = 0;
   NodeIndex node = kInvalidNode;
   std::string detail;
 };
 
 class Auditor {
  public:
-  struct Config {
-    // Per-message bit ceiling; 0 derives the CONGEST budget from the
-    // graph (see BitBudget()).
-    std::uint32_t max_message_bits = 0;
-    // Throw std::runtime_error at the first violation instead of
-    // accumulating (tests that want a precise failure point).
-    bool fail_fast = false;
-    // Violations recorded verbatim; the rest only counted.
-    std::size_t max_recorded = 64;
-  };
+  // Violations recorded verbatim; the rest are only counted.
+  static constexpr std::size_t kMaxRecorded = 64;
 
+  // Derives the per-message CONGEST bit budget from the graph (see
+  // BitBudget()).
   explicit Auditor(const WeightedGraph& graph);
-  Auditor(const WeightedGraph& graph, Config config);
 
   // ---- scheduler hooks (observation only; cheap, branch-free inner) ---
   void OnAwake(Round r, NodeIndex v);
@@ -73,10 +64,6 @@ class Auditor {
   // ---- cross-checks ---------------------------------------------------
   // Compares the auditor's awake/drop meters against the scheduler's.
   void CheckAwakeMeter(const Metrics& metrics);
-  // Verifies the LDT forest invariant over a whole-graph snapshot,
-  // attributing the first offending node. `when` labels the violation's
-  // round field (callers pass the phase or round the snapshot belongs to).
-  void CheckForest(Round when, const std::vector<LdtState>& states);
 
   // ---- results --------------------------------------------------------
   bool Clean() const { return violation_count_ == 0; }
@@ -96,8 +83,6 @@ class Auditor {
     return v < awake_in_.size() && awake_in_[v] == r;
   }
 
-  const WeightedGraph& graph_;
-  Config config_;
   std::uint32_t bit_budget_ = 0;
   // node -> last round it was marked awake in (rounds start at 1, so 0
   // means "never").

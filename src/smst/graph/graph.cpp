@@ -83,6 +83,11 @@ GraphBuilder& GraphBuilder::SetIds(std::vector<NodeId> ids, NodeId max_id) {
   return *this;
 }
 
+GraphBuilder& GraphBuilder::SetMaxId(NodeId max_id) {
+  max_id_ = max_id;
+  return *this;
+}
+
 WeightedGraph GraphBuilder::Build() && {
   WeightedGraph g;
   g.edges_ = std::move(edges_);
@@ -121,7 +126,7 @@ WeightedGraph GraphBuilder::Build() && {
                                     std::to_string(e.v));
       }
     }
-    // Distinct IDs in [1, N] (the default 1..n are).
+    // Distinct IDs in [1, N] (the default 1..n are checked below).
     seen.Clear();
     for (NodeId id : ids_) {
       if (id == 0 || id > max_id_) {
@@ -139,14 +144,19 @@ WeightedGraph GraphBuilder::Build() && {
     throw std::invalid_argument("graph is not connected");
   }
   if (ids_.empty()) {
+    if (max_id_ == 0) max_id_ = num_nodes_;
+    if (max_id_ < num_nodes_) {
+      throw std::invalid_argument("node ID " + std::to_string(num_nodes_) +
+                                  " outside [1, N]");
+    }
     ids_.resize(num_nodes_);
     std::iota(ids_.begin(), ids_.end(), NodeId{1});
-    max_id_ = num_nodes_;
   }
   g.ids_ = std::move(ids_);
   g.max_id_ = max_id_;
 
-  // Build CSR port tables in edge-insertion order.
+  // Build CSR port tables in edge-insertion order; the two ports of an
+  // edge are each other's reverse.
   g.port_offset_.assign(num_nodes_ + 1, 0);
   for (const Edge& e : g.edges_) {
     ++g.port_offset_[e.u + 1];
@@ -156,12 +166,19 @@ WeightedGraph GraphBuilder::Build() && {
     g.port_offset_[v + 1] += g.port_offset_[v];
   }
   g.ports_.resize(2 * g.edges_.size());
+  g.reverse_ports_.resize(g.ports_.size());
   std::vector<std::size_t> cursor(g.port_offset_.begin(),
                                   g.port_offset_.end() - 1);
   for (EdgeIndex e = 0; e < g.edges_.size(); ++e) {
     const Edge& edge = g.edges_[e];
-    g.ports_[cursor[edge.u]++] = Port{edge.v, e, edge.weight};
-    g.ports_[cursor[edge.v]++] = Port{edge.u, e, edge.weight};
+    const std::size_t at_u = cursor[edge.u]++;
+    const std::size_t at_v = cursor[edge.v]++;
+    g.ports_[at_u] = Port{edge.v, e, edge.weight};
+    g.ports_[at_v] = Port{edge.u, e, edge.weight};
+    g.reverse_ports_[at_u] =
+        static_cast<std::uint32_t>(at_v - g.port_offset_[edge.v]);
+    g.reverse_ports_[at_v] =
+        static_cast<std::uint32_t>(at_u - g.port_offset_[edge.u]);
   }
 
   // Connectivity (the model requires a connected network).

@@ -15,6 +15,10 @@
 //    enforces both.
 //  * Each node's incident edges occupy ports 0..deg-1 in insertion order;
 //    a node addresses messages by port, never by neighbor index.
+//  * Every port has a reverse: the port at the far end of the same edge.
+//    A message arrives tagged with the receiver's own port for the edge
+//    it crossed, so the simulator reads this for each delivery; the
+//    builder records it once, while it writes the port tables.
 #pragma once
 
 #include <cstdint>
@@ -91,6 +95,13 @@ class WeightedGraph {
   // scheduler, by the MST programs) lives in arrays indexed this way.
   std::size_t PortOffset(NodeIndex v) const { return port_offset_[v]; }
   std::size_t NumPorts() const { return ports_.size(); }
+  // The node's reverse ports, in port order: ReversePortsOf(v)[p] is the
+  // port at PortsOf(v)[p].neighbor that leads back to v over the same
+  // edge.
+  std::span<const std::uint32_t> ReversePortsOf(NodeIndex v) const {
+    return {reverse_ports_.data() + port_offset_[v],
+            port_offset_[v + 1] - port_offset_[v]};
+  }
 
   NodeId IdOf(NodeIndex v) const { return ids_[v]; }
   NodeId MaxId() const { return max_id_; }
@@ -105,10 +116,11 @@ class WeightedGraph {
   friend class GraphBuilder;
 
   std::vector<Edge> edges_;
-  std::vector<Port> ports_;                // CSR-packed port tables
-  std::vector<std::size_t> port_offset_;   // size n+1
-  std::vector<NodeId> ids_;                // node index -> ID
-  NodeId max_id_ = 0;                      // N (>= every ID)
+  std::vector<Port> ports_;                   // CSR-packed port tables
+  std::vector<std::uint32_t> reverse_ports_;  // indexed like ports_
+  std::vector<std::size_t> port_offset_;      // size n+1
+  std::vector<NodeId> ids_;                   // node index -> ID
+  NodeId max_id_ = 0;                         // N (>= every ID)
 };
 
 // Builds a WeightedGraph and validates the model's preconditions:
@@ -128,6 +140,10 @@ class GraphBuilder {
   // Assigns node IDs (defaults to 1..n in index order if never called).
   // `max_id` must be >= every ID; it becomes the algorithms' N.
   GraphBuilder& SetIds(std::vector<NodeId> ids, NodeId max_id);
+
+  // Sets N alone, keeping the default IDs 1..n (N defaults to n). Build
+  // rejects an N below n, as it rejects any ID above N.
+  GraphBuilder& SetMaxId(NodeId max_id);
 
   // Validates and produces the immutable graph. The builder is consumed.
   WeightedGraph Build() &&;

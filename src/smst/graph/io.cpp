@@ -127,7 +127,9 @@ WeightedGraph ReadEdgeList(std::istream& in) {
     }
   }
   if (!builder.has_value()) throw std::invalid_argument("empty edge list");
-  if (!id_lines.empty()) {
+  if (id_lines.empty()) {
+    builder->SetMaxId(max_id);
+  } else {
     builder->SetIds(CollectIds(std::move(id_lines), n), max_id);
   }
   return std::move(*builder).Build();

@@ -4,7 +4,7 @@
 //
 // Edge-list format (whitespace-separated, '#' comments; every field is
 // one unsigned decimal number and a line has no further tokens):
-//   n <node-count> [<max-id>]
+//   n <node-count> [<max-id>]           (max-id is N; default node-count)
 //   [id <node-index> <node-id>]...      (optional, one per node if any;
 //                                        default IDs 1..n)
 //   <u> <v> <weight>                    (one line per edge, 0-based)

@@ -28,8 +28,11 @@ Scheduler::Scheduler(const WeightedGraph& graph, Metrics& metrics,
   }
   // deg(v) send and inbox slots per owned node, in lane order.
   std::size_t slots = 0;
+  std::size_t max_degree = 0;
   for (std::size_t i = 0; i < lanes; ++i) {
-    slots += graph_.DegreeOf(NodeOfLane(i));
+    const std::size_t degree = graph_.DegreeOf(NodeOfLane(i));
+    slots += degree;
+    max_degree = std::max(max_degree, degree);
   }
   send_slots_.resize(slots);
   inbox_slots_.resize(slots);
@@ -43,33 +46,6 @@ Scheduler::Scheduler(const WeightedGraph& graph, Metrics& metrics,
   }
   status_.assign(lanes, Status::kRunning);
   errors_.resize(lanes);
-
-  std::size_t max_degree = 0;
-  for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
-    max_degree = std::max(max_degree, graph_.DegreeOf(v));
-  }
-  // edge -> (port index at edge.u, port index at edge.v), then flattened
-  // into the per-(node, port) reverse-port table the delivery loop reads.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edge_ports(
-      graph.NumEdges());
-  for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
-    std::uint32_t port_index = 0;
-    for (const Port& p : graph_.PortsOf(v)) {
-      if (graph_.GetEdge(p.edge).u == v) edge_ports[p.edge].first = port_index;
-      else edge_ports[p.edge].second = port_index;
-      ++port_index;
-    }
-  }
-  reverse_ports_.resize(graph_.NumPorts());
-  for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
-    std::uint32_t port_index = 0;
-    for (const Port& p : graph_.PortsOf(v)) {
-      reverse_ports_[graph_.PortOffset(v) + port_index] =
-          graph_.GetEdge(p.edge).u == p.neighbor ? edge_ports[p.edge].first
-                                                 : edge_ports[p.edge].second;
-      ++port_index;
-    }
-  }
   if (max_degree > 64) {
     seen_ports_scratch_.resize((max_degree + 63) / 64);
   }
@@ -260,8 +236,8 @@ void Scheduler::ValidateSends(NodeIndex v, const SendLane& sends) {
     }
     return;
   }
-  // Reuse the scheduler-owned scratch bitset (sized to the max degree in
-  // the constructor) rather than allocating per awake.
+  // Reuse the scheduler-owned scratch bitset (sized to the owned nodes'
+  // max degree in the constructor) rather than allocating per awake.
   std::fill_n(seen_ports_scratch_.begin(), (degree + 63) / 64, 0);
   for (const OutMessage& out : sends) {
     if (out.port >= degree) {

@@ -222,14 +222,8 @@ class Scheduler {
   // Min-heap of adversary-delayed messages (std::*_heap with
   // std::greater, so by the canonical key); empty for a null plan.
   std::vector<WireEntry> delayed_;
-  // Indexed by the graph's CSR port numbering (WeightedGraph::PortOffset):
-  // reverse_ports_[PortOffset(v) + p] is the port index *at the
-  // neighbor* for node v's port p. Precomputed so delivery resolves the
-  // receiver's port with one load instead of a GetEdge + endpoint
-  // comparison per message.
-  std::vector<std::uint32_t> reverse_ports_;
   // Scratch bitset reused by ValidateSends for nodes of degree > 64
-  // (sized to the max degree once; cleared per use).
+  // (sized to the owned nodes' max degree once; cleared per use).
   std::vector<std::uint64_t> seen_ports_scratch_;
 
   // Fused-sweep order (built on the first fused round): thresh_[v] =
@@ -284,9 +278,9 @@ template <bool kObserved>
   const SendLane& sends = sends_[i];
   if (sends.empty()) return;
   // Hoist the per-node indirections out of the per-send loop: the port
-  // table base and the precomputed receiver-port row.
+  // table base and the graph's reverse-port row.
   const Port* ports = graph_.PortsOf(v).data();
-  const std::uint32_t* reverse = reverse_ports_.data() + graph_.PortOffset(v);
+  const std::uint32_t* reverse = graph_.ReversePortsOf(v).data();
   for (std::uint32_t bp = 0; bp < sends.size(); ++bp) {
     const OutMessage& out = sends[bp];
     const NodeIndex dst = ports[out.port].neighbor;
@@ -324,7 +318,7 @@ template <bool kObserved>
       }
     }
     // The receiving side identifies the sender by its own port number
-    // for the shared edge (precomputed in reverse_ports_).
+    // for the shared edge (the graph's reverse port).
     if (!Deliver<kObserved>(v, dst, reverse[out.port], out.msg)) {
       // Sleeping-model loss: the receiver is not awake this round.
       ++meter.messages_dropped;

@@ -57,14 +57,12 @@ void Simulator::ShardMain(std::uint32_t s, const NodeProgram* coroutine,
     Shard& shard = *shards_[s];
     Scheduler& sched = *shard.scheduler;
     shard.inbound.resize(partition.NumShards());
-    shard.cross_ports.assign(graph_.NumNodes(), 0);
     for (const NodeIndex v : partition.NodesOf(s)) {
-      for (const Port& port : graph_.PortsOf(v)) {
-        if (partition.Owner(port.neighbor) != s) {
-          shard.cross_ports[v] = 1;
-          break;
-        }
-      }
+      const auto ports = graph_.PortsOf(v);
+      boundary_[v] = std::any_of(ports.begin(), ports.end(),
+                                 [&](const Port& port) {
+                                   return partition.Owner(port.neighbor) != s;
+                                 });
     }
     sched.Start(ProgramOf(shard, s, coroutine, flat));
     for (;;) {
@@ -119,14 +117,12 @@ void Simulator::CollectSends(std::uint32_t s, Round r) {
   // Metrics are commutative sums and the auditor's books are order-free
   // within a round, so the split cannot change any total.
   Scheduler& sched = *shards_[s]->scheduler;
-  const std::vector<std::uint8_t>& cross_ports = shards_[s]->cross_ports;
   for (const NodeIndex v : sched.staged_) {
-    if (!cross_ports[v]) continue;  // all ports internal
+    if (!boundary_[v]) continue;  // all ports internal
     const SendLane& sends = sched.sends_[sched.Lane(v)];
     NodeMetrics& meter = sched.metrics_.Node(v);
     const Port* ports = graph_.PortsOf(v).data();
-    const std::uint32_t* reverse =
-        sched.reverse_ports_.data() + graph_.PortOffset(v);
+    const std::uint32_t* reverse = graph_.ReversePortsOf(v).data();
     for (std::uint32_t bp = 0; bp < sends.size(); ++bp) {
       const OutMessage& out = sends[bp];
       const NodeIndex dst = ports[out.port].neighbor;

@@ -86,6 +86,7 @@ Simulator::Simulator(const WeightedGraph& graph, SimulatorOptions options)
   // the per-shard O(n) state is built in parallel, owner-thread-local.
   shards_.resize(k);
   errors_.resize(k);
+  boundary_.resize(graph.NumNodes());
   next_round_.assign(k, kMaxRound);
 }
 

@@ -125,13 +125,6 @@ class Simulator {
     // buffer), plus the merge cursors over those buffers.
     std::vector<std::vector<WireEntry>> inbound;
     std::vector<std::size_t> merge_pos;
-    // cross_ports[v] != 0 iff local node v has at least one neighbor
-    // owned by another shard. CollectSends skips a waker's whole batch
-    // on this bit, so the pre-barrier sweep touches only boundary
-    // nodes — on a block-partitioned ring that is ~2 nodes per shard
-    // instead of all of them. Indexed by global node; only local
-    // entries are ever written or read.
-    std::vector<std::uint8_t> cross_ports;
   };
 
   // Barrier completion: reduce the published per-shard next rounds to
@@ -188,6 +181,12 @@ class Simulator {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::exception_ptr> errors_;  // K >= 2 run-level failures
 
+  // K >= 2 only, one byte per node: boundary_[v] != 0 iff v has a
+  // neighbor owned by another shard. CollectSends skips a waker's whole
+  // lane on this byte, so the pre-barrier sweep touches only boundary
+  // nodes (on a block-partitioned ring, ~2 per shard). Worker s writes
+  // and reads only its own nodes' bytes.
+  std::vector<std::uint8_t> boundary_;
   std::vector<Round> next_round_;  // written by shard s before barrier
   Round global_round_ = 0;         // written by the barrier completion
   std::optional<std::barrier<RoundReduce>> barrier_;

@@ -51,7 +51,8 @@ inline std::vector<LdtState> BuildForest(
         states[u].fragment_id = states[v].fragment_id;
         states[u].level = states[v].level + 1;
         states[u].parent_port = PortTo(g, u, v);
-        states[v].child_ports.push_back(PortTo(g, v, u));
+        states[v].child_ports.push_back(
+            g.ReversePortsOf(u)[states[u].parent_port]);
         q.push(u);
       }
     }

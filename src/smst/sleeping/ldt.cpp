@@ -33,18 +33,11 @@ std::string CheckForestInvariant(const WeightedGraph& g,
       if (s.level != ps.level + 1) {
         return describe(v) + " level is not parent level + 1";
       }
-      bool listed = false;
-      std::uint32_t port_at_p = 0;
-      for (const Port& q : g.PortsOf(p)) {
-        if (q.neighbor == v &&
-            std::find(ps.child_ports.begin(), ps.child_ports.end(),
-                      port_at_p) != ps.child_ports.end()) {
-          listed = true;
-          break;
-        }
-        ++port_at_p;
+      const std::uint32_t port_at_p = g.ReversePortsOf(v)[s.parent_port];
+      if (std::find(ps.child_ports.begin(), ps.child_ports.end(),
+                    port_at_p) == ps.child_ports.end()) {
+        return describe(v) + " is not listed by its parent";
       }
-      if (!listed) return describe(v) + " is not listed by its parent";
     } else {
       if (s.level != 0) return describe(v) + " is a root with level != 0";
       if (s.fragment_id != g.IdOf(v)) {
@@ -58,8 +51,7 @@ std::string CheckForestInvariant(const WeightedGraph& g,
       const NodeIndex c = ports[cp].neighbor;
       const LdtState& cs = states[c];
       if (cs.fragment_id != s.fragment_id ||
-          cs.parent_port == kNoPort ||
-          g.PortsOf(c)[cs.parent_port].neighbor != v) {
+          cs.parent_port != g.ReversePortsOf(v)[cp]) {
         return describe(v) + " lists a child that does not point back";
       }
     }

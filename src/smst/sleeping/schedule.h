@@ -11,7 +11,9 @@
 //   Up-Receive         S + 2n - level
 //   Up-Send            S + 2n - level + 1   (non-root only)
 //
-// The root (level 0) has Down-Send = S, Side = S+n, Up-Receive = S+2n.
+// At level 0 these give the root's Down-Send = S, Side = S+n and
+// Up-Receive = S+2n; the root has no parent to receive from or send to,
+// so its Down-Receive and Up-Send are never read.
 // Waking in a subset of these rounds pipelines information root-to-leaves
 // (Down), leaves-to-root (Up), or across fragment boundaries (Side) in
 // O(1) awake rounds and O(n) running time per block.
@@ -38,12 +40,11 @@ constexpr Round ScheduleBlockLength(std::size_t span) {
 }
 
 struct ScheduleRounds {
-  Round down_receive = 0;  // meaningful iff !is_root
+  Round down_receive = 0;  // meaningful iff level > 0
   Round down_send = 0;
   Round side = 0;
   Round up_receive = 0;
-  Round up_send = 0;       // meaningful iff !is_root
-  bool is_root = false;
+  Round up_send = 0;       // meaningful iff level > 0
 };
 
 // Absolute named rounds for a node at `level` within the block starting
@@ -54,19 +55,11 @@ inline ScheduleRounds TransmissionSchedule(Round block_start,
   assert(level < span);
   const Round s = block_start;
   const Round nn = static_cast<Round>(span);
-  ScheduleRounds r;
-  r.is_root = level == 0;
-  r.side = s + nn;
-  if (r.is_root) {
-    r.down_send = s;
-    r.up_receive = s + 2 * nn;
-  } else {
-    r.down_receive = s + level - 1;
-    r.down_send = s + level;
-    r.up_receive = s + 2 * nn - level;
-    r.up_send = s + 2 * nn - level + 1;
-  }
-  return r;
+  return ScheduleRounds{.down_receive = s + level - 1,
+                        .down_send = s + level,
+                        .side = s + nn,
+                        .up_receive = s + 2 * nn - level,
+                        .up_send = s + 2 * nn - level + 1};
 }
 
 // Hands out consecutive block start rounds. Every node of a run advances

@@ -30,6 +30,17 @@ n 3
   EXPECT_EQ(g.MaxId(), 3u);
 }
 
+TEST(EdgeListTest, HeaderMaxIdSetsNWithDefaultIds) {
+  std::istringstream in(R"(n 4 1000
+0 1 5
+1 2 3
+2 3 7
+)");
+  auto g = ReadEdgeList(in);
+  EXPECT_EQ(g.MaxId(), 1000u);
+  for (NodeIndex v = 0; v < g.NumNodes(); ++v) EXPECT_EQ(g.IdOf(v), v + 1);
+}
+
 TEST(EdgeListTest, ParsesExplicitIds) {
   std::istringstream in(R"(n 2 50
 id 0 7
@@ -167,7 +178,9 @@ TEST(EdgeListTest, HugeHeaderFailsBeforeAnyNodeSizedAllocation) {
       {"n 4294967295\n", "graph is not connected"},
       {"n 4294967295\n0 1 5\n1 2 6\n", "graph is not connected"},
       {"n 4294967295 4294967295\nid 0 1\nid 1 2\n0 1 5\n",
-       "node 2 has no 'id' line"}};
+       "node 2 has no 'id' line"},
+      {"n 4294967295 18446744073709551615\n0 1 5\n1 2 6\n",
+       "graph is not connected"}};
   for (const auto& [text, error] : cases) {
     std::istringstream in(text);
     try {

@@ -1,11 +1,15 @@
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "smst/graph/generators.h"
 #include "smst/graph/graph.h"
+#include "smst/graph/io.h"
 #include "smst/graph/properties.h"
 #include "smst/graph/union_find.h"
+#include "smst/lower_bounds/grc.h"
 
 namespace smst {
 namespace {
@@ -131,6 +135,12 @@ std::string BuildError(GraphBuilder b) {
   return "built";
 }
 
+TEST(GraphBuilderTest, RejectsMaxIdBelowDefaultIds) {
+  GraphBuilder b(3);
+  b.AddEdge(0, 1, 10).AddEdge(1, 2, 20).SetMaxId(2);
+  EXPECT_EQ(BuildError(std::move(b)), "node ID 3 outside [1, N]");
+}
+
 TEST(GraphBuilderTest, DuplicateWeightNamesTheFirstOffender) {
   GraphBuilder b(5);
   b.AddEdge(0, 1, 5).AddEdge(1, 2, 7).AddEdge(2, 3, 5).AddEdge(3, 4, 7);
@@ -197,6 +207,65 @@ TEST(GraphTest, PortsCoverIncidentEdges) {
   EXPECT_EQ(ports[0].weight, 10u);
   EXPECT_EQ(ports[1].neighbor, 2u);
   EXPECT_EQ(ports[1].weight, 20u);
+}
+
+// For every port (v, p) to u, the reverse port q is u's port back to v
+// over the same edge.
+void ExpectReversePortsLeadBack(const WeightedGraph& g) {
+  for (NodeIndex v = 0; v < g.NumNodes(); ++v) {
+    const auto ports = g.PortsOf(v);
+    const auto reverse = g.ReversePortsOf(v);
+    ASSERT_EQ(reverse.size(), ports.size()) << "node " << v;
+    for (std::uint32_t p = 0; p < ports.size(); ++p) {
+      const NodeIndex u = ports[p].neighbor;
+      const std::uint32_t q = reverse[p];
+      ASSERT_LT(q, g.DegreeOf(u)) << "node " << v << " port " << p;
+      EXPECT_EQ(g.PortsOf(u)[q].neighbor, v) << "node " << v << " port " << p;
+      EXPECT_EQ(g.PortsOf(u)[q].edge, ports[p].edge)
+          << "node " << v << " port " << p;
+    }
+  }
+}
+
+TEST(GraphTest, ReversePortsLeadBackOnEveryGeneratorFamily) {
+  Xoshiro256 rng(17);
+  const auto check = [](const char* family, const WeightedGraph& g) {
+    SCOPED_TRACE(family);
+    ExpectReversePortsLeadBack(g);
+  };
+  check("path", MakePath(9, rng));
+  check("ring", MakeRing(9, rng));
+  check("star", MakeStar(70, rng));  // the hub has ports past 64
+  check("complete", MakeComplete(9, rng));
+  check("binary tree", MakeBinaryTree(15, rng));
+  check("grid", MakeGrid(3, 4, rng));
+  check("barbell", MakeBarbell(10, rng));
+  check("hypercube", MakeHypercube(4, rng));
+  check("caterpillar", MakeCaterpillar(5, rng));
+  check("lollipop", MakeLollipop(10, rng));
+  check("erdos-renyi", MakeErdosRenyi(40, 0.2, rng));
+  check("random tree", MakeRandomTree(30, rng));
+  check("random geometric", MakeRandomGeometric(40, 0.3, rng));
+  check("G_rc", BuildGrc(4, 16, rng).graph);
+}
+
+TEST(GraphTest, ReversePortsLeadBackWhenEdgesComeOutOfNodeOrder) {
+  // Edges listed neither by node nor with u < v, so ports fill in an
+  // order unrelated to the node numbering.
+  std::istringstream in(R"(n 6
+4 5 1
+3 0 2
+5 1 3
+2 0 4
+1 3 5
+0 4 6
+2 5 7
+)");
+  const auto g = ReadEdgeList(in);
+  ExpectReversePortsLeadBack(g);
+  // Node 0's ports, in insertion order, lead to 3, 2 and 4.
+  EXPECT_EQ(g.ReversePortsOf(0)[0], 0u);  // 3's first edge is to 0
+  EXPECT_EQ(g.ReversePortsOf(0)[2], 1u);  // 4's second edge is to 0
 }
 
 TEST(GraphTest, TotalWeight) {

@@ -28,7 +28,6 @@ TEST(ScheduleTest, PaperRoundNames) {
   // rounds i, i+1, n+1, 2n-i+1, 2n-i+2.
   const std::size_t n = 10;
   const auto r = TransmissionSchedule(1, 3, n);
-  EXPECT_FALSE(r.is_root);
   EXPECT_EQ(r.down_receive, 3u);
   EXPECT_EQ(r.down_send, 4u);
   EXPECT_EQ(r.side, 11u);           // n+1
@@ -38,7 +37,6 @@ TEST(ScheduleTest, PaperRoundNames) {
 
 TEST(ScheduleTest, RootRounds) {
   const auto r = TransmissionSchedule(1, 0, 10);
-  EXPECT_TRUE(r.is_root);
   EXPECT_EQ(r.down_send, 1u);
   EXPECT_EQ(r.side, 11u);
   EXPECT_EQ(r.up_receive, 21u);  // 2n+1
