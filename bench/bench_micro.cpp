@@ -53,7 +53,16 @@ void BM_GenerateErdosRenyi(benchmark::State& state) {
     benchmark::DoNotOptimize(MakeErdosRenyi(n, 8.0 / double(n), rng));
   }
 }
-BENCHMARK(BM_GenerateErdosRenyi)->Arg(256)->Arg(1024);
+BENCHMARK(BM_GenerateErdosRenyi)->Arg(256)->Arg(1024)->Arg(2048);
+
+void BM_GenerateRing(benchmark::State& state) {
+  Xoshiro256 rng(1);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MakeRing(n, rng));
+  }
+}
+BENCHMARK(BM_GenerateRing)->Arg(16384);
 
 Task<void> PingNode(NodeContext& ctx, int rounds) {
   for (int r = 1; r <= rounds; ++r) {

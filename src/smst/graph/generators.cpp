@@ -209,12 +209,23 @@ WeightedGraph MakeErdosRenyi(std::size_t n, double p, Xoshiro256& rng,
                                 std::to_string(p));
   }
   CheckNodeCount(n, "Erdos-Renyi graph");
+  // Pair (u, v) is an edge when NextDouble() < p. NextDouble() is
+  // k * 2^-53 for k = Next() >> 11, and p * 2^53 is exact, so that is
+  // k < ceil(p * 2^53): an integer compare with the same outcome for
+  // every p in [0, 1). Every k is below 2^53, so p >= 1 takes every pair.
+  const std::uint64_t below =
+      p < 1.0 ? static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53))
+              : std::uint64_t{1} << 53;
+  // Draws from a local copy, written back after the loop, so the state
+  // stays in registers instead of being reloaded around every append.
+  Xoshiro256 local = rng;
   EdgeList edges;
   for (NodeIndex u = 0; u < n; ++u) {
     for (NodeIndex v = u + 1; v < n; ++v) {
-      if (rng.NextDouble() < p) edges.emplace_back(u, v);
+      if ((local.Next() >> 11) < below) edges.emplace_back(u, v);
     }
   }
+  rng = local;
   PatchConnectivity(n, edges, rng);
   return BuildFrom(n, edges, rng, opt);
 }

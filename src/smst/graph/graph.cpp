@@ -9,13 +9,6 @@
 
 namespace smst {
 
-NodeIndex WeightedGraph::IndexOfId(NodeId id) const {
-  for (NodeIndex v = 0; v < ids_.size(); ++v) {
-    if (ids_[v] == id) return v;
-  }
-  return kInvalidNode;
-}
-
 Weight WeightedGraph::TotalWeight(std::span<const EdgeIndex> edge_set) const {
   Weight total = 0;
   for (EdgeIndex e : edge_set) total += edges_[e].weight;

@@ -106,9 +106,6 @@ class WeightedGraph {
   NodeId IdOf(NodeIndex v) const { return ids_[v]; }
   NodeId MaxId() const { return max_id_; }
 
-  // Inverse of IdOf; kInvalidNode if no node has that ID.
-  NodeIndex IndexOfId(NodeId id) const;
-
   // Sum of weights over an edge set (used to compare MSTs by value).
   Weight TotalWeight(std::span<const EdgeIndex> edge_set) const;
 

@@ -1,30 +1,13 @@
 #include "smst/util/prng.h"
 
 #include <array>
-#include <cassert>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
 #include "smst/util/flat_key_set.h"
 
 namespace smst {
-
-std::uint64_t Xoshiro256::NextBelow(std::uint64_t bound) {
-  assert(bound > 0);
-  // Lemire's multiply-shift with rejection for exact uniformity.
-  std::uint64_t x = Next();
-  unsigned __int128 m = static_cast<unsigned __int128>(x) * bound;
-  std::uint64_t low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    std::uint64_t threshold = -bound % bound;
-    while (low < threshold) {
-      x = Next();
-      m = static_cast<unsigned __int128>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
 
 Xoshiro256 Xoshiro256::Split(std::uint64_t stream_id) const {
   // Mix current state with the stream id through SplitMix64 so substreams
@@ -80,6 +63,17 @@ std::vector<std::uint64_t> SampleDistinct(std::uint64_t lo, std::uint64_t hi,
   // lo + j instead when the draw is already taken.
   std::vector<std::uint64_t> out;
   out.reserve(count);  // first: throws std::length_error for absurd counts
+  if (count > 0 && count - 1 == range) {
+    // A full range: steps j = 0..range between them take every value,
+    // whatever they draw. Make the same draws (j + 1 < 2^64 here, as
+    // count fits a size_t) from a local copy, which stays in registers.
+    Xoshiro256 local = rng;
+    for (std::uint64_t j = 0; j < count; ++j) local.NextBelow(j + 1);
+    rng = local;
+    out.resize(count);
+    std::iota(out.begin(), out.end(), lo);
+    return out;
+  }
   FlatKeySet chosen(count);
   const std::uint64_t first = range - (count - 1);  // unused when count == 0
   for (std::size_t i = 0; i < count; ++i) {

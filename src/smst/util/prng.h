@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -61,9 +62,23 @@ class Xoshiro256 {
     return result;
   }
 
-  // Unbiased uniform draw from [0, bound) via Lemire rejection.
-  // Precondition: bound > 0.
-  std::uint64_t NextBelow(std::uint64_t bound);
+  // Unbiased uniform draw from [0, bound) via Lemire's multiply-shift
+  // with rejection. Precondition: bound > 0.
+  std::uint64_t NextBelow(std::uint64_t bound) {
+    assert(bound > 0);
+    std::uint64_t x = Next();
+    unsigned __int128 m = static_cast<unsigned __int128>(x) * bound;
+    std::uint64_t low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (low < threshold) {
+        x = Next();
+        m = static_cast<unsigned __int128>(x) * bound;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   // Uniform draw from the inclusive range [lo, hi]. Precondition: lo <= hi.
   std::uint64_t NextInRange(std::uint64_t lo, std::uint64_t hi) {
@@ -105,7 +120,9 @@ void Shuffle(std::vector<T>& items, Xoshiro256& rng) {
 // makes the MST unique). Throws std::invalid_argument when hi < lo or
 // count > hi - lo + 1. Makes at most three allocations, whatever the
 // count: the result, Floyd's membership table (util/flat_key_set.h) and
-// the radix sort's scratch buffer.
+// the radix sort's scratch buffer. A full range (count == hi - lo + 1,
+// as for default IDs) makes Floyd's draws but returns lo..hi without the
+// table or the sort, in one allocation.
 std::vector<std::uint64_t> SampleDistinct(std::uint64_t lo, std::uint64_t hi,
                                           std::size_t count, Xoshiro256& rng);
 

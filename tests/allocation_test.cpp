@@ -16,9 +16,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <numbers>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -321,8 +323,15 @@ TEST(AllocationRegressionTest, GraphSetUpAllocationsDoNotGrowWithSize) {
     return CountAllocs(
         [&] { MakeErdosRenyi(n, 8.0 / static_cast<double>(n), rng); });
   };
+  auto geometric = [](std::size_t n) {
+    Xoshiro256 rng(5);
+    const double radius =
+        std::sqrt(8.0 / (std::numbers::pi * static_cast<double>(n)));
+    return CountAllocs([&] { MakeRandomGeometric(n, radius, rng); });
+  };
   ring(64);  // warm-up
   er(64);
+  geometric(64);
   const std::uint64_t ring_small = ring(4096);
   const std::uint64_t ring_large = ring(16384);
   EXPECT_LT(ring_large, ring_small + 64)
@@ -332,6 +341,11 @@ TEST(AllocationRegressionTest, GraphSetUpAllocationsDoNotGrowWithSize) {
   const std::uint64_t er_large = er(2048);
   EXPECT_LT(er_large, er_small + 64)
       << "ER 512: " << er_small << " allocations, ER 2048: " << er_large;
+  const std::uint64_t geometric_small = geometric(512);
+  const std::uint64_t geometric_large = geometric(2048);
+  EXPECT_LT(geometric_large, geometric_small + 64)
+      << "geometric 512: " << geometric_small
+      << " allocations, geometric 2048: " << geometric_large;
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <functional>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 #include "smst/graph/properties.h"
 #include "smst/lower_bounds/grc.h"
 #include "smst/lower_bounds/set_disjointness.h"
+#include "tests/test_util.h"
 
 namespace smst {
 namespace {
@@ -583,6 +585,41 @@ TEST(GeneratorGoldenTest, GraphsMatchTheRecords) {
     EXPECT_EQ(d.Value(), want->digest) << row.str();
   }
   if (HasFailure()) std::cout << "actual rows:\n" << actual.str();
+}
+
+// --- exact replay ------------------------------------------------------
+//
+// MakeErdosRenyi against the pair loop it replays (tests/test_util.h),
+// across the edge cases of p: the digest GeneratorGoldenTest takes,
+// which includes the generator's next draw, must be equal.
+
+std::uint64_t ReplayDigest(const WeightedGraph& g, Xoshiro256& rng) {
+  GraphDigest d;
+  d.Graph(g);
+  d.Word(rng.Next());
+  return d.Value();
+}
+
+TEST(GeneratorReplayTest, ErdosRenyiMatchesThePairLoop) {
+  using limits = std::numeric_limits<double>;
+  for (const double p : {0.0, limits::denorm_min(), 1e-300, 8.0 / 2048, 0.3,
+                         std::nextafter(1.0, 0.0), 1.0, 2.0,
+                         limits::infinity()}) {
+    std::vector<std::size_t> sizes = {1, 2, 3, 64};
+    if (p <= 8.0 / 2048) sizes.push_back(700);
+    for (const std::size_t n : sizes) {
+      for (const std::uint64_t seed : {1, 2, 3}) {
+        Xoshiro256 rng(seed);
+        Xoshiro256 pair_rng(seed);
+        const WeightedGraph g = MakeErdosRenyi(n, p, rng);
+        const WeightedGraph want =
+            testing::PairLoopErdosRenyi(n, p, pair_rng);
+        EXPECT_EQ(g.NumEdges(), want.NumEdges());
+        EXPECT_EQ(ReplayDigest(g, rng), ReplayDigest(want, pair_rng))
+            << "p=" << p << " n=" << n << " seed=" << seed;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -34,8 +34,6 @@ TEST(GraphBuilderTest, DefaultIdsAreOneToN) {
   EXPECT_EQ(g.IdOf(0), 1u);
   EXPECT_EQ(g.IdOf(2), 3u);
   EXPECT_EQ(g.MaxId(), 3u);
-  EXPECT_EQ(g.IndexOfId(2), 1u);
-  EXPECT_EQ(g.IndexOfId(99), kInvalidNode);
 }
 
 TEST(GraphBuilderTest, CustomIds) {

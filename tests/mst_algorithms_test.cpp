@@ -17,6 +17,7 @@
 #include "smst/mst/randomized_mst.h"
 #include "smst/mst/spanning_tree_bm.h"
 #include "smst/sleeping/ldt.h"
+#include "tests/test_util.h"
 
 namespace smst {
 namespace {
@@ -322,7 +323,7 @@ TEST(LeaderElectionTest, EveryoneKnowsOneLeaderInLogAwake) {
   auto g = MakeErdosRenyi(120, 0.06, rng, gopt);
   auto r = RunLeaderElection(g, {.seed = 44});
   // The leader is a real node's ID.
-  EXPECT_NE(g.IndexOfId(r.leader_id), kInvalidNode);
+  EXPECT_NE(testing::NodeWithId(g, r.leader_id), kInvalidNode);
   EXPECT_LE(r.stats.max_awake, 40 * std::log2(120.0));
   // Deterministic under the seed.
   auto r2 = RunLeaderElection(g, {.seed = 44});

@@ -19,6 +19,7 @@ namespace smst {
 namespace {
 
 using testing::BuildForest;
+using testing::NodeWithId;
 using testing::PortTo;
 
 // ---------------------------------------------------------- Schedule ---
@@ -428,12 +429,12 @@ TEST(FastAwakeColoringTest, PathIsProperlyColoredWithBluePresent) {
     }
     // neighbor_colors agrees with the neighbors' actual colors.
     for (const auto& [id, color] : h.results[v].neighbor_colors) {
-      EXPECT_EQ(color, h.results[h.g.IndexOfId(id)].my_color);
+      EXPECT_EQ(color, h.results[NodeWithId(h.g, id)].my_color);
     }
   }
   EXPECT_GE(blue, 1);
   // Smallest-ID fragment always picks Blue.
-  EXPECT_EQ(h.results[h.g.IndexOfId(1)].my_color, FragColor::kBlue);
+  EXPECT_EQ(h.results[NodeWithId(h.g, 1)].my_color, FragColor::kBlue);
 }
 
 TEST(FastAwakeColoringTest, Degree4StarUsesDistinctColors) {

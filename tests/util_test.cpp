@@ -107,10 +107,20 @@ TEST(SampleDistinctTest, DistinctSortedWithinRange) {
 }
 
 TEST(SampleDistinctTest, ExhaustiveRangeIsFullRange) {
-  Xoshiro256 rng(17);
-  auto s = SampleDistinct(1, 50, 50, rng);
-  ASSERT_EQ(s.size(), 50u);
-  for (std::size_t i = 0; i < 50; ++i) EXPECT_EQ(s[i], i + 1);
+  // count == hi - lo + 1 returns lo..hi, and the generator ends where
+  // Floyd's steps leave it: after NextBelow(1), ..., NextBelow(count).
+  for (const std::uint64_t lo : {std::uint64_t{0}, std::uint64_t{1},
+                                 std::uint64_t{1} << 40}) {
+    for (const std::size_t count : {1, 2, 3, 50, 1000}) {
+      Xoshiro256 rng(17);
+      Xoshiro256 floyd(17);
+      const auto s = SampleDistinct(lo, lo + count - 1, count, rng);
+      ASSERT_EQ(s.size(), count);
+      for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(s[i], lo + i);
+      for (std::uint64_t j = 1; j <= count; ++j) floyd.NextBelow(j);
+      EXPECT_EQ(rng.Next(), floyd.Next()) << "lo=" << lo << " count=" << count;
+    }
+  }
 }
 
 TEST(SampleIdsTest, DistinctIdsInRange) {
